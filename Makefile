@@ -5,7 +5,9 @@ GO ?= go
 .DEFAULT_GOAL := check
 
 # check is the default tier-1 gate: build, vet-strict (vet plus the
-# bounds-check-elimination spot check on the spectrum hot loops), and the
+# bounds-check-elimination spot check on the spectrum hot loops), the
+# benchmark module's tests (bench/ is its own module, which `go test ./...`
+# never builds, yet it calls the spectrum, core and locsrv APIs), and the
 # full test suite under the race detector — the
 # collection pipeline's retry/cancellation paths are all concurrent. The
 # two pinned-GOMAXPROCS passes re-run the compute-pool equivalence and
@@ -13,6 +15,7 @@ GO ?= go
 # 4-way) to catch regressions that only show under a particular worker/CPU
 # ratio.
 check: build vet-strict
+	cd bench && $(GO) test ./...
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache' ./internal/sched/ ./internal/spectrum/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache' ./internal/sched/ ./internal/spectrum/

@@ -31,10 +31,10 @@ const allCellsMinSpeedup = 3.0
 
 // allCellsBenchRows measures the all-cells transform against its dense
 // baselines (schema 7). The SubLinLocateR pair is the KindR counterpart of
-// schema 6's Locate2D/SubLinLocate2D: coarse-only argmax (NoRefine), dense
-// toggles off versus the default-on harmonic route. The profile pairs time
-// the full-profile entry points: Profile2DInto / Profile3D (dense, exact
-// trig) versus Profile2DIntoOpt / Profile3DOpt (fold + synthesis), per kind.
+// schema 6's Locate2D/SubLinLocate2D: coarse-only argmax (NoRefine),
+// FindPeak2DDense versus the harmonic route. The profile pairs time the
+// full-profile entry points: Profile2DInto / Profile3D (dense, exact trig)
+// versus Profile2DIntoSynth / Profile3DSynth (fold + synthesis), per kind.
 // Each AllCells/SubLin row carries speedupVsBatch against the dense row
 // measured immediately before it.
 //
@@ -64,19 +64,14 @@ func allCellsBenchRows() ([]benchResult, error) {
 		return nil, err
 	}
 
-	denseOpts := spectrum.SearchOptions{
-		Refinements:  spectrum.NoRefine,
-		HarmonicEval: spectrum.ToggleOff,
-		Hierarchical: spectrum.ToggleOff,
-	}
-	subOpts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
+	opts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
 	angles := spectrum.UniformAngles(720)
 	az3 := spectrum.UniformAngles(180)
 	pol3 := mathx.Linspace(-math.Pi/2, math.Pi/2, 31)
 
 	// Preflight 1: R sub-linear argmax bit-identity against the dense scan.
-	wantAz, wantPow := spectrum.FindPeak2DEval(evR, denseOpts)
-	if gotAz, gotPow := spectrum.FindPeak2DEval(evR, subOpts); gotAz != wantAz || gotPow != wantPow {
+	wantAz, wantPow := spectrum.FindPeak2DDense(evR, opts)
+	if gotAz, gotPow := spectrum.FindPeak2DEval(evR, opts); gotAz != wantAz || gotPow != wantPow {
 		return nil, fmt.Errorf("allcells bench: R sub-linear peak (%v, %v) != dense (%v, %v)",
 			gotAz, gotPow, wantAz, wantPow)
 	}
@@ -99,12 +94,12 @@ func allCellsBenchRows() ([]benchResult, error) {
 		{"R", spectrum.ProfileSlackR, evR},
 	} {
 		dense := pre.ev.Profile2D(angles)
-		synth := pre.ev.Profile2DOpt(angles, spectrum.SearchOptions{})
+		synth := pre.ev.Profile2DSynth(angles)
 		if err := checkProfile(pre.kind+"/2D", pre.slack, synth.Power, dense.Power); err != nil {
 			return nil, err
 		}
 		dense3 := pre.ev.Profile3D(az3, pol3)
-		synth3 := pre.ev.Profile3DOpt(az3, pol3, spectrum.SearchOptions{})
+		synth3 := pre.ev.Profile3DSynth(az3, pol3)
 		for i := range dense3.Power {
 			if err := checkProfile(pre.kind+"/3D", pre.slack, synth3.Power[i], dense3.Power[i]); err != nil {
 				return nil, err
@@ -113,13 +108,13 @@ func allCellsBenchRows() ([]benchResult, error) {
 	}
 
 	var sink float64
-	peakR := func(opts spectrum.SearchOptions) func(b *testing.B) {
+	peakR := func(find func(*spectrum.Evaluator, spectrum.SearchOptions) (float64, float64)) func(b *testing.B) {
 		return func(b *testing.B) {
-			spectrum.FindPeak2DEval(evR, opts) // warm pools and plan cache
+			find(evR, opts) // warm pools and plan cache
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				az, pow := spectrum.FindPeak2DEval(evR, opts)
+				az, pow := find(evR, opts)
 				sink = az + pow
 			}
 		}
@@ -138,11 +133,11 @@ func allCellsBenchRows() ([]benchResult, error) {
 	profSynth := func(ev *spectrum.Evaluator) func(b *testing.B) {
 		return func(b *testing.B) {
 			var prof spectrum.Profile
-			ev.Profile2DIntoOpt(&prof, angles, spectrum.SearchOptions{})
+			ev.Profile2DIntoSynth(&prof, angles)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.Profile2DIntoOpt(&prof, angles, spectrum.SearchOptions{})
+				ev.Profile2DIntoSynth(&prof, angles)
 			}
 		}
 	}
@@ -158,7 +153,7 @@ func allCellsBenchRows() ([]benchResult, error) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ev.Profile3DOpt(az3, pol3, spectrum.SearchOptions{})
+				ev.Profile3DSynth(az3, pol3)
 			}
 		}
 	}
@@ -176,8 +171,8 @@ func allCellsBenchRows() ([]benchResult, error) {
 		gated bool
 		fn    func(b *testing.B)
 	}{
-		{"LocateR", "dense/exact", -1, true, peakR(denseOpts)},
-		{"SubLinLocateR", "harmonic/exact", 0, true, peakR(subOpts)},
+		{"LocateR", "dense/exact", -1, true, peakR(spectrum.FindPeak2DDense)},
+		{"SubLinLocateR", "harmonic/exact", 0, true, peakR(spectrum.FindPeak2DEval)},
 		{"DenseProfile2D/Q", "dense/exact", -1, true, profDense(evQ)},
 		{"AllCellsProfile2D/Q", "harmonic/exact", 2, true, profSynth(evQ)},
 		{"DenseProfile2D/R", "dense/exact", -1, false, profDense(evR)},

@@ -32,8 +32,8 @@ import (
 // subLinRMinSpeedup — and the full-profile pairs
 // DenseProfile2D/{Q,R} + AllCellsProfile2D/{Q,R} and
 // DenseProfile3D/{Q,R} + AllCellsProfile3D/{Q,R}, timing the dense profile
-// scans against the option-gated harmonic synthesis
-// (Profile2DIntoOpt/Profile3DOpt), the AllCells 2D/Q pair gated at
+// scans against the harmonic synthesis
+// (Profile2DIntoSynth/Profile3DSynth), the AllCells 2D/Q pair gated at
 // allCellsMinSpeedup. Version 6 added the sub-linear coarse-scan rows —
 // Locate2D/SubLinLocate2D and Locate3D/SubLinLocate3D, coarse-only peak
 // searches pairing each dense grid scan with its harmonic/hierarchical
@@ -58,6 +58,11 @@ import (
 // Version 1 files (report-level GoMaxProcs only, no variants) still parse:
 // rows without a goMaxProcs fall back to the report-level value, and the
 // load-only fields are simply absent from older rows.
+//
+// The sub-linear, all-cells and NUFFT rows — every row a speedup floor
+// reads, on both sides of the ratio — run at GOMAXPROCS 1 with one compute
+// pool worker, so a floor compares algorithms rather than how many cores
+// the dense baseline could spread over.
 const benchSchema = "tagspin-bench/8"
 
 // benchResult is one benchmark row of the machine-readable report.
@@ -316,21 +321,17 @@ func writeBenchJSON(path string, rebaselined bool) error {
 		return err
 	}
 	report.Benchmarks = append(report.Benchmarks, mlRows...)
-	subLinRows, err := subLinBenchRows()
-	if err != nil {
-		return err
+	// The speedup-gated pairs run serial (see benchSchema); the deferred
+	// restore puts the width back.
+	runtime.GOMAXPROCS(1)
+	sched.SetWorkers(1)
+	for _, gated := range []func() ([]benchResult, error){subLinBenchRows, allCellsBenchRows, nufftBenchRows} {
+		rows, err := gated()
+		if err != nil {
+			return err
+		}
+		report.Benchmarks = append(report.Benchmarks, rows...)
 	}
-	report.Benchmarks = append(report.Benchmarks, subLinRows...)
-	allCellsRows, err := allCellsBenchRows()
-	if err != nil {
-		return err
-	}
-	report.Benchmarks = append(report.Benchmarks, allCellsRows...)
-	nufftRows, err := nufftBenchRows()
-	if err != nil {
-		return err
-	}
-	report.Benchmarks = append(report.Benchmarks, nufftRows...)
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err

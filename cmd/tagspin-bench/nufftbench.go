@@ -21,8 +21,7 @@ import (
 // row: the fold + oversampled-grid spread must beat the dense non-uniform
 // scan by at least this factor on the jittered 720-cell grid. It matches
 // the all-cells profile floor — the NUFFT replaces the same O(cells·terms)
-// trig with O(terms·H + U·H + cells·W) work, and the dense baseline it is
-// paired with runs on the full parallel pool.
+// trig with O(terms·H + U·H + cells·W) work.
 const nufftMinSpeedup = 3.0
 
 // nufftBenchAngles is the benchmark candidate grid: the uniform 720-cell
@@ -79,8 +78,7 @@ func nufftBenchRows() ([]benchResult, error) {
 	}
 	angles := nufftBenchAngles()
 
-	denseOpts := spectrum.SearchOptions{Refinements: spectrum.NoRefine, NUFFT: spectrum.ToggleOff}
-	nufftOpts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
+	opts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
 
 	// Preflight 1: NUFFT argmax bit-identity against the dense scan, both
 	// kinds, on the measured session and grid.
@@ -88,8 +86,8 @@ func nufftBenchRows() ([]benchResult, error) {
 		kind string
 		ev   *spectrum.Evaluator
 	}{{"Q", evQ}, {"R", evR}} {
-		wantAz, wantPow := spectrum.FindPeak2DAnglesEval(pre.ev, angles, denseOpts)
-		gotAz, gotPow := spectrum.FindPeak2DAnglesEval(pre.ev, angles, nufftOpts)
+		wantAz, wantPow := spectrum.FindPeak2DAnglesDense(pre.ev, angles, opts)
+		gotAz, gotPow := spectrum.FindPeak2DAnglesEval(pre.ev, angles, opts)
 		if gotAz != wantAz || gotPow != wantPow {
 			return nil, fmt.Errorf("nufft bench: %s NUFFT peak (%v, %v) != dense (%v, %v)",
 				pre.kind, gotAz, gotPow, wantAz, wantPow)
@@ -98,7 +96,7 @@ func nufftBenchRows() ([]benchResult, error) {
 	// Preflight 2: the spread Q profile within the exported slack.
 	var dense, spread spectrum.Profile
 	evQ.Profile2DInto(&dense, angles)
-	evQ.Profile2DIntoOpt(&spread, angles, spectrum.SearchOptions{})
+	evQ.Profile2DIntoSynth(&spread, angles)
 	for k := range dense.Power {
 		if d := math.Abs(spread.Power[k] - dense.Power[k]); d > spectrum.ProfileSlackQ {
 			return nil, fmt.Errorf("nufft bench: Q profile cell %d off by %v (> %v)",
@@ -107,13 +105,13 @@ func nufftBenchRows() ([]benchResult, error) {
 	}
 
 	var sink float64
-	peak := func(ev *spectrum.Evaluator, opts spectrum.SearchOptions) func(b *testing.B) {
+	peak := func(ev *spectrum.Evaluator, find func(*spectrum.Evaluator, []float64, spectrum.SearchOptions) (float64, float64)) func(b *testing.B) {
 		return func(b *testing.B) {
-			spectrum.FindPeak2DAnglesEval(ev, angles, opts) // warm pools
+			find(ev, angles, opts) // warm pools
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				az, pow := spectrum.FindPeak2DAnglesEval(ev, angles, opts)
+				az, pow := find(ev, angles, opts)
 				sink = az + pow
 			}
 		}
@@ -126,10 +124,10 @@ func nufftBenchRows() ([]benchResult, error) {
 		gated    bool
 		fn       func(b *testing.B)
 	}{
-		{"DenseLocateNU2D", "dense/exact", -1, true, peak(evQ, denseOpts)},
-		{"NUFFTLocate2D", "nufft/exact", 0, true, peak(evQ, nufftOpts)},
-		{"DenseLocateNUR", "dense/exact", -1, false, peak(evR, denseOpts)},
-		{"NUFFTLocateR", "nufft/exact", 2, false, peak(evR, nufftOpts)},
+		{"DenseLocateNU2D", "dense/exact", -1, true, peak(evQ, spectrum.FindPeak2DAnglesDense)},
+		{"NUFFTLocate2D", "nufft/exact", 0, true, peak(evQ, spectrum.FindPeak2DAnglesEval)},
+		{"DenseLocateNUR", "dense/exact", -1, false, peak(evR, spectrum.FindPeak2DAnglesDense)},
+		{"NUFFTLocateR", "nufft/exact", 2, false, peak(evR, spectrum.FindPeak2DAnglesEval)},
 	}
 	procs := runtime.GOMAXPROCS(0)
 	rows := make([]benchResult, 0, len(cases))

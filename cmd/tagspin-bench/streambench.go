@@ -91,11 +91,6 @@ func streamBenchRows() ([]benchResult, error) {
 	}{
 		{"Q", core.Config{Kind: spectrum.KindQ, FastSpectrum: true}},
 		{"Rlit", core.Config{LiteralReference: true, FastSpectrum: true}},
-		{"RlitTopK", core.Config{
-			LiteralReference: true,
-			FastSpectrum:     true,
-			Search:           spectrum.SearchOptions{PrescreenTopK: 8},
-		}},
 	}
 
 	var rows []benchResult

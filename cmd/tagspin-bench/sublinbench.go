@@ -25,11 +25,11 @@ const subLinMinSpeedup = 5.0
 // (NoRefine) on a prebuilt KindQ evaluator, so the ratio isolates exactly
 // the grid scan the hierarchical/harmonic machinery replaces:
 //
-//   - Locate2D: the dense 720-cell azimuth scan (both toggles off).
-//   - SubLinLocate2D: the default-on harmonic evaluator (fold, synthesize,
-//     exact rescore), carrying speedupVsBatch against Locate2D.
-//   - Locate3D: the dense az × polar scan (toggles off).
-//   - SubLinLocate3D: the default-on hierarchical lattice scanner, carrying
+//   - Locate2D: the dense 720-cell azimuth scan (FindPeak2DDense).
+//   - SubLinLocate2D: the harmonic route (fold, synthesize, exact rescore),
+//     carrying speedupVsBatch against Locate2D.
+//   - Locate3D: the dense az × polar scan (FindPeak3DDense).
+//   - SubLinLocate3D: the hierarchical lattice scanner, carrying
 //     speedupVsBatch against Locate3D.
 func subLinBenchRows() ([]benchResult, error) {
 	rng := rand.New(rand.NewSource(13))
@@ -48,44 +48,38 @@ func subLinBenchRows() ([]benchResult, error) {
 		return nil, err
 	}
 
-	dense2D := spectrum.SearchOptions{
-		Refinements:  spectrum.NoRefine,
-		HarmonicEval: spectrum.ToggleOff,
-		Hierarchical: spectrum.ToggleOff,
-	}
-	sub2D := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
-	dense3D, sub3D := dense2D, sub2D
+	opts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
 
 	// The sub-linear paths return the dense argmax bit for bit (the
 	// bit-identity suites pin this); recheck here so the speedup rows can
 	// never quietly measure two different answers.
-	wantAz, wantPow := spectrum.FindPeak2DEval(ev, dense2D)
-	if gotAz, gotPow := spectrum.FindPeak2DEval(ev, sub2D); gotAz != wantAz || gotPow != wantPow {
+	wantAz, wantPow := spectrum.FindPeak2DDense(ev, opts)
+	if gotAz, gotPow := spectrum.FindPeak2DEval(ev, opts); gotAz != wantAz || gotPow != wantPow {
 		return nil, fmt.Errorf("sublin bench: 2D sub-linear peak (%v, %v) != dense (%v, %v)", gotAz, gotPow, wantAz, wantPow)
 	}
-	if got, want := spectrum.FindPeak3DEval(ev, sub3D), spectrum.FindPeak3DEval(ev, dense3D); got != want {
+	if got, want := spectrum.FindPeak3DEval(ev, opts), spectrum.FindPeak3DDense(ev, opts); got != want {
 		return nil, fmt.Errorf("sublin bench: 3D sub-linear peak %+v != dense %+v", got, want)
 	}
 
 	var sink float64
-	peak2D := func(opts spectrum.SearchOptions) func(b *testing.B) {
+	peak2D := func(find func(*spectrum.Evaluator, spectrum.SearchOptions) (float64, float64)) func(b *testing.B) {
 		return func(b *testing.B) {
-			spectrum.FindPeak2DEval(ev, opts) // warm pools and plan cache
+			find(ev, opts) // warm pools and plan cache
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				az, pow := spectrum.FindPeak2DEval(ev, opts)
+				az, pow := find(ev, opts)
 				sink = az + pow
 			}
 		}
 	}
-	peak3D := func(opts spectrum.SearchOptions) func(b *testing.B) {
+	peak3D := func(find func(*spectrum.Evaluator, spectrum.SearchOptions) spectrum.Peak3D) func(b *testing.B) {
 		return func(b *testing.B) {
-			spectrum.FindPeak3DEval(ev, opts)
+			find(ev, opts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pk := spectrum.FindPeak3DEval(ev, opts)
+				pk := find(ev, opts)
 				sink = pk.Azimuth + pk.Power
 			}
 		}
@@ -96,10 +90,10 @@ func subLinBenchRows() ([]benchResult, error) {
 		variant string
 		fn      func(b *testing.B)
 	}{
-		{"Locate2D", "dense/exact", peak2D(dense2D)},
-		{"SubLinLocate2D", "harmonic/exact", peak2D(sub2D)},
-		{"Locate3D", "dense/exact", peak3D(dense3D)},
-		{"SubLinLocate3D", "hierarchical/exact", peak3D(sub3D)},
+		{"Locate2D", "dense/exact", peak2D(spectrum.FindPeak2DDense)},
+		{"SubLinLocate2D", "harmonic/exact", peak2D(spectrum.FindPeak2DEval)},
+		{"Locate3D", "dense/exact", peak3D(spectrum.FindPeak3DDense)},
+		{"SubLinLocate3D", "hierarchical/exact", peak3D(spectrum.FindPeak3DEval)},
 	}
 	procs := runtime.GOMAXPROCS(0)
 	rows := make([]benchResult, 0, len(cases))

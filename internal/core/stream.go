@@ -34,8 +34,9 @@ type StreamStats struct {
 	MaxBacklog int64
 	// StreamedTags counts tag estimates served from streamed sums at
 	// finalize; FallbackTags counts tag estimates that fell back to the
-	// batch path (disordered arrival, channel mismatch, or a bootstrap-kind
-	// mismatch between construction and finalize).
+	// batch search (disordered arrival, channel mismatch, a bootstrap-kind
+	// mismatch between construction and finalize, or a session longer than
+	// the accumulator can serve — spectrum.Accumulator.BatchFallback).
 	StreamedTags, FallbackTags int64
 }
 
@@ -78,9 +79,10 @@ func (ts *tagStream) find(freq float64) *freqAcc {
 // the same observations: the accumulators reproduce the batch coarse scan
 // exactly for in-order arrivals, and any condition that would break that
 // equivalence — out-of-order or duplicate timestamps on a tag's dominant
-// channel, a snapshot the accumulator rejects, a bootstrap-kind mismatch —
-// quietly downgrades the affected tag (or the whole finalize) to the batch
-// path. Fallbacks are counted in Stats.
+// channel, a snapshot the accumulator rejects, a bootstrap-kind mismatch, a
+// session longer than the accumulator can serve — quietly downgrades the
+// affected tag (or the whole finalize) to the batch path. Fallbacks are
+// counted in Stats.
 //
 // Report is called from the collecting goroutine; everything else must run
 // on the owner's goroutine, after collection has returned. Reset discards
@@ -273,6 +275,17 @@ func (s *Stream) usableAcc(tag SpinningTag, selected []phase.Snapshot) *freqAcc 
 	return fa
 }
 
+// count tallies a tag estimate its accumulator produced: streamed when the
+// coarse pass came from the folded sums, a fallback when the accumulator ran
+// the batch search itself.
+func (s *Stream) count(acc *spectrum.Accumulator) {
+	if acc.BatchFallback() {
+		s.fallbacks.Add(1)
+		return
+	}
+	s.streamed.Add(1)
+}
+
 // Finalize2D completes the streamed session against the full observations
 // the collection returned: batch-identical selection and validation, per-tag
 // peaks from the streamed sums (or batch fallback), then the shared solve
@@ -295,7 +308,7 @@ func (s *Stream) Finalize2D(ctx context.Context, obs Observations) (Result2D, er
 		if streamable {
 			if fa := s.usableAcc(tag, sel); fa != nil {
 				if az, pow, err := fa.acc.FindPeak2D(); err == nil {
-					s.streamed.Add(1)
+					s.count(fa.acc)
 					return EstimatorTag{
 						Tag:   tag,
 						Snaps: sel,
@@ -336,7 +349,7 @@ func (s *Stream) Finalize3D(ctx context.Context, obs Observations) (Result3D, er
 		if streamable {
 			if fa := s.usableAcc(tag, sel); fa != nil {
 				if pk, err := fa.acc.FindPeak3D(); err == nil {
-					s.streamed.Add(1)
+					s.count(fa.acc)
 					return EstimatorTag{
 						Tag:   tag,
 						Snaps: sel,

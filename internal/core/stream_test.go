@@ -38,8 +38,27 @@ func replay(obs core.Observations) func(sink func(tags.EPC, phase.Snapshot)) (co
 	}
 }
 
-// streamScenario builds a collected 2D scenario for equivalence tests.
-func streamScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observations) {
+// streamLimit is the longest per-tag session a spectrum.Accumulator serves
+// from its streamed sums (its coarse-term limit); past it the finalize runs
+// the batch search and the Stream counts the tag as a fallback.
+const streamLimit = 64
+
+// shortSession strides each tag's series down to at most streamLimit
+// snapshots, keeping the whole spin period covered, so every tag can
+// finalize from streamed sums.
+func shortSession(obs core.Observations) core.Observations {
+	out := make(core.Observations, len(obs))
+	for epc, snaps := range obs {
+		stride := (len(snaps) + streamLimit - 1) / streamLimit
+		for i := 0; i < len(snaps); i += stride {
+			out[epc] = append(out[epc], snaps[i])
+		}
+	}
+	return out
+}
+
+// collectScenario builds a collected, calibrated 2D scenario at full length.
+func collectScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observations) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sc := testbed.DefaultScenario(0, rng)
@@ -53,6 +72,14 @@ func streamScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observat
 		t.Fatal(err)
 	}
 	return registered, col.Obs
+}
+
+// streamScenario is collectScenario shortened to sessions the accumulators
+// serve from streamed sums, for the equivalence tests.
+func streamScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observations) {
+	t.Helper()
+	registered, obs := collectScenario(t, seed)
+	return registered, shortSession(obs)
 }
 
 // TestStreamLocate2DMatchesBatch checks the headline equivalence: a streamed
@@ -153,27 +180,61 @@ func TestStreamLocate3DMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			obs := shortSession(col.Obs)
 			loc := core.NewLocator(core.Config{FastSpectrum: fast})
-			want, err := loc.Locate3D(registered, col.Obs)
+			want, err := loc.Locate3D(registered, obs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := loc.NewStream3D(registered)
 			defer st.Close()
-			if _, err := replay(col.Obs)(st.Report); err != nil {
+			if _, err := replay(obs)(st.Report); err != nil {
 				t.Fatal(err)
 			}
-			got, err := st.Finalize3D(t.Context(), col.Obs)
+			got, err := st.Finalize3D(t.Context(), obs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("streamed 3D result differs from batch:\n got %+v\nwant %+v", got, want)
 			}
-			if stats := st.Stats(); stats.StreamedTags == 0 {
-				t.Errorf("stats = %+v, want streamed tags", stats)
+			if stats := st.Stats(); stats.StreamedTags != int64(len(want.Bearings)) || stats.FallbackTags != 0 {
+				t.Errorf("stats = %+v, want all %d tags streamed", stats, len(want.Bearings))
 			}
 		})
+	}
+}
+
+// TestStreamLongSessionCountsFallbacks runs a full-length session (more
+// than streamLimit reads per tag): every accumulator finalizes through the
+// batch search, so the Stream must count every tag as a fallback — not as
+// streamed — while still returning the batch answer.
+func TestStreamLongSessionCountsFallbacks(t *testing.T) {
+	registered, obs := collectScenario(t, 42)
+	for epc, snaps := range obs {
+		if len(snaps) <= streamLimit {
+			t.Fatalf("tag %s has %d reads, want > %d", epc, len(snaps), streamLimit)
+		}
+	}
+	loc := core.NewLocator(core.Config{})
+	want, err := loc.Locate2D(registered, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := loc.NewStream2D(registered)
+	defer st.Close()
+	if _, err := replay(obs)(st.Report); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Finalize2D(t.Context(), obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("long streamed result differs from batch:\n got %+v\nwant %+v", got, want)
+	}
+	if stats := st.Stats(); stats.FallbackTags != int64(len(obs)) || stats.StreamedTags != 0 {
+		t.Errorf("stats = %+v, want all %d tags counted as fallbacks", stats, len(obs))
 	}
 }
 

@@ -48,11 +48,8 @@ type Config struct {
 	// caller-supplied locator carries its own config.
 	FastSpectrum bool
 	// Search tunes the default locator's peak search (core.Config.Search):
-	// hierarchical scanning, the harmonic azimuth evaluator, the NUFFT
-	// synthesis route for non-uniform candidate grids, prescreen width, and
-	// grid steps. The zero value keeps the defaults (harmonic +
-	// hierarchical auto-on for Q spectra, NUFFT auto-on on the angle-grid
-	// entry points). Ignored when Locator is non-nil.
+	// coarse grid steps and refinement rounds. The zero value keeps the
+	// defaults. Ignored when Locator is non-nil.
 	Search spectrum.SearchOptions
 	// Collect gathers snapshots; nil means client.CollectRetry (the
 	// network client with transient-failure retries). Supplying Collect
@@ -293,7 +290,8 @@ type Stats struct {
 	MaxInFlight int
 	// StreamLocates counts locate items that ran the streaming pipeline;
 	// StreamFallbackTags counts the per-tag batch fallbacks inside them
-	// (disordered arrivals, channel mismatches, bootstrap-kind changes).
+	// (disordered arrivals, channel mismatches, bootstrap-kind changes,
+	// sessions past the accumulator's streaming limit).
 	StreamLocates      uint64
 	StreamFallbackTags uint64
 	// SnapshotsStreamed totals snapshots folded into accumulators while
@@ -308,11 +306,11 @@ type Stats struct {
 	FinalizeCount   uint64
 	FinalizeNsTotal int64
 	// SpectrumSearch is the process-wide coarse-search routing tally —
-	// which accelerator (harmonic Q/R synthesis, hierarchical, prescreen,
+	// which route (harmonic Q/R or NUFFT synthesis, hierarchical, dense,
 	// all-cells profile synthesis) actually served the scans behind this
-	// server's locates, versus the dense fallback. A fleet dashboard that
-	// sees Dense2D climbing while HarmonicR2D stays flat is watching a
-	// routing regression, not a load change.
+	// server's locates. A fleet dashboard that sees Dense2D climbing while
+	// HarmonicR2D stays flat is watching a routing regression, not a load
+	// change.
 	SpectrumSearch spectrum.SearchStats
 }
 

@@ -46,6 +46,24 @@ func streamFixture(t *testing.T) (*registry.Registry, core.Observations, geom.Ve
 	return reg, col.Obs, target
 }
 
+// streamLimit is the longest per-tag session a spectrum.Accumulator serves
+// from its streamed sums; past it the finalize runs the batch search and
+// the tag counts as a stream fallback.
+const streamLimit = 64
+
+// shortObs strides each tag's series down to at most streamLimit reads,
+// keeping the whole spin period covered, so every tag streams.
+func shortObs(obs core.Observations) core.Observations {
+	out := make(core.Observations, len(obs))
+	for epc, snaps := range obs {
+		stride := (len(snaps) + streamLimit - 1) / streamLimit
+		for i := 0; i < len(snaps); i += stride {
+			out[epc] = append(out[epc], snaps[i])
+		}
+	}
+	return out
+}
+
 // streamObs feeds obs to sink in global time order, as a live session would.
 func streamObs(obs core.Observations, sink client.ReportFunc) {
 	type item struct {
@@ -75,9 +93,11 @@ func locateBody(t *testing.T, resp *http.Response) locsrv.LocateResponse {
 
 // TestLocateStreamingEndpoint runs a locate through a canned streaming
 // collector and checks the response matches the batch pipeline bit for bit,
-// with the streaming counters accounting for the session.
+// with the streaming counters accounting for the session. The session is
+// short enough for every tag to stream.
 func TestLocateStreamingEndpoint(t *testing.T) {
 	reg, obs, _ := streamFixture(t)
+	obs = shortObs(obs)
 	srv, err := locsrv.New(locsrv.Config{
 		Registry: reg,
 		CollectStream: func(_ context.Context, _ string, _ client.Config, start func() client.ReportFunc) (core.Observations, error) {
@@ -177,8 +197,13 @@ func TestLocateStreamingRetryResets(t *testing.T) {
 	if attempts != 2 {
 		t.Errorf("attempts = %d, want 2", attempts)
 	}
-	if st := srv.Stats(); st.StreamFallbackTags != 0 {
-		t.Errorf("StreamFallbackTags = %d, want 0 after reset", st.StreamFallbackTags)
+	// The full-length session is past streamLimit, so each tag finalizes
+	// through the batch search and counts as a fallback; that the reset
+	// leaves no poisoned accumulator behind is pinned on a short session by
+	// core's TestStreamResetDiscardsState.
+	if st := srv.Stats(); st.StreamLocates != 1 || st.StreamFallbackTags != uint64(len(obs)) {
+		t.Errorf("StreamLocates = %d, StreamFallbackTags = %d, want 1 and %d",
+			st.StreamLocates, st.StreamFallbackTags, len(obs))
 	}
 }
 

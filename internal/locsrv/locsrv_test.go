@@ -485,11 +485,7 @@ func TestSearchOptionsPlumbing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	search := spectrum.SearchOptions{
-		CoarseStep:   geom.Radians(2),
-		Hierarchical: spectrum.ToggleOff,
-		HarmonicEval: spectrum.ToggleOff,
-	}
+	search := spectrum.SearchOptions{CoarseStep: geom.Radians(2), Refinements: 2}
 	srv, err := locsrv.New(locsrv.Config{
 		Registry: reg,
 		Search:   search,

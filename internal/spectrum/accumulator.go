@@ -27,8 +27,7 @@ import (
 //     per cell. The robust weight subtracts the circular mean μ(cell) of
 //     *all* residuals, which only exists at the end of the session, so
 //     Finalize runs the weighting pass — still saving the streamed first
-//     pass, and reduced to a top-K rescore when SearchOptions.PrescreenTopK
-//     is set (the Q sums are then tracked during Add as well).
+//     pass.
 //
 // The exact-trig path is bit-identical to the batch Evaluator's per-cell
 // arithmetic: terms come from the same makeTerm, cells use the same
@@ -47,8 +46,6 @@ type Accumulator struct {
 	opts     SearchOptions
 	evalOpts []EvalOption
 	fastTrig bool
-	trackQ   bool // accumulate Q sums alongside robust-R pass-1 (prescreen)
-	harmonic bool // fold harmonic coefficients instead of per-cell Q sums
 
 	// Hoisted R-weight constants, mirroring Evaluator.
 	weightSigma float64
@@ -78,12 +75,6 @@ type Accumulator struct {
 	resSin, resCos []float64 // robust-R residual circular sums
 	refAper        []float64 // reference aperture per cell (KindR)
 
-	// Harmonic-mode state (HarmonicEval == ToggleOn, 2D, both kinds —
-	// KindR only without PrescreenTopK): the O(harmonics) coefficient fold
-	// replaces the O(cells) per-cell fold.
-	hcoeffs harmonicCoeffs
-	hbess   []float64
-
 	terms   []snapshotTerm
 	ref     phase.Snapshot
 	haveRef bool
@@ -92,10 +83,9 @@ type Accumulator struct {
 }
 
 // NewAccumulator2D builds a streaming accumulator over the 2D coarse grid
-// the batch peak search would scan for the same SearchOptions. opts also
-// carries PrescreenTopK for the robust-R finalize. evalOpts accepts the
-// same options as NewEvaluator (WithFastTrig) and is forwarded to the
-// finalize Evaluator.
+// the batch peak search would scan for the same SearchOptions. evalOpts
+// accepts the same options as NewEvaluator (WithFastTrig) and is forwarded
+// to the finalize Evaluator.
 func NewAccumulator2D(p Params, kind Kind, opts SearchOptions, evalOpts ...EvalOption) (*Accumulator, error) {
 	return newAccumulator(p, kind, opts, false, nil, evalOpts)
 }
@@ -146,11 +136,8 @@ func newAccumulator(p Params, kind Kind, opts SearchOptions, threeD bool, angles
 
 	switch {
 	case threeD:
-		a.step = opts.coarseStep() * 4 // matches FindPeak3DEval
-		a.polStep = opts.coarsePolarStep()
+		a.step, a.polStep, a.nAz, a.nPol = opts.grid3D() // matches FindPeak3DEval
 		a.polBase = -math.Pi / 2
-		a.nAz = gridSteps(2*math.Pi, a.step)
-		a.nPol = int(math.Floor(math.Pi/a.polStep+1e-9)) + 1
 	case angles != nil:
 		a.angles = append([]float64(nil), angles...)
 		a.nAz = len(angles)
@@ -197,34 +184,18 @@ func newAccumulator(p Params, kind Kind, opts SearchOptions, threeD bool, angles
 		a.cosG[r] = math.Cos(a.polBase + float64(r)*a.polStep)
 	}
 
-	// Harmonic streaming is explicit opt-in (ToggleOn, not auto): the
-	// default per-cell fold keeps CoarseProfile bit-identical to the batch
-	// Profile2D, which the equivalence suite pins. With the harmonic fold,
-	// Add costs O(harmonics) instead of O(cells) and CoarseProfile is
-	// synthesized from the coefficients (within harmonicSlack of batch for
-	// Q, rSlack for R — the two-pass kernel in allcells.go); the finalize
-	// argmax still rescores exactly, so FindPeak2D returns the batch
-	// search's bits either way. Both kinds stream the same Q-phasor
-	// coefficients; a KindR finalize re-derives μ and the weights from
-	// them. A KindR session with PrescreenTopK set keeps the per-cell fold:
-	// its finalize must replay the streamed-Q prescreen selection, exactly
-	// like the batch route.
-	a.harmonic = !threeD && opts.HarmonicEval == ToggleOn &&
-		(kind != KindR || opts.PrescreenTopK <= 0)
-	a.trackQ = (kind != KindR || opts.PrescreenTopK > 0) && !a.harmonic
-	if a.trackQ {
+	switch {
+	case kind != KindR:
 		a.qRe = make([]float64, a.n)
 		a.qIm = make([]float64, a.n)
-	}
-	if kind == KindR && !a.harmonic {
+	case p.LiteralReference:
 		a.refAper = make([]float64, a.n)
-		if p.LiteralReference {
-			a.wRe = make([]float64, a.n)
-			a.wIm = make([]float64, a.n)
-		} else {
-			a.resSin = make([]float64, a.n)
-			a.resCos = make([]float64, a.n)
-		}
+		a.wRe = make([]float64, a.n)
+		a.wIm = make([]float64, a.n)
+	default:
+		a.refAper = make([]float64, a.n)
+		a.resSin = make([]float64, a.n)
+		a.resCos = make([]float64, a.n)
 	}
 	return a, nil
 }
@@ -269,10 +240,6 @@ func (a *Accumulator) Add(s phase.Snapshot) error {
 		}
 	}
 	a.terms = append(a.terms, t)
-	if a.harmonic {
-		a.foldHarmonic(t)
-		return nil
-	}
 	if a.n >= addChunkMin && sched.Workers() > 1 {
 		// Chunks write disjoint cell ranges; order never enters the
 		// arithmetic (each cell's sum gets exactly one contribution per
@@ -282,22 +249,6 @@ func (a *Accumulator) Add(s phase.Snapshot) error {
 		a.foldRange(0, a.n)
 	}
 	return nil
-}
-
-// foldHarmonic folds one term into the harmonic coefficients — O(harmonics)
-// instead of O(cells). The fold mirrors foldTermsHarmonic at γ = 0 term for
-// term (w = scale·cos 0 = scale, same bits), so after n ≤ coarseTermLimit
-// Adds the coefficients are bit-identical to the batch fold over ev.coarse.
-func (a *Accumulator) foldHarmonic(t snapshotTerm) {
-	w := t.scale
-	need := harmonicsNeeded(w)
-	a.hcoeffs.ensure(need)
-	if cap(a.hbess) < need+1 {
-		a.hbess = make([]float64, need+1)
-	}
-	bess := a.hbess[:need+1]
-	besselJArray(w, bess)
-	a.hcoeffs.foldTerm(t.relPhase, t.cosA, t.sinA, bess)
 }
 
 // cell resolves a cell index to its azimuth-table index and cos γ.
@@ -395,10 +346,6 @@ func (a *Accumulator) foldRLiteral(t snapshotTerm, lo, hi int) {
 			s, c := mathx.FastSincos(t.relPhase + aperture)
 			a.wRe[k] += w * c
 			a.wIm[k] += w * s
-			if a.trackQ {
-				a.qRe[k] += c
-				a.qIm[k] += s
-			}
 		}
 		return
 	}
@@ -411,17 +358,11 @@ func (a *Accumulator) foldRLiteral(t snapshotTerm, lo, hi int) {
 		s, c := math.Sincos(t.relPhase + aperture)
 		a.wRe[k] += w * c
 		a.wIm[k] += w * s
-		if a.trackQ {
-			a.qRe[k] += c
-			a.qIm[k] += s
-		}
 	}
 }
 
 // foldRLiteral2D is the single-polar-row specialization of foldRLiteral;
-// see foldQ2D for the restructuring rules. The trackQ branch stays inside
-// the loop — it is loop-invariant and predicted perfectly — because
-// splitting it would double the variants for no measured win.
+// see foldQ2D for the restructuring rules.
 func (a *Accumulator) foldRLiteral2D(t snapshotTerm, lo, hi int) {
 	cg := a.cosG[0]
 	cosPhi := a.cosPhi[lo:hi]
@@ -429,12 +370,6 @@ func (a *Accumulator) foldRLiteral2D(t snapshotTerm, lo, hi int) {
 	refAper := a.refAper[lo:hi]
 	wRe := a.wRe[lo:hi]
 	wIm := a.wIm[lo:hi]
-	trackQ := a.trackQ
-	var qRe, qIm []float64
-	if trackQ {
-		qRe = a.qRe[lo:hi]
-		qIm = a.qIm[lo:hi]
-	}
 	if a.fastTrig {
 		for i := range cosPhi {
 			aperture := t.scale * (t.cosA*cosPhi[i] + t.sinA*sinPhi[i]) * cg
@@ -444,10 +379,6 @@ func (a *Accumulator) foldRLiteral2D(t snapshotTerm, lo, hi int) {
 			s, c := mathx.FastSincos(t.relPhase + aperture)
 			wRe[i] += w * c
 			wIm[i] += w * s
-			if trackQ {
-				qRe[i] += c
-				qIm[i] += s
-			}
 		}
 		return
 	}
@@ -459,16 +390,11 @@ func (a *Accumulator) foldRLiteral2D(t snapshotTerm, lo, hi int) {
 		s, c := math.Sincos(t.relPhase + aperture)
 		wRe[i] += w * c
 		wIm[i] += w * s
-		if trackQ {
-			qRe[i] += c
-			qIm[i] += s
-		}
 	}
 }
 
 // foldRRobust streams the robust-R first pass — the residual circular sums
-// the per-cell mean μ is taken over — plus the Q sums when the finalize
-// will prescreen.
+// the per-cell mean μ is taken over.
 func (a *Accumulator) foldRRobust(t snapshotTerm, lo, hi int) {
 	if a.nPol == 1 {
 		a.foldRRobust2D(t, lo, hi)
@@ -482,11 +408,6 @@ func (a *Accumulator) foldRRobust(t snapshotTerm, lo, hi int) {
 			s, c := mathx.FastSincos(res)
 			a.resSin[k] += s
 			a.resCos[k] += c
-			if a.trackQ {
-				sq, cq := mathx.FastSincos(t.relPhase + aperture)
-				a.qRe[k] += cq
-				a.qIm[k] += sq
-			}
 		}
 		return
 	}
@@ -498,11 +419,6 @@ func (a *Accumulator) foldRRobust(t snapshotTerm, lo, hi int) {
 		s, c := math.Sincos(res)
 		a.resSin[k] += s
 		a.resCos[k] += c
-		if a.trackQ {
-			sq, cq := math.Sincos(t.relPhase + aperture)
-			a.qRe[k] += cq
-			a.qIm[k] += sq
-		}
 	}
 }
 
@@ -515,12 +431,6 @@ func (a *Accumulator) foldRRobust2D(t snapshotTerm, lo, hi int) {
 	refAper := a.refAper[lo:hi]
 	resSin := a.resSin[lo:hi]
 	resCos := a.resCos[lo:hi]
-	trackQ := a.trackQ
-	var qRe, qIm []float64
-	if trackQ {
-		qRe = a.qRe[lo:hi]
-		qIm = a.qIm[lo:hi]
-	}
 	if a.fastTrig {
 		for i := range cosPhi {
 			aperture := t.scale * (t.cosA*cosPhi[i] + t.sinA*sinPhi[i]) * cg
@@ -528,11 +438,6 @@ func (a *Accumulator) foldRRobust2D(t snapshotTerm, lo, hi int) {
 			s, c := mathx.FastSincos(res)
 			resSin[i] += s
 			resCos[i] += c
-			if trackQ {
-				sq, cq := mathx.FastSincos(t.relPhase + aperture)
-				qRe[i] += cq
-				qIm[i] += sq
-			}
 		}
 		return
 	}
@@ -543,11 +448,6 @@ func (a *Accumulator) foldRRobust2D(t snapshotTerm, lo, hi int) {
 		s, c := math.Sincos(res)
 		resSin[i] += s
 		resCos[i] += c
-		if trackQ {
-			sq, cq := math.Sincos(t.relPhase + aperture)
-			qRe[i] += cq
-			qIm[i] += sq
-		}
 	}
 }
 
@@ -578,24 +478,6 @@ func (c *accFinishChunk) RunChunk(lo, hi int) { c.a.finishRange(c.out, lo, hi) }
 // branch is the expensive one (one weighting pass over all terms per cell);
 // Q and literal-R are O(1) per cell.
 func (a *Accumulator) finish(out []float64) {
-	if a.harmonic {
-		// Harmonic mode has no per-cell sums; synthesize from the
-		// coefficients (within harmonicSlack of the batch profile for Q,
-		// rSlack for R). The R synthesis runs on the finalize Evaluator's
-		// full term set — the same terms the coefficients folded.
-		if a.kind == KindR {
-			ev, err := a.Evaluator()
-			if err != nil {
-				return // <2 snapshots; callers guard before finish
-			}
-			sc := ev.getScratch()
-			ev.synthRowR(ev.terms, &a.hcoeffs, sc, a.cosG[0], a.sinPhi, a.cosPhi, out, false)
-			ev.putScratch(sc)
-			return
-		}
-		a.hcoeffs.synthesize(out, a.sinPhi, a.cosPhi)
-		return
-	}
 	heavy := a.kind == KindR && !a.params.LiteralReference
 	if (heavy || a.n >= addChunkMin) && sched.Workers() > 1 {
 		c := accFinishChunk{a: a, out: out}
@@ -673,28 +555,9 @@ func (a *Accumulator) finishRobustCell(k int) float64 {
 	return math.Hypot(sumRe, sumIm) / float64(len(a.terms))
 }
 
-// finishQ computes the per-cell Q values from the tracked Q sums (prescreen
-// finalize path).
-func (a *Accumulator) finishQ(out []float64) {
-	nTerms := len(a.terms)
-	if a.fastTrig {
-		inv := 1 / float64(nTerms)
-		for k := range out {
-			out[k] = math.Sqrt(a.qRe[k]*a.qRe[k]+a.qIm[k]*a.qIm[k]) * inv
-		}
-		return
-	}
-	for k := range out {
-		out[k] = math.Hypot(a.qRe[k], a.qIm[k]) / float64(nTerms)
-	}
-}
-
 // CoarseProfile returns the accumulated 2D profile over the uniform coarse
 // grid (angles φ_i = i·step). Exact-trig values are bit-identical to
-// Evaluator.Profile2D over the same angles and full term set — except in
-// harmonic mode (HarmonicEval ToggleOn), where the profile is synthesized
-// from the streamed coefficients and lands within harmonicSlack (Q) /
-// rSlack (R) of batch.
+// Evaluator.Profile2D over the same angles and full term set.
 func (a *Accumulator) CoarseProfile() (Profile, error) {
 	if a.threeD {
 		return Profile{}, fmt.Errorf("spectrum: 3D accumulator has no 2D profile")
@@ -742,71 +605,12 @@ func (a *Accumulator) CoarseProfile3D() (Profile3D, error) {
 	return prof, nil
 }
 
-// coarseArgmaxAccum picks the coarse winner from the accumulated sums. The
-// selection replays the batch coarse argmax rules — strict > with the
-// lowest index winning ties, and the Q-prescreen + R top-K rescore when
-// configured — but on the streamed sums, so the expensive grid scan the
-// batch path runs after the session is already paid for.
-func (a *Accumulator) coarseArgmaxAccum(ev *Evaluator) int {
-	if a.harmonic {
-		// Replay the batch harmonicArgmax2D/harmonicArgmaxR2D selection on
-		// the streamed coefficients: synthesize, shortlist within 2·slack of
-		// the synthesized maximum, exact-rescore the shortlist. This path
-		// only runs for sessions within coarseTermLimit (see FindPeak2D), so
-		// ev.coarse is the full streamed set and coefficients, trig tables,
-		// synthesized values, and rescore terms all match the batch pass bit
-		// for bit — the pick does too.
-		searchCounters.streamSynth.Add(1)
-		if a.angles != nil {
-			// Angle-grid finalize: the batch selection over an arbitrary
-			// grid is nufftSelectQ/R (coarseArgmax2DAngles); running the
-			// very same selection code on the streamed coefficients makes
-			// the streamed pick bit-identical to the batch one.
-			hs := harmPool.Get().(*harmonicScratch)
-			var idx int
-			if a.kind == KindR {
-				idx = ev.nufftSelectR(ev.coarse, &a.hcoeffs, a.angles, hs)
-			} else {
-				idx = ev.nufftSelectQ(ev.coarse, &a.hcoeffs, a.angles, hs)
-			}
-			harmPool.Put(hs)
-			return idx
-		}
-		vals := make([]float64, a.n)
-		slack := harmonicSlack
-		if a.kind == KindR {
-			sc := ev.getScratch()
-			ev.synthRowR(ev.coarse, &a.hcoeffs, sc, a.cosG[0], a.sinPhi, a.cosPhi, vals, true)
-			ev.putScratch(sc)
-			slack = rSlack + rCoarseRel*ev.wNorm
-		} else {
-			a.hcoeffs.synthesize(vals, a.sinPhi, a.cosPhi)
-		}
-		maxV := math.Inf(-1)
-		for _, v := range vals {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var cand []int
-		for k, v := range vals {
-			if v >= maxV-2*slack {
-				cand = append(cand, k)
-			}
-		}
-		return ev.rescoreTopK(ev.coarse, cand, a.step, 0, 0, 0)
-	}
-	if a.kind == KindR && a.opts.PrescreenTopK > 0 && a.angles == nil {
-		// Batch R searches with prescreen shortlist by Q then rescore with
-		// the full R formula; replaying that selection on the streamed Q
-		// sums keeps the two paths' picks identical (including when the Q
-		// and R shortlists diverge for literal-reference sessions). The
-		// batch angle-grid route has no prescreen pass, so angles-mode
-		// sessions fall through to the dense finish instead.
-		qVals := make([]float64, a.n)
-		a.finishQ(qVals)
-		return ev.rescoreTopK(ev.coarse, topKIndices(qVals, a.opts.PrescreenTopK), a.step, a.azCountArg(), a.polBase, a.polStep)
-	}
+// coarseArgmaxAccum picks the coarse winner from the accumulated sums with
+// the batch argmax rule — strict > with the lowest index winning ties — so
+// the expensive grid scan the batch path runs after the session is already
+// paid for. Every batch route returns the dense scan's cell, which is what
+// these sums score.
+func (a *Accumulator) coarseArgmaxAccum() int {
 	vals := make([]float64, a.n)
 	a.finish(vals)
 	best, bestVal := 0, math.Inf(-1)
@@ -818,14 +622,11 @@ func (a *Accumulator) coarseArgmaxAccum(ev *Evaluator) int {
 	return best
 }
 
-// azCountArg returns the azCount argument batch helpers expect: the row
-// width in 3D, 0 in 2D.
-func (a *Accumulator) azCountArg() int {
-	if a.threeD {
-		return a.nAz
-	}
-	return 0
-}
+// BatchFallback reports whether FindPeak2D/FindPeak3D will run the batch
+// search instead of serving the coarse pass from the streamed sums: past
+// coarseTermLimit snapshots the batch coarse pass scores a strided subset
+// that no streaming fold can reproduce.
+func (a *Accumulator) BatchFallback() bool { return len(a.terms) > coarseTermLimit }
 
 // FindPeak2D finalizes the accumulated session into the refined 2D peak,
 // running the same refinement rounds (on the same full-term Evaluator
@@ -844,7 +645,7 @@ func (a *Accumulator) FindPeak2D() (float64, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(a.terms) > coarseTermLimit {
+	if a.BatchFallback() {
 		if a.angles != nil {
 			az, pow := FindPeak2DAnglesEval(ev, a.angles, a.opts)
 			return az, pow, nil
@@ -852,7 +653,7 @@ func (a *Accumulator) FindPeak2D() (float64, float64, error) {
 		az, pow := FindPeak2DEval(ev, a.opts)
 		return az, pow, nil
 	}
-	idx := a.coarseArgmaxAccum(ev)
+	idx := a.coarseArgmaxAccum()
 	base := float64(idx) * a.step
 	if a.angles != nil {
 		base = a.angles[idx]
@@ -871,10 +672,10 @@ func (a *Accumulator) FindPeak3D() (Peak3D, error) {
 	if err != nil {
 		return Peak3D{}, err
 	}
-	if len(a.terms) > coarseTermLimit {
+	if a.BatchFallback() {
 		return FindPeak3DEval(ev, a.opts), nil
 	}
-	idx := a.coarseArgmaxAccum(ev)
+	idx := a.coarseArgmaxAccum()
 	best := Peak3D{
 		Azimuth: float64(idx%a.nAz) * a.step,
 		Polar:   a.polBase + float64(idx/a.nAz)*a.polStep,

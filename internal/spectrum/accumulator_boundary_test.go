@@ -1,7 +1,6 @@
 package spectrum
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -24,12 +23,14 @@ func TestAccumulatorCoarseTermLimitBoundary(t *testing.T) {
 				snaps := synth(p, geom.V3(-2.2, 1.3, 0), n, 0.8, 0.05, rng)
 				pp := p
 				pp.LiteralReference = tc.literal
-				so := SearchOptions{PrescreenTopK: tc.prescreen}
-				a, err := NewAccumulator2D(pp, tc.kind, so)
+				a, err := NewAccumulator2D(pp, tc.kind, SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				feedAccumulator(t, a, snaps)
+				if got, want := a.BatchFallback(), n > coarseTermLimit; got != want {
+					t.Fatalf("%d snapshots: BatchFallback() = %v, want %v", n, got, want)
+				}
 				gotAz, gotPow, err := a.FindPeak2D()
 				if err != nil {
 					t.Fatal(err)
@@ -38,7 +39,7 @@ func TestAccumulatorCoarseTermLimitBoundary(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantAz, wantPow := FindPeak2DEval(ev, so)
+				wantAz, wantPow := FindPeak2DEval(ev, SearchOptions{})
 				if gotAz != wantAz || gotPow != wantPow {
 					t.Fatalf("%d snapshots: streamed (%v, %v) != batch (%v, %v)",
 						n, gotAz, gotPow, wantAz, wantPow)
@@ -117,78 +118,5 @@ func TestAccumulatorFallbackEngagesMidSession(t *testing.T) {
 	wantAz, wantPow = FindPeak2DEval(evPast, SearchOptions{})
 	if gotAz != wantAz || gotPow != wantPow {
 		t.Fatalf("past the limit: streamed (%v, %v) != batch (%v, %v)", gotAz, gotPow, wantAz, wantPow)
-	}
-}
-
-// TestAccumulatorHarmonicStreaming pins the opt-in O(harmonics) streaming
-// fold: with HarmonicEval forced on, the accumulator allocates no per-cell
-// Q sums at all, yet FindPeak2D still returns the batch search's bits — the
-// finalize synthesizes, shortlists within 2·harmonicSlack, and
-// exact-rescores exactly like the batch harmonic pass — and CoarseProfile
-// stays within the documented harmonicSlack of the batch profile.
-func TestAccumulatorHarmonicStreaming(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	p := testParams()
-	so := SearchOptions{HarmonicEval: ToggleOn}
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
-	for trial := 0; trial < 20; trial++ {
-		snaps := synth(p, randReader(rng, true), 8+rng.Intn(coarseTermLimit-7), rng.Float64()*2, rng.Float64()*0.15, rng)
-		a, err := NewAccumulator2D(p, KindQ, so)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.qRe != nil {
-			t.Fatal("harmonic mode must not allocate per-cell Q sums")
-		}
-		feedAccumulator(t, a, snaps)
-		gotAz, gotPow, err := a.FindPeak2D()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := NewEvaluator(snaps, p, KindQ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantAz, wantPow := FindPeak2DEval(ev, so)
-		if gotAz != wantAz || gotPow != wantPow {
-			t.Fatalf("trial %d: streamed harmonic (%v, %v) != batch harmonic (%v, %v)",
-				trial, gotAz, gotPow, wantAz, wantPow)
-		}
-		denseAz, densePow := FindPeak2DEval(ev, dense)
-		if gotAz != denseAz || gotPow != densePow {
-			t.Fatalf("trial %d: streamed harmonic (%v, %v) != dense (%v, %v)",
-				trial, gotAz, gotPow, denseAz, densePow)
-		}
-		prof, err := a.CoarseProfile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ev.Profile2D(prof.Angles)
-		for i := range prof.Power {
-			if d := math.Abs(prof.Power[i] - want.Power[i]); d > harmonicSlack {
-				t.Fatalf("trial %d cell %d: synthesized %v vs batch %v (Δ=%v)",
-					trial, i, prof.Power[i], want.Power[i], d)
-			}
-		}
-	}
-
-	// Past coarseTermLimit the harmonic finalize hands off to the batch
-	// search like every other mode.
-	snaps := synth(p, randReader(rng, true), coarseTermLimit+10, 0.8, 0.05, rng)
-	a, err := NewAccumulator2D(p, KindQ, so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedAccumulator(t, a, snaps)
-	gotAz, gotPow, err := a.FindPeak2D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := NewEvaluator(snaps, p, KindQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantAz, wantPow := FindPeak2DEval(ev, so); gotAz != wantAz || gotPow != wantPow {
-		t.Fatalf("fallback: streamed (%v, %v) != batch (%v, %v)", gotAz, gotPow, wantAz, wantPow)
 	}
 }

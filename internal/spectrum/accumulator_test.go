@@ -9,19 +9,16 @@ import (
 	"github.com/tagspin/tagspin/internal/phase"
 )
 
-// accumKinds enumerates the (kind, literal, prescreen) combinations the
-// accumulator streams differently.
+// accumKinds enumerates the (kind, literal) combinations the accumulator
+// streams differently.
 var accumKinds = []struct {
-	name      string
-	kind      Kind
-	literal   bool
-	prescreen int
+	name    string
+	kind    Kind
+	literal bool
 }{
-	{"Q", KindQ, false, 0},
-	{"R-robust", KindR, false, 0},
-	{"R-literal", KindR, true, 0},
-	{"R-robust-prescreen", KindR, false, 8},
-	{"R-literal-prescreen", KindR, true, 8},
+	{"Q", KindQ, false},
+	{"R-robust", KindR, false},
+	{"R-literal", KindR, true},
 }
 
 // feedAccumulator streams snapshots through Add in order.
@@ -43,14 +40,11 @@ func TestAccumulatorCoarseProfileBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := testParams()
 	snaps := synth(p, geom.V3(-2.2, 1.3, 0), 60, 0.8, 0.05, rng)
-	opts := SearchOptions{}
 	for _, tc := range accumKinds {
 		t.Run(tc.name, func(t *testing.T) {
 			pp := p
 			pp.LiteralReference = tc.literal
-			so := opts
-			so.PrescreenTopK = tc.prescreen
-			a, err := NewAccumulator2D(pp, tc.kind, so)
+			a, err := NewAccumulator2D(pp, tc.kind, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,16 +121,18 @@ func TestAccumulatorFindPeak2DBitIdentical(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				pp := p
 				pp.LiteralReference = tc.literal
-				so := SearchOptions{PrescreenTopK: tc.prescreen}
 				var eo []EvalOption
 				if fast {
 					eo = append(eo, WithFastTrig())
 				}
-				a, err := NewAccumulator2D(pp, tc.kind, so, eo...)
+				a, err := NewAccumulator2D(pp, tc.kind, SearchOptions{}, eo...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				feedAccumulator(t, a, snaps)
+				if a.BatchFallback() {
+					t.Fatalf("%d-snapshot session reports a batch fallback", len(snaps))
+				}
 				gotAz, gotPow, err := a.FindPeak2D()
 				if err != nil {
 					t.Fatal(err)
@@ -145,7 +141,7 @@ func TestAccumulatorFindPeak2DBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantAz, wantPow := FindPeak2DEval(ev, so)
+				wantAz, wantPow := FindPeak2DEval(ev, SearchOptions{})
 				if gotAz != wantAz || gotPow != wantPow {
 					t.Fatalf("streamed peak (%v, %v) != batch (%v, %v)", gotAz, gotPow, wantAz, wantPow)
 				}
@@ -170,13 +166,11 @@ func TestAccumulatorFindPeak3DBitIdentical(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				pp := p
 				pp.LiteralReference = tc.literal
-				opts := so
-				opts.PrescreenTopK = tc.prescreen
 				var eo []EvalOption
 				if fast {
 					eo = append(eo, WithFastTrig())
 				}
-				a, err := NewAccumulator3D(pp, tc.kind, opts, eo...)
+				a, err := NewAccumulator3D(pp, tc.kind, so, eo...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,7 +183,7 @@ func TestAccumulatorFindPeak3DBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := FindPeak3DEval(ev, opts)
+				want := FindPeak3DEval(ev, so)
 				if got != want {
 					t.Fatalf("streamed 3D peak %+v != batch %+v", got, want)
 				}
@@ -244,6 +238,9 @@ func TestAccumulatorLargeSessionFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		feedAccumulator(t, a, snaps)
+		if !a.BatchFallback() {
+			t.Fatalf("%v: %d-snapshot session does not report its batch fallback", kind, len(snaps))
+		}
 		gotAz, gotPow, err := a.FindPeak2D()
 		if err != nil {
 			t.Fatal(err)
@@ -271,9 +268,8 @@ func TestPooledAccumulatorEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pp := p
 			pp.LiteralReference = tc.literal
-			so := SearchOptions{PrescreenTopK: tc.prescreen}
 			run := func() (Profile, float64, float64) {
-				a, err := NewAccumulator2D(pp, tc.kind, so)
+				a, err := NewAccumulator2D(pp, tc.kind, SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -301,64 +297,6 @@ func TestPooledAccumulatorEquivalence(t *testing.T) {
 				t.Fatalf("peak: serial (%v, %v) != pooled (%v, %v)", serAz, serPow, poolAz, poolPow)
 			}
 		})
-	}
-}
-
-// TestPrescreenAblation is the satellite's drift bound: the refined peak of
-// a prescreened robust-R search must land within one coarse cell of the
-// full-R scan's refined peak on noisy sessions.
-func TestPrescreenAblation(t *testing.T) {
-	p := testParams()
-	step := SearchOptions{}.coarseStep()
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		reader := geom.V3(-2.2+0.3*float64(seed), 1.3, 0)
-		snaps := synth(p, reader, 80, 0.8, 0.12, rng)
-		ev, err := NewEvaluator(snaps, p, KindR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fullAz, _ := FindPeak2DEval(ev, SearchOptions{})
-		preAz, _ := FindPeak2DEval(ev, SearchOptions{PrescreenTopK: 8})
-		if d := geom.AngleDistance(fullAz, preAz); d > step {
-			t.Fatalf("seed %d: prescreened peak %v° drifted %v° from full scan %v°",
-				seed, geom.Degrees(preAz), geom.Degrees(d), geom.Degrees(fullAz))
-		}
-	}
-}
-
-// TestPrescreenMatchesFullScan checks that on clean sessions — where Q and
-// R agree on the basin — the prescreen picks the exact same refined peak.
-func TestPrescreenMatchesFullScan(t *testing.T) {
-	p := testParams()
-	snaps := synth(p, geom.V3(-2.2, 1.3, 0), 60, 0.8, 0, nil)
-	ev, err := NewEvaluator(snaps, p, KindR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullAz, fullPow := FindPeak2DEval(ev, SearchOptions{})
-	preAz, prePow := FindPeak2DEval(ev, SearchOptions{PrescreenTopK: 8})
-	if fullAz != preAz || fullPow != prePow {
-		t.Fatalf("prescreen (%v, %v) != full (%v, %v)", preAz, prePow, fullAz, fullPow)
-	}
-}
-
-// TestTopKIndices pins the shortlist helper: largest k values, ascending
-// index order, lowest index kept on ties.
-func TestTopKIndices(t *testing.T) {
-	vals := []float64{3, 9, 1, 9, 7, 2, 8}
-	got := topKIndices(vals, 3)
-	want := []int{1, 3, 6} // both 9s and the 8
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if n := len(topKIndices(vals, 100)); n != len(vals) {
-		t.Fatalf("overlong k returned %d indices", n)
 	}
 }
 

@@ -43,7 +43,7 @@ import (
 // from harmonic.go — collect every cell within 2·rSlack of the synthesized
 // maximum, rescore those few with the dense per-cell formula — making the
 // returned peak bit-identical to the dense scan's. Full-profile routes
-// (Profile2DIntoOpt/Profile3DOpt) document the value slack instead.
+// (Profile2DIntoSynth/Profile3DSynth) document the value slack instead.
 
 // rSlack bounds |synthesized − dense| per cell for the two-pass R synthesis,
 // in either trig mode of the dense comparator. Budget: wrapped-range phasors
@@ -58,9 +58,9 @@ import (
 const rSlack = 2.5e-6
 
 // ProfileSlackQ and ProfileSlackR are the exported per-cell value slacks of
-// the option-gated profile synthesis (Profile2DIntoOpt / Profile3DOpt)
-// relative to the exact dense profile — the numbers the API contract and the
-// bench preflight check against.
+// the profile synthesis (Profile2DIntoSynth / Profile3DSynth) relative to
+// the exact dense profile — the numbers the API contract and the bench
+// preflight check against.
 const (
 	ProfileSlackQ = harmonicSlack
 	ProfileSlackR = rSlack
@@ -253,9 +253,7 @@ func (h *harmonicCoeffs) synthesizeComplex(outRe, outIm, sinPhi, cosPhi []float6
 // under muGuardFrac are evaluated densely instead (see the constant). sc
 // supplies the working buffers — residuals/apertures are repurposed as the
 // per-term phase-coefficient arrays, so the rare guard fallback runs on a
-// second pooled Scratch. The trig tables are parameters rather than sc
-// fields because the streaming Accumulator synthesizes against its own
-// plan-cached tables.
+// second pooled Scratch.
 func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64, coarse bool) {
 	n := len(out)
 	if terms.n() == 0 || n == 0 {
@@ -377,7 +375,7 @@ func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi
 // cell always shortlists despite the coarse kernels' error. The rescore
 // evaluates exactly what the dense scan evaluates at those cells (ascending
 // index, strict >), so the returned index equals the dense scan's argmax —
-// TestRHarmonicArgmax and the streaming boundary suite pin this.
+// TestRHarmonicArgmax pins this.
 func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
 	foldTermsHarmonic(hs, terms, 1)
@@ -403,7 +401,7 @@ func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int
 		}
 	}
 	hs.cand = cand
-	idx := e.rescoreTopK(terms, cand, step, 0, 0, 0)
+	idx := e.rescoreUniform(terms, cand, step)
 	harmPool.Put(hs)
 	return idx
 }
@@ -427,31 +425,24 @@ func fillAngleTrigExact(sc *Scratch, angles []float64) {
 	}
 }
 
-// Profile2DOpt is Profile2D routed through the all-cells transform when
-// opts permit; see Profile2DIntoOpt.
-func (e *Evaluator) Profile2DOpt(angles []float64, opts SearchOptions) Profile {
+// Profile2DSynth is Profile2D through the all-cells transform; see
+// Profile2DIntoSynth.
+func (e *Evaluator) Profile2DSynth(angles []float64) Profile {
 	var prof Profile
-	e.Profile2DIntoOpt(&prof, angles, opts)
+	e.Profile2DIntoSynth(&prof, angles)
 	return prof
 }
 
-// Profile2DIntoOpt is Profile2DInto with the coarse-search options applied
-// to full-profile computation: when opts.HarmonicEval permits (the default —
-// both kinds now synthesize), the profile is produced by one O(snaps·H)
-// coefficient fold plus an O(cells·H) synthesis (Q), or the fold plus the
-// two-pass weighting kernel (R), instead of the dense O(cells·snaps) scan.
+// Profile2DIntoSynth is Profile2DInto through the all-cells transform: the
+// profile is produced by one O(snaps·H) coefficient fold plus an O(cells·H)
+// synthesis (Q), or the fold plus the two-pass weighting kernel (R), instead
+// of the dense O(cells·snaps) scan.
 //
 // Contract: synthesized values approximate the *exact* dense profile within
 // harmonicSlack (Q) / rSlack (R) per cell, in either trig mode — callers
-// needing Profile2DInto's bit-for-bit guarantee keep calling Profile2DInto
-// (or pass HarmonicEval: ToggleOff). Angles may be arbitrary; uniformity is
-// not required.
-func (e *Evaluator) Profile2DIntoOpt(prof *Profile, angles []float64, opts SearchOptions) {
-	if !opts.HarmonicEval.enabled(true) {
-		searchCounters.profileDense.Add(1)
-		e.Profile2DInto(prof, angles)
-		return
-	}
+// needing Profile2DInto's bit-for-bit guarantee keep calling Profile2DInto.
+// Angles may be arbitrary; uniformity is not required.
+func (e *Evaluator) Profile2DIntoSynth(prof *Profile, angles []float64) {
 	searchCounters.profileSynth.Add(1)
 	prof.Angles = append(prof.Angles[:0], angles...)
 	if cap(prof.Power) >= len(angles) {
@@ -462,7 +453,7 @@ func (e *Evaluator) Profile2DIntoOpt(prof *Profile, angles []float64, opts Searc
 	n := len(prof.Angles)
 	hs := harmPool.Get().(*harmonicScratch)
 	foldTermsHarmonic(hs, e.terms, 1)
-	if e.kind != KindR && opts.NUFFT.enabled(true) && n >= nufftMinCells {
+	if e.kind != KindR && n >= nufftMinCells {
 		// Large Q grids go through the gridded spreader: no per-cell trig
 		// at all, and the value error stays inside the same harmonicSlack
 		// contract (nufftSlackQ == harmonicSlack). The R pass keeps the
@@ -484,16 +475,12 @@ func (e *Evaluator) Profile2DIntoOpt(prof *Profile, angles []float64, opts Searc
 	harmPool.Put(hs)
 }
 
-// Profile3DOpt is Profile3D under the same option-gated synthesis: each
-// polar row refolds the coefficients at its cos γ (O(snaps·H) per row) and
+// Profile3DSynth is Profile3D through the same synthesis: each polar row
+// refolds the coefficients at its cos γ (O(snaps·H) per row) and
 // synthesizes the row's cells, so the whole grid costs
 // O(rows·(snaps+cells)·H) instead of the dense O(rows·cells·snaps). The
-// same value contract as Profile2DIntoOpt applies per cell.
-func (e *Evaluator) Profile3DOpt(azimuths, polars []float64, opts SearchOptions) Profile3D {
-	if !opts.HarmonicEval.enabled(true) {
-		searchCounters.profileDense.Add(1)
-		return e.Profile3D(azimuths, polars)
-	}
+// same value contract as Profile2DIntoSynth applies per cell.
+func (e *Evaluator) Profile3DSynth(azimuths, polars []float64) Profile3D {
 	searchCounters.profileSynth.Add(1)
 	prof := newProfile3D(azimuths, polars)
 	n := len(prof.Azimuths)
@@ -502,9 +489,9 @@ func (e *Evaluator) Profile3DOpt(azimuths, polars []float64, opts SearchOptions)
 	// azimuth set is shared by every row, so the spreader's target wrap and
 	// exponentials re-run per row but its grid synthesis replaces the
 	// O(cells·H) row synthesis — and no per-cell trig table is built at
-	// all. R rows keep exact synthesis (see Profile2DIntoOpt on the μ̂
+	// all. R rows keep exact synthesis (see Profile2DIntoSynth on the μ̂
 	// amplification).
-	spreadQ := e.kind != KindR && opts.NUFFT.enabled(true) && n >= nufftMinCells
+	spreadQ := e.kind != KindR && n >= nufftMinCells
 	if spreadQ {
 		searchCounters.nufftProfile.Add(1)
 	}

@@ -16,7 +16,6 @@ import (
 // construction makes this an equality claim, not a tolerance claim.
 func TestRHarmonicArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
 	trials := 500
 	if testing.Short() {
 		trials = 60
@@ -35,7 +34,7 @@ func TestRHarmonicArgmax(t *testing.T) {
 			t.Fatal(err)
 		}
 		gotAz, gotPow := FindPeak2DEval(ev, SearchOptions{})
-		wantAz, wantPow := FindPeak2DEval(ev, dense)
+		wantAz, wantPow := FindPeak2DDense(ev, SearchOptions{})
 		if gotAz != wantAz || gotPow != wantPow {
 			t.Fatalf("trial %d (n=%d literal=%v fast=%v): harmonic-R (%v, %v) != dense (%v, %v)",
 				trial, n, p.LiteralReference, len(evalOpts) > 0, gotAz, gotPow, wantAz, wantPow)
@@ -43,16 +42,14 @@ func TestRHarmonicArgmax(t *testing.T) {
 	}
 }
 
-// TestAccumulatorHarmonicRBoundary mirrors the coarseTermLimit seam walk for
-// the harmonic streaming fold with every accumulator mode forced through
-// HarmonicEval: under and at the limit the finalize synthesizes from the
-// streamed coefficients (and, for plain KindR, allocates no per-cell arrays
-// at all); past it the batch fallback engages — and every session size must
-// return the batch search's bits, which in turn are the dense scan's bits.
+// TestAccumulatorHarmonicRBoundary walks the coarseTermLimit seam for every
+// accumulator mode against the dense oracle: under and at the limit the
+// finalize picks from the streamed per-cell sums, past it the batch harmonic
+// route runs — and at every session size the streamed answer, the batch
+// harmonic search and FindPeak2DDense must agree bit for bit.
 func TestAccumulatorHarmonicRBoundary(t *testing.T) {
 	p := testParams()
 	counts := []int{coarseTermLimit - 1, coarseTermLimit, coarseTermLimit + 1, coarseTermLimit + 16}
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
 	for i, tc := range accumKinds {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(70 + int64(i)))
@@ -60,13 +57,9 @@ func TestAccumulatorHarmonicRBoundary(t *testing.T) {
 				snaps := synth(p, geom.V3(-2.2, 1.3, 0), n, 0.8, 0.05, rng)
 				pp := p
 				pp.LiteralReference = tc.literal
-				so := SearchOptions{PrescreenTopK: tc.prescreen, HarmonicEval: ToggleOn}
-				a, err := NewAccumulator2D(pp, tc.kind, so)
+				a, err := NewAccumulator2D(pp, tc.kind, SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if tc.kind == KindR && tc.prescreen <= 0 && a.refAper != nil {
-					t.Fatal("harmonic R streaming must not allocate per-cell arrays")
 				}
 				feedAccumulator(t, a, snaps)
 				gotAz, gotPow, err := a.FindPeak2D()
@@ -77,12 +70,12 @@ func TestAccumulatorHarmonicRBoundary(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantAz, wantPow := FindPeak2DEval(ev, so)
+				wantAz, wantPow := FindPeak2DEval(ev, SearchOptions{})
 				if gotAz != wantAz || gotPow != wantPow {
 					t.Fatalf("%d snapshots: streamed (%v, %v) != batch (%v, %v)",
 						n, gotAz, gotPow, wantAz, wantPow)
 				}
-				denseAz, densePow := FindPeak2DEval(ev, dense)
+				denseAz, densePow := FindPeak2DDense(ev, SearchOptions{})
 				if gotAz != denseAz || gotPow != densePow {
 					t.Fatalf("%d snapshots: streamed (%v, %v) != dense (%v, %v)",
 						n, gotAz, gotPow, denseAz, densePow)
@@ -120,7 +113,7 @@ func TestProfile2DOptSlack(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				got := ev.Profile2DOpt(angles, SearchOptions{})
+				got := ev.Profile2DSynth(angles)
 				for k := range got.Power {
 					if d := math.Abs(got.Power[k] - want.Power[k]); d > slack {
 						t.Fatalf("trial %d %v fast=%v cell %d: synthesized %v vs exact %v (Δ=%v > %v)",
@@ -154,45 +147,12 @@ func TestProfile3DOptSlack(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := ev.Profile3D(az, pol)
-		got := ev.Profile3DOpt(az, pol, SearchOptions{})
+		got := ev.Profile3DSynth(az, pol)
 		for i := range want.Power {
 			for j := range want.Power[i] {
 				if d := math.Abs(got.Power[i][j] - want.Power[i][j]); d > slack {
 					t.Fatalf("%v cell (%d,%d): synthesized %v vs exact %v (Δ=%v > %v)",
 						kind, i, j, got.Power[i][j], want.Power[i][j], d, slack)
-				}
-			}
-		}
-	}
-}
-
-// TestProfileOptToggleOff pins the escape hatch: with HarmonicEval forced
-// off, the Opt entry points must delegate to the dense scans bit for bit.
-func TestProfileOptToggleOff(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	p := testParams()
-	angles := UniformAngles(240)
-	pol := []float64{-0.5, 0, 0.5}
-	snaps := synth(p, geom.V3(1.4, -1.9, 0), 40, 1.0, 0.05, rng)
-	off := SearchOptions{HarmonicEval: ToggleOff}
-	for _, kind := range []Kind{KindQ, KindR} {
-		ev, err := NewEvaluator(snaps, p, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want2 := ev.Profile2D(angles)
-		got2 := ev.Profile2DOpt(angles, off)
-		for k := range want2.Power {
-			if got2.Power[k] != want2.Power[k] {
-				t.Fatalf("%v cell %d: ToggleOff profile diverged from dense", kind, k)
-			}
-		}
-		want3 := ev.Profile3D(angles[:60], pol)
-		got3 := ev.Profile3DOpt(angles[:60], pol, off)
-		for i := range want3.Power {
-			for j := range want3.Power[i] {
-				if got3.Power[i][j] != want3.Power[i][j] {
-					t.Fatalf("%v cell (%d,%d): ToggleOff 3D profile diverged from dense", kind, i, j)
 				}
 			}
 		}
@@ -242,22 +202,19 @@ func TestSearchStatsCounters(t *testing.T) {
 	ResetSearchStats()
 	FindPeak2DEval(evQ, SearchOptions{})
 	FindPeak2DEval(evR, SearchOptions{})
-	FindPeak2DEval(evR, SearchOptions{PrescreenTopK: 8, Hierarchical: ToggleOff})
-	FindPeak2DEval(evR, SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff})
-	evR.Profile2DOpt(UniformAngles(64), SearchOptions{})
-	evR.Profile2DOpt(UniformAngles(64), SearchOptions{HarmonicEval: ToggleOff})
-	a, err := NewAccumulator2D(p, KindR, SearchOptions{HarmonicEval: ToggleOn})
-	if err != nil {
-		t.Fatal(err)
+	FindPeak2DDense(evR, SearchOptions{})
+	coarse3D := SearchOptions{CoarseStep: geom.Radians(2), CoarsePolarStep: geom.Radians(10)}
+	FindPeak3DEval(evQ, coarse3D)
+	FindPeak3DEval(evR, coarse3D)
+	FindPeak2DAnglesEval(evQ, UniformAngles(64), SearchOptions{})
+	FindPeak2DAnglesEval(evR, UniformAngles(64), SearchOptions{})
+	evR.Profile2DSynth(UniformAngles(64))
+	evQ.Profile2DSynth(UniformAngles(nufftMinCells))
+	want := SearchStats{
+		HarmonicQ2D: 1, HarmonicR2D: 1, Hier3D: 1, Dense2D: 1, Dense3D: 1,
+		ProfileSynth: 2, NUFFT2D: 1, NUFFTR2D: 1, NUFFTProfile: 1,
 	}
-	feedAccumulator(t, a, snaps)
-	if _, _, err := a.FindPeak2D(); err != nil {
-		t.Fatal(err)
-	}
-	st := SearchStatsSnapshot()
-	if st.HarmonicQ2D == 0 || st.HarmonicR2D == 0 || st.Prescreen2D == 0 ||
-		st.Dense2D == 0 || st.ProfileSynth == 0 || st.ProfileDense == 0 ||
-		st.StreamSynth == 0 {
-		t.Fatalf("missing route counts: %+v", st)
+	if st := SearchStatsSnapshot(); st != want {
+		t.Fatalf("route counts %+v, want %+v", st, want)
 	}
 }

@@ -361,9 +361,6 @@ func wrapToPiFast(x float64) float64 {
 //     angles at γ = polars[i] into rows[i].
 //   - angles != nil: 1D profile — chunks index candidates; candidate i
 //     evaluates angles[i] at fixed gamma into out[i].
-//   - out != nil (uniform profile): candidate i is φ_i = i·step; with
-//     azCount > 0 chunks are whole polar rows as below. Used by the
-//     Q-prescreen pass, which scans a uniform grid into a dense buffer.
 //   - azCount > 0: 3D coarse argmax — chunks are exactly one polar row of
 //     azCount uniform candidates (φ_k = k·step, γ = polBase +
 //     (i/azCount)·polStep); winners land in bests.
@@ -372,9 +369,8 @@ func wrapToPiFast(x float64) float64 {
 type scanJob struct {
 	ev    *Evaluator // back-reference so RunChunk can reach the kernels
 	terms termSlices
-	kind  Kind // profile formula for this scan (getJob defaults it to ev.kind)
-	n     int  // candidate (or row) count
-	chunk int  // chunk size handed to one worker grab
+	n     int // candidate (or row) count
+	chunk int // chunk size handed to one worker grab
 
 	// Output: profile scans write out/rows; argmax scans reduce into bests.
 	out   []float64
@@ -404,7 +400,6 @@ func (e *Evaluator) getJob() *scanJob {
 		j = new(scanJob)
 	}
 	j.ev = e
-	j.kind = e.kind
 	return j
 }
 
@@ -420,26 +415,19 @@ func (e *Evaluator) runChunk(j *scanJob, sc *Scratch, lo, hi int) {
 	case j.rows != nil:
 		for i := lo; i < hi; i++ {
 			e.fillAngleTrig(sc, j.angles)
-			e.evalRow(j.kind, j.terms, sc, j.polars[i], len(j.angles), j.rows[i])
+			e.evalRow(j.terms, sc, j.polars[i], len(j.angles), j.rows[i])
 		}
 	case j.angles != nil:
 		e.fillAngleTrig(sc, j.angles[lo:hi])
-		e.evalRow(j.kind, j.terms, sc, j.gamma, hi-lo, j.out[lo:hi])
-	case j.out != nil && j.azCount > 0:
-		gamma := j.polBase + float64(lo/j.azCount)*j.polStep
-		e.fillUniformTrig(sc, 0, hi-lo, j.step)
-		e.evalRow(j.kind, j.terms, sc, gamma, hi-lo, j.out[lo:hi])
-	case j.out != nil:
-		e.fillUniformTrig(sc, lo, hi-lo, j.step)
-		e.evalRow(j.kind, j.terms, sc, j.gamma, hi-lo, j.out[lo:hi])
+		e.evalRow(j.terms, sc, j.gamma, hi-lo, j.out[lo:hi])
 	case j.azCount > 0:
 		gamma := j.polBase + float64(lo/j.azCount)*j.polStep
 		e.fillUniformTrig(sc, 0, hi-lo, j.step)
-		e.evalRow(j.kind, j.terms, sc, gamma, hi-lo, sc.row[:hi-lo])
+		e.evalRow(j.terms, sc, gamma, hi-lo, sc.row[:hi-lo])
 		j.reduceChunk(sc, lo, hi)
 	default:
 		e.fillUniformTrig(sc, lo, hi-lo, j.step)
-		e.evalRow(j.kind, j.terms, sc, j.gamma, hi-lo, sc.row[:hi-lo])
+		e.evalRow(j.terms, sc, j.gamma, hi-lo, sc.row[:hi-lo])
 		j.reduceChunk(sc, lo, hi)
 	}
 }

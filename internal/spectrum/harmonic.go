@@ -112,9 +112,7 @@ func besselJArray(w float64, out []float64) {
 // harmonicCoeffs accumulates the twisted Fourier coefficients of the Q
 // phasor sum. Entry m of aRe/aIm is the complex A_m above (j^m already
 // folded in), bRe/bIm is B_m; index 0 of b is unused (sin 0 = 0). The
-// accumulation is a per-snapshot fold — term order is the only order — so
-// the streaming Accumulator produces bit-identical coefficients to a batch
-// fold over the same terms.
+// accumulation is a per-snapshot fold — term order is the only order.
 type harmonicCoeffs struct {
 	aRe, aIm []float64
 	bRe, bIm []float64
@@ -142,28 +140,6 @@ func (h *harmonicCoeffs) reset(maxM int) {
 	}
 	h.n = 0
 	h.maxM = 0
-}
-
-// ensure grows the coefficient arrays to hold harmonics up to order maxM,
-// preserving accumulated values (new entries are zero). The streaming
-// Accumulator discovers the needed order term by term, so unlike reset the
-// growth must not clear; addition order per entry is unchanged, keeping the
-// grown fold bit-identical to a batch fold sized up front.
-func (h *harmonicCoeffs) ensure(maxM int) {
-	need := maxM + 1
-	if len(h.aRe) >= need {
-		return
-	}
-	backing := make([]float64, 4*need)
-	aRe := backing[0*need : 1*need : 1*need]
-	aIm := backing[1*need : 2*need : 2*need]
-	bRe := backing[2*need : 3*need : 3*need]
-	bIm := backing[3*need : 4*need : 4*need]
-	copy(aRe, h.aRe)
-	copy(aIm, h.aIm)
-	copy(bRe, h.bRe)
-	copy(bIm, h.bIm)
-	h.aRe, h.aIm, h.bRe, h.bIm = aRe, aIm, bRe, bIm
 }
 
 // foldTerm folds one snapshot term into the coefficients. bess must hold
@@ -244,25 +220,17 @@ var harmPool = sync.Pool{New: func() any { return new(harmonicScratch) }}
 // foldTermsHarmonic folds a whole term set (at fixed γ) into hs.coeffs,
 // computing each term's Bessel table as it goes.
 func foldTermsHarmonic(hs *harmonicScratch, terms termSlices, cosGamma float64) {
-	foldTermsInto(&hs.coeffs, &hs.bess, terms, cosGamma)
-}
-
-// foldTermsInto is foldTermsHarmonic targeting caller-owned coefficient and
-// Bessel buffers: the hierarchical scanner's synthesized basin evaluation
-// folds one coefficient set per polar row (hier.go) and cannot route them
-// all through a single harmonicScratch.
-func foldTermsInto(hc *harmonicCoeffs, bessBuf *[]float64, terms termSlices, cosGamma float64) {
 	maxM := harmonicsNeeded(terms.maxScale() * math.Abs(cosGamma))
-	hc.reset(maxM)
-	if cap(*bessBuf) < maxM+1 {
-		*bessBuf = make([]float64, maxM+1)
+	hs.coeffs.reset(maxM)
+	if cap(hs.bess) < maxM+1 {
+		hs.bess = make([]float64, maxM+1)
 	}
 	for i := 0; i < terms.n(); i++ {
 		w := terms.scale[i] * cosGamma
 		need := harmonicsNeeded(w)
-		bess := (*bessBuf)[:need+1]
+		bess := hs.bess[:need+1]
 		besselJArray(w, bess)
-		hc.foldTerm(terms.relPhase[i], terms.cosA[i], terms.sinA[i], bess)
+		hs.coeffs.foldTerm(terms.relPhase[i], terms.cosA[i], terms.sinA[i], bess)
 	}
 }
 
@@ -297,7 +265,7 @@ func (e *Evaluator) harmonicArgmax2D(terms termSlices, n int, step float64) int 
 		}
 	}
 	hs.cand = cand
-	idx := e.rescoreTopK(terms, cand, step, 0, 0, 0)
+	idx := e.rescoreUniform(terms, cand, step)
 	harmPool.Put(hs)
 	return idx
 }

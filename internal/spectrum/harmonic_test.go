@@ -52,7 +52,7 @@ func TestHarmonicSynthesisMatchesExact(t *testing.T) {
 		hs.coeffs.synthesize(got, sc.sinPhi[:n], sc.cosPhi[:n])
 
 		want := make([]float64, n)
-		ev.evalRow(KindQ, ev.coarse, sc, 0, n, want)
+		ev.evalRow(ev.coarse, sc, 0, n, want)
 
 		var maxD float64
 		for k := range got {
@@ -70,9 +70,9 @@ func TestHarmonicSynthesisMatchesExact(t *testing.T) {
 }
 
 // TestHarmonicArgmaxMatchesDense pins the exact-path contract that lets the
-// harmonic route default on: the full 2D search with HarmonicEval on must
-// return the dense scan's answer bit for bit, because the synthesized
-// shortlist is rescored with the exact per-cell formula.
+// harmonic route serve every uniform 2D KindQ search: the full 2D search
+// must return the dense reference's answer bit for bit, because the
+// synthesized shortlist is rescored with the exact per-cell formula.
 func TestHarmonicArgmaxMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := testParams()
@@ -86,39 +86,39 @@ func TestHarmonicArgmaxMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
-		harm := SearchOptions{HarmonicEval: ToggleOn}
-		wantAz, wantPow := FindPeak2DEval(ev, dense)
-		gotAz, gotPow := FindPeak2DEval(ev, harm)
+		wantAz, wantPow := FindPeak2DDense(ev, SearchOptions{})
+		gotAz, gotPow := FindPeak2DEval(ev, SearchOptions{})
 		if gotAz != wantAz || gotPow != wantPow {
 			t.Fatalf("trial %d: harmonic (%v, %v) != dense (%v, %v)", trial, gotAz, gotPow, wantAz, wantPow)
 		}
 	}
 }
 
-// TestHarmonicDefaultOn pins the routing: zero-valued SearchOptions on a
-// KindQ evaluator take the harmonic path and still match the forced-dense
-// answer bit for bit, while KindR ignores the toggle entirely.
+// TestHarmonicDefaultOn pins the uniform-2D routing: zero-valued
+// SearchOptions take the harmonic route for both kinds (counted as
+// HarmonicQ2D / HarmonicR2D, never as a dense scan) and still match the
+// dense reference answer bit for bit.
 func TestHarmonicDefaultOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	p := testParams()
 	snaps := synth(p, geom.V3(-2.2, 1.3, 0), 64, 0.8, 0.05, rng)
-	ev, err := NewEvaluator(snaps, p, KindQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	denseAz, densePow := FindPeak2DEval(ev, SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff})
-	defAz, defPow := FindPeak2DEval(ev, SearchOptions{})
-	if defAz != denseAz || defPow != densePow {
-		t.Fatalf("default (%v, %v) != dense (%v, %v)", defAz, defPow, denseAz, densePow)
-	}
-	evR, err := NewEvaluator(snaps, p, KindR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rDense, rDensePow := FindPeak2DEval(evR, SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff})
-	rOn, rOnPow := FindPeak2DEval(evR, SearchOptions{HarmonicEval: ToggleOn})
-	if rOn != rDense || rOnPow != rDensePow {
-		t.Fatalf("KindR with HarmonicEval on (%v, %v) != dense (%v, %v)", rOn, rOnPow, rDense, rDensePow)
+	for _, kind := range []Kind{KindQ, KindR} {
+		ev, err := NewEvaluator(snaps, p, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		denseAz, densePow := FindPeak2DDense(ev, SearchOptions{})
+		ResetSearchStats()
+		defAz, defPow := FindPeak2DEval(ev, SearchOptions{})
+		if defAz != denseAz || defPow != densePow {
+			t.Fatalf("%v: default (%v, %v) != dense (%v, %v)", kind, defAz, defPow, denseAz, densePow)
+		}
+		want := SearchStats{HarmonicQ2D: 1}
+		if kind == KindR {
+			want = SearchStats{HarmonicR2D: 1}
+		}
+		if st := SearchStatsSnapshot(); st != want {
+			t.Fatalf("%v: route counts %+v, want %+v", kind, st, want)
+		}
 	}
 }

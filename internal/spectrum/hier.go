@@ -33,10 +33,9 @@ import (
 // and two positions of the finer lattice always span at least 2^ℓ cells,
 // so the ±2 window provably contains it.
 //
-// Both profile kinds score the hierarchy with the Q formula (the cheap
-// kernel; for KindR this mirrors the PrescreenTopK pass — R is Q with
-// per-snapshot likelihood weights and peaks in the same basin), and KindR
-// rescores the top-scoring evaluated cells with the full R formula.
+// The scanner serves KindQ 3D coarse scans only (coarseArgmax3D); the
+// capture bound rests on Q's Lipschitz constant, which R's likelihood
+// weights do not share.
 
 const (
 	// hierMaxSlack caps the top-level retention slack τ as a fraction of
@@ -47,9 +46,6 @@ const (
 	// hierMinTopCells is the minimum top-level lattice size; coarser starts
 	// save nothing and give the threshold too few samples of the profile.
 	hierMinTopCells = 16
-	// hierRescoreK is the KindR rescore width when SearchOptions leaves
-	// PrescreenTopK unset, matching the prescreen pass's "few handfuls".
-	hierRescoreK = 12
 )
 
 // hierScratch bundles the per-search buffers; pooled so steady-state
@@ -61,19 +57,6 @@ type hierScratch struct {
 }
 
 var hierPool = sync.Pool{New: func() any { return new(hierScratch) }}
-
-// hierSynthT holds the synthesized-basin-evaluation state (SearchOptions
-// NUFFT: On): one harmonic coefficient set per polar row, folded lazily the
-// first time the lattice touches the row. A row fold costs O(terms·H) — the
-// same as ~H dense cell evaluations — so it pays for itself as soon as a
-// row's basin keeps more than a couple dozen cells alive.
-type hierSynthT struct {
-	rows []harmonicCoeffs
-	done []bool
-	bess []float64
-}
-
-var hierSynthPool = sync.Pool{New: func() any { return new(hierSynthT) }}
 
 // hierLevels picks the starting lattice level: the sparsest power-of-two
 // subsampling whose retention slack L·d stays under hierMaxSlack and whose
@@ -91,11 +74,7 @@ func hierLevels(lf, axisSum float64, nAz, nPol int) int {
 			break
 		}
 		ka := (nAz + (1 << next) - 1) >> next
-		kp := 1
-		if nPol > 1 {
-			kp = len(latticeRows(nPol, next))
-		}
-		if ka*kp < hierMinTopCells {
+		if ka*len(latticeRows(nPol, next)) < hierMinTopCells {
 			break
 		}
 		top = next
@@ -132,22 +111,11 @@ func (e *Evaluator) evalCellQ(terms termSlices, phi, gamma float64) float64 {
 	return evalQExact(terms, sinPhi, cosPhi, cg)
 }
 
-// hierarchicalArgmax runs the coarse-to-fine scan over the row-major
-// nAz × nPol grid (nPol == 1 is the 2D azimuth circle) and returns the
-// argmax cell index under the dense scan's lowest-index tie rule. KindR
-// evaluators rescore the top evaluated Q cells with the full R formula.
-//
-// With SearchOptions NUFFT: On, basin cells are scored by per-row harmonic
-// synthesis (synthAt) instead of the dense per-cell formula: each touched
-// polar row folds its coefficient set once (γ is constant along a row) and
-// every cell on it costs O(H) multiply-adds with one sincos. Synthesized
-// scores sit within harmonicSlack of the dense ones, so the retention slack
-// widens by 2·harmonicSlack per round — the cell nearest the true argmax
-// still clears the (synthesized) running maximum — and the KindQ final pick
-// becomes a shortlist-within-2·harmonicSlack plus exact rescore, preserving
-// the capture guarantee bit for bit. KindR's top-K rescore already re-scores
-// exactly and needs no widening beyond the retention term.
-func (e *Evaluator) hierarchicalArgmax(terms termSlices, nAz, nPol int, azStep, polStep, polBase float64, opts SearchOptions) int {
+// hierarchicalArgmax3D runs the coarse-to-fine scan over the row-major
+// nAz × nPol grid of polar rows -π/2 + r·polStep and returns the argmax cell
+// index under the dense scan's lowest-index tie rule. When no lattice level
+// helps (hierLevels returns 0) it scans densely.
+func (e *Evaluator) hierarchicalArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
 	lf := terms.meanScale()
 	axisSum := azStep
 	if nPol > 1 {
@@ -155,26 +123,7 @@ func (e *Evaluator) hierarchicalArgmax(terms termSlices, nAz, nPol int, azStep, 
 	}
 	top := hierLevels(lf, axisSum, nAz, nPol)
 	if top < 1 {
-		if nPol > 1 {
-			return e.denseArgmax3D(terms, nAz, nPol, azStep, polStep)
-		}
-		return e.denseArgmax2D(terms, nAz, azStep)
-	}
-
-	synth := opts.NUFFT == ToggleOn
-	var hsy *hierSynthT
-	if synth {
-		searchCounters.hierSynth.Add(1)
-		hsy = hierSynthPool.Get().(*hierSynthT)
-		if cap(hsy.rows) < nPol {
-			hsy.rows = make([]harmonicCoeffs, nPol)
-			hsy.done = make([]bool, nPol)
-		}
-		hsy.rows = hsy.rows[:nPol]
-		hsy.done = hsy.done[:nPol]
-		for r := range hsy.done {
-			hsy.done[r] = false
-		}
+		return e.denseArgmax3D(terms, nAz, nPol, azStep, polStep)
 	}
 
 	hs := hierPool.Get().(*hierScratch)
@@ -194,17 +143,7 @@ func (e *Evaluator) hierarchicalArgmax(terms termSlices, nAz, nPol int, azStep, 
 		if vals[idx] >= 0 {
 			return
 		}
-		gamma := polBase + float64(r)*polStep
-		var v float64
-		if synth {
-			if !hsy.done[r] {
-				foldTermsInto(&hsy.rows[r], &hsy.bess, terms, math.Cos(gamma))
-				hsy.done[r] = true
-			}
-			v = hsy.rows[r].synthAt(float64(a) * azStep)
-		} else {
-			v = e.evalCellQ(terms, float64(a)*azStep, gamma)
-		}
+		v := e.evalCellQ(terms, float64(a)*azStep, -math.Pi/2+float64(r)*polStep)
 		vals[idx] = v
 		active = append(active, idx)
 		if v > globalMax {
@@ -223,12 +162,6 @@ func (e *Evaluator) hierarchicalArgmax(terms termSlices, nAz, nPol int, azStep, 
 	// Subdivide retained basins level by level down to the full grid.
 	for level := top; level >= 1; level-- {
 		tau := lf * float64(int(1)<<(level-1)) * axisSum
-		if synth {
-			// Synthesized scores carry ±harmonicSlack: the running maximum
-			// may be high by one slack and the nearest cell's score low by
-			// another, so the retention window widens by both.
-			tau += 2 * harmonicSlack
-		}
 		front := hs.front[:0]
 		for _, idx := range active {
 			if vals[idx] >= globalMax-tau {
@@ -242,16 +175,9 @@ func (e *Evaluator) hierarchicalArgmax(terms termSlices, nAz, nPol int, azStep, 
 		for _, idx := range front {
 			a, r := idx%nAz, idx/nAz
 			q := a / half
-			rpos := 0
-			if nPol > 1 {
-				rpos = sort.SearchInts(rowsC, r) // r is on every coarser lattice
-			}
+			rpos := sort.SearchInts(rowsC, r) // r is on every coarser lattice
 			for dq := -2; dq <= 2; dq++ {
 				ca := ((q+dq)%kAz + kAz) % kAz * half
-				if nPol <= 1 {
-					evalCell(ca, 0)
-					continue
-				}
 				for dr := -2; dr <= 2; dr++ {
 					if rp := rpos + dr; rp >= 0 && rp < len(rowsC) {
 						evalCell(ca, rowsC[rp])
@@ -261,55 +187,13 @@ func (e *Evaluator) hierarchicalArgmax(terms termSlices, nAz, nPol int, azStep, 
 		}
 	}
 
-	var best int
-	azCount := 0
-	if nPol > 1 {
-		azCount = nAz
-	}
-	switch {
-	case e.kind == KindR:
-		k := opts.PrescreenTopK
-		if k <= 0 {
-			k = hierRescoreK
-		}
-		if k > len(active) {
-			k = len(active)
-		}
-		best = e.rescoreTopK(terms, topKIndices(vals, k), azStep, azCount, polBase, polStep)
-	case synth:
-		// Synthesized scores cannot pick the winner directly without risking
-		// a flipped tie; shortlist everything within the slack window of the
-		// synthesized maximum and exact-rescore, as on the harmonic routes.
-		cand := hs.front[:0]
-		for idx, v := range vals { // ascending index → lowest-index tie rule
-			if v >= 0 && v >= globalMax-2*harmonicSlack {
-				cand = append(cand, idx)
-			}
-		}
-		hs.front = cand
-		best = e.rescoreTopK(terms, cand, azStep, azCount, polBase, polStep)
-	default:
-		bestV := math.Inf(-1)
-		for idx, v := range vals { // ascending index → lowest-index tie rule
-			if v > bestV {
-				best, bestV = idx, v
-			}
+	best, bestV := 0, math.Inf(-1)
+	for idx, v := range vals { // ascending index → lowest-index tie rule
+		if v > bestV {
+			best, bestV = idx, v
 		}
 	}
 	hs.active = active
 	hierPool.Put(hs)
-	if synth {
-		hierSynthPool.Put(hsy)
-	}
 	return best
-}
-
-// hierarchicalArgmax2D is hierarchicalArgmax over the 2D azimuth circle.
-func (e *Evaluator) hierarchicalArgmax2D(terms termSlices, n int, step float64, opts SearchOptions) int {
-	return e.hierarchicalArgmax(terms, n, 1, step, 0, 0, opts)
-}
-
-// hierarchicalArgmax3D is hierarchicalArgmax over the az × polar grid.
-func (e *Evaluator) hierarchicalArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64, opts SearchOptions) int {
-	return e.hierarchicalArgmax(terms, nAz, nPol, azStep, polStep, -math.Pi/2, opts)
 }

@@ -19,27 +19,21 @@ func randReader(rng *rand.Rand, flat bool) geom.Vec3 {
 	return geom.V3(r*math.Cos(az), r*math.Sin(az), z)
 }
 
-// TestPeakCaptureBound is the tentpole property test: across 500 randomized
-// sessions spanning 2D and 3D grids and both profile kinds, the
-// hierarchical search's refined peak must land within one coarse cell of
-// the full-scan batch peak. For KindQ the claim is stronger and exact —
-// the Lipschitz retention threshold provably keeps the dense argmax cell in
-// the evaluated set at every level (DESIGN.md §11 derives the bound), so
-// the refined result is bit-identical to the dense path. KindR scores the
-// hierarchy with Q and rescores the top cells with R, so it inherits the
-// prescreen pass's within-one-cell contract rather than bit identity.
+// TestPeakCaptureBound is the route-table property test: across 500
+// randomized sessions, every coarse-search route — harmonic Q and R on the
+// uniform 2D grid, the hierarchical scanner for 3D Q, the dense scan for 3D
+// R — must return the dense reference search's refined peak bit for bit.
+// For the hierarchical scanner this is the capture bound: the Lipschitz
+// retention threshold provably keeps the dense argmax cell in the evaluated
+// set at every level (DESIGN.md §11 derives it); the harmonic routes hold
+// it through shortlist-then-exact-rescore.
 func TestPeakCaptureBound(t *testing.T) {
 	p := testParams()
-	opts := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOn}
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
+	opts := SearchOptions{}
 
 	t.Run("2D", func(t *testing.T) {
 		for _, kind := range []Kind{KindQ, KindR} {
-			name := "Q"
-			if kind == KindR {
-				name = "R"
-			}
-			t.Run(name, func(t *testing.T) {
+			t.Run(kind.String(), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(100 + int64(kind)))
 				for trial := 0; trial < 210; trial++ {
 					snaps := synth(p, randReader(rng, true), 20+rng.Intn(120), rng.Float64()*2, rng.Float64()*0.2, rng)
@@ -47,17 +41,9 @@ func TestPeakCaptureBound(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantAz, wantPow := FindPeak2DEval(ev, dense)
-					gotAz, gotPow := FindPeak2DEval(ev, opts)
-					if kind == KindQ {
-						if gotAz != wantAz || gotPow != wantPow {
-							t.Fatalf("trial %d: hierarchical (%v, %v) != dense (%v, %v)", trial, gotAz, gotPow, wantAz, wantPow)
-						}
-						continue
-					}
-					if d := geom.AngleDistance(gotAz, wantAz); d > opts.coarseStep() {
-						t.Fatalf("trial %d: hierarchical R peak %v is %v rad from dense peak %v (> one coarse cell %v)",
-							trial, gotAz, d, wantAz, opts.coarseStep())
+					wantAz, wantPow := FindPeak2DDense(ev, opts)
+					if gotAz, gotPow := FindPeak2DEval(ev, opts); gotAz != wantAz || gotPow != wantPow {
+						t.Fatalf("trial %d: routed (%v, %v) != dense (%v, %v)", trial, gotAz, gotPow, wantAz, wantPow)
 					}
 				}
 			})
@@ -66,11 +52,7 @@ func TestPeakCaptureBound(t *testing.T) {
 
 	t.Run("3D", func(t *testing.T) {
 		for _, kind := range []Kind{KindQ, KindR} {
-			name := "Q"
-			if kind == KindR {
-				name = "R"
-			}
-			t.Run(name, func(t *testing.T) {
+			t.Run(kind.String(), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(200 + int64(kind)))
 				for trial := 0; trial < 40; trial++ {
 					snaps := synth3D(p, randReader(rng, false), 24+rng.Intn(40), rng.Float64()*0.15, rng)
@@ -78,22 +60,8 @@ func TestPeakCaptureBound(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := FindPeak3DEval(ev, dense)
-					got := FindPeak3DEval(ev, opts)
-					if kind == KindQ {
-						if got != want {
-							t.Fatalf("trial %d: hierarchical %+v != dense %+v", trial, got, want)
-						}
-						continue
-					}
-					azStep := opts.coarseStep() * 4
-					if d := geom.AngleDistance(got.Azimuth, want.Azimuth); d > azStep {
-						t.Fatalf("trial %d: hierarchical R azimuth %v is %v rad from dense %v (> one coarse cell %v)",
-							trial, got.Azimuth, d, want.Azimuth, azStep)
-					}
-					if d := math.Abs(got.Polar - want.Polar); d > opts.coarsePolarStep() {
-						t.Fatalf("trial %d: hierarchical R polar %v is %v rad from dense %v (> one coarse cell %v)",
-							trial, got.Polar, d, want.Polar, opts.coarsePolarStep())
+					if got, want := FindPeak3DEval(ev, opts), FindPeak3DDense(ev, opts); got != want {
+						t.Fatalf("trial %d: routed %+v != dense %+v", trial, got, want)
 					}
 				}
 			})
@@ -101,21 +69,30 @@ func TestPeakCaptureBound(t *testing.T) {
 	})
 }
 
-// TestHierarchicalDefaultOn3D pins the routing: zero-valued SearchOptions
-// on a KindQ evaluator take the hierarchical path for the 3D coarse scan
-// and still match the forced-dense answer bit for bit.
+// TestHierarchicalDefaultOn3D pins the 3D routing: zero-valued
+// SearchOptions on a KindQ evaluator take the hierarchical scanner (KindR
+// the dense scan) and still match the dense reference answer bit for bit.
 func TestHierarchicalDefaultOn3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	p := testParams()
 	snaps := synth3D(p, geom.V3(-2.1, 0.7, 0.9), 60, 0.05, rng)
-	ev, err := NewEvaluator(snaps, p, KindQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FindPeak3DEval(ev, SearchOptions{Hierarchical: ToggleOff})
-	got := FindPeak3DEval(ev, SearchOptions{})
-	if got != want {
-		t.Fatalf("default %+v != dense %+v", got, want)
+	for _, kind := range []Kind{KindQ, KindR} {
+		ev, err := NewEvaluator(snaps, p, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := FindPeak3DDense(ev, SearchOptions{})
+		ResetSearchStats()
+		if got := FindPeak3DEval(ev, SearchOptions{}); got != want {
+			t.Fatalf("%v: default %+v != dense %+v", kind, got, want)
+		}
+		wantStats := SearchStats{Hier3D: 1}
+		if kind == KindR {
+			wantStats = SearchStats{Dense3D: 1}
+		}
+		if st := SearchStatsSnapshot(); st != wantStats {
+			t.Fatalf("%v: route counts %+v, want %+v", kind, st, wantStats)
+		}
 	}
 }
 

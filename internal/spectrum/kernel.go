@@ -101,14 +101,12 @@ func buildUniformTrig(sin, cos []float64, i0 int, step float64, fast bool) {
 }
 
 // evalRow evaluates candidates 0..n-1 of the prepared trig tables at fixed
-// gamma, writing the profile values of the requested kind into out[:n]. The
-// caller must have filled sc.sinPhi/cosPhi (fillAngleTrig or
-// fillUniformTrig) for exactly these candidates. kind is a parameter rather
-// than e.kind so the Q-prescreen pass can run the cheap Q kernel on an
-// R-configured Evaluator.
-func (e *Evaluator) evalRow(kind Kind, terms termSlices, sc *Scratch, gamma float64, n int, out []float64) {
+// gamma, writing the Evaluator's profile values into out[:n]. The caller
+// must have filled sc.sinPhi/cosPhi (fillAngleTrig or fillUniformTrig) for
+// exactly these candidates.
+func (e *Evaluator) evalRow(terms termSlices, sc *Scratch, gamma float64, n int, out []float64) {
 	cg := math.Cos(gamma)
-	if kind != KindR {
+	if e.kind != KindR {
 		e.evalRowQ(terms, sc, cg, n, out)
 		return
 	}

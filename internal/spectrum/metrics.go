@@ -14,57 +14,40 @@ import (
 // irregular grids, so the checked variants refuse instead.
 var ErrNonUniformAngles = errors.New("spectrum: profile angles are not uniformly spaced")
 
-// searchCountersT tallies which coarse-search route each scan actually took
-// — the accelerators (harmonic, hierarchical, prescreen, all-cells
-// synthesis) versus the dense fallback. Bench and soak runs read the
-// snapshot to confirm the intended path ran; a soak where Dense2D climbs
-// while HarmonicR2D stays flat means the routing gate regressed, not the
-// kernel. Counters are process-wide (route selection is per-call, not
+// searchCountersT tallies which coarse-search route each scan actually took.
+// Bench and soak runs read the snapshot to confirm the intended path ran; a
+// soak where Dense2D climbs while HarmonicR2D stays flat means a dense
+// reference function leaked into production, not that a kernel regressed.
+// Counters are process-wide (route selection is per-call, not
 // per-Evaluator) and atomically maintained, mirroring the plan-cache
 // telemetry in plancache.go.
 type searchCountersT struct {
 	harmonicQ2D  atomic.Uint64
 	harmonicR2D  atomic.Uint64
-	hier2D       atomic.Uint64
 	hier3D       atomic.Uint64
-	prescreen2D  atomic.Uint64
-	prescreen3D  atomic.Uint64
 	dense2D      atomic.Uint64
 	dense3D      atomic.Uint64
 	profileSynth atomic.Uint64
-	profileDense atomic.Uint64
-	streamSynth  atomic.Uint64
 	nufft2D      atomic.Uint64
 	nufftR2D     atomic.Uint64
-	denseNU2D    atomic.Uint64
-	hierSynth    atomic.Uint64
 	nufftProfile atomic.Uint64
 }
 
 var searchCounters searchCountersT
 
 // SearchStats is a point-in-time snapshot of the coarse-search routing
-// counters. The 2D/3D argmax counters sum to the number of coarse scans;
-// the Profile counters count option-gated full-profile calls
-// (Profile2DIntoOpt/Profile3DOpt) by route; StreamSynth counts streaming
-// Accumulator finalizes served from harmonic coefficients without a dense
-// replay.
+// counters. The argmax counters sum to the number of coarse scans; the
+// Profile counters count synthesized full-profile calls
+// (Profile2DIntoSynth/Profile3DSynth).
 type SearchStats struct {
-	HarmonicQ2D  uint64 // 2D argmax via Q harmonic synthesis
-	HarmonicR2D  uint64 // 2D argmax via the two-pass R synthesis
-	Hier2D       uint64 // 2D argmax via the hierarchical scanner
-	Hier3D       uint64 // 3D argmax via the hierarchical scanner
-	Prescreen2D  uint64 // 2D argmax via the Q-prescreen pass
-	Prescreen3D  uint64 // 3D argmax via the Q-prescreen pass
-	Dense2D      uint64 // 2D argmax via the dense scan
-	Dense3D      uint64 // 3D argmax via the dense scan
+	HarmonicQ2D  uint64 // uniform 2D KindQ argmax via harmonic synthesis
+	HarmonicR2D  uint64 // uniform 2D KindR argmax via the two-pass R synthesis
+	Hier3D       uint64 // 3D KindQ argmax via the hierarchical scanner
+	Dense2D      uint64 // 2D argmax via a dense reference function (FindPeak2DDense, FindPeak2DAnglesDense)
+	Dense3D      uint64 // 3D argmax via the dense scan (KindR, FindPeak3DDense)
 	ProfileSynth uint64 // full profiles synthesized all-cells
-	ProfileDense uint64 // full profiles from Opt entry points scanned densely
-	StreamSynth  uint64 // streaming finalizes served from harmonic coefficients
-	NUFFT2D      uint64 // angle-grid argmax via the Q NUFFT synthesis
-	NUFFTR2D     uint64 // angle-grid argmax via the R NUFFT replay
-	DenseNU2D    uint64 // angle-grid argmax via the dense scan
-	HierSynth    uint64 // hierarchical scans with synthesized basin evals
+	NUFFT2D      uint64 // angle-grid KindQ argmax via the NUFFT synthesis
+	NUFFTR2D     uint64 // angle-grid KindR argmax via the NUFFT replay
 	NUFFTProfile uint64 // full Q profiles spread through the NUFFT kernel
 }
 
@@ -73,19 +56,12 @@ func SearchStatsSnapshot() SearchStats {
 	return SearchStats{
 		HarmonicQ2D:  searchCounters.harmonicQ2D.Load(),
 		HarmonicR2D:  searchCounters.harmonicR2D.Load(),
-		Hier2D:       searchCounters.hier2D.Load(),
 		Hier3D:       searchCounters.hier3D.Load(),
-		Prescreen2D:  searchCounters.prescreen2D.Load(),
-		Prescreen3D:  searchCounters.prescreen3D.Load(),
 		Dense2D:      searchCounters.dense2D.Load(),
 		Dense3D:      searchCounters.dense3D.Load(),
 		ProfileSynth: searchCounters.profileSynth.Load(),
-		ProfileDense: searchCounters.profileDense.Load(),
-		StreamSynth:  searchCounters.streamSynth.Load(),
 		NUFFT2D:      searchCounters.nufft2D.Load(),
 		NUFFTR2D:     searchCounters.nufftR2D.Load(),
-		DenseNU2D:    searchCounters.denseNU2D.Load(),
-		HierSynth:    searchCounters.hierSynth.Load(),
 		NUFFTProfile: searchCounters.nufftProfile.Load(),
 	}
 }
@@ -94,19 +70,12 @@ func SearchStatsSnapshot() SearchStats {
 func ResetSearchStats() {
 	searchCounters.harmonicQ2D.Store(0)
 	searchCounters.harmonicR2D.Store(0)
-	searchCounters.hier2D.Store(0)
 	searchCounters.hier3D.Store(0)
-	searchCounters.prescreen2D.Store(0)
-	searchCounters.prescreen3D.Store(0)
 	searchCounters.dense2D.Store(0)
 	searchCounters.dense3D.Store(0)
 	searchCounters.profileSynth.Store(0)
-	searchCounters.profileDense.Store(0)
-	searchCounters.streamSynth.Store(0)
 	searchCounters.nufft2D.Store(0)
 	searchCounters.nufftR2D.Store(0)
-	searchCounters.denseNU2D.Store(0)
-	searchCounters.hierSynth.Store(0)
 	searchCounters.nufftProfile.Store(0)
 }
 

@@ -326,7 +326,7 @@ func (p *nufftScratch) spreadMag(angles, out []float64) {
 
 // synthAtComplex evaluates the normalized complex phasor sum Ŝ(φ)/n at one
 // arbitrary angle by direct Chebyshev recurrence — the small-count regime of
-// the type-2 transform (and the hierarchical scanner's basin evaluator).
+// the type-2 transform.
 func (h *harmonicCoeffs) synthAtComplex(phi float64) (float64, float64) {
 	s1, c1 := math.Sincos(phi)
 	nb := h.maxM + 1
@@ -388,19 +388,20 @@ func nufftSynthComplex(hc *harmonicCoeffs, angles, outRe, outIm []float64) {
 	}
 }
 
-// nufftSelectQ returns the dense-scan argmax index over an arbitrary angle
-// grid for KindQ, from already-folded coefficients: synthesize every cell
-// (NUFFT or direct), shortlist within 2·nufftSlackQ of the synthesized
-// maximum, exact-rescore. hc may be the batch fold or the streaming
-// Accumulator's coefficients — both routes share this selection, which is
-// what makes streamed and batch angle-grid peaks bit-identical.
-func (e *Evaluator) nufftSelectQ(terms termSlices, hc *harmonicCoeffs, angles []float64, hs *harmonicScratch) int {
+// nufftArgmaxQ returns the dense-scan argmax index over an arbitrary angle
+// grid for KindQ: fold the coefficients over terms (γ = 0), synthesize every
+// cell (NUFFT or direct), shortlist within 2·nufftSlackQ of the synthesized
+// maximum, exact-rescore.
+func (e *Evaluator) nufftArgmaxQ(terms termSlices, angles []float64) int {
+	hs := harmPool.Get().(*harmonicScratch)
+	defer harmPool.Put(hs)
+	foldTermsHarmonic(hs, terms, 1)
 	n := len(angles)
 	if cap(hs.vals) < n {
 		hs.vals = make([]float64, n)
 	}
 	vals := hs.vals[:n]
-	nufftSynthQ(hc, angles, vals)
+	nufftSynthQ(&hs.coeffs, angles, vals)
 	maxV := math.Inf(-1)
 	for _, v := range vals {
 		if v > maxV {
@@ -417,12 +418,15 @@ func (e *Evaluator) nufftSelectQ(terms termSlices, hc *harmonicCoeffs, angles []
 	return e.rescoreAngles(terms, cand, angles)
 }
 
-// nufftSelectR is nufftSelectQ for KindR: the spread (or direct) complex
+// nufftArgmaxR is nufftArgmaxQ for KindR: the spread (or direct) complex
 // sums feed the same two-pass robust weighting kernel the uniform harmonic-R
 // route uses (weightRowR with shortlist-grade coarse kernels), with the μ̂
 // guard raised to nufftMuGuard and the window widened to cover both the
 // spreader and the coarse kernels. The exact rescore then erases all of it.
-func (e *Evaluator) nufftSelectR(terms termSlices, hc *harmonicCoeffs, angles []float64, hs *harmonicScratch) int {
+func (e *Evaluator) nufftArgmaxR(terms termSlices, angles []float64) int {
+	hs := harmPool.Get().(*harmonicScratch)
+	defer harmPool.Put(hs)
+	foldTermsHarmonic(hs, terms, 1)
 	n := len(angles)
 	if cap(hs.vals) < n {
 		hs.vals = make([]float64, n)
@@ -433,7 +437,7 @@ func (e *Evaluator) nufftSelectR(terms termSlices, hc *harmonicCoeffs, angles []
 	sc.ensureRow(n)
 	qRe := sc.sumRe[:n]
 	qIm := sc.sumIm[:n]
-	nufftSynthComplex(hc, angles, qRe, qIm)
+	nufftSynthComplex(&hs.coeffs, angles, qRe, qIm)
 	e.weightRowR(terms, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], qRe, qIm, vals, true, nufftMuGuard)
 	e.putScratch(sc)
 	maxV := math.Inf(-1)
@@ -451,23 +455,4 @@ func (e *Evaluator) nufftSelectR(terms termSlices, hc *harmonicCoeffs, angles []
 	}
 	hs.cand = cand
 	return e.rescoreAngles(terms, cand, angles)
-}
-
-// nufftArgmaxQ is the batch entry: fold the coefficients over terms (γ = 0)
-// and select on the angle grid.
-func (e *Evaluator) nufftArgmaxQ(terms termSlices, angles []float64) int {
-	hs := harmPool.Get().(*harmonicScratch)
-	foldTermsHarmonic(hs, terms, 1)
-	idx := e.nufftSelectQ(terms, &hs.coeffs, angles, hs)
-	harmPool.Put(hs)
-	return idx
-}
-
-// nufftArgmaxR is the batch KindR entry.
-func (e *Evaluator) nufftArgmaxR(terms termSlices, angles []float64) int {
-	hs := harmPool.Get().(*harmonicScratch)
-	foldTermsHarmonic(hs, terms, 1)
-	idx := e.nufftSelectR(terms, &hs.coeffs, angles, hs)
-	harmPool.Put(hs)
-	return idx
 }

@@ -115,7 +115,7 @@ func TestNUFFTSpreadMatchesDirect(t *testing.T) {
 }
 
 // TestNUFFTArgmaxBitIdentity is the routing contract: FindPeak2DAnglesEval
-// with the NUFFT route (Auto) must return the dense scan's (azimuth, power)
+// (the NUFFT route) must return FindPeak2DAnglesDense's (azimuth, power)
 // bit for bit, for both kinds, across jittered grids spanning the
 // direct-synthesis and gridded-spreading regimes (including the
 // nufftMinCells seam) and randomized sessions.
@@ -138,7 +138,7 @@ func TestNUFFTArgmaxBitIdentity(t *testing.T) {
 				n := grids[trial%len(grids)]
 				angles := jitteredAngles(n, 0.35, rng)
 				gotAz, gotPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{NUFFT: ToggleOff})
+				wantAz, wantPow := FindPeak2DAnglesDense(ev, angles, SearchOptions{})
 				if gotAz != wantAz || gotPow != wantPow {
 					t.Fatalf("trial %d, %d cells: NUFFT (%v, %v) != dense (%v, %v)",
 						trial, n, gotAz, gotPow, wantAz, wantPow)
@@ -168,7 +168,7 @@ func TestNUFFTJitteredOmegaSession(t *testing.T) {
 				}
 				angles := jitteredAngles(720, 0.35, rng)
 				gotAz, gotPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{NUFFT: ToggleOff})
+				wantAz, wantPow := FindPeak2DAnglesDense(ev, angles, SearchOptions{})
 				if gotAz != wantAz || gotPow != wantPow {
 					t.Fatalf("trial %d: NUFFT (%v, %v) != dense (%v, %v)",
 						trial, gotAz, gotPow, wantAz, wantPow)
@@ -178,9 +178,9 @@ func TestNUFFTJitteredOmegaSession(t *testing.T) {
 	}
 }
 
-// TestAnglesRoutingCounters drives every (kind × toggle) combination of the
-// angle-grid entry points and checks exactly one routing counter moves —
-// the expvar surface operators use to confirm which path served traffic.
+// TestAnglesRoutingCounters drives both kinds through the angle-grid entry
+// points and checks exactly one routing counter moves — the expvar surface
+// operators use to confirm which path served traffic.
 func TestAnglesRoutingCounters(t *testing.T) {
 	p := testParams()
 	rng := rand.New(rand.NewSource(530))
@@ -189,15 +189,10 @@ func TestAnglesRoutingCounters(t *testing.T) {
 	cases := []struct {
 		name string
 		kind Kind
-		opts SearchOptions
 		pick func(SearchStats) uint64
 	}{
-		{"Q-auto", KindQ, SearchOptions{}, func(s SearchStats) uint64 { return s.NUFFT2D }},
-		{"Q-on", KindQ, SearchOptions{NUFFT: ToggleOn}, func(s SearchStats) uint64 { return s.NUFFT2D }},
-		{"Q-off", KindQ, SearchOptions{NUFFT: ToggleOff}, func(s SearchStats) uint64 { return s.DenseNU2D }},
-		{"R-auto", KindR, SearchOptions{}, func(s SearchStats) uint64 { return s.NUFFTR2D }},
-		{"R-on", KindR, SearchOptions{NUFFT: ToggleOn}, func(s SearchStats) uint64 { return s.NUFFTR2D }},
-		{"R-off", KindR, SearchOptions{NUFFT: ToggleOff}, func(s SearchStats) uint64 { return s.DenseNU2D }},
+		{"Q-auto", KindQ, func(s SearchStats) uint64 { return s.NUFFT2D }},
+		{"R-auto", KindR, func(s SearchStats) uint64 { return s.NUFFTR2D }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,12 +201,12 @@ func TestAnglesRoutingCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			ResetSearchStats()
-			FindPeak2DAnglesEval(ev, angles, tc.opts)
+			FindPeak2DAnglesEval(ev, angles, SearchOptions{})
 			st := SearchStatsSnapshot()
 			if got := tc.pick(st); got != 1 {
 				t.Fatalf("expected routing counter = 1, snapshot %+v", st)
 			}
-			if total := st.NUFFT2D + st.NUFFTR2D + st.DenseNU2D; total != 1 {
+			if total := st.NUFFT2D + st.NUFFTR2D + st.Dense2D; total != 1 {
 				t.Fatalf("expected exactly one angle-grid route, snapshot %+v", st)
 			}
 		})
@@ -223,14 +218,12 @@ func TestAnglesRoutingCounters(t *testing.T) {
 		cases := []struct {
 			name   string
 			kind   Kind
-			opts   SearchOptions
 			angles []float64
 			want   uint64
 		}{
-			{"Q-auto-large", KindQ, SearchOptions{}, angles, 1},
-			{"Q-off", KindQ, SearchOptions{NUFFT: ToggleOff}, angles, 0},
-			{"Q-small", KindQ, SearchOptions{}, small, 0},
-			{"R-auto-large", KindR, SearchOptions{}, angles, 0},
+			{"Q-large", KindQ, angles, 1},
+			{"Q-small", KindQ, small, 0},
+			{"R-large", KindR, angles, 0},
 		}
 		for _, tc := range cases {
 			ev, err := NewEvaluator(snaps, p, tc.kind)
@@ -238,95 +231,9 @@ func TestAnglesRoutingCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			ResetSearchStats()
-			ev.Profile2DIntoOpt(&prof, tc.angles, tc.opts)
+			ev.Profile2DIntoSynth(&prof, tc.angles)
 			if got := SearchStatsSnapshot().NUFFTProfile; got != tc.want {
 				t.Fatalf("%s: NUFFTProfile = %d, want %d", tc.name, got, tc.want)
-			}
-		}
-	})
-
-	t.Run("hier-synth", func(t *testing.T) {
-		ev, err := NewEvaluator(snaps, p, KindQ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hier := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOn}
-		ResetSearchStats()
-		FindPeak2DEval(ev, hier)
-		if st := SearchStatsSnapshot(); st.HierSynth != 0 {
-			t.Fatalf("HierSynth moved without NUFFT: On: %+v", st)
-		}
-		hier.NUFFT = ToggleOn
-		ResetSearchStats()
-		FindPeak2DEval(ev, hier)
-		st := SearchStatsSnapshot()
-		if st.Hier2D != 1 {
-			t.Fatalf("expected the hierarchical route, snapshot %+v", st)
-		}
-		if st.HierSynth != 1 {
-			t.Fatalf("expected synthesized basin evals, snapshot %+v", st)
-		}
-	})
-}
-
-// TestHierSynthBitIdentity pins the widened capture bound: hierarchical
-// scans with synthesized basin evaluation (NUFFT: On) must return the dense
-// scan's KindQ peak bit for bit in 2D and 3D; KindR inherits the rescore
-// route's within-one-cell contract.
-func TestHierSynthBitIdentity(t *testing.T) {
-	p := testParams()
-	synthOpts := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOn, NUFFT: ToggleOn}
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
-
-	t.Run("2D-Q", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(540))
-		for trial := 0; trial < 80; trial++ {
-			snaps := synth(p, randReader(rng, true), 20+rng.Intn(120), rng.Float64()*2, rng.Float64()*0.2, rng)
-			ev, err := NewEvaluator(snaps, p, KindQ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantAz, wantPow := FindPeak2DEval(ev, dense)
-			gotAz, gotPow := FindPeak2DEval(ev, synthOpts)
-			if gotAz != wantAz || gotPow != wantPow {
-				t.Fatalf("trial %d: synth-hier (%v, %v) != dense (%v, %v)", trial, gotAz, gotPow, wantAz, wantPow)
-			}
-		}
-	})
-
-	t.Run("2D-R", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(541))
-		for trial := 0; trial < 40; trial++ {
-			snaps := synth(p, randReader(rng, true), 20+rng.Intn(120), rng.Float64()*2, rng.Float64()*0.2, rng)
-			ev, err := NewEvaluator(snaps, p, KindR)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantAz, _ := FindPeak2DEval(ev, dense)
-			gotAz, _ := FindPeak2DEval(ev, synthOpts)
-			if d := geom.AngleDistance(gotAz, wantAz); d > synthOpts.coarseStep() {
-				t.Fatalf("trial %d: synth-hier R peak %v is %v rad from dense %v", trial, gotAz, d, wantAz)
-			}
-		}
-	})
-
-	t.Run("3D-Q", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(542))
-		so := SearchOptions{CoarsePolarStep: geom.Radians(2)}
-		for trial := 0; trial < 15; trial++ {
-			snaps := synth3D(p, randReader(rng, false), 24+rng.Intn(60), rng.Float64()*0.15, rng)
-			ev, err := NewEvaluator(snaps, p, KindQ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := dense
-			d.CoarsePolarStep = so.CoarsePolarStep
-			s := synthOpts
-			s.CoarsePolarStep = so.CoarsePolarStep
-			want := FindPeak3DEval(ev, d)
-			got := FindPeak3DEval(ev, s)
-			if got != want {
-				t.Fatalf("trial %d: synth-hier %+v != dense %+v", trial, got, want)
 			}
 		}
 	})
@@ -334,9 +241,9 @@ func TestHierSynthBitIdentity(t *testing.T) {
 
 // TestAccumulatorAnglesBitIdentity walks the streamed angle-grid finalize
 // across the coarseTermLimit seam for every accumulator mode: at and under
-// the limit the streamed selection must return the batch angle-grid
-// search's bits (the shared nufftSelect path or the dense finish), and one
-// past it the finalize hands off to the batch search itself.
+// the limit the streamed per-cell selection must return the batch NUFFT
+// search's bits, and one past it the finalize hands off to the batch search
+// itself.
 func TestAccumulatorAnglesBitIdentity(t *testing.T) {
 	p := testParams()
 	counts := []int{coarseTermLimit - 1, coarseTermLimit, coarseTermLimit + 1}
@@ -344,30 +251,27 @@ func TestAccumulatorAnglesBitIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(550 + int64(i)))
 			angles := jitteredAngles(720, 0.35, rng)
-			for _, harmonic := range []Toggle{ToggleAuto, ToggleOn} {
-				for _, n := range counts {
-					snaps := synth(p, randReader(rng, true), n, 0.8, 0.05, rng)
-					pp := p
-					pp.LiteralReference = tc.literal
-					so := SearchOptions{PrescreenTopK: tc.prescreen, HarmonicEval: harmonic}
-					a, err := NewAccumulator2DAngles(pp, tc.kind, angles, so)
-					if err != nil {
-						t.Fatal(err)
-					}
-					feedAccumulator(t, a, snaps)
-					gotAz, gotPow, err := a.FindPeak2D()
-					if err != nil {
-						t.Fatal(err)
-					}
-					ev, err := NewEvaluator(snaps, pp, tc.kind)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, so)
-					if gotAz != wantAz || gotPow != wantPow {
-						t.Fatalf("%d snapshots, harmonic %v: streamed (%v, %v) != batch (%v, %v)",
-							n, harmonic, gotAz, gotPow, wantAz, wantPow)
-					}
+			for _, n := range counts {
+				snaps := synth(p, randReader(rng, true), n, 0.8, 0.05, rng)
+				pp := p
+				pp.LiteralReference = tc.literal
+				a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedAccumulator(t, a, snaps)
+				gotAz, gotPow, err := a.FindPeak2D()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev, err := NewEvaluator(snaps, pp, tc.kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
+				if gotAz != wantAz || gotPow != wantPow {
+					t.Fatalf("%d snapshots: streamed (%v, %v) != batch (%v, %v)",
+						n, gotAz, gotPow, wantAz, wantPow)
 				}
 			}
 		})
@@ -375,8 +279,8 @@ func TestAccumulatorAnglesBitIdentity(t *testing.T) {
 }
 
 // TestAccumulatorAnglesCoarseProfile pins the angle-grid streamed profile:
-// in default (non-harmonic) mode the finished per-cell values are the batch
-// Profile2D over the same angles bit for bit, in both trig modes; the
+// the finished per-cell values are the batch Profile2D over the same angles
+// bit for bit, in both trig modes; the
 // returned Angles are the caller's grid.
 func TestAccumulatorAnglesCoarseProfile(t *testing.T) {
 	p := testParams()
@@ -391,7 +295,7 @@ func TestAccumulatorAnglesCoarseProfile(t *testing.T) {
 			}
 			pp := p
 			pp.LiteralReference = tc.literal
-			a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{PrescreenTopK: tc.prescreen}, evalOpts...)
+			a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{}, evalOpts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package spectrum
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/tagspin/tagspin/internal/geom"
 	"github.com/tagspin/tagspin/internal/phase"
@@ -15,35 +14,11 @@ import (
 // meaning "default rounds", so existing callers are unaffected.
 const NoRefine = -1
 
-// Toggle is a tri-state switch for the sub-linear search features: the
-// zero value picks the kind-dependent default, so existing zero-valued
-// SearchOptions keep working when a feature becomes default-on.
-type Toggle int8
-
-const (
-	// ToggleAuto defers to the per-feature, per-kind default (e.g. the
-	// harmonic evaluator defaults on for both kinds, the hierarchical
-	// scanner only for KindQ — each SearchOptions field documents its own
-	// resolution).
-	ToggleAuto Toggle = 0
-	// ToggleOn forces the feature on regardless of profile kind.
-	ToggleOn Toggle = 1
-	// ToggleOff forces the feature off.
-	ToggleOff Toggle = -1
-)
-
-// enabled resolves the tri-state against the kind-dependent default.
-func (t Toggle) enabled(auto bool) bool {
-	switch t {
-	case ToggleOn:
-		return true
-	case ToggleOff:
-		return false
-	}
-	return auto
-}
-
-// SearchOptions tunes the coarse-to-fine peak search.
+// SearchOptions tunes the coarse-to-fine peak search: the coarse grid
+// spacing and the refinement depth. Which coarse-search route scans the grid
+// is not an option — it follows from the profile kind and the grid shape
+// (coarseArgmax2D, coarseArgmax2DAngles, coarseArgmax3D), and every route
+// returns exactly the dense scan's argmax cell.
 type SearchOptions struct {
 	// CoarseStep is the initial azimuth grid spacing. Zero means 0.5°.
 	CoarseStep float64
@@ -55,50 +30,6 @@ type SearchOptions struct {
 	// from a 0.5° start); NoRefine (or any negative value) disables
 	// refinement entirely, returning the raw coarse-grid argmax.
 	Refinements int
-	// PrescreenTopK, when positive, replaces KindR coarse scans with a
-	// two-stage pass: the ~4× cheaper Q row kernel scores the whole grid,
-	// then only the top-K cells are rescored with the full R formula and
-	// the best R cell seeds refinement (Q is 1.9 ms vs R 6.6 ms on the
-	// default 720-cell grid per BENCH_3). Q and R peak in the same basin —
-	// R is Q with per-snapshot likelihood weights — so K of a few handfuls
-	// keeps the refined peak within the coarse cell of the full-R pass
-	// (the ablation test bounds the drift). Zero disables prescreening;
-	// KindQ searches ignore it. The 3D coarse pass honors it the same way
-	// as 2D (coarseArgmax3D routes KindR scans through the row-chunked
-	// Q prescreen); it also sets the KindR rescore width of the
-	// hierarchical scanner.
-	PrescreenTopK int
-	// HarmonicEval selects the FFT-style harmonic evaluator (harmonic.go,
-	// allcells.go) for 2D azimuth coarse scans: O(snapshots×H + cells×H)
-	// coefficient work instead of O(cells×snapshots) trig, returning
-	// exactly the dense scan's argmax cell (the synthesized shortlist is
-	// rescored with the exact per-cell formula). Auto means on for both
-	// kinds — KindQ synthesizes the phasor magnitude directly, KindR runs
-	// the two-pass all-cells transform (the weights' inputs are
-	// bandlimited even though R itself is not; see allcells.go). A KindR
-	// scan with PrescreenTopK set keeps the prescreen route, and
-	// Hierarchical: On keeps the lattice scanner, matching the streaming
-	// Accumulator's replay rules.
-	HarmonicEval Toggle
-	// Hierarchical selects the Lipschitz-bounded coarse-to-fine lattice
-	// scanner (hier.go) for coarse grid scans — 3D always, 2D when the
-	// harmonic evaluator is off. Auto means on for KindQ (where the
-	// captured argmax is exactly the dense scan's cell) and off for KindR
-	// (where enabling it scores with Q and rescores the top cells with R,
-	// like the prescreen pass).
-	Hierarchical Toggle
-	// NUFFT selects the type-2 NUFFT synthesis route (nufft.go) for the
-	// non-uniform-grid entry points — FindPeak2DAngles, Profile2DInto/
-	// Profile3D Q synthesis on ≥nufftMinCells grids, and the Accumulator's
-	// angle-grid finalize: fold once, synthesize on an oversampled uniform
-	// grid, spread to the requested cells through a truncated Gaussian
-	// kernel. Auto means on for those entry points (argmaxes stay exact
-	// via shortlist-then-rescore; synthesized profile values carry
-	// ≤nufftSlackQ error) and off for the hierarchical scanner's basin
-	// evaluation, which only ToggleOn switches to per-cell harmonic
-	// synthesis (synthAt). ToggleOff forces the dense per-cell scan
-	// everywhere the grid is non-uniform.
-	NUFFT Toggle
 }
 
 func (o SearchOptions) coarseStep() float64 {
@@ -152,14 +83,22 @@ func FindPeak2D(snaps []phase.Snapshot, p Params, kind Kind, opts SearchOptions)
 }
 
 // FindPeak2DEval is FindPeak2D on a prebuilt Evaluator: the coarse pass
-// runs the batched row kernel over the strided snapshot subset (≤64),
-// parallel across the angle grid, and the refinement rounds use the full
-// set. Steady-state calls allocate nothing — scratch and argmax state come
-// from the Evaluator's pools (the optional Q-prescreen pass is the one
-// exception: it buys its dense Q buffer per call).
+// scores the strided snapshot subset (≤64) over the uniform azimuth grid,
+// and the refinement rounds use the full set. Steady-state calls allocate
+// nothing — scratch and argmax state come from the Evaluator's pools.
 func FindPeak2DEval(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	step := opts.coarseStep()
-	idx := ev.coarseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step, opts)
+	idx := ev.coarseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step)
+	return ev.refine2D(float64(idx)*step, step, opts)
+}
+
+// FindPeak2DDense is FindPeak2DEval with the coarse pass on the dense
+// per-cell scan: the reference the synthesized route must match bit for
+// bit. Production code never calls it; tests and benchmark baselines do.
+func FindPeak2DDense(ev *Evaluator, opts SearchOptions) (float64, float64) {
+	step := opts.coarseStep()
+	searchCounters.dense2D.Add(1)
+	idx := ev.denseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step)
 	return ev.refine2D(float64(idx)*step, step, opts)
 }
 
@@ -187,29 +126,37 @@ func FindPeak2DAnglesEval(ev *Evaluator, angles []float64, opts SearchOptions) (
 	if len(angles) == 0 {
 		return 0, 0
 	}
-	idx := ev.coarseArgmax2DAngles(ev.coarse, angles, opts)
+	idx := ev.coarseArgmax2DAngles(ev.coarse, angles)
 	step := 2 * math.Pi / float64(len(angles))
 	return ev.refine2D(angles[idx], step, opts)
 }
 
-// coarseArgmax2DAngles is coarseArgmax2D over an arbitrary angle grid: the
-// NUFFT route (default on) folds the harmonic coefficients once and
-// synthesizes every cell through the oversampled-grid spreader — KindQ on
-// magnitudes, KindR replaying the robust weighting over the spread phasor
-// sums — then shortlists and exact-rescores, so the returned index matches
-// the dense scan bit for bit. ToggleOff (or a fold too large to be coarse,
-// which cannot happen for the ≤64-term coarse subset) scans densely.
-func (e *Evaluator) coarseArgmax2DAngles(terms termSlices, angles []float64, opts SearchOptions) int {
-	if opts.NUFFT.enabled(true) {
-		if e.kind == KindR {
-			searchCounters.nufftR2D.Add(1)
-			return e.nufftArgmaxR(terms, angles)
-		}
-		searchCounters.nufft2D.Add(1)
-		return e.nufftArgmaxQ(terms, angles)
+// FindPeak2DAnglesDense is FindPeak2DAnglesEval with the coarse pass on the
+// dense per-cell scan of the angle grid — the NUFFT route's reference, like
+// FindPeak2DDense.
+func FindPeak2DAnglesDense(ev *Evaluator, angles []float64, opts SearchOptions) (float64, float64) {
+	if len(angles) == 0 {
+		return 0, 0
 	}
-	searchCounters.denseNU2D.Add(1)
-	return e.denseArgmax2DAngles(terms, angles)
+	searchCounters.dense2D.Add(1)
+	idx := ev.denseArgmax2DAngles(ev.coarse, angles)
+	step := 2 * math.Pi / float64(len(angles))
+	return ev.refine2D(angles[idx], step, opts)
+}
+
+// coarseArgmax2DAngles is coarseArgmax2D over an arbitrary angle grid, the
+// NUFFT route: fold the harmonic coefficients once and synthesize every cell
+// through the oversampled-grid spreader — KindQ on magnitudes, KindR
+// replaying the robust weighting over the spread phasor sums — then
+// shortlist and exact-rescore, so the returned index matches the dense scan
+// bit for bit.
+func (e *Evaluator) coarseArgmax2DAngles(terms termSlices, angles []float64) int {
+	if e.kind == KindR {
+		searchCounters.nufftR2D.Add(1)
+		return e.nufftArgmaxR(terms, angles)
+	}
+	searchCounters.nufft2D.Add(1)
+	return e.nufftArgmaxQ(terms, angles)
 }
 
 // denseArgmax2DAngles is the full parallel scan over an arbitrary angle
@@ -242,9 +189,8 @@ func (e *Evaluator) denseArgmax2DAngles(terms termSlices, angles []float64) int 
 }
 
 // rescoreAngles evaluates the exact per-cell formula at the given grid cells
-// (indices ascending) and returns the winner — rescoreTopK for arbitrary
-// angle grids. The streaming Accumulator's angle-grid finalize reuses this,
-// so batch and streamed picks share one selection path.
+// (indices ascending) and returns the winner — rescoreUniform for arbitrary
+// angle grids.
 func (e *Evaluator) rescoreAngles(terms termSlices, idxs []int, angles []float64) int {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
@@ -257,35 +203,33 @@ func (e *Evaluator) rescoreAngles(terms termSlices, idxs []int, angles []float64
 	return bestIdx
 }
 
+// rescoreUniform evaluates the exact per-cell formula at the given cells
+// (indices ascending) of the uniform azimuth grid φ_k = k·step and returns
+// the winner. Ties resolve to the lowest index, the dense scan's rule.
+func (e *Evaluator) rescoreUniform(terms termSlices, idxs []int, step float64) int {
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	bestIdx, bestVal := idxs[0], math.Inf(-1)
+	for _, k := range idxs { // ascending index → lowest-index tie rule
+		if v := e.evalTerms(terms, sc, float64(k)*step, 0); v > bestVal {
+			bestIdx, bestVal = k, v
+		}
+	}
+	return bestIdx
+}
+
 // coarseArgmax2D returns the argmax index over the uniform grid
-// φ_i = i·step, i < n, scored on the given term subset. Both kinds now
-// default to a harmonic route: KindQ through the magnitude synthesis, KindR
-// through the two-pass all-cells transform (allcells.go) — each returning
-// exactly the dense scan's cell via the shortlist-and-rescore guarantee.
-// Explicit overrides keep their historical precedence: Hierarchical: On
-// selects the lattice scanner, and a KindR search with PrescreenTopK set
-// keeps the Q-prescreen pass (also what the streaming Accumulator replays,
-// so batch and streamed picks stay aligned).
-func (e *Evaluator) coarseArgmax2D(terms termSlices, n int, step float64, opts SearchOptions) int {
-	autoOn := e.kind != KindR
-	if autoOn && opts.HarmonicEval.enabled(true) {
-		searchCounters.harmonicQ2D.Add(1)
-		return e.harmonicArgmax2D(terms, n, step)
-	}
-	if opts.Hierarchical.enabled(autoOn) {
-		searchCounters.hier2D.Add(1)
-		return e.hierarchicalArgmax2D(terms, n, step, opts)
-	}
-	if e.kind == KindR && opts.PrescreenTopK > 0 {
-		searchCounters.prescreen2D.Add(1)
-		return e.prescreenArgmax(terms, n, step, 0, 0, 0, opts.PrescreenTopK)
-	}
-	if e.kind == KindR && opts.HarmonicEval.enabled(true) {
+// φ_i = i·step, i < n, scored on the given term subset, through harmonic
+// synthesis: KindQ synthesizes the phasor magnitude (harmonic.go), KindR runs
+// the two-pass all-cells transform (allcells.go). Both shortlist and
+// exact-rescore, returning exactly the dense scan's cell.
+func (e *Evaluator) coarseArgmax2D(terms termSlices, n int, step float64) int {
+	if e.kind == KindR {
 		searchCounters.harmonicR2D.Add(1)
 		return e.harmonicArgmaxR2D(terms, n, step)
 	}
-	searchCounters.dense2D.Add(1)
-	return e.denseArgmax2D(terms, n, step)
+	searchCounters.harmonicQ2D.Add(1)
+	return e.harmonicArgmax2D(terms, n, step)
 }
 
 // denseArgmax2D is the full parallel scan over the uniform azimuth grid.
@@ -365,40 +309,60 @@ func FindPeak3D(snaps []phase.Snapshot, p Params, kind Kind, opts SearchOptions)
 	return FindPeak3DEval(ev, opts), nil
 }
 
-// FindPeak3DEval is FindPeak3D on a prebuilt Evaluator. The global coarse
-// scan costs |grid|·|snapshots|; it runs the batched row kernel on the
-// strided snapshot subset (≤64), parallel across grid rows (each argmax
-// chunk is exactly one polar row, so γ is fixed per row evaluation), and
+// grid3D returns the 3D coarse grid the options select: the azimuth spacing
+// (4× the 2D step — the 3D coarse pass can be coarser, refinement recovers
+// it), the polar spacing, and the cell counts over [0, 2π) × [-π/2, π/2].
+// Cells are row-major: cell k is polar row k/nAz, azimuth k%nAz.
+func (o SearchOptions) grid3D() (azStep, polStep float64, nAz, nPol int) {
+	azStep = o.coarseStep() * 4
+	polStep = o.coarsePolarStep()
+	nAz = gridSteps(2*math.Pi, azStep)
+	nPol = int(math.Floor(math.Pi/polStep+1e-9)) + 1 // [-π/2, π/2] inclusive
+	return azStep, polStep, nAz, nPol
+}
+
+// FindPeak3DEval is FindPeak3D on a prebuilt Evaluator. The coarse pass
+// scores the strided snapshot subset (≤64) over the az × polar grid, and
 // the refinement rounds use the full set.
 func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
-	azStep := opts.coarseStep() * 4 // 3D coarse pass can be coarser; refined below
-	polStep := opts.coarsePolarStep()
-	nAz := gridSteps(2*math.Pi, azStep)
-	nPol := int(math.Floor(math.Pi/polStep+1e-9)) + 1 // [-π/2, π/2] inclusive
-	idx := ev.coarseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep, opts)
+	return ev.findPeak3D(opts, false)
+}
+
+// FindPeak3DDense is FindPeak3DEval with the coarse pass on the dense
+// per-cell scan — the hierarchical scanner's reference, like
+// FindPeak2DDense.
+func FindPeak3DDense(ev *Evaluator, opts SearchOptions) Peak3D {
+	searchCounters.dense3D.Add(1)
+	return ev.findPeak3D(opts, true)
+}
+
+func (e *Evaluator) findPeak3D(opts SearchOptions, dense bool) Peak3D {
+	azStep, polStep, nAz, nPol := opts.grid3D()
+	var idx int
+	if dense {
+		idx = e.denseArgmax3D(e.coarse, nAz, nPol, azStep, polStep)
+	} else {
+		idx = e.coarseArgmax3D(e.coarse, nAz, nPol, azStep, polStep)
+	}
 	best := Peak3D{
 		Azimuth: float64(idx%nAz) * azStep,
 		Polar:   -math.Pi/2 + float64(idx/nAz)*polStep,
 	}
-	return ev.refine3D(best, azStep, polStep, opts)
+	return e.refine3D(best, azStep, polStep, opts)
 }
 
-// coarseArgmax3D is coarseArgmax2D over the az × polar grid (row-major,
-// cell k = (k/nAz)-th polar row, (k%nAz)-th azimuth). KindQ searches
-// default to the hierarchical scanner (the harmonic route would refold
-// Bessel tables per polar row, which costs more than it saves); KindR
-// honors PrescreenTopK exactly like the 2D path.
-func (e *Evaluator) coarseArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64, opts SearchOptions) int {
-	if opts.Hierarchical.enabled(e.kind != KindR) {
-		searchCounters.hier3D.Add(1)
-		return e.hierarchicalArgmax3D(terms, nAz, nPol, azStep, polStep, opts)
+// coarseArgmax3D is coarseArgmax2D over the az × polar grid. KindQ runs the
+// hierarchical scanner (hier.go), whose captured cell is exactly the dense
+// scan's; KindR scans densely, chunked by polar row (the harmonic route
+// would refold Bessel tables per polar row, which costs more than it
+// saves).
+func (e *Evaluator) coarseArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
+	if e.kind == KindR {
+		searchCounters.dense3D.Add(1)
+		return e.denseArgmax3D(terms, nAz, nPol, azStep, polStep)
 	}
-	if e.kind == KindR && opts.PrescreenTopK > 0 {
-		searchCounters.prescreen3D.Add(1)
-		return e.prescreenArgmax(terms, nAz*nPol, azStep, nAz, -math.Pi/2, polStep, opts.PrescreenTopK)
-	}
-	searchCounters.dense3D.Add(1)
-	return e.denseArgmax3D(terms, nAz, nPol, azStep, polStep)
+	searchCounters.hier3D.Add(1)
+	return e.hierarchicalArgmax3D(terms, nAz, nPol, azStep, polStep)
 }
 
 // denseArgmax3D is the full parallel scan over the az × polar grid, chunked
@@ -441,88 +405,6 @@ func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOp
 	}
 	best.Azimuth = geom.NormalizeAngle(best.Azimuth)
 	return best
-}
-
-// prescreenArgmax implements SearchOptions.PrescreenTopK: one dense Q scan
-// over the uniform grid (2D when azCount == 0, az × polar rows otherwise),
-// then an R rescore of only the top-K Q cells. Ties in the rescore resolve
-// to the lowest index, matching the full scan's argmax rule.
-func (e *Evaluator) prescreenArgmax(terms termSlices, n int, step float64, azCount int, polBase, polStep float64, topK int) int {
-	out := make([]float64, n)
-	j := e.getJob()
-	j.terms = terms
-	j.kind = KindQ
-	j.n = n
-	j.step = step
-	j.out = out
-	if azCount > 0 {
-		j.chunk = azCount
-		j.azCount = azCount
-		j.polBase = polBase
-		j.polStep = polStep
-	} else {
-		j.chunk = chunkTarget
-	}
-	e.scanChunks(j)
-	e.putJob(j)
-	return e.rescoreTopK(terms, topKIndices(out, topK), step, azCount, polBase, polStep)
-}
-
-// rescoreTopK evaluates the full R formula at the given grid cells (indices
-// ascending) and returns the winner. The streaming Accumulator reuses this
-// for its prescreened finalize, so batch and streaming pick the same cell
-// from the same Q shortlist.
-func (e *Evaluator) rescoreTopK(terms termSlices, idxs []int, step float64, azCount int, polBase, polStep float64) int {
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	bestIdx, bestVal := idxs[0], math.Inf(-1)
-	for _, k := range idxs { // ascending index → lowest-index tie rule
-		phi := float64(k) * step
-		var gamma float64
-		if azCount > 0 {
-			phi = float64(k%azCount) * step
-			gamma = polBase + float64(k/azCount)*polStep
-		}
-		if v := e.evalTerms(terms, sc, phi, gamma); v > bestVal {
-			bestIdx, bestVal = k, v
-		}
-	}
-	return bestIdx
-}
-
-// topKIndices returns the indices of the k largest values, in ascending
-// index order. k is clamped to len(vals). Selection keeps a small
-// descending-by-value window (k is a few handfuls), so the pass over n
-// values is effectively linear.
-func topKIndices(vals []float64, k int) []int {
-	if k > len(vals) {
-		k = len(vals)
-	}
-	type iv struct {
-		idx int
-		val float64
-	}
-	top := make([]iv, 0, k)
-	for i, v := range vals {
-		if len(top) == k && v <= top[k-1].val {
-			continue
-		}
-		pos := len(top)
-		for pos > 0 && v > top[pos-1].val {
-			pos--
-		}
-		if len(top) < k {
-			top = append(top, iv{})
-		}
-		copy(top[pos+1:], top[pos:len(top)-1])
-		top[pos] = iv{i, v}
-	}
-	idxs := make([]int, len(top))
-	for i, t := range top {
-		idxs[i] = t.idx
-	}
-	sort.Ints(idxs)
-	return idxs
 }
 
 // clampPolar keeps a polar candidate inside [-π/2, π/2].

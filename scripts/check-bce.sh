@@ -3,7 +3,7 @@
 # loops (make vet-strict).
 #
 # The all-cells kernels in internal/spectrum/allcells.go (synthesizeComplex,
-# synthRowR, the Profile*Opt drivers) and the NUFFT kernels in
+# synthRowR, the Profile*Synth drivers) and the NUFFT kernels in
 # internal/spectrum/nufft.go (gridSynth, the spreadComplex/spreadMag halo
 # stencils, synthAtComplex) are written with explicit reslicing — the spread
 # loops lean on the halo padding to take constant-length stencil slices — so
