@@ -23,35 +23,10 @@ import (
 // streaming finalize) is sampled per row.
 const streamTailIters = 40
 
-// streamSnapCap subsamples the benchmark scenario to at most this many
-// snapshots per tag. It matches the coarse term limit the streaming
-// accumulator can serve peaks from: above it the batch coarse pass switches
-// to a strided term subset a streaming fold cannot reproduce, so the
-// accumulator itself falls back to batch and there is nothing to measure.
-const streamSnapCap = 64
-
 // streamItem is one replayable snapshot of the flattened session.
 type streamItem struct {
 	epc  tags.EPC
 	snap phase.Snapshot
-}
-
-// subsampleObs strides each tag's series down to at most cap snapshots.
-func subsampleObs(obs core.Observations, cap int) core.Observations {
-	out := make(core.Observations, len(obs))
-	for epc, snaps := range obs {
-		if len(snaps) <= cap {
-			out[epc] = snaps
-			continue
-		}
-		stride := (len(snaps) + cap - 1) / cap
-		kept := make([]phase.Snapshot, 0, cap)
-		for i := 0; i < len(snaps); i += stride {
-			kept = append(kept, snaps[i])
-		}
-		out[epc] = kept
-	}
-	return out
 }
 
 // flattenObs orders the whole session the way the wire would deliver it.
@@ -82,7 +57,9 @@ func streamBenchRows() ([]benchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs := subsampleObs(col.Obs, streamSnapCap)
+	// Subsample to the streaming limit: above it the accumulator itself
+	// falls back to the batch search, and there is nothing to measure.
+	obs := testbed.StreamableSession(col.Obs)
 	items := flattenObs(obs)
 
 	kinds := []struct {

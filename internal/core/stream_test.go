@@ -38,25 +38,6 @@ func replay(obs core.Observations) func(sink func(tags.EPC, phase.Snapshot)) (co
 	}
 }
 
-// streamLimit is the longest per-tag session a spectrum.Accumulator serves
-// from its streamed sums (its coarse-term limit); past it the finalize runs
-// the batch search and the Stream counts the tag as a fallback.
-const streamLimit = 64
-
-// shortSession strides each tag's series down to at most streamLimit
-// snapshots, keeping the whole spin period covered, so every tag can
-// finalize from streamed sums.
-func shortSession(obs core.Observations) core.Observations {
-	out := make(core.Observations, len(obs))
-	for epc, snaps := range obs {
-		stride := (len(snaps) + streamLimit - 1) / streamLimit
-		for i := 0; i < len(snaps); i += stride {
-			out[epc] = append(out[epc], snaps[i])
-		}
-	}
-	return out
-}
-
 // collectScenario builds a collected, calibrated 2D scenario at full length.
 func collectScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observations) {
 	t.Helper()
@@ -79,7 +60,7 @@ func collectScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observa
 func streamScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observations) {
 	t.Helper()
 	registered, obs := collectScenario(t, seed)
-	return registered, shortSession(obs)
+	return registered, testbed.StreamableSession(obs)
 }
 
 // TestStreamLocate2DMatchesBatch checks the headline equivalence: a streamed
@@ -180,7 +161,7 @@ func TestStreamLocate3DMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			obs := shortSession(col.Obs)
+			obs := testbed.StreamableSession(col.Obs)
 			loc := core.NewLocator(core.Config{FastSpectrum: fast})
 			want, err := loc.Locate3D(registered, obs)
 			if err != nil {
@@ -206,14 +187,14 @@ func TestStreamLocate3DMatchesBatch(t *testing.T) {
 }
 
 // TestStreamLongSessionCountsFallbacks runs a full-length session (more
-// than streamLimit reads per tag): every accumulator finalizes through the
+// than testbed.StreamLimit reads per tag): every accumulator finalizes through the
 // batch search, so the Stream must count every tag as a fallback — not as
 // streamed — while still returning the batch answer.
 func TestStreamLongSessionCountsFallbacks(t *testing.T) {
 	registered, obs := collectScenario(t, 42)
 	for epc, snaps := range obs {
-		if len(snaps) <= streamLimit {
-			t.Fatalf("tag %s has %d reads, want > %d", epc, len(snaps), streamLimit)
+		if len(snaps) <= testbed.StreamLimit {
+			t.Fatalf("tag %s has %d reads, want > %d", epc, len(snaps), testbed.StreamLimit)
 		}
 	}
 	loc := core.NewLocator(core.Config{})

@@ -46,24 +46,6 @@ func streamFixture(t *testing.T) (*registry.Registry, core.Observations, geom.Ve
 	return reg, col.Obs, target
 }
 
-// streamLimit is the longest per-tag session a spectrum.Accumulator serves
-// from its streamed sums; past it the finalize runs the batch search and
-// the tag counts as a stream fallback.
-const streamLimit = 64
-
-// shortObs strides each tag's series down to at most streamLimit reads,
-// keeping the whole spin period covered, so every tag streams.
-func shortObs(obs core.Observations) core.Observations {
-	out := make(core.Observations, len(obs))
-	for epc, snaps := range obs {
-		stride := (len(snaps) + streamLimit - 1) / streamLimit
-		for i := 0; i < len(snaps); i += stride {
-			out[epc] = append(out[epc], snaps[i])
-		}
-	}
-	return out
-}
-
 // streamObs feeds obs to sink in global time order, as a live session would.
 func streamObs(obs core.Observations, sink client.ReportFunc) {
 	type item struct {
@@ -97,7 +79,7 @@ func locateBody(t *testing.T, resp *http.Response) locsrv.LocateResponse {
 // short enough for every tag to stream.
 func TestLocateStreamingEndpoint(t *testing.T) {
 	reg, obs, _ := streamFixture(t)
-	obs = shortObs(obs)
+	obs = testbed.StreamableSession(obs)
 	srv, err := locsrv.New(locsrv.Config{
 		Registry: reg,
 		CollectStream: func(_ context.Context, _ string, _ client.Config, start func() client.ReportFunc) (core.Observations, error) {
@@ -158,9 +140,12 @@ func TestLocateStreamingEndpoint(t *testing.T) {
 // TestLocateStreamingRetryResets simulates a transient collection failure:
 // the collector streams a disordered partial prefix, fails, and retries with
 // a fresh sink. The retry's reset must discard the poisoned prefix so every
-// tag still streams cleanly.
+// tag still streams cleanly: the session is short enough to stream, so a
+// tag left poisoned would fall back to the batch search and show up in
+// StreamFallbackTags.
 func TestLocateStreamingRetryResets(t *testing.T) {
-	reg, obs, target := streamFixture(t)
+	reg, full, target := streamFixture(t)
+	obs := testbed.StreamableSession(full)
 	attempts := 0
 	srv, err := locsrv.New(locsrv.Config{
 		Registry: reg,
@@ -173,7 +158,7 @@ func TestLocateStreamingRetryResets(t *testing.T) {
 					sink(epc, snaps[i])
 				}
 			}
-			// Attempt 2: fresh sink, clean full session.
+			// Attempt 2: fresh sink, clean session.
 			sink = start()
 			attempts++
 			streamObs(obs, sink)
@@ -190,20 +175,36 @@ func TestLocateStreamingRetryResets(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	out := locateBody(t, resp)
-	if e := geom.V2(out.Position[0], out.Position[1]).DistanceTo(target.XY()); e > 0.15 {
-		t.Errorf("2D error %.1f cm", e*100)
-	}
+	locateBody(t, resp)
 	if attempts != 2 {
 		t.Errorf("attempts = %d, want 2", attempts)
 	}
-	// The full-length session is past streamLimit, so each tag finalizes
-	// through the batch search and counts as a fallback; that the reset
-	// leaves no poisoned accumulator behind is pinned on a short session by
-	// core's TestStreamResetDiscardsState.
-	if st := srv.Stats(); st.StreamLocates != 1 || st.StreamFallbackTags != uint64(len(obs)) {
-		t.Errorf("StreamLocates = %d, StreamFallbackTags = %d, want 1 and %d",
-			st.StreamLocates, st.StreamFallbackTags, len(obs))
+	if st := srv.Stats(); st.StreamLocates != 1 || st.StreamFallbackTags != 0 {
+		t.Errorf("StreamLocates = %d, StreamFallbackTags = %d, want 1 and 0",
+			st.StreamLocates, st.StreamFallbackTags)
+	}
+
+	// The strided session trades accuracy for streaming; the full-length
+	// session, located in batch, lands within 15 cm.
+	batch, err := locsrv.New(locsrv.Config{
+		Registry:         reg,
+		DisableStreaming: true,
+		Collect: func(context.Context, string, client.Config) (core.Observations, error) {
+			return full, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsBatch := httptest.NewServer(batch.Handler())
+	defer tsBatch.Close()
+	resp = postJSON(t, tsBatch.URL+"/v1/locate", locsrv.LocateRequest{ReaderAddr: "reader:5084"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d", resp.StatusCode)
+	}
+	out := locateBody(t, resp)
+	if e := geom.V2(out.Position[0], out.Position[1]).DistanceTo(target.XY()); e > 0.15 {
+		t.Errorf("2D error %.1f cm", e*100)
 	}
 }
 

@@ -29,7 +29,7 @@ const chunkTarget = 64
 // handful of multiply-adds per snapshot instead of a cosine, and no heap
 // allocation at all: the residual/aperture buffers the R profile needs live
 // in a caller-owned Scratch (grid scans draw theirs from an internal
-// sync.Pool, so steady-state scans allocate nothing either).
+// free list, so steady-state scans allocate nothing either).
 //
 // Two trig paths exist. The default exact path uses math.Sincos everywhere
 // and is bit-identical to a naive serial evaluation — equivalence tests pin
@@ -59,9 +59,9 @@ type Evaluator struct {
 	wNorm    float64
 	wInv2Sig float64
 
-	scratchPool sync.Pool // *Scratch, reused across grid scans and peak searches
-	bestsPool   sync.Pool // *[]maxEntry, reused across argmax reductions
-	jobPool     sync.Pool // *scanJob, reused across grid scans
+	scratches scratchList // reused across grid scans and peak searches
+	bestsPool sync.Pool   // *[]maxEntry, reused across argmax reductions
+	jobPool   sync.Pool   // *scanJob, reused across grid scans
 }
 
 // EvalOption configures an Evaluator at construction.
@@ -159,18 +159,68 @@ func (sc *Scratch) ensureRow(n int) {
 	sc.row = sc.row[:n]
 }
 
-// getScratch draws a Scratch from the pool (allocating only when the pool
-// is empty); putScratch returns it. Grid scans and peak searches route all
-// their transient state through this pair, which is what makes whole
-// Profile2D/FindPeak calls allocation-free in steady state.
-func (e *Evaluator) getScratch() *Scratch {
-	if sc, ok := e.scratchPool.Get().(*Scratch); ok {
-		return sc
-	}
-	return e.NewScratch()
+// scratchList is an Evaluator's Scratch free list. It is a mutex-guarded
+// stack rather than a sync.Pool: a pool parks items per P and drops them at
+// GC, so whether a pool worker finds a warm Scratch would depend on
+// scheduling. The list never drops a Scratch and keeps every free one as
+// wide as the widest row any Scratch has served, so once a scan shape has
+// run, its chunks draw warm scratches whichever goroutine runs them.
+type scratchList struct {
+	mu    sync.Mutex
+	free  []*Scratch
+	made  int // scratches created so far
+	width int // widest row served; every free Scratch holds rows this wide
 }
 
-func (e *Evaluator) putScratch(sc *Scratch) { e.scratchPool.Put(sc) }
+// getScratch draws a Scratch from the free list (allocating only when every
+// Scratch made so far is in use); putScratch returns it. Grid scans and
+// peak searches route all their transient state through this pair, which
+// is what makes whole Profile2D/FindPeak calls allocation-free in steady
+// state.
+func (e *Evaluator) getScratch() *Scratch {
+	l := &e.scratches
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		sc := l.free[n-1]
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return sc
+	}
+	l.made++
+	width := l.width
+	l.mu.Unlock()
+	sc := e.NewScratch()
+	sc.ensureRow(width)
+	return sc
+}
+
+func (e *Evaluator) putScratch(sc *Scratch) {
+	l := &e.scratches
+	l.mu.Lock()
+	if w := cap(sc.row); w > l.width {
+		l.width = w
+		for _, f := range l.free {
+			f.ensureRow(w)
+		}
+	} else {
+		sc.ensureRow(l.width)
+	}
+	l.free = append(l.free, sc)
+	l.mu.Unlock()
+}
+
+// reserveScratch makes sure at least n scratches exist, so a scan fanned
+// out over n goroutines never creates one mid-scan.
+func (e *Evaluator) reserveScratch(n int) {
+	l := &e.scratches
+	l.mu.Lock()
+	for ; l.made < n; l.made++ {
+		sc := e.NewScratch()
+		sc.ensureRow(l.width)
+		l.free = append(l.free, sc)
+	}
+	l.mu.Unlock()
+}
 
 // EvalAt computes the configured power formula at candidate direction
 // (phi, gamma) over the full snapshot set; gamma = 0 reduces Eqn. 11/12 to
@@ -446,7 +496,7 @@ func (j *scanJob) reduceChunk(sc *Scratch, lo, hi int) {
 
 // RunChunk implements sched.Chunked: execute one claimed chunk of the scan
 // on a pooled Scratch. It runs on shared-pool workers and the submitting
-// goroutine alike; the scratch pool is internally synchronized and every
+// goroutine alike; the scratch list is internally synchronized and every
 // chunk writes a disjoint slice of the job's output, so no further locking
 // is needed.
 func (j *scanJob) RunChunk(lo, hi int) {
@@ -490,6 +540,9 @@ func (e *Evaluator) scanChunks(j *scanJob) {
 		e.putScratch(sc)
 		return
 	}
+	// The submitting goroutine runs chunks alongside the pool's workers,
+	// each goroutine one chunk at a time.
+	e.reserveScratch(min(sched.Workers()+1, nChunks))
 	// Background context: scans are short (a request's cancellation is
 	// checked between pipeline passes in core), and an uncancelable submit
 	// keeps this path allocation-free.

@@ -264,15 +264,8 @@ func TestNoRefineCoarseOnly(t *testing.T) {
 
 // TestFindPeakEvalZeroAllocs pins the pooled steady state: with a prebuilt
 // Evaluator, whole peak searches and Profile2DInto scans allocate nothing.
-// The measurement runs on the serial path with the compute pool pinned to
-// one worker. testing.AllocsPerRun drops GOMAXPROCS to 1 but leaves the
-// pool's width alone, so at the default width the scans still fan out to
-// pool workers interleaved on one P: whether a run needs a second Scratch
-// then depends on goroutine scheduling, and a run that does draws one the
-// warm-up never created (NewScratch) or never grew to the widest row
-// (ensureRow) — the allocations the assertion would catch are scheduling
-// noise, not steady-state cost. The parallel path reuses the same pooled
-// scratches and is covered by the benchmarks.
+// The measurement runs at the default pool width, so chunks fan out to the
+// compute pool's workers and every Scratch they draw must already be warm.
 func TestFindPeakEvalZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are pinned in the non-race run")
@@ -280,37 +273,35 @@ func TestFindPeakEvalZeroAllocs(t *testing.T) {
 	p := testParams()
 	snaps := synth(p, geom.V3(-2.0, 0.7, 0.3), 120, 0.5, 0, nil)
 	angles := UniformAngles(360)
-	withPoolWidth(t, 1, func() {
-		for _, kind := range []Kind{KindQ, KindR} {
-			for _, fast := range []bool{false, true} {
-				var opts []EvalOption
-				if fast {
-					opts = append(opts, WithFastTrig())
-				}
-				ev, err := NewEvaluator(snaps, p, kind, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var prof Profile
-				// Warm the pools and the Into buffers once.
-				ev.Profile2DInto(&prof, angles)
-				FindPeak2DEval(ev, SearchOptions{})
-				FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: geom.Radians(6)})
+	for _, kind := range []Kind{KindQ, KindR} {
+		for _, fast := range []bool{false, true} {
+			var opts []EvalOption
+			if fast {
+				opts = append(opts, WithFastTrig())
+			}
+			ev, err := NewEvaluator(snaps, p, kind, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prof Profile
+			// Warm the pools and the Into buffers once.
+			ev.Profile2DInto(&prof, angles)
+			FindPeak2DEval(ev, SearchOptions{})
+			FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: geom.Radians(6)})
 
-				if a := testing.AllocsPerRun(20, func() { ev.Profile2DInto(&prof, angles) }); a != 0 {
-					t.Errorf("%v fast=%v: Profile2DInto allocates %v/op, want 0", kind, fast, a)
-				}
-				if a := testing.AllocsPerRun(10, func() { FindPeak2DEval(ev, SearchOptions{}) }); a != 0 {
-					t.Errorf("%v fast=%v: FindPeak2DEval allocates %v/op, want 0", kind, fast, a)
-				}
-				if a := testing.AllocsPerRun(3, func() {
-					FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: geom.Radians(6)})
-				}); a != 0 {
-					t.Errorf("%v fast=%v: FindPeak3DEval allocates %v/op, want 0", kind, fast, a)
-				}
+			if a := testing.AllocsPerRun(20, func() { ev.Profile2DInto(&prof, angles) }); a != 0 {
+				t.Errorf("%v fast=%v: Profile2DInto allocates %v/op, want 0", kind, fast, a)
+			}
+			if a := testing.AllocsPerRun(10, func() { FindPeak2DEval(ev, SearchOptions{}) }); a != 0 {
+				t.Errorf("%v fast=%v: FindPeak2DEval allocates %v/op, want 0", kind, fast, a)
+			}
+			if a := testing.AllocsPerRun(3, func() {
+				FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: geom.Radians(6)})
+			}); a != 0 {
+				t.Errorf("%v fast=%v: FindPeak3DEval allocates %v/op, want 0", kind, fast, a)
 			}
 		}
-	})
+	}
 }
 
 // --- fast-path micro-benchmarks (the exact-path set lives in

@@ -325,30 +325,27 @@ func (o SearchOptions) grid3D() (azStep, polStep float64, nAz, nPol int) {
 // scores the strided snapshot subset (≤64) over the az × polar grid, and
 // the refinement rounds use the full set.
 func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
-	return ev.findPeak3D(opts, false)
+	azStep, polStep, nAz, nPol := opts.grid3D()
+	idx := ev.coarseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep)
+	best := Peak3D{
+		Azimuth: float64(idx%nAz) * azStep,
+		Polar:   -math.Pi/2 + float64(idx/nAz)*polStep,
+	}
+	return ev.refine3D(best, azStep, polStep, opts)
 }
 
 // FindPeak3DDense is FindPeak3DEval with the coarse pass on the dense
 // per-cell scan — the hierarchical scanner's reference, like
 // FindPeak2DDense.
 func FindPeak3DDense(ev *Evaluator, opts SearchOptions) Peak3D {
-	searchCounters.dense3D.Add(1)
-	return ev.findPeak3D(opts, true)
-}
-
-func (e *Evaluator) findPeak3D(opts SearchOptions, dense bool) Peak3D {
 	azStep, polStep, nAz, nPol := opts.grid3D()
-	var idx int
-	if dense {
-		idx = e.denseArgmax3D(e.coarse, nAz, nPol, azStep, polStep)
-	} else {
-		idx = e.coarseArgmax3D(e.coarse, nAz, nPol, azStep, polStep)
-	}
+	searchCounters.dense3D.Add(1)
+	idx := ev.denseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep)
 	best := Peak3D{
 		Azimuth: float64(idx%nAz) * azStep,
 		Polar:   -math.Pi/2 + float64(idx/nAz)*polStep,
 	}
-	return e.refine3D(best, azStep, polStep, opts)
+	return ev.refine3D(best, azStep, polStep, opts)
 }
 
 // coarseArgmax3D is coarseArgmax2D over the az × polar grid. KindQ runs the

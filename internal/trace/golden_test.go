@@ -9,8 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
-	"time"
 
 	"github.com/tagspin/tagspin/internal/channel"
 	"github.com/tagspin/tagspin/internal/core"
@@ -125,7 +125,7 @@ func (s goldenSession) record(t *testing.T) {
 }
 
 // load reads the session's trace back into pipeline inputs.
-func (s goldenSession) load(t *testing.T) ([]core.SpinningTag, core.Observations, *trace.Trace) {
+func (s goldenSession) load(t *testing.T) ([]core.SpinningTag, core.Observations) {
 	t.Helper()
 	tr, err := trace.Load(s.path())
 	if err != nil {
@@ -139,7 +139,7 @@ func (s goldenSession) load(t *testing.T) ([]core.SpinningTag, core.Observations
 	if err != nil {
 		t.Fatal(err)
 	}
-	return registered, obs, tr
+	return registered, obs
 }
 
 func bearingsOf(ests []core.TagEstimate) []goldenBearing {
@@ -186,37 +186,67 @@ func (s goldenSession) answer(t *testing.T, registered []core.SpinningTag, obs c
 	}
 }
 
-// replay feeds the trace's records to sink in file (time) order, the way a
-// reader's reports arrive, and returns the complete observations.
-func replay(tr *trace.Trace, obs core.Observations, sink func(tags.EPC, phase.Snapshot)) (core.Observations, error) {
-	for _, r := range tr.Records {
-		epc, err := tags.ParseEPC(r.EPC)
-		if err != nil {
-			return nil, err
-		}
-		sink(epc, phase.Snapshot{
-			Time:        time.Duration(r.TimeMicros) * time.Microsecond,
-			Phase:       r.PhaseRad,
-			RSSIdBm:     r.RSSIdBm,
-			FrequencyHz: r.FrequencyHz,
-			AntennaID:   r.AntennaID,
-		})
+// streamMatchesBatch replays obs into a fresh Stream in global time order,
+// the way a reader's reports arrive, checks that the streamed finalize
+// equals the batch locate, and returns the stream's counters.
+func streamMatchesBatch(t *testing.T, threeD bool, registered []core.SpinningTag, obs core.Observations) core.StreamStats {
+	t.Helper()
+	type item struct {
+		epc  tags.EPC
+		snap phase.Snapshot
 	}
-	return obs, nil
+	var items []item
+	for epc, snaps := range obs {
+		for _, sn := range snaps {
+			items = append(items, item{epc, sn})
+		}
+	}
+	sort.SliceStable(items, func(i, j int) bool { return items[i].snap.Time < items[j].snap.Time })
+
+	loc := core.NewLocator(core.Config{})
+	var st *core.Stream
+	if threeD {
+		st = loc.NewStream3D(registered)
+	} else {
+		st = loc.NewStream2D(registered)
+	}
+	defer st.Close()
+	for _, it := range items {
+		st.Report(it.epc, it.snap)
+	}
+	var got, want any
+	var err error
+	if threeD {
+		if got, err = st.Finalize3D(context.Background(), obs); err == nil {
+			want, err = loc.Locate3D(registered, obs)
+		}
+	} else {
+		if got, err = st.Finalize2D(context.Background(), obs); err == nil {
+			want, err = loc.Locate2D(registered, obs)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("streamed result differs from batch:\n got %+v\nwant %+v", got, want)
+	}
+	return st.Stats()
 }
 
 // TestGoldenTraces pins the answers of committed simulator sessions: the
 // grid backend's position and every fused bearing bit for bit, the ML
 // backend's position within goldenMLTol, and the streaming locate equal to
-// the batch one on every trace. A coarse-search refactor that moves any
-// answer fails here.
+// the batch one on every trace, both at full length (batch fallback) and
+// strided to testbed.StreamLimit reads per tag (streamed finalize). A
+// coarse-search refactor that moves any answer fails here.
 func TestGoldenTraces(t *testing.T) {
 	expPath := filepath.Join(goldenDir, "expected.json")
 	if *update {
 		want := map[string]goldenAnswer{}
 		for _, s := range goldenSessions {
 			s.record(t)
-			registered, obs, _ := s.load(t)
+			registered, obs := s.load(t)
 			want[s.name] = s.answer(t, registered, obs)
 		}
 		data, err := json.MarshalIndent(want, "", "  ")
@@ -245,7 +275,7 @@ func TestGoldenTraces(t *testing.T) {
 			if !ok {
 				t.Fatalf("no expected answer for %s", s.name)
 			}
-			registered, obs, tr := s.load(t)
+			registered, obs := s.load(t)
 			for epc, snaps := range obs {
 				if len(snaps) < 288 {
 					t.Errorf("tag %s has %d reads, want ≥288", epc, len(snaps))
@@ -267,34 +297,15 @@ func TestGoldenTraces(t *testing.T) {
 				}
 			}
 
-			loc := core.NewLocator(core.Config{})
-			collect := func(sink func(tags.EPC, phase.Snapshot)) (core.Observations, error) {
-				return replay(tr, obs, sink)
+			// At real length every tag is past the streaming limit and its
+			// accumulator runs the batch search; strided down to the limit,
+			// every tag finalizes from the streamed sums.
+			n := int64(len(obs))
+			if st := streamMatchesBatch(t, s.threeD, registered, obs); st.StreamedTags != 0 || st.FallbackTags != n {
+				t.Errorf("full session: %+v, want all %d tags counted as fallbacks", st, n)
 			}
-			if s.threeD {
-				batch, err := loc.Locate3D(registered, obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				streamed, err := loc.Locate3DStream(context.Background(), registered, collect)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(streamed, batch) {
-					t.Errorf("streamed 3D result differs from batch:\n got %+v\nwant %+v", streamed, batch)
-				}
-				return
-			}
-			batch, err := loc.Locate2D(registered, obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed, err := loc.Locate2DStream(context.Background(), registered, collect)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(streamed, batch) {
-				t.Errorf("streamed 2D result differs from batch:\n got %+v\nwant %+v", streamed, batch)
+			if st := streamMatchesBatch(t, s.threeD, registered, testbed.StreamableSession(obs)); st.StreamedTags != n || st.FallbackTags != 0 {
+				t.Errorf("strided session: %+v, want all %d tags streamed", st, n)
 			}
 		})
 	}
