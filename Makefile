@@ -76,8 +76,9 @@ bench-stream:
 
 # bench-sublin is bench-json under its sub-linear-search name: the schema-8
 # report is where the SubLinLocate2D/3D rows (≥5x 2D floor), the
-# SubLinLocateR row (≥4x floor) and the AllCellsProfile rows (≥3x floor on
-# the 2D/Q pair) live.
+# SubLinLocateR row (≥4x floor), the SubLinLocateR3D row (≥4x floor,
+# checked by bench-compare) and the AllCellsProfile rows (≥3x floor on the
+# 2D/Q pair) live.
 bench-sublin:
 	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
 

@@ -36,10 +36,12 @@ import (
 // (Profile2DIntoSynth/Profile3DSynth), the AllCells 2D/Q pair gated at
 // allCellsMinSpeedup. Version 6 added the sub-linear coarse-scan rows —
 // Locate2D/SubLinLocate2D and Locate3D/SubLinLocate3D, coarse-only peak
-// searches pairing each dense grid scan with its harmonic/hierarchical
+// searches pairing each dense grid scan with its harmonic synthesis
 // replacement, the SubLin rows carrying speedupVsBatch against their dense
-// baseline — plus the estimator-backend load A/B (LoadLocate2D/ml/K=<k>
-// next to the schema-3 LoadLocate2D/K=<k> rows). Version 5 added the
+// baseline (schema-8 reports add the KindR 3D pair LocateR3D /
+// SubLinLocateR3D, whose floor only bench-compare checks) — plus the
+// estimator-backend load A/B (LoadLocate2D/ml/K=<k> next to the schema-3
+// LoadLocate2D/K=<k> rows). Version 5 added the
 // solve-backend A/B rows — MLLocate2D/{grid,ml}
 // and MLLocate3D/{grid,ml}, full Locate calls through the bearing-grid and
 // joint maximum-likelihood estimators over identical observations, each
@@ -93,7 +95,8 @@ type benchResult struct {
 	PlanCacheHitRate float64 `json:"planCacheHitRate,omitempty"`
 	// SpeedupVsBatch is how many times lower this row's latency is than its
 	// paired batch/dense row (schema 4+ StreamLocate2D/*/stream rows;
-	// schema 6+ SubLinLocate2D/3D rows, against Locate2D/3D; schema 7+
+	// schema 6+ SubLinLocate2D/3D rows, against Locate2D/3D, and
+	// SubLinLocateR3D against LocateR3D; schema 7+
 	// SubLinLocateR and AllCellsProfile2D/3D rows, against their Dense pair).
 	SpeedupVsBatch float64 `json:"speedupVsBatch,omitempty"`
 	// MeanErrM is the mean localization error in meters over the row's

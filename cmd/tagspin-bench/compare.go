@@ -74,9 +74,10 @@ func readBenchReport(path string) (benchReport, error) {
 
 // speedupFloors maps ratio-carrying rows to the minimum speedupVsBatch the
 // compare accepts; the same constants the row generators enforce at
-// measurement time.
+// measurement time (SubLinLocateR3D's floor is checked here only).
 var speedupFloors = map[string]float64{
 	"SubLinLocate2D":      subLinMinSpeedup,
+	"SubLinLocateR3D":     subLinR3DMinSpeedup,
 	"SubLinLocateR":       subLinRMinSpeedup,
 	"AllCellsProfile2D/Q": allCellsMinSpeedup,
 	"NUFFTLocate2D":       nufftMinSpeedup,

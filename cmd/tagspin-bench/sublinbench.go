@@ -20,17 +20,25 @@ import (
 // a regression either).
 const subLinMinSpeedup = 5.0
 
+// subLinR3DMinSpeedup is the floor for the KindR 3D coarse scan: per-row
+// synthesis against the dense az × polar R scan. Unlike subLinMinSpeedup it
+// is checked only by bench-compare on recorded snapshots, not at row
+// generation.
+const subLinR3DMinSpeedup = 4.0
+
 // subLinBenchRows measures the sub-linear coarse-scan paths against their
-// dense baselines (schema 6). All four rows are coarse-only searches
-// (NoRefine) on a prebuilt KindQ evaluator, so the ratio isolates exactly
-// the grid scan the hierarchical/harmonic machinery replaces:
+// dense baselines (schema 6). Every row is a coarse-only search (NoRefine)
+// on a prebuilt evaluator, so the ratio isolates exactly the grid scan the
+// harmonic synthesis replaces:
 //
-//   - Locate2D: the dense 720-cell azimuth scan (FindPeak2DDense).
+//   - Locate2D: the dense 720-cell azimuth scan (FindPeak2DDense), KindQ.
 //   - SubLinLocate2D: the harmonic route (fold, synthesize, exact rescore),
 //     carrying speedupVsBatch against Locate2D.
-//   - Locate3D: the dense az × polar scan (FindPeak3DDense).
-//   - SubLinLocate3D: the hierarchical lattice scanner, carrying
+//   - Locate3D: the dense az × polar scan (FindPeak3DDense), KindQ.
+//   - SubLinLocate3D: per-row synthesis (FindPeak3DEval), carrying
 //     speedupVsBatch against Locate3D.
+//   - LocateR3D / SubLinLocateR3D: the same 3D pair on a KindR evaluator,
+//     the SubLin row gated at subLinR3DMinSpeedup by bench-compare.
 func subLinBenchRows() ([]benchResult, error) {
 	rng := rand.New(rand.NewSource(13))
 	sc := testbed.DefaultScenario(0, rng)
@@ -47,6 +55,10 @@ func subLinBenchRows() ([]benchResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	evR, err := spectrum.NewEvaluator(snaps, params, spectrum.KindR)
+	if err != nil {
+		return nil, err
+	}
 
 	opts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
 
@@ -57,8 +69,10 @@ func subLinBenchRows() ([]benchResult, error) {
 	if gotAz, gotPow := spectrum.FindPeak2DEval(ev, opts); gotAz != wantAz || gotPow != wantPow {
 		return nil, fmt.Errorf("sublin bench: 2D sub-linear peak (%v, %v) != dense (%v, %v)", gotAz, gotPow, wantAz, wantPow)
 	}
-	if got, want := spectrum.FindPeak3DEval(ev, opts), spectrum.FindPeak3DDense(ev, opts); got != want {
-		return nil, fmt.Errorf("sublin bench: 3D sub-linear peak %+v != dense %+v", got, want)
+	for _, e := range []*spectrum.Evaluator{ev, evR} {
+		if got, want := spectrum.FindPeak3DEval(e, opts), spectrum.FindPeak3DDense(e, opts); got != want {
+			return nil, fmt.Errorf("sublin bench: 3D sub-linear peak %+v != dense %+v", got, want)
+		}
 	}
 
 	var sink float64
@@ -73,7 +87,7 @@ func subLinBenchRows() ([]benchResult, error) {
 			}
 		}
 	}
-	peak3D := func(find func(*spectrum.Evaluator, spectrum.SearchOptions) spectrum.Peak3D) func(b *testing.B) {
+	peak3D := func(ev *spectrum.Evaluator, find func(*spectrum.Evaluator, spectrum.SearchOptions) spectrum.Peak3D) func(b *testing.B) {
 		return func(b *testing.B) {
 			find(ev, opts)
 			b.ReportAllocs()
@@ -92,8 +106,10 @@ func subLinBenchRows() ([]benchResult, error) {
 	}{
 		{"Locate2D", "dense/exact", peak2D(spectrum.FindPeak2DDense)},
 		{"SubLinLocate2D", "harmonic/exact", peak2D(spectrum.FindPeak2DEval)},
-		{"Locate3D", "dense/exact", peak3D(spectrum.FindPeak3DDense)},
-		{"SubLinLocate3D", "hierarchical/exact", peak3D(spectrum.FindPeak3DEval)},
+		{"Locate3D", "dense/exact", peak3D(ev, spectrum.FindPeak3DDense)},
+		{"SubLinLocate3D", "synth/exact", peak3D(ev, spectrum.FindPeak3DEval)},
+		{"LocateR3D", "dense/exact", peak3D(evR, spectrum.FindPeak3DDense)},
+		{"SubLinLocateR3D", "synth/exact", peak3D(evR, spectrum.FindPeak3DEval)},
 	}
 	procs := runtime.GOMAXPROCS(0)
 	rows := make([]benchResult, 0, len(cases))
@@ -113,6 +129,7 @@ func subLinBenchRows() ([]benchResult, error) {
 	// Pair each SubLin row with its dense baseline measured just before it.
 	rows[1].SpeedupVsBatch = rows[0].NsPerOp / rows[1].NsPerOp
 	rows[3].SpeedupVsBatch = rows[2].NsPerOp / rows[3].NsPerOp
+	rows[5].SpeedupVsBatch = rows[4].NsPerOp / rows[5].NsPerOp
 	for _, r := range rows {
 		extra := ""
 		if r.SpeedupVsBatch > 0 {

@@ -306,9 +306,10 @@ type Stats struct {
 	FinalizeCount   uint64
 	FinalizeNsTotal int64
 	// SpectrumSearch is the process-wide coarse-search routing tally —
-	// which route (harmonic Q/R or NUFFT synthesis, hierarchical, dense,
-	// all-cells profile synthesis) actually served the scans behind this
-	// server's locates. A fleet dashboard that sees Dense2D climbing while
+	// which route (harmonic Q/R synthesis in 2D and 3D, NUFFT synthesis,
+	// the dense oracle, all-cells profile synthesis) actually served the
+	// scans behind this server's locates; the tagspin_spectrum_search
+	// expvar publishes the same fields under the same keys. A fleet dashboard that sees Dense2D climbing while
 	// HarmonicR2D stays flat is watching a routing regression, not a load
 	// change.
 	SpectrumSearch spectrum.SearchStats

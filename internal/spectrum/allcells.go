@@ -406,6 +406,130 @@ func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int
 	return idx
 }
 
+// polarMirrorTol is how far from zero γ_r + γ_{nPol−1−r} may sit for
+// harmonicArgmax3D to serve both polar rows from one synthesis. Only cos γ
+// enters the profile, so a symmetric lattice's mirror rows differ by
+// |Δcos γ| ≤ polarMirrorTol + 2 ulp; the default grids land at ≤ 4.4e-16.
+const polarMirrorTol = 1e-14
+
+// harmonicArgmax3D is coarseArgmax3D's route for both kinds over the
+// row-major nAz × nPol grid (φ_a = a·azStep, γ_r = −π/2 + r·polStep). Each
+// polar row is the 2D problem with the aperture scaled by cos γ_r: fold the
+// harmonic coefficients at that cos γ, synthesize the row (Q magnitudes, or
+// the two-pass R kernel with the coarse kernels), and shortlist every cell
+// within the kind's window of the running synthesized maximum — 2·
+// harmonicSlack for Q, 2·(rSlack + rCoarseRel·wNorm) for R, as in 2D. When
+// the lattice is symmetric (γ_r + γ_m within polarMirrorTol, m = nPol−1−r)
+// row m reuses row r's synthesis: both rows score the same cos γ up to a
+// few ulp, which moves every aperture phase by ≲ z·1e-14 rad — far inside
+// either slack. The exception is an R cell under the μ̂ guard, whose robust
+// mean is ill-conditioned; row m re-evaluates those cells densely at its
+// own γ. The shortlist is then exact-rescored with the dense per-cell
+// arithmetic (evalGridCell) under the lowest-index tie rule, so the
+// returned cell is the dense scan's bit for bit. Rows run serially, like
+// the 2D routes: the per-tag callers supply the parallelism, and no buffer
+// spans the grid.
+func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
+	hs := harmPool.Get().(*harmonicScratch)
+	if cap(hs.vals) < nAz {
+		hs.vals = make([]float64, nAz)
+	}
+	vals := hs.vals[:nAz]
+	sc, one := e.getScratch(), e.getScratch()
+	one.ensureRow(1)
+	e.fillUniformTrig(sc, 0, nAz, azStep)
+	sinPhi, cosPhi := sc.sinPhi[:nAz], sc.cosPhi[:nAz]
+	window := 2 * harmonicSlack
+	if e.kind == KindR {
+		window = 2 * (rSlack + rCoarseRel*e.wNorm)
+	}
+	list, maxV := hs.shortlist[:0], math.Inf(-1)
+	for r := 0; r < nPol; r++ {
+		m := nPol - 1 - r
+		gamma := -math.Pi/2 + float64(r)*polStep
+		gammaM := -math.Pi/2 + float64(m)*polStep
+		mirror := m != r && math.Abs(gamma+gammaM) <= polarMirrorTol
+		if mirror && m < r {
+			continue // served with row m
+		}
+		cg := math.Cos(gamma)
+		foldTermsHarmonic(hs, terms, cg)
+		if e.kind == KindR {
+			e.synthRowR(terms, &hs.coeffs, sc, cg, sinPhi, cosPhi, vals, true)
+		} else {
+			hs.coeffs.synthesize(vals, sinPhi, cosPhi)
+		}
+		list, maxV = shortlistRow(list, vals, r*nAz, maxV, window)
+		if !mirror {
+			continue
+		}
+		if e.kind == KindR && !e.literalRef {
+			// synthRowR leaves the row's normalized Ŝ in sumRe/sumIm.
+			qRe, qIm := sc.sumRe[:nAz], sc.sumIm[:nAz]
+			for k, re := range qRe {
+				if im := qIm[k]; re*re+im*im < muGuardFrac*muGuardFrac {
+					vals[k] = e.evalGridCell(terms, one, sinPhi[k], cosPhi[k], gammaM)
+				}
+			}
+		}
+		list, maxV = shortlistRow(list, vals, m*nAz, maxV, window)
+	}
+	best, bestV := 0, math.Inf(-1)
+	for _, c := range list {
+		a, r := uint(c.idx)%uint(len(sinPhi)), c.idx/nAz
+		v := e.evalGridCell(terms, one, sinPhi[a], cosPhi[a], -math.Pi/2+float64(r)*polStep)
+		if v > bestV || v == bestV && c.idx < best { // lowest-index tie rule
+			best, bestV = c.idx, v
+		}
+	}
+	e.putScratch(one)
+	e.putScratch(sc)
+	hs.shortlist = list
+	harmPool.Put(hs)
+	return best
+}
+
+// evalGridCell scores one cell of the 3D coarse grid through the dense
+// scan's own row kernel, from the row trig table's entry (sinPhi, cosPhi),
+// so the value carries the very bits denseArgmax3D assigns that cell in
+// either trig mode. one is a Scratch whose rows hold at least one cell.
+func (e *Evaluator) evalGridCell(terms termSlices, one *Scratch, sinPhi, cosPhi, gamma float64) float64 {
+	s, c, row := one.sinPhi[:1], one.cosPhi[:1], one.row[:1]
+	s[0], c[0] = sinPhi, cosPhi
+	e.evalRow(terms, one, gamma, 1, row)
+	return row[0]
+}
+
+// shortlistRow appends the cells of one synthesized row (grid indices
+// base+k) that sit within window of the running maximum maxV, first
+// dropping earlier entries the row's maximum pushes out of the window. The
+// list therefore ends as exactly the cells within window of the grid's
+// synthesized maximum, in no particular order.
+func shortlistRow(list []maxEntry, vals []float64, base int, maxV, window float64) ([]maxEntry, float64) {
+	rowMax := math.Inf(-1)
+	for _, v := range vals {
+		if v > rowMax {
+			rowMax = v
+		}
+	}
+	if rowMax > maxV {
+		maxV = rowMax
+		kept := list[:0]
+		for _, c := range list {
+			if c.val >= maxV-window {
+				kept = append(kept, c)
+			}
+		}
+		list = kept
+	}
+	for k, v := range vals {
+		if v >= maxV-window {
+			list = append(list, maxEntry{idx: base + k, val: v})
+		}
+	}
+	return list, maxV
+}
+
 // fillAngleTrigExact fills sc.sinPhi/cosPhi with math.Sincos regardless of
 // the Evaluator's trig mode. Synthesis seeds Chebyshev recurrences from the
 // per-cell (sin φ, cos φ), and a seed error δ amplifies like m²·δ through

@@ -206,12 +206,13 @@ func TestSearchStatsCounters(t *testing.T) {
 	coarse3D := SearchOptions{CoarseStep: geom.Radians(2), CoarsePolarStep: geom.Radians(10)}
 	FindPeak3DEval(evQ, coarse3D)
 	FindPeak3DEval(evR, coarse3D)
+	FindPeak3DDense(evR, coarse3D)
 	FindPeak2DAnglesEval(evQ, UniformAngles(64), SearchOptions{})
 	FindPeak2DAnglesEval(evR, UniformAngles(64), SearchOptions{})
 	evR.Profile2DSynth(UniformAngles(64))
 	evQ.Profile2DSynth(UniformAngles(nufftMinCells))
 	want := SearchStats{
-		HarmonicQ2D: 1, HarmonicR2D: 1, Hier3D: 1, Dense2D: 1, Dense3D: 1,
+		HarmonicQ2D: 1, HarmonicR2D: 1, HarmonicQ3D: 1, HarmonicR3D: 1, Dense2D: 1, Dense3D: 1,
 		ProfileSynth: 2, NUFFT2D: 1, NUFFTR2D: 1, NUFFTProfile: 1,
 	}
 	if st := SearchStatsSnapshot(); st != want {

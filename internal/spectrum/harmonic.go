@@ -209,10 +209,11 @@ func (h *harmonicCoeffs) synthesize(out, sinPhi, cosPhi []float64) {
 // harmonicScratch bundles the per-search harmonic buffers; Evaluators pool
 // them so steady-state harmonic searches allocate nothing.
 type harmonicScratch struct {
-	coeffs harmonicCoeffs
-	bess   []float64
-	vals   []float64
-	cand   []int
+	coeffs    harmonicCoeffs
+	bess      []float64
+	vals      []float64
+	cand      []int
+	shortlist []maxEntry // harmonicArgmax3D's (cell, synthesized value) list
 }
 
 var harmPool = sync.Pool{New: func() any { return new(harmonicScratch) }}

@@ -263,9 +263,10 @@ func TestNoRefineCoarseOnly(t *testing.T) {
 }
 
 // TestFindPeakEvalZeroAllocs pins the pooled steady state: with a prebuilt
-// Evaluator, whole peak searches and Profile2DInto scans allocate nothing.
-// The measurement runs at the default pool width, so chunks fan out to the
-// compute pool's workers and every Scratch they draw must already be warm.
+// Evaluator, whole peak searches — the 3D one on the default grid — and
+// Profile2DInto scans allocate nothing. The measurement runs at the default
+// pool width, so chunks fan out to the compute pool's workers and every
+// Scratch they draw must already be warm.
 func TestFindPeakEvalZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are pinned in the non-race run")
@@ -287,7 +288,7 @@ func TestFindPeakEvalZeroAllocs(t *testing.T) {
 			// Warm the pools and the Into buffers once.
 			ev.Profile2DInto(&prof, angles)
 			FindPeak2DEval(ev, SearchOptions{})
-			FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: geom.Radians(6)})
+			FindPeak3DEval(ev, SearchOptions{})
 
 			if a := testing.AllocsPerRun(20, func() { ev.Profile2DInto(&prof, angles) }); a != 0 {
 				t.Errorf("%v fast=%v: Profile2DInto allocates %v/op, want 0", kind, fast, a)
@@ -295,9 +296,7 @@ func TestFindPeakEvalZeroAllocs(t *testing.T) {
 			if a := testing.AllocsPerRun(10, func() { FindPeak2DEval(ev, SearchOptions{}) }); a != 0 {
 				t.Errorf("%v fast=%v: FindPeak2DEval allocates %v/op, want 0", kind, fast, a)
 			}
-			if a := testing.AllocsPerRun(3, func() {
-				FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: geom.Radians(6)})
-			}); a != 0 {
+			if a := testing.AllocsPerRun(3, func() { FindPeak3DEval(ev, SearchOptions{}) }); a != 0 {
 				t.Errorf("%v fast=%v: FindPeak3DEval allocates %v/op, want 0", kind, fast, a)
 			}
 		}

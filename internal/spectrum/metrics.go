@@ -24,7 +24,8 @@ var ErrNonUniformAngles = errors.New("spectrum: profile angles are not uniformly
 type searchCountersT struct {
 	harmonicQ2D  atomic.Uint64
 	harmonicR2D  atomic.Uint64
-	hier3D       atomic.Uint64
+	harmonicQ3D  atomic.Uint64
+	harmonicR3D  atomic.Uint64
 	dense2D      atomic.Uint64
 	dense3D      atomic.Uint64
 	profileSynth atomic.Uint64
@@ -42,9 +43,10 @@ var searchCounters searchCountersT
 type SearchStats struct {
 	HarmonicQ2D  uint64 // uniform 2D KindQ argmax via harmonic synthesis
 	HarmonicR2D  uint64 // uniform 2D KindR argmax via the two-pass R synthesis
-	Hier3D       uint64 // 3D KindQ argmax via the hierarchical scanner
+	HarmonicQ3D  uint64 // 3D KindQ argmax via per-row harmonic synthesis
+	HarmonicR3D  uint64 // 3D KindR argmax via per-row two-pass R synthesis
 	Dense2D      uint64 // 2D argmax via a dense reference function (FindPeak2DDense, FindPeak2DAnglesDense)
-	Dense3D      uint64 // 3D argmax via the dense scan (KindR, FindPeak3DDense)
+	Dense3D      uint64 // 3D argmax via the dense reference function (FindPeak3DDense)
 	ProfileSynth uint64 // full profiles synthesized all-cells
 	NUFFT2D      uint64 // angle-grid KindQ argmax via the NUFFT synthesis
 	NUFFTR2D     uint64 // angle-grid KindR argmax via the NUFFT replay
@@ -56,7 +58,8 @@ func SearchStatsSnapshot() SearchStats {
 	return SearchStats{
 		HarmonicQ2D:  searchCounters.harmonicQ2D.Load(),
 		HarmonicR2D:  searchCounters.harmonicR2D.Load(),
-		Hier3D:       searchCounters.hier3D.Load(),
+		HarmonicQ3D:  searchCounters.harmonicQ3D.Load(),
+		HarmonicR3D:  searchCounters.harmonicR3D.Load(),
 		Dense2D:      searchCounters.dense2D.Load(),
 		Dense3D:      searchCounters.dense3D.Load(),
 		ProfileSynth: searchCounters.profileSynth.Load(),
@@ -70,7 +73,8 @@ func SearchStatsSnapshot() SearchStats {
 func ResetSearchStats() {
 	searchCounters.harmonicQ2D.Store(0)
 	searchCounters.harmonicR2D.Store(0)
-	searchCounters.hier3D.Store(0)
+	searchCounters.harmonicQ3D.Store(0)
+	searchCounters.harmonicR3D.Store(0)
 	searchCounters.dense2D.Store(0)
 	searchCounters.dense3D.Store(0)
 	searchCounters.profileSynth.Store(0)

@@ -335,8 +335,7 @@ func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
 }
 
 // FindPeak3DDense is FindPeak3DEval with the coarse pass on the dense
-// per-cell scan — the hierarchical scanner's reference, like
-// FindPeak2DDense.
+// per-cell scan — the synthesized route's reference, like FindPeak2DDense.
 func FindPeak3DDense(ev *Evaluator, opts SearchOptions) Peak3D {
 	azStep, polStep, nAz, nPol := opts.grid3D()
 	searchCounters.dense3D.Add(1)
@@ -348,22 +347,20 @@ func FindPeak3DDense(ev *Evaluator, opts SearchOptions) Peak3D {
 	return ev.refine3D(best, azStep, polStep, opts)
 }
 
-// coarseArgmax3D is coarseArgmax2D over the az × polar grid. KindQ runs the
-// hierarchical scanner (hier.go), whose captured cell is exactly the dense
-// scan's; KindR scans densely, chunked by polar row (the harmonic route
-// would refold Bessel tables per polar row, which costs more than it
-// saves).
+// coarseArgmax3D is coarseArgmax2D over the az × polar grid: both kinds
+// synthesize row by row through harmonicArgmax3D (allcells.go), which
+// shortlists and exact-rescores, returning exactly the dense scan's cell.
 func (e *Evaluator) coarseArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
 	if e.kind == KindR {
-		searchCounters.dense3D.Add(1)
-		return e.denseArgmax3D(terms, nAz, nPol, azStep, polStep)
+		searchCounters.harmonicR3D.Add(1)
+	} else {
+		searchCounters.harmonicQ3D.Add(1)
 	}
-	searchCounters.hier3D.Add(1)
-	return e.hierarchicalArgmax3D(terms, nAz, nPol, azStep, polStep)
+	return e.harmonicArgmax3D(terms, nAz, nPol, azStep, polStep)
 }
 
 // denseArgmax3D is the full parallel scan over the az × polar grid, chunked
-// by polar row.
+// by polar row — the oracle behind FindPeak3DDense.
 func (e *Evaluator) denseArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
 	j := e.getJob()
 	j.terms = terms

@@ -84,17 +84,3 @@ func (ts termSlices) maxScale() float64 {
 	}
 	return m
 }
-
-// meanScale returns the mean aperture scale (Σ z_i)/n: the Lipschitz
-// constant of the normalized Q profile. |Q'(φ)| ≤ (Σ|dψ_i/dφ|)/n ≤
-// (Σ z_i)/n, since Q = |Σ e^{jψ_i}|/n and |ψ_i'| = z_i|sin(φ−a_i)| ≤ z_i.
-func (ts termSlices) meanScale() float64 {
-	if ts.n() == 0 {
-		return 0
-	}
-	var s float64
-	for _, z := range ts.scale {
-		s += z
-	}
-	return s / float64(ts.n())
-}

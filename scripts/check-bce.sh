@@ -3,12 +3,13 @@
 # loops (make vet-strict).
 #
 # The all-cells kernels in internal/spectrum/allcells.go (synthesizeComplex,
-# synthRowR, the Profile*Synth drivers) and the NUFFT kernels in
-# internal/spectrum/nufft.go (gridSynth, the spreadComplex/spreadMag halo
-# stencils, synthAtComplex) are written with explicit reslicing — the spread
-# loops lean on the halo padding to take constant-length stencil slices — so
-# the compiler can prove every per-element index in range and drop the
-# bounds checks; a refactor that breaks that proof silently re-inserts a
+# synthRowR, the Profile*Synth drivers, the 3D coarse-argmax driver
+# harmonicArgmax3D with its shortlistRow/evalGridCell helpers) and the
+# NUFFT kernels in internal/spectrum/nufft.go (gridSynth, the
+# spreadComplex/spreadMag halo stencils, synthAtComplex) are written with
+# explicit reslicing — the spread loops lean on the halo padding to take
+# constant-length stencil slices — so the compiler can prove every
+# per-element index in range and drop the bounds checks; a refactor that breaks that proof silently re-inserts a
 # check per element per iteration in the hottest loops of the package. This
 # script rebuilds the package with the compiler's check_bce diagnostic and
 # fails if any per-element IsInBounds check survives in either file.
