@@ -27,12 +27,14 @@ func randReader(rng *rand.Rand, flat bool) geom.Vec3 {
 // search's refined peak bit for bit. Every route holds it through
 // shortlist-then-exact-rescore (DESIGN.md §11).
 //
-// The 3D arm runs at real session lengths (≥288 reads per tag), so what
-// gets scanned is the strided coarse subset (≤64 terms). It covers the
-// default 2° polar grid, where mirror rows share one synthesis, and a 7°
-// grid, whose rows are not symmetric and must each be synthesized. R runs with
-// both the robust and the literal reference; every third trial uses fast
-// trig.
+// The 3D arm draws 40 sessions per kind and reference on the default 2°
+// polar grid, where mirror rows share one synthesis, at real session lengths
+// (≥288 reads per tag), so what gets scanned is the strided coarse subset
+// (≤64 terms). Every third trial uses fast trig. R runs with both the
+// robust and the literal reference. A 7° grid, whose rows are not symmetric
+// and must each be synthesized, adds 8 sessions per case. The "short" case
+// keeps 40 sessions per kind of 24–63 reads, where the coarse set is the
+// whole session.
 func TestPeakCaptureBound(t *testing.T) {
 	p := testParams()
 	opts := SearchOptions{}
@@ -57,12 +59,21 @@ func TestPeakCaptureBound(t *testing.T) {
 	})
 
 	t.Run("3D", func(t *testing.T) {
-		trials := 8
-		if testing.Short() {
-			trials = 2
-		}
 		for _, kind := range []Kind{KindQ, KindR} {
 			t.Run(kind.String(), func(t *testing.T) {
+				t.Run("short", func(t *testing.T) {
+					rng := rand.New(rand.NewSource(200 + int64(kind)))
+					for trial := 0; trial < 40; trial++ {
+						snaps := synth3D(p, randReader(rng, false), 24+rng.Intn(40), rng.Float64()*0.15, rng)
+						ev, err := NewEvaluator(snaps, p, kind)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, want := FindPeak3DEval(ev, opts), FindPeak3DDense(ev, opts); got != want {
+							t.Fatalf("trial %d: routed %+v != dense %+v", trial, got, want)
+						}
+					}
+				})
 				refs := []bool{false}
 				if kind == KindR {
 					refs = append(refs, true)
@@ -72,6 +83,10 @@ func TestPeakCaptureBound(t *testing.T) {
 						name := fmt.Sprintf("%ddeg", polDeg)
 						if literal {
 							name = "literal/" + name
+						}
+						trials := 40
+						if polDeg != 2 {
+							trials = 8
 						}
 						t.Run(name, func(t *testing.T) {
 							rng := rand.New(rand.NewSource(200 + int64(kind)*10 + int64(polDeg)))
