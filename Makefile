@@ -49,11 +49,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/spectrum/
 
 # bench-json regenerates the machine-readable perf snapshot consumed by
-# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/8 —
+# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/9 —
 # micro rows, concurrent-load rows (K simultaneous Locate2D pipelines on
 # the shared compute pool, grid and ml solve backends) with plan-cache hit
 # rates, the streaming rows (StreamLocate2D tail-latency pairs,
-# LoadLocate2DStream throughput), the MLLocate2D/3D grid-vs-ml
+# LoadLocate2DStream throughput; since schema 9 over the full-length
+# session, with a stream tail that saves only term preparation, so the
+# pair's speedupVsBatch sits near 1), the MLLocate2D/3D grid-vs-ml
 # solve-backend A/B rows with meanErrM, the sub-linear coarse-scan rows
 # (SubLinLocate2D/3D vs their dense Locate2D/3D baselines), and the
 # all-cells rows (SubLinLocateR plus the DenseProfile/AllCellsProfile 2D/3D
@@ -62,31 +64,31 @@ bench:
 # DenseLocateNUR/NUFFTLocateR, and the LoadLocate2DStream/ml estimator
 # A/B).
 bench-json:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
 
-# bench-load is bench-json under its serving-path name: the schema-8 report
+# bench-load is bench-json under its serving-path name: the schema-9 report
 # is where the concurrent-load rows live.
 bench-load:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
 
-# bench-stream is bench-json under its streaming-path name: the schema-8
+# bench-stream is bench-json under its streaming-path name: the schema-9
 # report is where the StreamLocate2D/LoadLocate2DStream rows live.
 bench-stream:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
 
-# bench-sublin is bench-json under its sub-linear-search name: the schema-8
+# bench-sublin is bench-json under its sub-linear-search name: the schema-9
 # report is where the SubLinLocate2D/3D rows (≥5x 2D floor), the
 # SubLinLocateR row (≥4x floor), the SubLinLocateR3D row (≥4x floor,
 # checked by bench-compare) and the AllCellsProfile rows (≥3x floor on the
 # 2D/Q pair) live.
 bench-sublin:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
 
-# bench-nufft is bench-json under its non-uniform-grid name: the schema-8
+# bench-nufft is bench-json under its non-uniform-grid name: the schema-9
 # report is where the DenseLocateNU2D/NUFFTLocate2D pair (≥3x floor on the
 # NUFFT row) and the DenseLocateNUR/NUFFTLocateR pair live.
 bench-nufft:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
 
 # bench-compare diffs the two newest BENCH_<n>.json snapshots and fails on
 # any >10% ns/op regression — the pre-merge perf gate for the spectrum

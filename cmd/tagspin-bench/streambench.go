@@ -42,13 +42,16 @@ func flattenObs(obs core.Observations) []streamItem {
 }
 
 // streamBenchRows measures what streaming accumulation buys: the
-// last-snapshot-to-answer latency. The batch rows time the full post-collect
-// pipeline (evaluator build + coarse grid scan + refinement + solve); the
-// stream rows pre-fold the same session through a core.Stream — work that
-// overlaps collection in production — and time only Finalize2D. Row pairs
-// share a StreamLocate2D/<kind> prefix and the stream row carries
-// SpeedupVsBatch. The LoadLocate2DStream rows then run K concurrent
-// full streaming pipelines (replay + finalize) for throughput context.
+// last-snapshot-to-answer latency on a full-length session. The batch rows
+// time the full post-collect pipeline (term preparation + evaluator build +
+// coarse scan + refinement + solve); the stream rows feed the same session
+// through a core.Stream — term preparation, which overlaps collection in
+// production — and time only Finalize2D, which runs the batch search on the
+// prepared terms. The stream tail therefore saves only term preparation,
+// and SpeedupVsBatch sits near 1. Row pairs share a StreamLocate2D/<kind>
+// prefix and the stream row carries SpeedupVsBatch. The LoadLocate2DStream
+// rows then run K concurrent full streaming pipelines (replay + finalize)
+// for throughput context.
 func streamBenchRows() ([]benchResult, error) {
 	rng := rand.New(rand.NewSource(9))
 	sc := testbed.DefaultScenario(0, rng)
@@ -57,9 +60,7 @@ func streamBenchRows() ([]benchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Subsample to the streaming limit: above it the accumulator itself
-	// falls back to the batch search, and there is nothing to measure.
-	obs := testbed.StreamableSession(col.Obs)
+	obs := col.Obs
 	items := flattenObs(obs)
 
 	kinds := []struct {
@@ -161,8 +162,8 @@ func runStreamOnce(locator *core.Locator, registered []core.SpinningTag, items [
 	for _, it := range items {
 		st.Report(it.epc, it.snap)
 	}
-	// A live session folds during network waits and ends with an empty
-	// queue; replaying faster than real time piles the whole fold into the
+	// A live session prepares terms during network waits and ends with an
+	// empty queue; replaying faster than real time piles that work into the
 	// finalize unless we drain first.
 	st.Quiesce()
 	t0 := time.Now()
@@ -181,7 +182,7 @@ func runStreamOnce(locator *core.Locator, registered []core.SpinningTag, items [
 
 // streamLoadRows is the loadBenchRows shape on the streaming pipeline: K
 // goroutines each running complete replay+finalize cycles back to back.
-// Throughput is bounded by total work (the fold cost does not vanish, it
+// Throughput is bounded by total work (term preparation does not vanish, it
 // just moves off the tail), so these rows contextualize the tail rows rather
 // than promise a throughput win. Like loadBenchRows, each K yields one row
 // per solve backend — LoadLocate2DStream/K=<k> for the bearing-grid

@@ -11,15 +11,15 @@ import (
 )
 
 // streamBuffer is the ingestion queue depth between the collecting
-// goroutine and the accumulation worker. Folding one snapshot into a 720
-// cell grid takes a few microseconds while reader reports arrive hundreds
-// of microseconds apart, so the queue's steady-state depth is ~0; the
-// buffer absorbs report bursts (one ROAccessReport can carry many tags)
-// without backpressuring the protocol loop.
+// goroutine and the accumulation worker. Preparing one snapshot's term
+// takes well under a microsecond while reader reports arrive hundreds of
+// microseconds apart, so the queue's steady-state depth is ~0; the buffer
+// absorbs report bursts (one ROAccessReport can carry many tags) without
+// backpressuring the protocol loop.
 const streamBuffer = 256
 
 // streamItem is one queued snapshot, or (when sync is non-nil) a Quiesce
-// marker the worker closes once everything queued before it has been folded.
+// marker the worker closes once everything queued before it has been added.
 type streamItem struct {
 	epc  tags.EPC
 	snap phase.Snapshot
@@ -32,18 +32,19 @@ type StreamStats struct {
 	Snapshots int64
 	// MaxBacklog is the ingestion queue's high-water mark.
 	MaxBacklog int64
-	// StreamedTags counts tag estimates served from streamed sums at
-	// finalize; FallbackTags counts tag estimates that fell back to the
-	// batch search (disordered arrival, channel mismatch, a bootstrap-kind
-	// mismatch between construction and finalize, or a session longer than
-	// the accumulator can serve — spectrum.Accumulator.BatchFallback).
+	// StreamedTags counts tag estimates finalized from their streamed
+	// accumulator; FallbackTags counts tag estimates that re-prepared the
+	// collected snapshots instead (disordered arrival, a channel or count
+	// mismatch with the batch selection, or a bootstrap-kind mismatch
+	// between construction and finalize). Both run the same batch peak
+	// search, at any session length.
 	StreamedTags, FallbackTags int64
 }
 
 // freqAcc accumulates one tag's snapshots on one carrier frequency. The
 // batch pipeline localizes each tag on its dominant channel only; streaming
-// cannot know the dominant channel until the session ends, so it folds
-// every channel into its own accumulator and finalizes from whichever one
+// cannot know the dominant channel until the session ends, so it buffers
+// every channel in its own accumulator and finalizes from whichever one
 // matches the batch selection.
 type freqAcc struct {
 	freq   float64
@@ -68,21 +69,20 @@ func (ts *tagStream) find(freq float64) *freqAcc {
 	return nil
 }
 
-// Stream overlaps spectrum accumulation with tag collection: snapshots
-// reported mid-session are folded into per-tag, per-channel streaming
-// accumulators (spectrum.Accumulator) as they arrive, so the coarse grid
-// scan — the bulk of a locate's cost — is already done when the session
-// ends, and Finalize2D/Finalize3D only run the argmax, the refinement
-// rounds, and the bearing intersection.
+// Stream overlaps term preparation with tag collection: snapshots reported
+// mid-session are checked and converted into prepared spectrum terms in
+// per-tag, per-channel accumulators (spectrum.Accumulator) as they arrive,
+// and Finalize2D/Finalize3D run the batch peak search on those terms, then
+// the bearing intersection.
 //
 // The finalize result is bit-identical to the batch Locate2D/Locate3D on
-// the same observations: the accumulators reproduce the batch coarse scan
-// exactly for in-order arrivals, and any condition that would break that
-// equivalence — out-of-order or duplicate timestamps on a tag's dominant
-// channel, a snapshot the accumulator rejects, a bootstrap-kind mismatch, a
-// session longer than the accumulator can serve — quietly downgrades the
-// affected tag (or the whole finalize) to the batch path. Fallbacks are
-// counted in Stats.
+// the same observations: each accumulator finalizes through the batch
+// search itself, at any session length, and any condition that would make
+// its terms differ from the batch selection's — out-of-order or duplicate
+// timestamps on a tag's dominant channel, a snapshot the accumulator
+// rejects, a bootstrap-kind mismatch — quietly downgrades the affected tag
+// (or the whole finalize) to re-preparing the collected snapshots.
+// Fallbacks are counted in Stats.
 //
 // Report is called from the collecting goroutine; everything else must run
 // on the owner's goroutine, after collection has returned. Reset discards
@@ -105,7 +105,9 @@ type Stream struct {
 }
 
 // NewStream2D builds a streaming session for a 2D locate of the registered
-// tags. The accumulators assume the bootstrap kind the registration list
+// tags: each arriving snapshot becomes a prepared term in its tag's
+// accumulator, and the finalize runs the batch 2D search on those terms.
+// The accumulators assume the bootstrap kind the registration list
 // implies (Q when any registered tag carries an orientation calibration);
 // if the tags actually present at finalize imply a different kind, the
 // finalize falls back to batch wholesale.
@@ -176,13 +178,14 @@ func (s *Stream) Report(epc tags.EPC, snap phase.Snapshot) {
 	s.ch <- streamItem{epc: epc, snap: snap}
 }
 
-// Backlog reports the snapshots currently queued but not yet folded.
+// Backlog reports the snapshots currently queued but not yet added.
 func (s *Stream) Backlog() int { return len(s.ch) }
 
-// Quiesce blocks until every snapshot reported so far has been folded. A
+// Quiesce blocks until every snapshot reported so far has been added. A
 // session that keeps up with its reader finishes collection with an empty
-// queue, so Finalize pays no fold cost; Quiesce reproduces that steady state
-// for benchmarks and tests that replay a session faster than real time.
+// queue, so Finalize pays no term preparation; Quiesce reproduces that
+// steady state for benchmarks and tests that replay a session faster than
+// real time.
 // Like Report, it must not be called after Finalize, Reset, or Close.
 func (s *Stream) Quiesce() {
 	done := make(chan struct{})
@@ -214,9 +217,9 @@ func (s *Stream) run() {
 	}
 }
 
-// ingest folds one snapshot. Unregistered tags and broken channels are
-// ignored (the batch path drops or rejects them too); ordering violations
-// poison only the affected (tag, channel) accumulator.
+// ingest adds one snapshot to its (tag, channel) accumulator. Unregistered
+// tags and broken channels are ignored (the batch path drops or rejects them
+// too); ordering violations poison only the affected accumulator.
 func (s *Stream) ingest(it streamItem) {
 	ts := s.byEPC[it.epc]
 	if ts == nil || it.snap.FrequencyHz <= 0 {
@@ -275,20 +278,10 @@ func (s *Stream) usableAcc(tag SpinningTag, selected []phase.Snapshot) *freqAcc 
 	return fa
 }
 
-// count tallies a tag estimate its accumulator produced: streamed when the
-// coarse pass came from the folded sums, a fallback when the accumulator ran
-// the batch search itself.
-func (s *Stream) count(acc *spectrum.Accumulator) {
-	if acc.BatchFallback() {
-		s.fallbacks.Add(1)
-		return
-	}
-	s.streamed.Add(1)
-}
-
 // Finalize2D completes the streamed session against the full observations
 // the collection returned: batch-identical selection and validation, per-tag
-// peaks from the streamed sums (or batch fallback), then the shared solve
+// peaks from the streamed terms (or the collected snapshots on a fallback),
+// both through the batch peak search, then the shared solve
 // and orientation passes. The result is bit-identical to
 // Locate2DContext(ctx, registered, obs).
 func (s *Stream) Finalize2D(ctx context.Context, obs Observations) (Result2D, error) {
@@ -308,7 +301,7 @@ func (s *Stream) Finalize2D(ctx context.Context, obs Observations) (Result2D, er
 		if streamable {
 			if fa := s.usableAcc(tag, sel); fa != nil {
 				if az, pow, err := fa.acc.FindPeak2D(); err == nil {
-					s.count(fa.acc)
+					s.streamed.Add(1)
 					return EstimatorTag{
 						Tag:   tag,
 						Snaps: sel,
@@ -349,7 +342,7 @@ func (s *Stream) Finalize3D(ctx context.Context, obs Observations) (Result3D, er
 		if streamable {
 			if fa := s.usableAcc(tag, sel); fa != nil {
 				if pk, err := fa.acc.FindPeak3D(); err == nil {
-					s.count(fa.acc)
+					s.streamed.Add(1)
 					return EstimatorTag{
 						Tag:   tag,
 						Snaps: sel,

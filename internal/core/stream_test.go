@@ -11,6 +11,7 @@ import (
 	"github.com/tagspin/tagspin/internal/core"
 	"github.com/tagspin/tagspin/internal/geom"
 	"github.com/tagspin/tagspin/internal/phase"
+	"github.com/tagspin/tagspin/internal/sched"
 	"github.com/tagspin/tagspin/internal/tags"
 	"github.com/tagspin/tagspin/internal/testbed"
 )
@@ -41,8 +42,29 @@ func replay(obs core.Observations) func(sink func(tags.EPC, phase.Snapshot)) (co
 // collectScenario builds a collected, calibrated 2D scenario at full length.
 func collectScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observations) {
 	t.Helper()
+	return collectRotations(t, seed, 0)
+}
+
+// longScenario is collectScenario over 2.15 rotations, the real session
+// length of the golden traces (≥288 reads per tag).
+func longScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observations) {
+	t.Helper()
+	registered, obs := collectRotations(t, seed, 2.15)
+	for epc, snaps := range obs {
+		if len(snaps) < 288 {
+			t.Fatalf("tag %s has %d reads, want ≥288", epc, len(snaps))
+		}
+	}
+	return registered, obs
+}
+
+// collectRotations builds the scenario over the given number of rotations
+// (zero keeps the scenario default).
+func collectRotations(t *testing.T, seed int64, rotations float64) ([]core.SpinningTag, core.Observations) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sc := testbed.DefaultScenario(0, rng)
+	sc.Rotations = rotations
 	sc.PlaceReader(geom.V3(-1.8, 1.4, 0))
 	registered, err := sc.CalibratedSpinningTags(rng)
 	if err != nil {
@@ -55,17 +77,9 @@ func collectScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observa
 	return registered, col.Obs
 }
 
-// streamScenario is collectScenario shortened to sessions the accumulators
-// serve from streamed sums, for the equivalence tests.
-func streamScenario(t *testing.T, seed int64) ([]core.SpinningTag, core.Observations) {
-	t.Helper()
-	registered, obs := collectScenario(t, seed)
-	return registered, testbed.StreamableSession(obs)
-}
-
 // TestStreamLocate2DMatchesBatch checks the headline equivalence: a streamed
-// 2D locate is bit-identical to the batch locate on the same observations,
-// with every tag actually served from streamed sums.
+// 2D locate of a full-length session is bit-identical to the batch locate on
+// the same observations, with every tag finalized from its accumulator.
 func TestStreamLocate2DMatchesBatch(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
@@ -76,7 +90,7 @@ func TestStreamLocate2DMatchesBatch(t *testing.T) {
 		{"orientation-off", core.Config{DisableOrientation: true}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			registered, obs := streamScenario(t, 42)
+			registered, obs := collectScenario(t, 42)
 			loc := core.NewLocator(cfg.cfg)
 			want, err := loc.Locate2D(registered, obs)
 			if err != nil {
@@ -161,7 +175,7 @@ func TestStreamLocate3DMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			obs := testbed.StreamableSession(col.Obs)
+			obs := col.Obs
 			loc := core.NewLocator(core.Config{FastSpectrum: fast})
 			want, err := loc.Locate3D(registered, obs)
 			if err != nil {
@@ -186,17 +200,12 @@ func TestStreamLocate3DMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamLongSessionCountsFallbacks runs a full-length session (more
-// than testbed.StreamLimit reads per tag): every accumulator finalizes through the
-// batch search, so the Stream must count every tag as a fallback — not as
-// streamed — while still returning the batch answer.
+// TestStreamLongSessionCountsFallbacks runs a full-length session (≥288
+// reads per tag, far past the batch coarse pass's term subset): every tag
+// must finalize from its accumulator and count as streamed — not as a
+// fallback — while returning the batch answer.
 func TestStreamLongSessionCountsFallbacks(t *testing.T) {
-	registered, obs := collectScenario(t, 42)
-	for epc, snaps := range obs {
-		if len(snaps) <= testbed.StreamLimit {
-			t.Fatalf("tag %s has %d reads, want > %d", epc, len(snaps), testbed.StreamLimit)
-		}
-	}
+	registered, obs := longScenario(t, 42)
 	loc := core.NewLocator(core.Config{})
 	want, err := loc.Locate2D(registered, obs)
 	if err != nil {
@@ -214,8 +223,37 @@ func TestStreamLongSessionCountsFallbacks(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("long streamed result differs from batch:\n got %+v\nwant %+v", got, want)
 	}
-	if stats := st.Stats(); stats.FallbackTags != int64(len(obs)) || stats.StreamedTags != 0 {
-		t.Errorf("stats = %+v, want all %d tags counted as fallbacks", stats, len(obs))
+	if stats := st.Stats(); stats.StreamedTags != int64(len(obs)) || stats.FallbackTags != 0 {
+		t.Errorf("stats = %+v, want all %d tags streamed", stats, len(obs))
+	}
+}
+
+// TestStreamIngestSubmitsNoPoolJobs pins the ingestion cost: streaming a
+// full-length session through Report and Quiesce only prepares terms, so it
+// must submit no jobs to the shared compute pool even when the pool is wide
+// enough to take them.
+func TestStreamIngestSubmitsNoPoolJobs(t *testing.T) {
+	registered, obs := longScenario(t, 42)
+	old := sched.Workers()
+	sched.SetWorkers(2)
+	defer sched.SetWorkers(old)
+	for _, threeD := range []bool{false, true} {
+		loc := core.NewLocator(core.Config{})
+		newStream := loc.NewStream2D
+		if threeD {
+			newStream = loc.NewStream3D
+		}
+		st := newStream(registered)
+		before := sched.PoolStats().JobsRun
+		if _, err := replay(obs)(st.Report); err != nil {
+			t.Fatal(err)
+		}
+		st.Quiesce()
+		if jobs := sched.PoolStats().JobsRun - before; jobs != 0 {
+			t.Errorf("threeD=%v: streaming %d snapshots submitted %d pool jobs, want 0",
+				threeD, st.Stats().Snapshots, jobs)
+		}
+		st.Close()
 	}
 }
 
@@ -223,7 +261,7 @@ func TestStreamLongSessionCountsFallbacks(t *testing.T) {
 // out-of-order snapshot: that tag must fall back to the batch path, the rest
 // must still stream, and the final answer must be unchanged.
 func TestStreamDisorderedFallsBack(t *testing.T) {
-	registered, obs := streamScenario(t, 42)
+	registered, obs := collectScenario(t, 42)
 	loc := core.NewLocator(core.Config{})
 	want, err := loc.Locate2D(registered, obs)
 	if err != nil {
@@ -315,7 +353,7 @@ func TestStreamKindMismatchFallsBack(t *testing.T) {
 // collection retry would), streams the real session, and checks the poisoned
 // first attempt leaves no trace in the final answer.
 func TestStreamResetDiscardsState(t *testing.T) {
-	registered, obs := streamScenario(t, 42)
+	registered, obs := collectScenario(t, 42)
 	loc := core.NewLocator(core.Config{})
 	want, err := loc.Locate2D(registered, obs)
 	if err != nil {
@@ -349,7 +387,7 @@ func TestStreamResetDiscardsState(t *testing.T) {
 // the finalize must surface the cancellation exactly like the batch
 // pipeline's context check.
 func TestStreamFinalizeCanceled(t *testing.T) {
-	registered, obs := streamScenario(t, 42)
+	registered, obs := collectScenario(t, 42)
 	loc := core.NewLocator(core.Config{})
 	st := loc.NewStream2D(registered)
 	defer st.Close()
@@ -366,7 +404,7 @@ func TestStreamFinalizeCanceled(t *testing.T) {
 // TestStreamErrorParity checks the streamed finalize surfaces the same
 // validation errors as batch.
 func TestStreamErrorParity(t *testing.T) {
-	registered, obs := streamScenario(t, 23)
+	registered, obs := collectScenario(t, 23)
 	loc := core.NewLocator(core.Config{})
 
 	starved := make(core.Observations)

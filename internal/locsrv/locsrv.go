@@ -63,8 +63,9 @@ type Config struct {
 	CollectStream CollectStreamFunc
 	// DisableStreaming forces the batch pipeline even when a streaming
 	// collector is available. By default locates stream: snapshots are
-	// folded into per-tag accumulators as they arrive, so only the peak
-	// search and solve remain after collection ends.
+	// checked and prepared as spectrum terms in per-tag accumulators as they
+	// arrive, so only the peak search and solve remain after collection
+	// ends.
 	DisableStreaming bool
 	// Client tunes collection sessions (including retry policy:
 	// MaxAttempts, BaseBackoff).
@@ -290,19 +291,20 @@ type Stats struct {
 	MaxInFlight int
 	// StreamLocates counts locate items that ran the streaming pipeline;
 	// StreamFallbackTags counts the per-tag batch fallbacks inside them
-	// (disordered arrivals, channel mismatches, bootstrap-kind changes,
-	// sessions past the accumulator's streaming limit).
+	// (disordered arrivals, channel mismatches, bootstrap-kind changes).
+	// Session length never forces a fallback.
 	StreamLocates      uint64
 	StreamFallbackTags uint64
-	// SnapshotsStreamed totals snapshots folded into accumulators while
-	// their collection sessions were still running.
+	// SnapshotsStreamed totals snapshots added to accumulators (checked and
+	// prepared as spectrum terms) while their collection sessions were still
+	// running.
 	SnapshotsStreamed uint64
 	// MaxAccumBacklog is the accumulation queue's high-water mark across
-	// all streamed locates — how far folding ever lagged the wire.
+	// all streamed locates — how far term preparation ever lagged the wire.
 	MaxAccumBacklog int64
 	// FinalizeCount and FinalizeNsTotal measure the streaming path's
 	// last-snapshot-to-answer latency: total time spent in Finalize
-	// (peak search + solve on pre-accumulated sums) over that many calls.
+	// (peak search on the prepared terms + solve) over that many calls.
 	FinalizeCount   uint64
 	FinalizeNsTotal int64
 	// SpectrumSearch is the process-wide coarse-search routing tally —
@@ -736,7 +738,7 @@ func (s *Server) locateStreaming(ctx context.Context, loc *core.Locator, addr st
 	}
 	defer st.Close()
 	// Each collection attempt resets the stream: a failed attempt has
-	// already folded a partial prefix that must not leak into the retry.
+	// already added a partial prefix that must not leak into the retry.
 	obs, err := s.collectStream(ctx, addr, ccfg, func() client.ReportFunc {
 		st.Reset()
 		return st.Report

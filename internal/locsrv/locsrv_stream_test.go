@@ -75,11 +75,10 @@ func locateBody(t *testing.T, resp *http.Response) locsrv.LocateResponse {
 
 // TestLocateStreamingEndpoint runs a locate through a canned streaming
 // collector and checks the response matches the batch pipeline bit for bit,
-// with the streaming counters accounting for the session. The session is
-// short enough for every tag to stream.
+// with the streaming counters accounting for the session. Every tag of the
+// full-length session streams.
 func TestLocateStreamingEndpoint(t *testing.T) {
 	reg, obs, _ := streamFixture(t)
-	obs = testbed.StreamableSession(obs)
 	srv, err := locsrv.New(locsrv.Config{
 		Registry: reg,
 		CollectStream: func(_ context.Context, _ string, _ client.Config, start func() client.ReportFunc) (core.Observations, error) {
@@ -140,12 +139,10 @@ func TestLocateStreamingEndpoint(t *testing.T) {
 // TestLocateStreamingRetryResets simulates a transient collection failure:
 // the collector streams a disordered partial prefix, fails, and retries with
 // a fresh sink. The retry's reset must discard the poisoned prefix so every
-// tag still streams cleanly: the session is short enough to stream, so a
-// tag left poisoned would fall back to the batch search and show up in
-// StreamFallbackTags.
+// tag still streams cleanly: a tag left poisoned would fall back to
+// re-preparing its snapshots and show up in StreamFallbackTags.
 func TestLocateStreamingRetryResets(t *testing.T) {
-	reg, full, target := streamFixture(t)
-	obs := testbed.StreamableSession(full)
+	reg, obs, target := streamFixture(t)
 	attempts := 0
 	srv, err := locsrv.New(locsrv.Config{
 		Registry: reg,
@@ -175,7 +172,7 @@ func TestLocateStreamingRetryResets(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	locateBody(t, resp)
+	out := locateBody(t, resp)
 	if attempts != 2 {
 		t.Errorf("attempts = %d, want 2", attempts)
 	}
@@ -183,26 +180,6 @@ func TestLocateStreamingRetryResets(t *testing.T) {
 		t.Errorf("StreamLocates = %d, StreamFallbackTags = %d, want 1 and 0",
 			st.StreamLocates, st.StreamFallbackTags)
 	}
-
-	// The strided session trades accuracy for streaming; the full-length
-	// session, located in batch, lands within 15 cm.
-	batch, err := locsrv.New(locsrv.Config{
-		Registry:         reg,
-		DisableStreaming: true,
-		Collect: func(context.Context, string, client.Config) (core.Observations, error) {
-			return full, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsBatch := httptest.NewServer(batch.Handler())
-	defer tsBatch.Close()
-	resp = postJSON(t, tsBatch.URL+"/v1/locate", locsrv.LocateRequest{ReaderAddr: "reader:5084"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status = %d", resp.StatusCode)
-	}
-	out := locateBody(t, resp)
 	if e := geom.V2(out.Position[0], out.Position[1]).DistanceTo(target.XY()); e > 0.15 {
 		t.Errorf("2D error %.1f cm", e*100)
 	}

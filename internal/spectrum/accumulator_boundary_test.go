@@ -8,11 +8,9 @@ import (
 )
 
 // TestAccumulatorCoarseTermLimitBoundary walks the streamed-vs-batch
-// contract across the coarseTermLimit seam for every streaming mode: one
-// under the limit and exactly at it the streamed sums ARE the batch coarse
-// scan (the strided subset is the full term set), one past it and beyond the
-// finalize must hand off to the batch fallback — and all four session sizes
-// must return the batch search's bits.
+// contract across the coarseTermLimit seam for every finalize mode: up to
+// the limit the batch coarse pass scores every term, past it a strided
+// subset, and all four session sizes must return the batch search's bits.
 func TestAccumulatorCoarseTermLimitBoundary(t *testing.T) {
 	p := testParams()
 	counts := []int{coarseTermLimit - 1, coarseTermLimit, coarseTermLimit + 1, coarseTermLimit + 16}
@@ -28,9 +26,6 @@ func TestAccumulatorCoarseTermLimitBoundary(t *testing.T) {
 					t.Fatal(err)
 				}
 				feedAccumulator(t, a, snaps)
-				if got, want := a.BatchFallback(), n > coarseTermLimit; got != want {
-					t.Fatalf("%d snapshots: BatchFallback() = %v, want %v", n, got, want)
-				}
 				gotAz, gotPow, err := a.FindPeak2D()
 				if err != nil {
 					t.Fatal(err)
@@ -79,9 +74,9 @@ func TestAccumulator3DCoarseTermLimitBoundary(t *testing.T) {
 }
 
 // TestAccumulatorFallbackEngagesMidSession pins the crossing itself: a
-// session finalized at exactly coarseTermLimit gives the streamed answer,
-// and one more Add must invalidate it and route the next finalize through
-// the batch fallback — both answers matching their batch counterparts.
+// session finalized at exactly coarseTermLimit, then given one more Add,
+// must drop its cached Evaluator so the next finalize scores the strided
+// coarse subset — both answers matching their batch counterparts.
 func TestAccumulatorFallbackEngagesMidSession(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	p := testParams()

@@ -100,8 +100,8 @@ func (p Params) weightSigma() float64 {
 }
 
 // newEvaluatorFromTerms builds an Evaluator over already-prepared terms. The
-// streaming Accumulator finalizes through this path so batch and streaming
-// refinement run on the very same engine.
+// streaming Accumulator finalizes through this path, so batch and streaming
+// searches run on the very same engine.
 func newEvaluatorFromTerms(terms []snapshotTerm, p Params, kind Kind, opts ...EvalOption) *Evaluator {
 	ts := makeTermSlices(terms)
 	e := &Evaluator{

@@ -239,87 +239,45 @@ func TestAnglesRoutingCounters(t *testing.T) {
 	})
 }
 
-// TestAccumulatorAnglesBitIdentity walks the streamed angle-grid finalize
-// across the coarseTermLimit seam for every accumulator mode: at and under
-// the limit the streamed per-cell selection must return the batch NUFFT
-// search's bits, and one past it the finalize hands off to the batch search
-// itself.
+// TestAccumulatorAnglesBitIdentity pins the streamed angle-grid finalize
+// for every accumulator mode and session length, in both trig modes: it
+// must return the batch FindPeak2DAnglesEval's bits over the same grid.
 func TestAccumulatorAnglesBitIdentity(t *testing.T) {
 	p := testParams()
-	counts := []int{coarseTermLimit - 1, coarseTermLimit, coarseTermLimit + 1}
 	for i, tc := range accumKinds {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(550 + int64(i)))
 			angles := jitteredAngles(720, 0.35, rng)
-			for _, n := range counts {
+			pp := p
+			pp.LiteralReference = tc.literal
+			for _, n := range accumLengths {
 				snaps := synth(p, randReader(rng, true), n, 0.8, 0.05, rng)
-				pp := p
-				pp.LiteralReference = tc.literal
-				a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedAccumulator(t, a, snaps)
-				gotAz, gotPow, err := a.FindPeak2D()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev, err := NewEvaluator(snaps, pp, tc.kind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-				if gotAz != wantAz || gotPow != wantPow {
-					t.Fatalf("%d snapshots: streamed (%v, %v) != batch (%v, %v)",
-						n, gotAz, gotPow, wantAz, wantPow)
+				for _, fast := range []bool{false, true} {
+					var eo []EvalOption
+					if fast {
+						eo = append(eo, WithFastTrig())
+					}
+					a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{}, eo...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					feedAccumulator(t, a, snaps)
+					gotAz, gotPow, err := a.FindPeak2D()
+					if err != nil {
+						t.Fatal(err)
+					}
+					ev, err := NewEvaluator(snaps, pp, tc.kind, eo...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
+					if gotAz != wantAz || gotPow != wantPow {
+						t.Fatalf("%d snapshots, fast=%v: streamed (%v, %v) != batch (%v, %v)",
+							n, fast, gotAz, gotPow, wantAz, wantPow)
+					}
 				}
 			}
 		})
-	}
-}
-
-// TestAccumulatorAnglesCoarseProfile pins the angle-grid streamed profile:
-// the finished per-cell values are the batch Profile2D over the same angles
-// bit for bit, in both trig modes; the
-// returned Angles are the caller's grid.
-func TestAccumulatorAnglesCoarseProfile(t *testing.T) {
-	p := testParams()
-	rng := rand.New(rand.NewSource(560))
-	angles := jitteredAngles(360, 0.35, rng)
-	snaps := synth(p, geom.V3(-2.2, 1.3, 0), 60, 0.8, 0.05, rng)
-	for _, tc := range accumKinds {
-		for _, fast := range []bool{false, true} {
-			var evalOpts []EvalOption
-			if fast {
-				evalOpts = append(evalOpts, WithFastTrig())
-			}
-			pp := p
-			pp.LiteralReference = tc.literal
-			a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{}, evalOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedAccumulator(t, a, snaps)
-			prof, err := a.CoarseProfile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev, err := NewEvaluator(snaps, pp, tc.kind, evalOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want Profile
-			ev.Profile2DInto(&want, angles)
-			for k := range prof.Power {
-				if prof.Angles[k] != angles[k] {
-					t.Fatalf("%s fast=%v: angle %d mutated", tc.name, fast, k)
-				}
-				if prof.Power[k] != want.Power[k] {
-					t.Fatalf("%s fast=%v: cell %d streamed %v != batch %v",
-						tc.name, fast, k, prof.Power[k], want.Power[k])
-				}
-			}
-		}
 	}
 }
 
@@ -386,8 +344,7 @@ func TestAnglesApproxUniform(t *testing.T) {
 }
 
 // TestNonUniformMissCounter pins the plan-cache bypass counter: non-uniform
-// trig builds (batch scans and the streamed angle-grid table) must count,
-// and ResetPlanCache must zero the counter.
+// trig builds must count, and ResetPlanCache must zero the counter.
 func TestNonUniformMissCounter(t *testing.T) {
 	p := testParams()
 	rng := rand.New(rand.NewSource(572))
@@ -403,16 +360,6 @@ func TestNonUniformMissCounter(t *testing.T) {
 	ev.Profile2DInto(&prof, angles)
 	if st := PlanCacheSnapshot(); st.NonUniformMiss == 0 {
 		t.Fatal("dense non-uniform scan did not count a bypass")
-	}
-
-	ResetPlanCache()
-	a, err := NewAccumulator2DAngles(p, KindQ, angles, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = a
-	if st := PlanCacheSnapshot(); st.NonUniformMiss != 1 {
-		t.Fatalf("angle-grid accumulator counted %d bypasses, want 1", st.NonUniformMiss)
 	}
 
 	ResetPlanCache()

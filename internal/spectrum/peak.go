@@ -246,9 +246,7 @@ func (e *Evaluator) denseArgmax2D(terms termSlices, n int, step float64) int {
 
 // refine2D runs the local refinement rounds from a coarse-grid winner,
 // re-scoring it with the full snapshot set first so the comparisons are
-// apples-to-apples. Both the batch peak search and the streaming
-// Accumulator finalize through this helper, which is what keeps the two
-// paths' refined answers bit-identical when their coarse argmax agrees.
+// apples-to-apples.
 func (e *Evaluator) refine2D(best, step float64, opts SearchOptions) (float64, float64) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
@@ -375,8 +373,7 @@ func (e *Evaluator) denseArgmax3D(terms termSlices, nAz, nPol int, azStep, polSt
 	return idx
 }
 
-// refine3D is refine2D over (azimuth, polar); see there for the sharing
-// rationale.
+// refine3D is refine2D over (azimuth, polar).
 func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOptions) Peak3D {
 	// Re-score the coarse winner with the full snapshot set so the
 	// refinement comparisons are apples-to-apples.

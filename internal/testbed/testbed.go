@@ -333,25 +333,3 @@ func (s *Scenario) CalibratedSpinningTags(rng *rand.Rand) ([]core.SpinningTag, e
 	}
 	return out, nil
 }
-
-// StreamLimit is the longest per-tag session a spectrum.Accumulator serves
-// from its streamed sums (the spectrum package's coarse term limit). Past
-// it the accumulator's finalize runs the batch search, and core.Stream
-// counts the tag as a fallback.
-const StreamLimit = 64
-
-// StreamableSession strides each tag's series down to at most StreamLimit
-// snapshots, keeping the whole spin period covered, so every tag of the
-// returned session finalizes from streamed sums.
-func StreamableSession(obs core.Observations) core.Observations {
-	out := make(core.Observations, len(obs))
-	for epc, snaps := range obs {
-		stride := (len(snaps) + StreamLimit - 1) / StreamLimit
-		kept := make([]phase.Snapshot, 0, (len(snaps)+stride-1)/stride)
-		for i := 0; i < len(snaps); i += stride {
-			kept = append(kept, snaps[i])
-		}
-		out[epc] = kept
-	}
-	return out
-}

@@ -36,8 +36,8 @@ const goldenDir = "testdata/golden"
 const goldenMLTol = 1e-6
 
 // goldenSession describes one recorded simulator session. Every session is
-// at real length (Rotations 2.15 → ≥288 reads per tag), so the streaming
-// path's coarse-term limit is exceeded exactly as in production.
+// at real length (Rotations 2.15 → ≥288 reads per tag), far past the batch
+// coarse pass's term subset, exactly as in production.
 type goldenSession struct {
 	name       string
 	threeD     bool
@@ -236,9 +236,8 @@ func streamMatchesBatch(t *testing.T, threeD bool, registered []core.SpinningTag
 
 // TestGoldenTraces pins the answers of committed simulator sessions: the
 // grid backend's position and every fused bearing bit for bit, the ML
-// backend's position within goldenMLTol, and the streaming locate equal to
-// the batch one on every trace, both at full length (batch fallback) and
-// strided to testbed.StreamLimit reads per tag (streamed finalize). A
+// backend's position within goldenMLTol, and the streaming locate of every
+// full-length trace equal to the batch one with every tag streamed. A
 // coarse-search refactor that moves any answer fails here.
 func TestGoldenTraces(t *testing.T) {
 	expPath := filepath.Join(goldenDir, "expected.json")
@@ -297,15 +296,9 @@ func TestGoldenTraces(t *testing.T) {
 				}
 			}
 
-			// At real length every tag is past the streaming limit and its
-			// accumulator runs the batch search; strided down to the limit,
-			// every tag finalizes from the streamed sums.
 			n := int64(len(obs))
-			if st := streamMatchesBatch(t, s.threeD, registered, obs); st.StreamedTags != 0 || st.FallbackTags != n {
-				t.Errorf("full session: %+v, want all %d tags counted as fallbacks", st, n)
-			}
-			if st := streamMatchesBatch(t, s.threeD, registered, testbed.StreamableSession(obs)); st.StreamedTags != n || st.FallbackTags != 0 {
-				t.Errorf("strided session: %+v, want all %d tags streamed", st, n)
+			if st := streamMatchesBatch(t, s.threeD, registered, obs); st.StreamedTags != n || st.FallbackTags != 0 {
+				t.Errorf("full session: %+v, want all %d tags streamed", st, n)
 			}
 		})
 	}
