@@ -39,7 +39,8 @@ vet:
 
 # vet-strict is vet plus the bounds-check-elimination spot check: the SoA
 # hot loops in internal/spectrum (allcells.go synthesis and weighting
-# kernels) are written so the compiler can prove every index in range, and
+# kernels, harmonic.go folds and synthesis, nufft.go spreading) are written
+# so the compiler can prove every index in range, and
 # scripts/check-bce.sh fails if a bounds check creeps back in (DESIGN.md
 # §13 documents the layout rules the script enforces).
 vet-strict: vet

@@ -379,20 +379,12 @@ func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi
 func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
 	foldTermsHarmonic(hs, terms, 1)
-	if cap(hs.vals) < n {
-		hs.vals = make([]float64, n)
-	}
-	vals := hs.vals[:n]
+	vals := hs.values(n)
 	sc := e.getScratch()
 	e.fillUniformTrig(sc, 0, n, step)
 	e.synthRowR(terms, &hs.coeffs, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], vals, true)
 	e.putScratch(sc)
-	maxV := math.Inf(-1)
-	for _, v := range vals {
-		if v > maxV {
-			maxV = v
-		}
-	}
+	maxV := maxOf(vals)
 	window := 2 * (rSlack + rCoarseRel*e.wNorm)
 	cand := hs.cand[:0]
 	for k, v := range vals {
@@ -431,10 +423,7 @@ const polarMirrorTol = 1e-14
 // spans the grid.
 func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
-	if cap(hs.vals) < nAz {
-		hs.vals = make([]float64, nAz)
-	}
-	vals := hs.vals[:nAz]
+	vals := hs.values(nAz)
 	sc, one := e.getScratch(), e.getScratch()
 	one.ensureRow(1)
 	e.fillUniformTrig(sc, 0, nAz, azStep)
@@ -506,13 +495,7 @@ func (e *Evaluator) evalGridCell(terms termSlices, one *Scratch, sinPhi, cosPhi,
 // list therefore ends as exactly the cells within window of the grid's
 // synthesized maximum, in no particular order.
 func shortlistRow(list []maxEntry, vals []float64, base int, maxV, window float64) ([]maxEntry, float64) {
-	rowMax := math.Inf(-1)
-	for _, v := range vals {
-		if v > rowMax {
-			rowMax = v
-		}
-	}
-	if rowMax > maxV {
+	if rowMax := maxOf(vals); rowMax > maxV {
 		maxV = rowMax
 		kept := list[:0]
 		for _, c := range list {
@@ -528,6 +511,21 @@ func shortlistRow(list []maxEntry, vals []float64, base int, maxV, window float6
 		}
 	}
 	return list, maxV
+}
+
+// synthRow writes the synthesized profile at cos γ = cg into out for the
+// cells whose exact trig sits in sinPhi/cosPhi, from hc folded over the
+// full term set at that cg: Q magnitudes, or the two-pass R kernel with the
+// accurate weighting kernels. Values land within harmonicSlack (Q) or
+// rSlack (R) of EvalAt in either trig mode — the contract the Profile*Synth
+// routes document — and within the tighter refineSlack of an exact
+// Evaluator's, which the refinement shortlists rely on.
+func (e *Evaluator) synthRow(hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64) {
+	if e.kind == KindR {
+		e.synthRowR(e.terms, hc, sc, cg, sinPhi, cosPhi, out, false)
+		return
+	}
+	hc.synthesize(out, sinPhi, cosPhi)
 }
 
 // fillAngleTrigExact fills sc.sinPhi/cosPhi with math.Sincos regardless of
@@ -590,11 +588,7 @@ func (e *Evaluator) Profile2DIntoSynth(prof *Profile, angles []float64) {
 	}
 	sc := e.getScratch()
 	fillAngleTrigExact(sc, prof.Angles)
-	if e.kind == KindR {
-		e.synthRowR(e.terms, &hs.coeffs, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], prof.Power, false)
-	} else {
-		hs.coeffs.synthesize(prof.Power, sc.sinPhi[:n], sc.cosPhi[:n])
-	}
+	e.synthRow(&hs.coeffs, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], prof.Power)
 	e.putScratch(sc)
 	harmPool.Put(hs)
 }
@@ -631,12 +625,10 @@ func (e *Evaluator) Profile3DSynth(azimuths, polars []float64) Profile3D {
 	for i := range rows {
 		cg := math.Cos(pols[i])
 		foldTermsHarmonic(hs, e.terms, cg)
-		if e.kind == KindR {
-			e.synthRowR(e.terms, &hs.coeffs, sc, cg, sinPhi, cosPhi, rows[i], false)
-		} else if spreadQ {
+		if spreadQ {
 			nufftSynthQ(&hs.coeffs, prof.Azimuths, rows[i])
 		} else {
-			hs.coeffs.synthesize(rows[i], sinPhi, cosPhi)
+			e.synthRow(&hs.coeffs, sc, cg, sinPhi, cosPhi, rows[i])
 		}
 	}
 	e.putScratch(sc)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/tagspin/tagspin/internal/geom"
+	"github.com/tagspin/tagspin/internal/mathx"
 )
 
 // TestRHarmonicArgmax is the randomized capture pin for the two-pass R
@@ -157,6 +158,144 @@ func TestProfile3DOptSlack(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRefineSynthSlack pins the value contract the refinement shortlists
+// rest on, at the cells refinement actually synthesizes: random off-grid
+// (φ, γ) within ±2° of a session's peak, on full sessions of 288–447 reads
+// rather than the coarse subset. Every synthesized value must sit within
+// refineSlack of the same Evaluator's EvalAt: harmonicSlack/rSlack for
+// fast-trig Evaluators, the much tighter exact-mode slacks for exact ones —
+// across σ from 0.02 to 0.3 rad, since the exact R slack scales with the
+// kernel's wNorm and 1/σ_w. 2D cells fold at cos γ = 1 as
+// refine2D does; 3D cells fold through foldRow as refine3D does, on
+// single-wavelength sessions and on sessions hopping between two carriers.
+// The guard case adds a session whose residual phasors cancel at one cell,
+// so that cell's μ̂ falls under muGuardFrac and is evaluated densely.
+func TestRefineSynthSlack(t *testing.T) {
+	p := testParams()
+	t.Run("sessions", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(74))
+		for trial := 0; trial < 24; trial++ {
+			pp := p
+			pp.LiteralReference = trial%4 == 3
+			pp.Sigma = []float64{0, 0.02, 0.05, 0.3}[trial%4]
+			threeD := trial%2 == 1
+			n := 288 + rng.Intn(160)
+			reader := randReader(rng, !threeD)
+			snaps := synth(pp, reader, n, rng.Float64()*2, rng.Float64()*0.15, rng)
+			if trial%6 == 5 {
+				snaps = synthHopping(pp, reader, n, rng.Float64()*0.15, []float64{testFreq, testFreq + 1.5e6}, rng)
+			}
+			for _, kind := range []Kind{KindQ, KindR} {
+				for _, fast := range []bool{false, true} {
+					var opts []EvalOption
+					if fast {
+						opts = append(opts, WithFastTrig())
+					}
+					ev, err := NewEvaluator(snaps, pp, kind, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var peak Peak3D
+					if threeD {
+						peak = FindPeak3DEval(ev, SearchOptions{})
+					} else {
+						peak.Azimuth, _ = FindPeak2DEval(ev, SearchOptions{})
+					}
+					for row := 0; row < 3; row++ {
+						gamma := 0.0
+						if threeD {
+							gamma = clampPolar(peak.Polar + geom.Radians(4*rng.Float64()-2))
+						}
+						phis := make([]float64, refineCells)
+						for k := range phis {
+							phis[k] = peak.Azimuth + geom.Radians(4*rng.Float64()-2)
+						}
+						checkRefineSynth(t, ev, phis, gamma, threeD)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("guard", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(75))
+		for _, gamma0 := range []float64{0, 0.3} {
+			// Term i's residual at (φ, γ) = (0, γ0) is 2πi/n: the n residual
+			// phasors are the n-th roots of unity, whose sum vanishes.
+			const n, z = 288, 3.85
+			cg0 := math.Cos(gamma0)
+			terms := make([]snapshotTerm, n)
+			for i := range terms {
+				a := 2 * math.Pi * float64(i) / n
+				terms[i] = snapshotTerm{
+					relPhase: mathx.WrapToPi(2*math.Pi*float64(i)/n + z*cg0*(1-math.Cos(a))),
+					cosA:     math.Cos(a),
+					sinA:     math.Sin(a),
+					scale:    z,
+				}
+			}
+			q := newEvaluatorFromTerms(terms, p, KindQ)
+			if s := q.EvalAt(q.NewScratch(), 0, gamma0); s >= muGuardFrac/2 {
+				t.Fatalf("γ0 = %v: |S|/n = %v at the guard cell, want < %v", gamma0, s, muGuardFrac/2)
+			}
+			for _, fast := range []bool{false, true} {
+				var opts []EvalOption
+				if fast {
+					opts = append(opts, WithFastTrig())
+				}
+				ev := newEvaluatorFromTerms(terms, p, KindR, opts...)
+				phis := make([]float64, refineCells) // phis[0] = 0 is the guard cell
+				for k := 1; k < len(phis); k++ {
+					phis[k] = geom.Radians(4*rng.Float64() - 2)
+				}
+				got := checkRefineSynth(t, ev, phis, gamma0, gamma0 != 0)
+				// A guarded cell is evaluated densely, so it carries EvalAt's
+				// very bits; a synthesized one would not.
+				if want := ev.EvalAt(ev.NewScratch(), 0, gamma0); got[0] != want {
+					t.Fatalf("γ0 = %v fast=%v: guard cell %v != EvalAt %v, want the dense fallback", gamma0, fast, got[0], want)
+				}
+			}
+		}
+	})
+}
+
+// checkRefineSynth synthesizes ev's profile at the cells (phis[k], gamma)
+// through refinement's row kernels, fails if any value strays from EvalAt
+// by more than ev.refineSlack(), and returns the synthesized values. threeD selects refine3D's fold
+// (foldRow, scaling unit sums on single-scale sets); otherwise gamma must
+// be 0 and the cells fold at cos γ = 1 as refine2D's do.
+func checkRefineSynth(t *testing.T, ev *Evaluator, phis []float64, gamma float64, threeD bool) []float64 {
+	t.Helper()
+	hs := &harmonicScratch{}
+	cg := math.Cos(gamma)
+	if threeD {
+		z := ev.terms.singleScale()
+		if z > 0 {
+			foldUnitSums(hs, ev.terms)
+		}
+		ev.foldRow(hs, z, cg)
+	} else {
+		foldTermsHarmonic(hs, ev.terms, 1)
+	}
+	sc := ev.NewScratch()
+	sc.ensureRow(len(phis))
+	for k, phi := range phis {
+		sc.sinPhi[k], sc.cosPhi[k] = math.Sincos(phi)
+	}
+	got := make([]float64, len(phis))
+	ev.synthRow(&hs.coeffs, sc, cg, sc.sinPhi, sc.cosPhi, got)
+	slack := ev.refineSlack()
+	exact := ev.NewScratch()
+	for k, phi := range phis {
+		want := ev.EvalAt(exact, phi, gamma)
+		if d := math.Abs(got[k] - want); d > slack {
+			t.Fatalf("%v fast=%v 3D=%v n=%d at (%v, %v): synthesized %v vs EvalAt %v (Δ=%v > %v)",
+				ev.kind, ev.fastTrig, threeD, ev.terms.n(), phi, gamma, got[k], want, d, slack)
+		}
+	}
+	return got
 }
 
 // TestWrappedSincos pins both wrapped-range phasor kernels' error bounds on

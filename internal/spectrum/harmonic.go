@@ -66,10 +66,11 @@ func harmonicsNeeded(w float64) int {
 // highest requested, recur down with J_{m-1} = (2m/w)·J_m − J_{m+1} (stable
 // downward), and normalize with the identity J₀ + 2·Σ_{k≥1} J_{2k} = 1.
 func besselJArray(w float64, out []float64) {
-	h := len(out) - 1
-	for i := range out {
-		out[i] = 0
+	if len(out) == 0 {
+		return
 	}
+	h := len(out) - 1
+	clear(out)
 	if w < 1e-12 {
 		// J₀(0) = 1; higher orders vanish (J₁(w) ≈ w/2 covers the rounding
 		// tail for denormal-scale w).
@@ -89,7 +90,7 @@ func besselJArray(w float64, out []float64) {
 		norm  float64
 	)
 	for m := start; m >= 0; m-- {
-		if m <= h {
+		if uint(m) < uint(len(out)) { // m ≤ h, in the form the prove pass reads
 			out[m] = jCur
 		}
 		if m == 0 {
@@ -135,9 +136,10 @@ func (h *harmonicCoeffs) reset(maxM int) {
 	h.aIm = h.aIm[:need]
 	h.bRe = h.bRe[:need]
 	h.bIm = h.bIm[:need]
-	for i := 0; i < need; i++ {
-		h.aRe[i], h.aIm[i], h.bRe[i], h.bIm[i] = 0, 0, 0, 0
-	}
+	clear(h.aRe)
+	clear(h.aIm)
+	clear(h.bRe)
+	clear(h.bIm)
 	h.n = 0
 	h.maxM = 0
 }
@@ -159,6 +161,9 @@ func (h *harmonicCoeffs) foldTerm(relPhase, cosA, sinA float64, bess []float64) 
 	// Reslice the coefficient banks to the harmonic count up front: one
 	// length check here instead of four bounds checks per iteration.
 	nb := len(bess)
+	if nb == 0 { // never true (H ≥ 20); hands prove the bess[0] fact
+		return
+	}
 	aRe, aIm := h.aRe[:nb], h.aIm[:nb]
 	bRe, bIm := h.bRe[:nb], h.bIm[:nb]
 	aRe[0] += bess[0] * reRot
@@ -188,12 +193,16 @@ func (h *harmonicCoeffs) synthesize(out, sinPhi, cosPhi []float64) {
 	nb := h.maxM + 1
 	aRe, aIm := h.aRe[:nb], h.aIm[:nb]
 	bRe, bIm := h.bRe[:nb], h.bIm[:nb]
+	if len(aRe) == 0 { // never true (maxM ≥ 0); hands prove the aRe[0] fact
+		return
+	}
+	re0, im0 := aRe[0], aIm[0]
 	n := len(out)
 	sinPhi = sinPhi[:n]
 	cosPhi = cosPhi[:n]
 	for k := 0; k < n; k++ {
 		c1, s1 := cosPhi[k], sinPhi[k]
-		sumRe, sumIm := aRe[0], aIm[0]
+		sumRe, sumIm := re0, im0
 		cPrev, sPrev := 1.0, 0.0
 		cCur, sCur := c1, s1
 		for m := 1; m < nb; m++ {
@@ -213,25 +222,58 @@ type harmonicScratch struct {
 	bess      []float64
 	vals      []float64
 	cand      []int
-	shortlist []maxEntry // harmonicArgmax3D's (cell, synthesized value) list
+	shortlist []maxEntry     // harmonicArgmax3D's (cell, synthesized value) list
+	unit      harmonicCoeffs // foldUnitSums' γ-free sums (refine3D)
 }
 
 var harmPool = sync.Pool{New: func() any { return new(harmonicScratch) }}
 
-// foldTermsHarmonic folds a whole term set (at fixed γ) into hs.coeffs,
-// computing each term's Bessel table as it goes.
+// values returns hs.vals resized to n, growing it if needed: the
+// synthesized values of one grid row or refinement round.
+func (hs *harmonicScratch) values(n int) []float64 {
+	if cap(hs.vals) < n {
+		hs.vals = make([]float64, n)
+	}
+	return hs.vals[:n]
+}
+
+// maxOf returns the largest of vals (−Inf when empty).
+func maxOf(vals []float64) float64 {
+	m := math.Inf(-1)
+	for _, v := range vals {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// foldTermsHarmonic folds a whole term set (at fixed γ) into hs.coeffs.
+// The Bessel table depends on the term only through w = z_i·cos γ, so it is
+// recomputed only when w changes from the previous term: a channel-filtered
+// session (one wavelength, one z) computes one table per fold instead of
+// one per term. The table is a pure function of w, so reusing it cannot
+// move a coefficient bit.
 func foldTermsHarmonic(hs *harmonicScratch, terms termSlices, cosGamma float64) {
 	maxM := harmonicsNeeded(terms.maxScale() * math.Abs(cosGamma))
 	hs.coeffs.reset(maxM)
 	if cap(hs.bess) < maxM+1 {
 		hs.bess = make([]float64, maxM+1)
 	}
-	for i := 0; i < terms.n(); i++ {
-		w := terms.scale[i] * cosGamma
-		need := harmonicsNeeded(w)
-		bess := hs.bess[:need+1]
-		besselJArray(w, bess)
-		hs.coeffs.foldTerm(terms.relPhase[i], terms.cosA[i], terms.sinA[i], bess)
+	m := terms.n()
+	relPhase := terms.relPhase[:m]
+	cosA := terms.cosA[:m]
+	sinA := terms.sinA[:m]
+	scale := terms.scale[:m]
+	var bess []float64
+	prevW := math.NaN() // compares unequal to every w, so term 0 computes
+	for i := 0; i < m; i++ {
+		if w := scale[i] * cosGamma; w != prevW {
+			bess = hs.bess[:harmonicsNeeded(w)+1]
+			besselJArray(w, bess)
+			prevW = w
+		}
+		hs.coeffs.foldTerm(relPhase[i], cosA[i], sinA[i], bess)
 	}
 }
 
@@ -245,20 +287,12 @@ func foldTermsHarmonic(hs *harmonicScratch, terms termSlices, cosGamma float64) 
 func (e *Evaluator) harmonicArgmax2D(terms termSlices, n int, step float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
 	foldTermsHarmonic(hs, terms, 1)
-	if cap(hs.vals) < n {
-		hs.vals = make([]float64, n)
-	}
-	vals := hs.vals[:n]
+	vals := hs.values(n)
 	sc := e.getScratch()
 	e.fillUniformTrig(sc, 0, n, step)
 	hs.coeffs.synthesize(vals, sc.sinPhi[:n], sc.cosPhi[:n])
 	e.putScratch(sc)
-	maxV := math.Inf(-1)
-	for _, v := range vals {
-		if v > maxV {
-			maxV = v
-		}
-	}
+	maxV := maxOf(vals)
 	cand := hs.cand[:0]
 	for k, v := range vals {
 		if v >= maxV-2*harmonicSlack {
@@ -269,4 +303,57 @@ func (e *Evaluator) harmonicArgmax2D(terms termSlices, n int, step float64) int 
 	idx := e.rescoreUniform(terms, cand, step)
 	harmPool.Put(hs)
 	return idx
+}
+
+// foldUnitSums folds a term set into hs.unit with every Bessel factor set
+// to 1, so entry m holds Σ_i j^m·e^{jρ_i}·cos(m·a_i) (and the sin
+// counterpart) — the half of the fold that does not depend on γ. For a
+// term set whose terms share one aperture scale z (termSlices.singleScale)
+// the coefficients at any cos γ are these sums times J_m(z·cos γ)
+// (scaleUnitSums), so a sweep over polar rows folds the terms once instead
+// of once per row.
+func foldUnitSums(hs *harmonicScratch, terms termSlices) {
+	maxM := harmonicsNeeded(terms.maxScale())
+	hs.unit.reset(maxM)
+	if cap(hs.bess) < maxM+1 {
+		hs.bess = make([]float64, maxM+1)
+	}
+	ones := hs.bess[:maxM+1]
+	for i := range ones {
+		ones[i] = 1
+	}
+	m := terms.n()
+	relPhase := terms.relPhase[:m]
+	cosA := terms.cosA[:m]
+	sinA := terms.sinA[:m]
+	for i := 0; i < m; i++ {
+		hs.unit.foldTerm(relPhase[i], cosA[i], sinA[i], ones)
+	}
+}
+
+// scaleUnitSums sets hs.coeffs to the coefficients at w = z·cos γ of the
+// single-scale term set foldUnitSums folded: A_m = J_m(w)·Σ_i j^m·e^{jρ_i}·
+// cos(m·a_i), and B_m alike. That is foldTermsHarmonic's result with J_m(w)
+// factored out of the sum — the same harmonics 0..harmonicsNeeded(w), the
+// same value up to summation rounding (≲1e-13, far inside harmonicSlack) —
+// at O(H) per row instead of O(terms·H).
+func scaleUnitSums(hs *harmonicScratch, w float64) {
+	nb := harmonicsNeeded(w) + 1
+	if cap(hs.bess) < nb {
+		hs.bess = make([]float64, nb)
+	}
+	bess := hs.bess[:nb]
+	besselJArray(w, bess)
+	h, u := &hs.coeffs, &hs.unit
+	h.reset(nb - 1)
+	aRe, aIm := h.aRe[:len(bess)], h.aIm[:len(bess)]
+	bRe, bIm := h.bRe[:len(bess)], h.bIm[:len(bess)]
+	uaRe, uaIm := u.aRe[:len(bess)], u.aIm[:len(bess)]
+	ubRe, ubIm := u.bRe[:len(bess)], u.bIm[:len(bess)]
+	for m, j := range bess {
+		aRe[m], aIm[m] = j*uaRe[m], j*uaIm[m]
+		bRe[m], bIm[m] = j*ubRe[m], j*ubIm[m]
+	}
+	h.n = u.n
+	h.maxM = nb - 1
 }

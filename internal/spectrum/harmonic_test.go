@@ -122,3 +122,95 @@ func TestHarmonicDefaultOn(t *testing.T) {
 		}
 	}
 }
+
+// randTerms draws n snapshot terms at random disk angles and phases, term i
+// taking its aperture scale from scaleOf(i).
+func randTerms(rng *rand.Rand, n int, scaleOf func(i int) float64) termSlices {
+	terms := make([]snapshotTerm, n)
+	for i := range terms {
+		a := rng.Float64() * 2 * math.Pi
+		terms[i] = snapshotTerm{
+			relPhase: rng.Float64()*2*math.Pi - math.Pi,
+			cosA:     math.Cos(a),
+			sinA:     math.Sin(a),
+			scale:    scaleOf(i),
+		}
+	}
+	return makeTermSlices(terms)
+}
+
+// TestFoldTermsHarmonicBesselMemo pins the Bessel-table memo: folding a term
+// set whose two wavelengths interleave in runs of varying length must give
+// the same coefficient bits as a fold that computes a fresh table per term.
+func TestFoldTermsHarmonicBesselMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const z1, z2 = 3.85, 4.02
+	runs := []int{1, 3, 1, 1, 7, 2, 5, 1, 4, 2}
+	var scales []float64
+	for k, n := range runs {
+		for range n * 3 {
+			scales = append(scales, []float64{z1, z2}[k%2])
+		}
+	}
+	terms := randTerms(rng, len(scales), func(i int) float64 { return scales[i] })
+	for _, cg := range []float64{1, 0.37, math.Cos(math.Pi / 2)} {
+		hs := &harmonicScratch{}
+		foldTermsHarmonic(hs, terms, cg)
+
+		var want harmonicCoeffs
+		want.reset(harmonicsNeeded(terms.maxScale() * cg))
+		for i := range terms.scale {
+			w := terms.scale[i] * cg
+			bess := make([]float64, harmonicsNeeded(w)+1)
+			besselJArray(w, bess)
+			want.foldTerm(terms.relPhase[i], terms.cosA[i], terms.sinA[i], bess)
+		}
+
+		got := hs.coeffs
+		if got.n != want.n || got.maxM != want.maxM {
+			t.Fatalf("cos γ = %v: n/maxM %d/%d, want %d/%d", cg, got.n, got.maxM, want.n, want.maxM)
+		}
+		for m := 0; m <= want.maxM; m++ {
+			if got.aRe[m] != want.aRe[m] || got.aIm[m] != want.aIm[m] ||
+				got.bRe[m] != want.bRe[m] || got.bIm[m] != want.bIm[m] {
+				t.Fatalf("cos γ = %v, harmonic %d: memoized (%v, %v, %v, %v) != fresh (%v, %v, %v, %v)",
+					cg, m, got.aRe[m], got.aIm[m], got.bRe[m], got.bIm[m],
+					want.aRe[m], want.aIm[m], want.bRe[m], want.bIm[m])
+			}
+		}
+	}
+}
+
+// TestScaleUnitSums pins the single-scale fold refine3D uses: the unit sums
+// scaled by one Bessel table must touch the same harmonics as the per-term
+// fold and agree with it to summation rounding, at every cos γ a polar
+// sweep can ask for.
+func TestScaleUnitSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	terms := randTerms(rng, 447, func(int) float64 { return 3.85 })
+	if z := terms.singleScale(); z != 3.85 {
+		t.Fatalf("singleScale = %v, want 3.85", z)
+	}
+	if z := randTerms(rng, 8, func(i int) float64 { return 3.85 + float64(i/7) }).singleScale(); z != 0 {
+		t.Fatalf("singleScale of a two-wavelength set = %v, want 0", z)
+	}
+	unit := &harmonicScratch{}
+	foldUnitSums(unit, terms)
+	for _, cg := range []float64{1, 0.9, 0.37, 1e-3, math.Cos(math.Pi / 2)} {
+		scaleUnitSums(unit, 3.85*cg)
+		ref := &harmonicScratch{}
+		foldTermsHarmonic(ref, terms, cg)
+		got, want := unit.coeffs, ref.coeffs
+		if got.n != want.n || got.maxM != want.maxM {
+			t.Fatalf("cos γ = %v: n/maxM %d/%d, want %d/%d", cg, got.n, got.maxM, want.n, want.maxM)
+		}
+		for m := 0; m <= want.maxM; m++ {
+			for _, d := range []float64{got.aRe[m] - want.aRe[m], got.aIm[m] - want.aIm[m],
+				got.bRe[m] - want.bRe[m], got.bIm[m] - want.bIm[m]} {
+				if math.Abs(d) > 1e-11 {
+					t.Fatalf("cos γ = %v, harmonic %d: scaled sums differ from the per-term fold by %v", cg, m, d)
+				}
+			}
+		}
+	}
+}

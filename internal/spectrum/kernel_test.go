@@ -303,6 +303,35 @@ func TestFindPeakEvalZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFreshEvaluatorAllocs pins what one locate pays per fresh Evaluator:
+// building it from a 320-read session and running one whole peak search.
+// TestFindPeakEvalZeroAllocs reuses one Evaluator, so it cannot see a
+// search that draws a second Scratch (~29 KB of grid-wide rows on a fresh
+// Evaluator); this test can. The ceilings hold only while refinement serves
+// its synthesis and its exact rescore from the one Scratch it draws.
+func TestFreshEvaluatorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are pinned in the non-race run")
+	}
+	p := testParams()
+	snaps := synth(p, geom.V3(-2.0, 0.7, 0.3), 320, 0.5, 0, nil)
+	for _, kind := range []Kind{KindQ, KindR} {
+		fresh := func() *Evaluator {
+			ev, err := NewEvaluator(snaps, p, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ev
+		}
+		if a := testing.AllocsPerRun(10, func() { FindPeak2DEval(fresh(), SearchOptions{}) }); a > 13 {
+			t.Errorf("%v: NewEvaluator + FindPeak2DEval allocates %v objects, want ≤ 13", kind, a)
+		}
+		if a := testing.AllocsPerRun(3, func() { FindPeak3DEval(fresh(), SearchOptions{}) }); a > 27 {
+			t.Errorf("%v: NewEvaluator + FindPeak3DEval allocates %v objects, want ≤ 27", kind, a)
+		}
+	}
+}
+
 // --- fast-path micro-benchmarks (the exact-path set lives in
 // evaluator_test.go; BENCH_2.json records both) ---
 
@@ -343,6 +372,35 @@ func BenchmarkFindPeak2DREval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FindPeak2DEval(ev, SearchOptions{})
+	}
+}
+
+// BenchmarkFindPeak2DRDense is BenchmarkFindPeak2DREval on the dense
+// oracle: per-cell coarse scan and per-candidate refinement.
+func BenchmarkFindPeak2DRDense(b *testing.B) {
+	ev := benchEvaluatorOpts(b, KindR, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FindPeak2DDense(ev, SearchOptions{})
+	}
+}
+
+func BenchmarkFindPeak3DREval(b *testing.B) {
+	ev := benchEvaluatorOpts(b, KindR, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FindPeak3DEval(ev, SearchOptions{})
+	}
+}
+
+func BenchmarkFindPeak3DRDense(b *testing.B) {
+	ev := benchEvaluatorOpts(b, KindR, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FindPeak3DDense(ev, SearchOptions{})
 	}
 }
 

@@ -397,17 +397,9 @@ func (e *Evaluator) nufftArgmaxQ(terms termSlices, angles []float64) int {
 	defer harmPool.Put(hs)
 	foldTermsHarmonic(hs, terms, 1)
 	n := len(angles)
-	if cap(hs.vals) < n {
-		hs.vals = make([]float64, n)
-	}
-	vals := hs.vals[:n]
+	vals := hs.values(n)
 	nufftSynthQ(&hs.coeffs, angles, vals)
-	maxV := math.Inf(-1)
-	for _, v := range vals {
-		if v > maxV {
-			maxV = v
-		}
-	}
+	maxV := maxOf(vals)
 	cand := hs.cand[:0]
 	for k, v := range vals {
 		if v >= maxV-2*nufftSlackQ {
@@ -428,10 +420,7 @@ func (e *Evaluator) nufftArgmaxR(terms termSlices, angles []float64) int {
 	defer harmPool.Put(hs)
 	foldTermsHarmonic(hs, terms, 1)
 	n := len(angles)
-	if cap(hs.vals) < n {
-		hs.vals = make([]float64, n)
-	}
-	vals := hs.vals[:n]
+	vals := hs.values(n)
 	sc := e.getScratch()
 	fillAngleTrigExact(sc, angles)
 	sc.ensureRow(n)
@@ -440,12 +429,7 @@ func (e *Evaluator) nufftArgmaxR(terms termSlices, angles []float64) int {
 	nufftSynthComplex(&hs.coeffs, angles, qRe, qIm)
 	e.weightRowR(terms, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], qRe, qIm, vals, true, nufftMuGuard)
 	e.putScratch(sc)
-	maxV := math.Inf(-1)
-	for _, v := range vals {
-		if v > maxV {
-			maxV = v
-		}
-	}
+	maxV := maxOf(vals)
 	window := 2 * (nufftSlackR + rCoarseRel*e.wNorm)
 	cand := hs.cand[:0]
 	for k, v := range vals {

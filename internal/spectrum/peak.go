@@ -3,6 +3,7 @@ package spectrum
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/tagspin/tagspin/internal/geom"
 	"github.com/tagspin/tagspin/internal/phase"
@@ -26,9 +27,12 @@ type SearchOptions struct {
 	// means 2°.
 	CoarsePolarStep float64
 	// Refinements is the number of local-grid refinement rounds; each
-	// shrinks the step by 5×. Zero means 4 (≈0.0008° final resolution
-	// from a 0.5° start); NoRefine (or any negative value) disables
-	// refinement entirely, returning the raw coarse-grid argmax.
+	// searches 11 candidates per axis around the current best (11×11 in
+	// 3D) and shrinks the step by 5×. A round synthesizes its candidates
+	// and exact-rescores only those that can win, so the refined peak is
+	// the per-candidate search's bit for bit. Zero means 4 (≈0.0008° final
+	// resolution from a 0.5° start); NoRefine (or any negative value)
+	// disables refinement entirely, returning the raw coarse-grid argmax.
 	Refinements int
 }
 
@@ -99,7 +103,7 @@ func FindPeak2DDense(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	step := opts.coarseStep()
 	searchCounters.dense2D.Add(1)
 	idx := ev.denseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step)
-	return ev.refine2D(float64(idx)*step, step, opts)
+	return ev.refine2DDense(float64(idx)*step, step, opts)
 }
 
 // FindPeak2DAngles locates the azimuth maximizing the selected profile over
@@ -141,7 +145,7 @@ func FindPeak2DAnglesDense(ev *Evaluator, angles []float64, opts SearchOptions) 
 	searchCounters.dense2D.Add(1)
 	idx := ev.denseArgmax2DAngles(ev.coarse, angles)
 	step := 2 * math.Pi / float64(len(angles))
-	return ev.refine2D(angles[idx], step, opts)
+	return ev.refine2DDense(angles[idx], step, opts)
 }
 
 // coarseArgmax2DAngles is coarseArgmax2D over an arbitrary angle grid, the
@@ -166,10 +170,7 @@ func (e *Evaluator) coarseArgmax2DAngles(terms termSlices, angles []float64) int
 func (e *Evaluator) denseArgmax2DAngles(terms termSlices, angles []float64) int {
 	n := len(angles)
 	hs := harmPool.Get().(*harmonicScratch)
-	if cap(hs.vals) < n {
-		hs.vals = make([]float64, n)
-	}
-	vals := hs.vals[:n]
+	vals := hs.values(n)
 	j := e.getJob()
 	j.terms = terms
 	j.n = n
@@ -244,10 +245,52 @@ func (e *Evaluator) denseArgmax2D(terms termSlices, n int, step float64) int {
 	return idx
 }
 
+// refineCells is the candidate count per axis of a refinement round: the
+// winner's ±step neighborhood at step/5 spacing.
+const refineCells = 11
+
 // refine2D runs the local refinement rounds from a coarse-grid winner,
 // re-scoring it with the full snapshot set first so the comparisons are
-// apples-to-apples.
+// apples-to-apples. Each round covers the refineCells candidates
+// best−step … best+step at step/5, then shrinks step 5×. Rounds run like
+// the coarse routes: fold the harmonic coefficients over the full term set
+// once (γ = 0 in every round), synthesize the round's candidates, and
+// exact-rescore in candidate order only those within 2·refineSlack of the
+// round's synthesized maximum. The answer is refine2DDense's bit for bit;
+// refine3D gives the argument.
 func (e *Evaluator) refine2D(best, step float64, opts SearchOptions) (float64, float64) {
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	bestPow := e.EvalAt(sc, best, 0)
+	if opts.refinements() == 0 {
+		return geom.NormalizeAngle(best), bestPow
+	}
+	hs := harmPool.Get().(*harmonicScratch)
+	foldTermsHarmonic(hs, e.terms, 1)
+	vals := hs.values(refineCells)
+	var phis [refineCells]float64
+	for r := 0; r < opts.refinements(); r++ {
+		fine := step / 5
+		sinPhi, cosPhi := refineTrig(sc, &phis, best-step, fine)
+		e.synthRow(&hs.coeffs, sc, 1, sinPhi, cosPhi, vals)
+		cut := maxOf(vals) - 2*e.refineSlack()
+		for k, phi := range phis {
+			if vals[k] < cut {
+				continue
+			}
+			if v := e.EvalAt(sc, phi, 0); v > bestPow {
+				best, bestPow = phi, v
+			}
+		}
+		step = fine
+	}
+	harmPool.Put(hs)
+	return geom.NormalizeAngle(best), bestPow
+}
+
+// refine2DDense is refine2D scoring every candidate with EvalAt — the
+// oracle behind FindPeak2DDense and FindPeak2DAnglesDense.
+func (e *Evaluator) refine2DDense(best, step float64, opts SearchOptions) (float64, float64) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	bestPow := e.EvalAt(sc, best, 0)
@@ -263,6 +306,60 @@ func (e *Evaluator) refine2D(best, step float64, opts SearchOptions) (float64, f
 		step = fine
 	}
 	return geom.NormalizeAngle(best), bestPow
+}
+
+// refineSlack bounds |synthesized − EvalAt| for one refinement candidate;
+// a round's shortlist window is twice it. Refinement synthesizes with the
+// accurate kernels only, so no coarse-kernel widening applies. A fast-trig
+// Evaluator's EvalAt carries its own kernel error, which harmonicSlack and
+// rSlack cover. An exact Evaluator's EvalAt does not, so the bound need only
+// cover synthesis: qExactSlack for Q, and for R a wNorm-relative budget
+// (rExactRel, rExactMuRel) that also holds at extreme user σ.
+// TestRefineSynthSlack pins both modes on full sessions.
+func (e *Evaluator) refineSlack() float64 {
+	switch {
+	case e.fastTrig && e.kind == KindR:
+		return rSlack
+	case e.fastTrig:
+		return harmonicSlack
+	case e.kind == KindR:
+		return e.wNorm * (rExactRel + rExactMuRel/e.weightSigma)
+	default:
+		return qExactSlack
+	}
+}
+
+// Exact-mode refinement slacks (refineSlack).
+const (
+	// qExactSlack bounds synthesized Q against evalQExact: Bessel
+	// truncation (≲1e-20) plus fold and Chebyshev rounding, measured at
+	// ≲3e-15 on 100–500-read sessions; 1e-9 leaves orders of margin.
+	qExactSlack = 1e-9
+	// rExactRel bounds the wNorm-relative R error that does not depend on
+	// σ_w: FastExpNegCore weights ≤ FastExpNegMaxErr = 1e-8, wrapped-range
+	// phasors ≤ 1.5·√2·wrappedSincosMaxErr ≈ 4.2e-9, the rFlushX tail
+	// e^(−24) ≈ 4e-11 — about 1.5e-8, taken with 3× margin.
+	rExactRel = 5e-8
+	// rExactMuRel·wNorm/σ_w bounds the μ̂ term: the guard keeps
+	// |Ŝ|/n ≥ muGuardFrac, so μ̂ moves by ≤ 1e-12/muGuardFrac = 1e-8 rad,
+	// and |∂R/∂μ| ≤ wNorm·e^(−1/2)/σ_w turns that into ≤ 6.1e-9·wNorm/σ_w —
+	// taken with 5× margin. At the default σ the whole R slack is ≈4.8e-7,
+	// against a measured worst case near 2e-8.
+	rExactMuRel = 3e-8
+)
+
+// refineTrig fills phis with a round's azimuth candidates lo + k·fine —
+// the very expression the dense loop evaluates — and sc's row tables with
+// their exact trig, as fillAngleTrigExact does. Refinement tables are not
+// plan-cache traffic, so unlike fillAngleTrigExact it counts no bypass.
+func refineTrig(sc *Scratch, phis *[refineCells]float64, lo, fine float64) (sinPhi, cosPhi []float64) {
+	sc.ensureRow(refineCells)
+	sinPhi, cosPhi = sc.sinPhi[:refineCells], sc.cosPhi[:refineCells]
+	for k := range phis {
+		phis[k] = lo + float64(k)*fine
+		sinPhi[k], cosPhi[k] = math.Sincos(phis[k])
+	}
+	return sinPhi, cosPhi
 }
 
 // ExhaustivePeak2D locates the peak on a single dense grid with the given
@@ -342,7 +439,7 @@ func FindPeak3DDense(ev *Evaluator, opts SearchOptions) Peak3D {
 		Azimuth: float64(idx%nAz) * azStep,
 		Polar:   -math.Pi/2 + float64(idx/nAz)*polStep,
 	}
-	return ev.refine3D(best, azStep, polStep, opts)
+	return ev.refine3DDense(best, azStep, polStep, opts)
 }
 
 // coarseArgmax3D is coarseArgmax2D over the az × polar grid: both kinds
@@ -373,8 +470,95 @@ func (e *Evaluator) denseArgmax3D(terms termSlices, nAz, nPol int, azStep, polSt
 	return idx
 }
 
-// refine3D is refine2D over (azimuth, polar).
+// refine3D is refine2D over (azimuth, polar): each round covers the
+// refineCells × refineCells candidates, polar rows outer. Every row folds
+// the coefficients at its own cos γ and synthesizes its azimuths; the
+// round then exact-rescores, in candidate order, the candidates within
+// 2·refineSlack of its synthesized maximum. A single-wavelength session
+// folds its terms once per refine (foldUnitSums) and each row only scales
+// those sums by its Bessel table (scaleUnitSums). A row whose cos γ repeats an
+// earlier row's — rows clamped at ±π/2, or a ±γ pair — is skipped
+// outright: EvalAt sees γ only through cos γ, so it would score exactly
+// the earlier row's values and, under the strict >, never win. The answer
+// is refine3DDense's bit for bit.
+//
+// Why the shortlist cannot change the answer: the dense loop returns the
+// incoming best unless some candidate beats it, and otherwise the first
+// candidate (in order) that reaches the round's exact maximum V*. That
+// candidate sits in a synthesized row and its synthesized value is at
+// least V* − slack, while no synthesized value exceeds V* + slack, so it
+// is inside the 2·slack window; every other candidate the shortlist keeps
+// scores at most V*. Rescoring the kept candidates in order under the
+// same strict > therefore picks the same winner — or keeps the incoming
+// best exactly when the dense loop does.
 func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOptions) Peak3D {
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	best.Power = e.EvalAt(sc, best.Azimuth, best.Polar)
+	if opts.refinements() == 0 {
+		best.Azimuth = geom.NormalizeAngle(best.Azimuth)
+		return best
+	}
+	hs := harmPool.Get().(*harmonicScratch)
+	vals := hs.values(refineCells * refineCells)
+	window := 2 * e.refineSlack()
+	z := e.terms.singleScale()
+	if z > 0 {
+		foldUnitSums(hs, e.terms)
+	}
+	var phis, gammas, cgs [refineCells]float64
+	for r := 0; r < opts.refinements(); r++ {
+		fineAz, finePol := azStep/5, polStep/5
+		polLo := best.Polar - polStep
+		sinPhi, cosPhi := refineTrig(sc, &phis, best.Azimuth-azStep, fineAz)
+		maxV := math.Inf(-1)
+		for i := range gammas {
+			gammas[i] = clampPolar(polLo + float64(i)*finePol)
+			cgs[i] = math.Cos(gammas[i])
+			row := vals[i*refineCells : (i+1)*refineCells]
+			if slices.Contains(cgs[:i], cgs[i]) {
+				for k := range row {
+					row[k] = math.Inf(-1)
+				}
+				continue
+			}
+			e.foldRow(hs, z, cgs[i])
+			e.synthRow(&hs.coeffs, sc, cgs[i], sinPhi, cosPhi, row)
+			maxV = max(maxV, maxOf(row))
+		}
+		cut := maxV - window
+		for i, gamma := range gammas {
+			for k, phi := range phis {
+				if vals[i*refineCells+k] < cut {
+					continue
+				}
+				if v := e.EvalAt(sc, phi, gamma); v > best.Power {
+					best = Peak3D{Azimuth: phi, Polar: gamma, Power: v}
+				}
+			}
+		}
+		azStep, polStep = fineAz, finePol
+	}
+	harmPool.Put(hs)
+	best.Azimuth = geom.NormalizeAngle(best.Azimuth)
+	return best
+}
+
+// foldRow leaves the full term set's coefficients at cos γ = cg in
+// hs.coeffs. A single-scale set (z > 0, hs.unit already folded by
+// foldUnitSums) scales its unit sums; a set mixing wavelengths (z = 0)
+// folds every term.
+func (e *Evaluator) foldRow(hs *harmonicScratch, z, cg float64) {
+	if z > 0 {
+		scaleUnitSums(hs, z*cg)
+		return
+	}
+	foldTermsHarmonic(hs, e.terms, cg)
+}
+
+// refine3DDense is refine3D scoring every candidate with EvalAt — the
+// oracle behind FindPeak3DDense.
+func (e *Evaluator) refine3DDense(best Peak3D, azStep, polStep float64, opts SearchOptions) Peak3D {
 	// Re-score the coarse winner with the full snapshot set so the
 	// refinement comparisons are apples-to-apples.
 	sc := e.getScratch()

@@ -8,6 +8,7 @@ import (
 
 	"github.com/tagspin/tagspin/internal/geom"
 	"github.com/tagspin/tagspin/internal/mathx"
+	"github.com/tagspin/tagspin/internal/phase"
 )
 
 // randReader draws a reader position at a workable range from the disk.
@@ -21,11 +22,44 @@ func randReader(rng *rand.Rand, flat bool) geom.Vec3 {
 	return geom.V3(r*math.Cos(az), r*math.Sin(az), z)
 }
 
+// randPoleReader draws a reader within 4° of straight above or below the
+// disk center, at a workable range.
+func randPoleReader(rng *rand.Rand, center geom.Vec3) geom.Vec3 {
+	el := geom.Radians(86 + 4*rng.Float64())
+	if rng.Intn(2) == 0 {
+		el = -el
+	}
+	az := rng.Float64() * 2 * math.Pi
+	r := 1.2 + rng.Float64()*2.5
+	return center.Add(geom.V3(r*math.Cos(el)*math.Cos(az), r*math.Cos(el)*math.Sin(az), r*math.Sin(el)))
+}
+
+// synthHopping is synth with snapshot i read on carrier freqs[i%len(freqs)],
+// so the session's terms interleave aperture scales.
+func synthHopping(p Params, reader geom.Vec3, n int, sigma float64, freqs []float64, rng *rand.Rand) []phase.Snapshot {
+	snaps := synth(p, reader, n, 0.9, 0, rng)
+	for i := range snaps {
+		f := freqs[i%len(freqs)]
+		tagPos := p.Disk.TagPosition(snaps[i].Time)
+		ph := 4*math.Pi*tagPos.DistanceTo(reader)*f/299_792_458.0 + 0.9 + rng.NormFloat64()*sigma
+		snaps[i].Phase = mathx.WrapPhase(ph)
+		snaps[i].FrequencyHz = f
+	}
+	return snaps
+}
+
 // TestPeakCaptureBound is the route-table property test: across randomized
-// sessions, every coarse-search route — harmonic Q and R on the uniform 2D
-// grid, per-row synthesis for 3D Q and R — must return the dense reference
-// search's refined peak bit for bit. Every route holds it through
+// sessions, every search route — harmonic Q and R on the uniform 2D grid,
+// per-row synthesis for 3D Q and R, and the synthesized refinement rounds
+// behind both — must return the dense reference search's refined peak bit
+// for bit. The dense reference scores every coarse cell and every
+// refinement candidate; every route holds it through
 // shortlist-then-exact-rescore (DESIGN.md §11).
+//
+// The 2D arm's "long" case draws sessions of 288–447 reads, real session
+// lengths, for Q, robust R and literal R, with fast trig on every third
+// trial: the refinement rounds then fold and score the full session, not
+// the coarse subset.
 //
 // The 3D arm draws 40 sessions per kind and reference on the default 2°
 // polar grid, where mirror rows share one synthesis, at real session lengths
@@ -34,7 +68,11 @@ func randReader(rng *rand.Rand, flat bool) geom.Vec3 {
 // robust and the literal reference. A 7° grid, whose rows are not symmetric
 // and must each be synthesized, adds 8 sessions per case. The "short" case
 // keeps 40 sessions per kind of 24–63 reads, where the coarse set is the
-// whole session.
+// whole session. The "pole" case puts the reader within 4° of ±90°
+// elevation, so the refinement windows run past ±π/2 and clampPolar
+// collapses their edge rows onto one cos γ; every other pole session hops
+// between two carriers, so its terms mix aperture scales and refinement
+// folds every row term by term instead of scaling one set of unit sums.
 func TestPeakCaptureBound(t *testing.T) {
 	p := testParams()
 	opts := SearchOptions{}
@@ -52,6 +90,30 @@ func TestPeakCaptureBound(t *testing.T) {
 					wantAz, wantPow := FindPeak2DDense(ev, opts)
 					if gotAz, gotPow := FindPeak2DEval(ev, opts); gotAz != wantAz || gotPow != wantPow {
 						t.Fatalf("trial %d: routed (%v, %v) != dense (%v, %v)", trial, gotAz, gotPow, wantAz, wantPow)
+					}
+				}
+			})
+		}
+		for i, tc := range refineKinds {
+			t.Run("long/"+tc.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(110 + int64(i)))
+				pp := p
+				pp.LiteralReference = tc.literal
+				for trial := 0; trial < 60; trial++ {
+					n := 288 + rng.Intn(160)
+					snaps := synth(pp, randReader(rng, true), n, rng.Float64()*2, rng.Float64()*0.2, rng)
+					var evalOpts []EvalOption
+					if trial%3 == 2 {
+						evalOpts = append(evalOpts, WithFastTrig())
+					}
+					ev, err := NewEvaluator(snaps, pp, tc.kind, evalOpts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantAz, wantPow := FindPeak2DDense(ev, opts)
+					if gotAz, gotPow := FindPeak2DEval(ev, opts); gotAz != wantAz || gotPow != wantPow {
+						t.Fatalf("trial %d (n=%d fast=%v): routed (%v, %v) != dense (%v, %v)",
+							trial, n, len(evalOpts) > 0, gotAz, gotPow, wantAz, wantPow)
 					}
 				}
 			})
@@ -116,7 +178,56 @@ func TestPeakCaptureBound(t *testing.T) {
 				}
 			})
 		}
+		for i, tc := range refineKinds {
+			t.Run("pole/"+tc.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(230 + int64(i)))
+				pp := p
+				pp.LiteralReference = tc.literal
+				azStep, polStep, nAz, nPol := opts.grid3D()
+				clamped := 0
+				for trial := 0; trial < 12; trial++ {
+					n := 288 + rng.Intn(160)
+					reader := randPoleReader(rng, pp.Disk.Center)
+					snaps := synth3D(pp, reader, n, rng.Float64()*0.15, rng)
+					if trial%2 == 1 {
+						snaps = synthHopping(pp, reader, n, rng.Float64()*0.15, []float64{testFreq, testFreq + 1.5e6}, rng)
+					}
+					var evalOpts []EvalOption
+					if trial%3 == 2 {
+						evalOpts = append(evalOpts, WithFastTrig())
+					}
+					ev, err := NewEvaluator(snaps, pp, tc.kind, evalOpts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (ev.terms.singleScale() == 0) != (trial%2 == 1) {
+						t.Fatalf("trial %d: singleScale = %v, want a mixed set exactly on odd trials", trial, ev.terms.singleScale())
+					}
+					if row := ev.coarseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep) / nAz; row == 0 || row == nPol-1 {
+						clamped++
+					}
+					if got, want := FindPeak3DEval(ev, opts), FindPeak3DDense(ev, opts); got != want {
+						t.Fatalf("trial %d (n=%d fast=%v): routed %+v != dense %+v", trial, n, len(evalOpts) > 0, got, want)
+					}
+				}
+				if clamped == 0 {
+					t.Fatal("no coarse winner on a ±π/2 row: the case never clamped a refinement row")
+				}
+			})
+		}
 	})
+}
+
+// refineKinds are the profile configurations the long-session capture
+// cases sweep: Q, robust R and literal-reference R.
+var refineKinds = []struct {
+	name    string
+	kind    Kind
+	literal bool
+}{
+	{"Q", KindQ, false},
+	{"R", KindR, false},
+	{"literal-R", KindR, true},
 }
 
 // TestHarmonicDefaultOn3D pins the 3D routing: zero-valued SearchOptions

@@ -84,3 +84,19 @@ func (ts termSlices) maxScale() float64 {
 	}
 	return m
 }
+
+// singleScale returns the aperture scale every term shares, or 0 when the
+// set mixes wavelengths or is empty. Channel-filtered sessions — every
+// locate the pipeline runs — have one wavelength and hence one scale.
+func (ts termSlices) singleScale() float64 {
+	if ts.n() == 0 {
+		return 0
+	}
+	z := ts.scale[0]
+	for _, s := range ts.scale {
+		if s != z {
+			return 0
+		}
+	}
+	return z
+}
