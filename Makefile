@@ -10,15 +10,16 @@ GO ?= go
 # never builds, yet it calls the spectrum, core and locsrv APIs), and the
 # full test suite under the race detector — the
 # collection pipeline's retry/cancellation paths are all concurrent. The
-# two pinned-GOMAXPROCS passes re-run the compute-pool equivalence and
-# plan-cache tests at the scheduling extremes (single-threaded runtime vs
-# 4-way) to catch regressions that only show under a particular worker/CPU
-# ratio.
+# two pinned-GOMAXPROCS passes re-run the compute-pool equivalence,
+# plan-cache and golden-trace tests at the scheduling extremes
+# (single-threaded runtime vs 4-way) to catch regressions that only show
+# under a particular worker/CPU ratio; the golden traces pin that answers
+# stay bit-identical at both.
 check: build vet-strict
 	cd bench && $(GO) test ./...
 	$(GO) test -race ./...
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache' ./internal/sched/ ./internal/spectrum/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache' ./internal/sched/ ./internal/spectrum/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestAccumulator|TestStream' ./internal/spectrum/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestReroute|TestKill|TestDrain|TestHealth|TestRing' ./internal/coord/ ./internal/locsrv/
 
@@ -50,9 +51,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/spectrum/
 
 # bench-json regenerates the machine-readable perf snapshot consumed by
-# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/9 —
-# micro rows, concurrent-load rows (K simultaneous Locate2D pipelines on
-# the shared compute pool, grid and ml solve backends) with plan-cache hit
+# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/10 —
+# micro rows (exact kernel only since schema 10), concurrent-load rows (K
+# simultaneous Locate2D pipelines on the shared compute pool, grid and ml
+# solve backends, on the exact kernel every locator runs) with plan-cache hit
 # rates, the streaming rows (StreamLocate2D tail-latency pairs,
 # LoadLocate2DStream throughput; since schema 9 over the full-length
 # session, with a stream tail that saves only term preparation, so the
@@ -65,31 +67,31 @@ bench:
 # DenseLocateNUR/NUFFTLocateR, and the LoadLocate2DStream/ml estimator
 # A/B).
 bench-json:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
 
-# bench-load is bench-json under its serving-path name: the schema-9 report
+# bench-load is bench-json under its serving-path name: the schema-10 report
 # is where the concurrent-load rows live.
 bench-load:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
 
-# bench-stream is bench-json under its streaming-path name: the schema-9
+# bench-stream is bench-json under its streaming-path name: the schema-10
 # report is where the StreamLocate2D/LoadLocate2DStream rows live.
 bench-stream:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
 
-# bench-sublin is bench-json under its sub-linear-search name: the schema-9
+# bench-sublin is bench-json under its sub-linear-search name: the schema-10
 # report is where the SubLinLocate2D/3D rows (≥5x 2D floor), the
 # SubLinLocateR row (≥4x floor), the SubLinLocateR3D row (≥4x floor,
 # checked by bench-compare) and the AllCellsProfile rows (≥3x floor on the
 # 2D/Q pair) live.
 bench-sublin:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
 
-# bench-nufft is bench-json under its non-uniform-grid name: the schema-9
+# bench-nufft is bench-json under its non-uniform-grid name: the schema-10
 # report is where the DenseLocateNU2D/NUFFTLocate2D pair (≥3x floor on the
 # NUFFT row) and the DenseLocateNUR/NUFFTLocateR pair live.
 bench-nufft:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_9.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
 
 # bench-compare diffs the two newest BENCH_<n>.json snapshots and fails on
 # any >10% ns/op regression — the pre-merge perf gate for the spectrum

@@ -17,7 +17,13 @@ import (
 	"github.com/tagspin/tagspin/internal/testbed"
 )
 
-// benchSchema is the current report schema. Version 9 keeps every
+// benchSchema is the current report schema. Version 10 deletes the five
+// fast-trig micro rows (EvalAtRFast, Profile2DRFast, Profile2DQFast,
+// Profile3DCoarseParallelFast, FindPeak2DRFast) together with the fast
+// kernel, and the LoadLocate2D*, StreamLocate2D and LoadLocate2DStream*
+// rows now run on the exact kernel every locator uses (variants load/exact
+// and tail/exact instead of load/fast and tail/fast), so their ns/op does
+// not compare with version-9 reports. Version 9 keeps every
 // version-8 row name, but the StreamLocate2D and LoadLocate2DStream rows
 // changed input: they stream the full-length session instead of one strided
 // to 64 reads per tag, and the streaming finalize runs the batch search on
@@ -70,7 +76,7 @@ import (
 // reads, on both sides of the ratio — run at GOMAXPROCS 1 with one compute
 // pool worker, so a floor compares algorithms rather than how many cores
 // the dense baseline could spread over.
-const benchSchema = "tagspin-bench/9"
+const benchSchema = "tagspin-bench/10"
 
 // benchResult is one benchmark row of the machine-readable report.
 type benchResult struct {
@@ -83,7 +89,7 @@ type benchResult struct {
 	// zero in schema-1 files, meaning the report-level value).
 	GoMaxProcs int `json:"goMaxProcs,omitempty"`
 	// Variant labels the engine path: "serial", "parallel", or "load"
-	// machinery × "exact" or "fast" trig kernel (schema 2+).
+	// machinery × "exact" or (schemas 2–9) "fast" trig kernel (schema 2+).
 	Variant string `json:"variant,omitempty"`
 	// Concurrency is the number of simultaneous locate pipelines for a
 	// load row (schema 3+; zero on micro rows).
@@ -161,8 +167,7 @@ func benchProcs() []int {
 // diff reports: EvalAtQ/EvalAtR are the single-candidate exact paths,
 // Profile2DR and Profile3DCoarse{Serial,Parallel} the grid scans, and
 // FindPeak2DR the full peak search (since schema 2 measured on a prebuilt
-// Evaluator, which is the serving-path shape). *Fast rows are the same ops
-// on the WithFastTrig kernel.
+// Evaluator, which is the serving-path shape).
 // rebaselined additionally stamps the report as a -rebaseline product.
 func writeBenchJSON(path string, rebaselined bool) error {
 	rng := rand.New(rand.NewSource(9))
@@ -182,14 +187,6 @@ func writeBenchJSON(path string, rebaselined bool) error {
 		return err
 	}
 	evR, err := spectrum.NewEvaluator(snaps, params, spectrum.KindR)
-	if err != nil {
-		return err
-	}
-	evQFast, err := spectrum.NewEvaluator(snaps, params, spectrum.KindQ, spectrum.WithFastTrig())
-	if err != nil {
-		return err
-	}
-	evRFast, err := spectrum.NewEvaluator(snaps, params, spectrum.KindR, spectrum.WithFastTrig())
 	if err != nil {
 		return err
 	}
@@ -241,10 +238,7 @@ func writeBenchJSON(path string, rebaselined bool) error {
 	benches := []benchCase{
 		{"EvalAtQ", "serial/exact", false, evalAt(evQ)},
 		{"EvalAtR", "serial/exact", false, evalAt(evR)},
-		{"EvalAtRFast", "serial/fast", false, evalAt(evRFast)},
 		{"Profile2DR", "parallel/exact", true, profile2D(evR)},
-		{"Profile2DRFast", "parallel/fast", true, profile2D(evRFast)},
-		{"Profile2DQFast", "parallel/fast", true, profile2D(evQFast)},
 		{"Profile3DCoarseSerial", "serial/exact", false, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -252,9 +246,7 @@ func writeBenchJSON(path string, rebaselined bool) error {
 			}
 		}},
 		{"Profile3DCoarseParallel", "parallel/exact", true, profile3D(evR)},
-		{"Profile3DCoarseParallelFast", "parallel/fast", true, profile3D(evRFast)},
 		{"FindPeak2DR", "parallel/exact", true, findPeak2D(evR)},
-		{"FindPeak2DRFast", "parallel/fast", true, findPeak2D(evRFast)},
 	}
 
 	report := benchReport{

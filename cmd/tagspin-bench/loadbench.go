@@ -55,7 +55,7 @@ func loadBenchRows() ([]benchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	grid := core.NewLocator(core.Config{FastSpectrum: true})
+	grid := core.NewLocator(core.Config{})
 	backends := []struct {
 		prefix string
 		loc    *core.Locator
@@ -126,7 +126,7 @@ func measureLoad(locator *core.Locator, col testbed.Collection, name string, k i
 		Iterations:       len(all),
 		NsPerOp:          float64(total.Nanoseconds()) / float64(len(all)),
 		GoMaxProcs:       runtime.GOMAXPROCS(0),
-		Variant:          "load/fast",
+		Variant:          "load/exact",
 		Concurrency:      k,
 		LocatesPerSec:    float64(len(all)) / elapsed.Seconds(),
 		P50Ns:            float64(p50.Nanoseconds()),

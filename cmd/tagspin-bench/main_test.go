@@ -65,10 +65,10 @@ func TestBenchJSON(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"EvalAtQ", "EvalAtR", "EvalAtRFast",
-		"Profile2DR", "Profile2DRFast", "Profile2DQFast",
-		"Profile3DCoarseSerial", "Profile3DCoarseParallel", "Profile3DCoarseParallelFast",
-		"FindPeak2DR", "FindPeak2DRFast",
+		"EvalAtQ", "EvalAtR",
+		"Profile2DR",
+		"Profile3DCoarseSerial", "Profile3DCoarseParallel",
+		"FindPeak2DR",
 	} {
 		if _, ok := rows[name]; !ok {
 			t.Errorf("missing benchmark %q at GOMAXPROCS=1", name)
@@ -81,7 +81,7 @@ func TestBenchJSON(t *testing.T) {
 		t.Log("race-detector instrumentation allocates; skipping 0-alloc assertions")
 		return
 	}
-	for _, name := range []string{"EvalAtQ", "EvalAtR", "EvalAtRFast", "Profile2DR", "Profile2DRFast", "FindPeak2DR", "FindPeak2DRFast"} {
+	for _, name := range []string{"EvalAtQ", "EvalAtR", "Profile2DR", "FindPeak2DR"} {
 		if b, ok := rows[name]; ok && b.AllocsPerOp != 0 {
 			t.Errorf("%s allocates %d per op, want 0", name, b.AllocsPerOp)
 		}
@@ -126,7 +126,7 @@ func TestBenchCompare(t *testing.T) {
 		Benchmarks: []benchResult{
 			{Name: "EvalAtR", Iterations: 100, NsPerOp: 25000, GoMaxProcs: 1, Variant: "serial/exact"}, // +25%: inside the drift-calibrated tolerance
 			{Name: "Profile2DR", Iterations: 100, NsPerOp: 9_000_000, GoMaxProcs: 1, Variant: "parallel/exact"},
-			{Name: "Profile2DRFast", Iterations: 100, NsPerOp: 4_000_000, GoMaxProcs: 1, Variant: "parallel/fast"}, // new: never gates
+			{Name: "Profile3DCoarseParallel", Iterations: 100, NsPerOp: 4_000_000, GoMaxProcs: 1, Variant: "parallel/exact"}, // new: never gates
 		},
 	}
 	oldPath := writeReport(t, dir, "BENCH_1.json", v1)

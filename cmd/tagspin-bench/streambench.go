@@ -67,8 +67,8 @@ func streamBenchRows() ([]benchResult, error) {
 		name string
 		cfg  core.Config
 	}{
-		{"Q", core.Config{Kind: spectrum.KindQ, FastSpectrum: true}},
-		{"Rlit", core.Config{LiteralReference: true, FastSpectrum: true}},
+		{"Q", core.Config{Kind: spectrum.KindQ}},
+		{"Rlit", core.Config{LiteralReference: true}},
 	}
 
 	var rows []benchResult
@@ -118,19 +118,19 @@ func streamBenchRows() ([]benchResult, error) {
 				Iterations: streamTailIters,
 				NsPerOp:    batchNs,
 				GoMaxProcs: procs,
-				Variant:    "tail/fast",
+				Variant:    "tail/exact",
 			},
 			benchResult{
 				Name:           "StreamLocate2D/" + k.name + "/stream",
 				Iterations:     streamTailIters,
 				NsPerOp:        streamNs,
 				GoMaxProcs:     procs,
-				Variant:        "tail/fast",
+				Variant:        "tail/exact",
 				SpeedupVsBatch: batchNs / streamNs,
 			})
 		fmt.Fprintf(os.Stderr,
 			"tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op (batch tail)\n",
-			"StreamLocate2D/"+k.name, "tail/fast", procs, batchNs)
+			"StreamLocate2D/"+k.name, "tail/exact", procs, batchNs)
 		fmt.Fprintf(os.Stderr,
 			"tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op (stream tail, %.1fx)\n",
 			"", "", procs, streamNs, batchNs/streamNs)
@@ -190,7 +190,7 @@ func runStreamOnce(locator *core.Locator, registered []core.SpinningTag, items [
 // for the joint maximum-likelihood backend (schema 8) — closing the
 // estimator A/B over the streaming pipeline the batch load rows already had.
 func streamLoadRows(registered []core.SpinningTag, items []streamItem, obs core.Observations) ([]benchResult, error) {
-	grid := core.NewLocator(core.Config{LiteralReference: true, FastSpectrum: true})
+	grid := core.NewLocator(core.Config{LiteralReference: true})
 	backends := []struct {
 		prefix string
 		loc    *core.Locator

@@ -49,7 +49,8 @@ type SpinningTag struct {
 	Orientation *phase.OrientationCalibration
 }
 
-// Config tunes the pipeline.
+// Config tunes the pipeline. Every spectrum evaluation runs the one exact
+// kernel; no field selects another.
 type Config struct {
 	// Kind selects the power profile; zero means the enhanced KindR.
 	Kind spectrum.Kind
@@ -70,13 +71,6 @@ type Config struct {
 	// ZPolicy resolves the 3D mirror ambiguity; zero means
 	// locate.ZPreferNonNegative.
 	ZPolicy locate.ZPolicy
-	// FastSpectrum selects the fast trig kernel (spectrum.WithFastTrig) for
-	// every spectrum evaluation the pipeline runs. Profile values move by
-	// ≲1e-6 and refined peaks by well under 1e-5 rad relative to the exact
-	// default — far below the phase-noise floor — in exchange for several-×
-	// faster grid scans. Leave it off to reproduce paper figures bit for
-	// bit.
-	FastSpectrum bool
 	// Workers, when positive, pins the width of the process-wide spectrum
 	// compute pool (sched.SetWorkers) at NewLocator time. The pool is
 	// shared by every Locator in the process — this is a convenience for
@@ -89,14 +83,6 @@ type Config struct {
 	// intersection with ZPolicy mirror resolution). See internal/estimate
 	// for the joint maximum-likelihood backend.
 	Estimator Estimator
-}
-
-// evalOpts returns the spectrum.NewEvaluator options the config implies.
-func (c Config) evalOpts() []spectrum.EvalOption {
-	if c.FastSpectrum {
-		return []spectrum.EvalOption{spectrum.WithFastTrig()}
-	}
-	return nil
 }
 
 // kind returns the effective profile kind.
@@ -247,7 +233,7 @@ func (l *Locator) estimate2D(tag SpinningTag, selected []phase.Snapshot, kind sp
 	if correctAgainst != nil && tag.Orientation != nil && !l.cfg.DisableOrientation {
 		input = applyOrientation(tag, selected, geom.V3(correctAgainst.X, correctAgainst.Y, tag.Disk.Center.Z))
 	}
-	ev, err := spectrum.NewEvaluator(input, params, kind, l.cfg.evalOpts()...)
+	ev, err := spectrum.NewEvaluator(input, params, kind)
 	if err != nil {
 		return EstimatorTag{}, fmt.Errorf("tag %s: %w", tag.EPC, err)
 	}
@@ -271,7 +257,7 @@ func (l *Locator) estimate3D(tag SpinningTag, selected []phase.Snapshot, kind sp
 	if correctAgainst != nil && tag.Orientation != nil && !l.cfg.DisableOrientation {
 		input = applyOrientation(tag, selected, *correctAgainst)
 	}
-	ev, err := spectrum.NewEvaluator(input, params, kind, l.cfg.evalOpts()...)
+	ev, err := spectrum.NewEvaluator(input, params, kind)
 	if err != nil {
 		return EstimatorTag{}, fmt.Errorf("tag %s: %w", tag.EPC, err)
 	}
@@ -565,7 +551,7 @@ func (l *Locator) ValidateRegistration(tag SpinningTag, snaps []phase.Snapshot) 
 		return Diagnosis{}, fmt.Errorf("tag %s: %w", tag.EPC, err)
 	}
 	params := spectrum.Params{Disk: tag.Disk, Sigma: l.cfg.Sigma}
-	ev, err := spectrum.NewEvaluator(selected, params, spectrum.KindQ, l.cfg.evalOpts()...)
+	ev, err := spectrum.NewEvaluator(selected, params, spectrum.KindQ)
 	if err != nil {
 		return Diagnosis{}, fmt.Errorf("tag %s: %w", tag.EPC, err)
 	}

@@ -390,65 +390,6 @@ func TestLocateParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestFastSpectrumPipelineAgreement runs the whole 2D and 3D pipelines with
-// FastSpectrum enabled and checks the answers stay within millimetres of the
-// exact-kernel locator — the end-to-end form of the spectrum package's
-// kernel-equivalence bounds.
-func TestFastSpectrumPipelineAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sc := testbed.DefaultScenario(0, rng)
-	target := geom.V3(-1.8, 1.4, 0)
-	sc.PlaceReader(target)
-	registered, err := sc.CalibratedSpinningTags(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := sc.Collect(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := core.NewLocator(core.Config{})
-	fast := core.NewLocator(core.Config{FastSpectrum: true})
-	resE, err := exact.Locate2D(registered, col.Obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resF, err := fast.Locate2D(registered, col.Obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := resF.Position.DistanceTo(resE.Position); d > 1e-3 {
-		t.Errorf("fast 2D position drifts %.2f mm from exact (fast %v, exact %v)", d*1000, resF.Position, resE.Position)
-	}
-	if e := resF.Position.DistanceTo(target.XY()); e > 0.10 {
-		t.Errorf("fast 2D error %.1f cm, want < 10 cm", e*100)
-	}
-
-	rng3 := rand.New(rand.NewSource(11))
-	sc3 := testbed.DefaultScenario(0.095, rng3)
-	target3 := geom.V3(-1.6, 1.2, 1.1)
-	sc3.PlaceReader(target3)
-	registered3, err := sc3.CalibratedSpinningTags(rng3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col3, err := sc3.Collect(rng3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res3E, err := exact.Locate3D(registered3, col3.Obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res3F, err := fast.Locate3D(registered3, col3.Obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := res3F.Position.DistanceTo(res3E.Position); d > 2e-3 {
-		t.Errorf("fast 3D position drifts %.2f mm from exact (fast %v, exact %v)", d*1000, res3F.Position, res3E.Position)
-	}
-}
-
 // TestLocateContextCanceled verifies the pipeline aborts between spectrum
 // passes when its context dies: an already-canceled context must return
 // context.Canceled from both solvers without producing a result.

@@ -258,9 +258,9 @@ func (s *Stream) newAccumulator(tag SpinningTag) (*spectrum.Accumulator, error) 
 	cfg := s.loc.cfg
 	params := spectrum.Params{Disk: tag.Disk, Sigma: cfg.Sigma, LiteralReference: cfg.LiteralReference}
 	if s.threeD {
-		return spectrum.NewAccumulator3D(params, s.kind, cfg.Search, cfg.evalOpts()...)
+		return spectrum.NewAccumulator3D(params, s.kind, cfg.Search)
 	}
-	return spectrum.NewAccumulator2D(params, s.kind, cfg.Search, cfg.evalOpts()...)
+	return spectrum.NewAccumulator2D(params, s.kind, cfg.Search)
 }
 
 // usableAcc returns the accumulator that matches the batch selection for

@@ -86,7 +86,6 @@ func TestStreamLocate2DMatchesBatch(t *testing.T) {
 		cfg  core.Config
 	}{
 		{"default", core.Config{}},
-		{"fast", core.Config{FastSpectrum: true}},
 		{"orientation-off", core.Config{DisableOrientation: true}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -158,12 +157,14 @@ func TestStreamLocate2DHelper(t *testing.T) {
 
 // TestStreamLocate3DMatchesBatch is the 3D equivalence check.
 func TestStreamLocate3DMatchesBatch(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		name := "exact"
-		if fast {
-			name = "fast"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"exact", core.Config{}},
+		{"orientation-off", core.Config{DisableOrientation: true}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			sc := testbed.DefaultScenario(0.095, rng)
 			sc.PlaceReader(geom.V3(-1.5, 1.6, 0.8))
@@ -176,7 +177,7 @@ func TestStreamLocate3DMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			obs := col.Obs
-			loc := core.NewLocator(core.Config{FastSpectrum: fast})
+			loc := core.NewLocator(cfg.cfg)
 			want, err := loc.Locate3D(registered, obs)
 			if err != nil {
 				t.Fatal(err)

@@ -103,9 +103,10 @@ func (*ML) Name() string { return "ml" }
 // thousands of times per solve (every simplex trial and Hessian probe walks
 // all disks), so the hot fields live in flat float64 slices the loop can
 // stream with the bounds checks retired — the same layout rule the spectrum
-// package applies to its term set. Exact trig is deliberate — the fast
-// kernel's ~1e-6 profile noise is far below any physical effect but would
-// dominate the 4h² denominator of the finite-difference Hessian.
+// package applies to its term set. Exact evaluation is deliberate — an
+// approximate kernel's ~1e-6 profile noise would be far below any physical
+// effect but would dominate the 4h² denominator of the finite-difference
+// Hessian.
 type sceneSet struct {
 	cx, cy, cz []float64 // disk centers, one coordinate per slice
 	w          []float64 // fusion weight per disk

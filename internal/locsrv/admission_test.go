@@ -40,9 +40,8 @@ func admissionFixture(t *testing.T) (*httptest.Server, *locsrv.Server, chan stru
 	entered := make(chan struct{}, 8) // signals a collect has started
 	release := make(chan struct{})    // closed to let collects finish
 	srv, err := locsrv.New(locsrv.Config{
-		Registry:     reg,
-		MaxInFlight:  1,
-		FastSpectrum: true,
+		Registry:    reg,
+		MaxInFlight: 1,
 		Collect: func(ctx context.Context, _ string, _ client.Config) (core.Observations, error) {
 			entered <- struct{}{}
 			select {

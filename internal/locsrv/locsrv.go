@@ -41,12 +41,9 @@ type CollectStreamFunc func(ctx context.Context, addr string, cfg client.Config,
 type Config struct {
 	// Registry is the spinning-tag store. Required.
 	Registry *registry.Registry
-	// Locator runs the pipeline; nil means a default core.Locator.
+	// Locator runs the pipeline; nil means a default core.Locator built
+	// with Search. A caller-supplied locator carries its own config.
 	Locator *core.Locator
-	// FastSpectrum enables the fast spectrum kernel on the default locator
-	// (core.Config.FastSpectrum). Ignored when Locator is non-nil — a
-	// caller-supplied locator carries its own config.
-	FastSpectrum bool
 	// Search tunes the default locator's peak search (core.Config.Search):
 	// coarse grid steps and refinement rounds. The zero value keeps the
 	// defaults. Ignored when Locator is non-nil.
@@ -153,7 +150,7 @@ func New(cfg Config) (*Server, error) {
 		collect: cfg.Collect,
 	}
 	if s.locator == nil {
-		s.locator = core.NewLocator(core.Config{FastSpectrum: cfg.FastSpectrum, Search: cfg.Search})
+		s.locator = core.NewLocator(core.Config{Search: cfg.Search})
 	}
 	s.mlLocator = s.locator.WithEstimator(estimate.NewML(estimate.Config{}))
 	if s.collect == nil {

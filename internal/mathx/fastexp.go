@@ -119,6 +119,10 @@ const (
 	FastExpNegCutoff = 42.0
 
 	log2E = math.Log2E
+	// roundBias implements round-to-nearest via the float64 mantissa: for
+	// |t| < 2^51, (t + 1.5·2^52) − 1.5·2^52 rounds t to the nearest
+	// integer, and the integer sits in the low mantissa bits.
+	roundBias = 1.5 / 0x1p-52
 
 	ln2 = math.Ln2
 

@@ -12,8 +12,9 @@ import (
 // makeTerm conversion and its validation — so a bad snapshot is rejected
 // the moment it arrives; FindPeak2D/FindPeak3D then run FindPeak2DEval
 // (FindPeak2DAnglesEval on an angle grid) or FindPeak3DEval on an Evaluator
-// over the buffered terms. A streamed answer is therefore the batch answer
-// by construction, at every session length.
+// over the buffered terms, built exactly as NewEvaluator builds one. A
+// streamed answer is therefore the batch answer by construction, at every
+// session length.
 //
 // The accumulator deliberately folds nothing per cell. The batch coarse
 // pass scores a strided subset of at most coarseTermLimit terms whose
@@ -25,11 +26,10 @@ import (
 // must run on one goroutine at a time (core.Stream gives it a single
 // ingestion worker).
 type Accumulator struct {
-	params   Params
-	kind     Kind
-	opts     SearchOptions
-	evalOpts []EvalOption
-	threeD   bool
+	params Params
+	kind   Kind
+	opts   SearchOptions
+	threeD bool
 	// angles, when non-nil, is the arbitrary 2D candidate grid of
 	// NewAccumulator2DAngles; the finalize runs FindPeak2DAnglesEval on it.
 	angles []float64
@@ -41,38 +41,35 @@ type Accumulator struct {
 }
 
 // NewAccumulator2D builds a streaming accumulator whose finalize runs the
-// batch 2D peak search for the same SearchOptions. evalOpts accepts the
-// same options as NewEvaluator (WithFastTrig) and is forwarded to the
-// finalize Evaluator.
-func NewAccumulator2D(p Params, kind Kind, opts SearchOptions, evalOpts ...EvalOption) (*Accumulator, error) {
-	return newAccumulator(p, kind, opts, false, nil, evalOpts)
+// batch 2D peak search for the same SearchOptions.
+func NewAccumulator2D(p Params, kind Kind, opts SearchOptions) (*Accumulator, error) {
+	return newAccumulator(p, kind, opts, false, nil)
 }
 
 // NewAccumulator2DAngles is NewAccumulator2D over an arbitrary (typically
 // non-uniform) 2D candidate grid: FindPeak2D returns FindPeak2DAnglesEval's
 // bits over angles. The grid must be non-empty.
-func NewAccumulator2DAngles(p Params, kind Kind, angles []float64, opts SearchOptions, evalOpts ...EvalOption) (*Accumulator, error) {
+func NewAccumulator2DAngles(p Params, kind Kind, angles []float64, opts SearchOptions) (*Accumulator, error) {
 	if len(angles) == 0 {
 		return nil, fmt.Errorf("spectrum: angle-grid accumulator needs a non-empty grid")
 	}
-	return newAccumulator(p, kind, opts, false, angles, evalOpts)
+	return newAccumulator(p, kind, opts, false, angles)
 }
 
 // NewAccumulator3D is NewAccumulator2D for the batch 3D peak search.
-func NewAccumulator3D(p Params, kind Kind, opts SearchOptions, evalOpts ...EvalOption) (*Accumulator, error) {
-	return newAccumulator(p, kind, opts, true, nil, evalOpts)
+func NewAccumulator3D(p Params, kind Kind, opts SearchOptions) (*Accumulator, error) {
+	return newAccumulator(p, kind, opts, true, nil)
 }
 
-func newAccumulator(p Params, kind Kind, opts SearchOptions, threeD bool, angles []float64, evalOpts []EvalOption) (*Accumulator, error) {
+func newAccumulator(p Params, kind Kind, opts SearchOptions, threeD bool, angles []float64) (*Accumulator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	a := &Accumulator{
-		params:   p,
-		kind:     kind,
-		opts:     opts,
-		evalOpts: evalOpts,
-		threeD:   threeD,
+		params: p,
+		kind:   kind,
+		opts:   opts,
+		threeD: threeD,
 	}
 	if angles != nil {
 		a.angles = append([]float64(nil), angles...)
@@ -109,7 +106,7 @@ func (a *Accumulator) Evaluator() (*Evaluator, error) {
 		return nil, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(a.terms))
 	}
 	if a.ev == nil {
-		a.ev = newEvaluatorFromTerms(a.terms, a.params, a.kind, a.evalOpts...)
+		a.ev = newEvaluatorFromTerms(a.terms, a.params, a.kind)
 	}
 	return a.ev, nil
 }

@@ -36,35 +36,19 @@ func feedAccumulator(t *testing.T, a *Accumulator, snaps []phase.Snapshot) {
 // coarseTermLimit seam, and the ≥288-read sessions real spins produce.
 var accumLengths = []int{24, coarseTermLimit - 1, coarseTermLimit, coarseTermLimit + 1, 288, 447}
 
-// accumVariants enumerates accumKinds in both trig modes.
-func accumVariants(fn func(name string, kind Kind, literal bool, eo []EvalOption)) {
-	for _, tc := range accumKinds {
-		for _, fast := range []bool{false, true} {
-			name := tc.name
-			var eo []EvalOption
-			if fast {
-				name += "-fast"
-				eo = append(eo, WithFastTrig())
-			}
-			fn(name, tc.kind, tc.literal, eo)
-		}
-	}
-}
-
 // TestAccumulatorFindPeak2DBitIdentical pins the end-to-end finalize: for
 // ordered sessions of every length the streamed finalize must return the
-// very same bits as the batch FindPeak2DEval over the same snapshots, in
-// both trig modes.
+// very same bits as the batch FindPeak2DEval over the same snapshots.
 func TestAccumulatorFindPeak2DBitIdentical(t *testing.T) {
 	p := testParams()
-	accumVariants(func(name string, kind Kind, literal bool, eo []EvalOption) {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range accumKinds {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
 			pp := p
-			pp.LiteralReference = literal
+			pp.LiteralReference = tc.literal
 			for _, n := range accumLengths {
 				snaps := synth(pp, randReader(rng, true), n, 0.8, 0.05, rng)
-				a, err := NewAccumulator2D(pp, kind, SearchOptions{}, eo...)
+				a, err := NewAccumulator2D(pp, tc.kind, SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,7 +57,7 @@ func TestAccumulatorFindPeak2DBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ev, err := NewEvaluator(snaps, pp, kind, eo...)
+				ev, err := NewEvaluator(snaps, pp, tc.kind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,7 +67,7 @@ func TestAccumulatorFindPeak2DBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	})
+	}
 }
 
 // TestAccumulatorFindPeak3DBitIdentical is the 3D version of the finalize
@@ -91,14 +75,14 @@ func TestAccumulatorFindPeak2DBitIdentical(t *testing.T) {
 func TestAccumulatorFindPeak3DBitIdentical(t *testing.T) {
 	p := testParams()
 	so := SearchOptions{CoarseStep: geom.Radians(1), CoarsePolarStep: geom.Radians(5)}
-	accumVariants(func(name string, kind Kind, literal bool, eo []EvalOption) {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range accumKinds {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(10))
 			pp := p
-			pp.LiteralReference = literal
+			pp.LiteralReference = tc.literal
 			for _, n := range accumLengths {
 				snaps := synth3D(pp, randReader(rng, false), n, 0.05, rng)
-				a, err := NewAccumulator3D(pp, kind, so, eo...)
+				a, err := NewAccumulator3D(pp, tc.kind, so)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +91,7 @@ func TestAccumulatorFindPeak3DBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ev, err := NewEvaluator(snaps, pp, kind, eo...)
+				ev, err := NewEvaluator(snaps, pp, tc.kind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,7 +100,7 @@ func TestAccumulatorFindPeak3DBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	})
+	}
 }
 
 // TestPooledAccumulatorEquivalence is the pool-path pin for the streaming

@@ -45,16 +45,14 @@ import (
 // returned peak bit-identical to the dense scan's. Full-profile routes
 // (Profile2DIntoSynth/Profile3DSynth) document the value slack instead.
 
-// rSlack bounds |synthesized − dense| per cell for the two-pass R synthesis,
-// in either trig mode of the dense comparator. Budget: wrapped-range phasors
-// ≤ mean(w)·1.5·wrappedSincosMaxErr ≈ 7e-9, FastExpNeg weights ≤
-// wNorm·FastExpNegMaxErr ≈ 2.2e-8, the rFlushX weight tail ≤ wNorm·e^(−24)
-// ≈ 1e-8 even at extreme user σ, μ̂ error ≤ (synthesis 1e-12 /
-// muGuardFrac)·max|∂R/∂μ| ≈ 1e-7 (guarded below), wrap and association
-// rounding ≲1e-13 — about 2e-7 against an exact comparator, plus the fast
-// path's own documented ≲1.5e-6 when the comparator runs WithFastTrig.
-// 2.5e-6 covers both with margin; the randomized slack test pins the
-// exact-mode bound at a fraction of it.
+// rSlack bounds |synthesized − dense| per cell for the two-pass R synthesis.
+// Budget: wrapped-range phasors ≤ mean(w)·1.5·wrappedSincosMaxErr ≈ 7e-9,
+// FastExpNeg weights ≤ wNorm·FastExpNegMaxErr ≈ 2.2e-8, the rFlushX weight
+// tail ≤ wNorm·e^(−24) ≈ 1e-8 even at extreme user σ, μ̂ error ≤
+// (synthesis 1e-12 / muGuardFrac)·max|∂R/∂μ| ≈ 1e-7 (guarded below), wrap
+// and association rounding ≲1e-13 — about 2e-7 in all. 2.5e-6 keeps more
+// than 10× margin over that sum; the randomized slack test pins the
+// measured error at a fraction of it.
 const rSlack = 2.5e-6
 
 // ProfileSlackQ and ProfileSlackR are the exported per-cell value slacks of
@@ -68,7 +66,7 @@ const (
 
 // wrappedSincos computes (sin d, cos d) for a residual already wrapped to
 // |d| ≤ π (+rounding), taking the precomputed d² so the weighting pass
-// shares it with the Gaussian argument. Unlike mathx.FastSincos there is no
+// shares it with the Gaussian argument. Unlike a general sincos there is no
 // range reduction and no quadrant switch — the switch's data-dependent
 // branch mispredicts on essentially every term of the weighting pass, where
 // residuals hop across quadrants cell to cell — just two polynomial chains
@@ -312,11 +310,7 @@ func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi
 				if fb == nil {
 					fb = e.getScratch()
 				}
-				if e.fastTrig {
-					out[k] = e.evalRFast(terms, fb, s, c, cg)
-				} else {
-					out[k] = e.evalRExact(terms, fb, s, c, cg)
-				}
+				out[k] = e.evalRExact(terms, fb, s, c, cg)
 				continue
 			}
 			// μ̂ = arg(e^{−j·refA}·Ŝ); fold it into the wrap offset so pass
@@ -365,6 +359,29 @@ func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi
 	if fb != nil {
 		e.putScratch(fb)
 	}
+}
+
+// inv2Pi is 1/2π for the rounded phase wrap below.
+const inv2Pi = 1 / mathx.TwoPi
+
+// wrapToPiFast maps a phase difference into [-π, π] by subtracting the
+// rounded multiple of 2π — one multiply, an intrinsic floor, and one
+// fused subtract, against math.Mod inside mathx.WrapToPi. The subtracted
+// multiple k carries |k|·ulp(2π) ≲ 1e-14 rad of error for the |x| ≤
+// π + 2·4πr/λ arguments spectrum residuals produce, far inside the
+// weighting pass's rExactRel budget; the boundary case that lands on −π
+// instead of the exact wrap's (−π, π] is harmless because every consumer
+// (sincos, the squared Gaussian distance) is continuous through ±π.
+// Pathological magnitudes fall back to the exact wrap before the k·2π
+// cancellation could lose precision.
+func wrapToPiFast(x float64) float64 {
+	if x > 1e6 || x < -1e6 {
+		return mathx.WrapToPi(x)
+	}
+	if x > math.Pi || x < -math.Pi {
+		x -= math.Floor(x*inv2Pi+0.5) * mathx.TwoPi
+	}
+	return x
 }
 
 // harmonicArgmaxR2D is the coarseArgmax2D drop-in for KindR on the uniform
@@ -480,8 +497,8 @@ func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, po
 
 // evalGridCell scores one cell of the 3D coarse grid through the dense
 // scan's own row kernel, from the row trig table's entry (sinPhi, cosPhi),
-// so the value carries the very bits denseArgmax3D assigns that cell in
-// either trig mode. one is a Scratch whose rows hold at least one cell.
+// so the value carries the very bits denseArgmax3D assigns that cell. one
+// is a Scratch whose rows hold at least one cell.
 func (e *Evaluator) evalGridCell(terms termSlices, one *Scratch, sinPhi, cosPhi, gamma float64) float64 {
 	s, c, row := one.sinPhi[:1], one.cosPhi[:1], one.row[:1]
 	s[0], c[0] = sinPhi, cosPhi
@@ -517,34 +534,15 @@ func shortlistRow(list []maxEntry, vals []float64, base int, maxV, window float6
 // cells whose exact trig sits in sinPhi/cosPhi, from hc folded over the
 // full term set at that cg: Q magnitudes, or the two-pass R kernel with the
 // accurate weighting kernels. Values land within harmonicSlack (Q) or
-// rSlack (R) of EvalAt in either trig mode — the contract the Profile*Synth
-// routes document — and within the tighter refineSlack of an exact
-// Evaluator's, which the refinement shortlists rely on.
+// rSlack (R) of EvalAt — the contract the Profile*Synth routes document —
+// and within the tighter refineSlack, which the refinement shortlists rely
+// on.
 func (e *Evaluator) synthRow(hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64) {
 	if e.kind == KindR {
 		e.synthRowR(e.terms, hc, sc, cg, sinPhi, cosPhi, out, false)
 		return
 	}
 	hc.synthesize(out, sinPhi, cosPhi)
-}
-
-// fillAngleTrigExact fills sc.sinPhi/cosPhi with math.Sincos regardless of
-// the Evaluator's trig mode. Synthesis seeds Chebyshev recurrences from the
-// per-cell (sin φ, cos φ), and a seed error δ amplifies like m²·δ through
-// harmonic m — FastSincos's 1e-7 would swamp the synthesis budget, while
-// one exact sincos per cell is amortized over the whole O(H) synthesis and
-// the whole pass-two term loop.
-func fillAngleTrigExact(sc *Scratch, angles []float64) {
-	n := len(angles)
-	if n >= planMinN {
-		planCache.nonUniformMiss.Add(1)
-	}
-	sc.ensureRow(n)
-	sinPhi := sc.sinPhi[:n]
-	cosPhi := sc.cosPhi[:n]
-	for k := range angles {
-		sinPhi[k], cosPhi[k] = math.Sincos(angles[k])
-	}
 }
 
 // Profile2DSynth is Profile2D through the all-cells transform; see
@@ -561,9 +559,9 @@ func (e *Evaluator) Profile2DSynth(angles []float64) Profile {
 // of the dense O(cells·snaps) scan.
 //
 // Contract: synthesized values approximate the *exact* dense profile within
-// harmonicSlack (Q) / rSlack (R) per cell, in either trig mode — callers
-// needing Profile2DInto's bit-for-bit guarantee keep calling Profile2DInto.
-// Angles may be arbitrary; uniformity is not required.
+// harmonicSlack (Q) / rSlack (R) per cell — callers needing
+// Profile2DInto's bit-for-bit guarantee keep calling Profile2DInto. Angles
+// may be arbitrary; uniformity is not required.
 func (e *Evaluator) Profile2DIntoSynth(prof *Profile, angles []float64) {
 	searchCounters.profileSynth.Add(1)
 	prof.Angles = append(prof.Angles[:0], angles...)
@@ -587,7 +585,7 @@ func (e *Evaluator) Profile2DIntoSynth(prof *Profile, angles []float64) {
 		return
 	}
 	sc := e.getScratch()
-	fillAngleTrigExact(sc, prof.Angles)
+	fillAngleTrig(sc, prof.Angles)
 	e.synthRow(&hs.coeffs, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], prof.Power)
 	e.putScratch(sc)
 	harmPool.Put(hs)
@@ -616,7 +614,7 @@ func (e *Evaluator) Profile3DSynth(azimuths, polars []float64) Profile3D {
 	sc := e.getScratch()
 	var sinPhi, cosPhi []float64
 	if !spreadQ {
-		fillAngleTrigExact(sc, prof.Azimuths)
+		fillAngleTrig(sc, prof.Azimuths)
 		sinPhi = sc.sinPhi[:n]
 		cosPhi = sc.cosPhi[:n]
 	}

@@ -11,7 +11,7 @@ import (
 
 // TestRHarmonicArgmax is the randomized capture pin for the two-pass R
 // all-cells route: across hundreds of random sessions (geometry, snapshot
-// count, diversity, noise, reference mode, trig mode), the default-routed
+// count, diversity, noise, reference mode), the default-routed
 // FindPeak2DEval — which now takes harmonicArgmaxR2D for KindR — must return
 // the dense scan's answer bit for bit. The shortlist-then-exact-rescore
 // construction makes this an equality claim, not a tolerance claim.
@@ -26,19 +26,15 @@ func TestRHarmonicArgmax(t *testing.T) {
 		p.LiteralReference = trial%2 == 1
 		n := 16 + rng.Intn(48)
 		snaps := synth(p, randReader(rng, true), n, rng.Float64()*2, rng.Float64()*0.2, rng)
-		var evalOpts []EvalOption
-		if trial%3 == 2 {
-			evalOpts = append(evalOpts, WithFastTrig())
-		}
-		ev, err := NewEvaluator(snaps, p, KindR, evalOpts...)
+		ev, err := NewEvaluator(snaps, p, KindR)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gotAz, gotPow := FindPeak2DEval(ev, SearchOptions{})
 		wantAz, wantPow := FindPeak2DDense(ev, SearchOptions{})
 		if gotAz != wantAz || gotPow != wantPow {
-			t.Fatalf("trial %d (n=%d literal=%v fast=%v): harmonic-R (%v, %v) != dense (%v, %v)",
-				trial, n, p.LiteralReference, len(evalOpts) > 0, gotAz, gotPow, wantAz, wantPow)
+			t.Fatalf("trial %d (n=%d literal=%v): harmonic-R (%v, %v) != dense (%v, %v)",
+				trial, n, p.LiteralReference, gotAz, gotPow, wantAz, wantPow)
 		}
 	}
 }
@@ -88,8 +84,7 @@ func TestAccumulatorHarmonicRBoundary(t *testing.T) {
 
 // TestProfile2DOptSlack pins the all-cells value contract on random
 // sessions: synthesized Q profiles sit within harmonicSlack of the exact
-// dense profile, synthesized R profiles within rSlack — including when the
-// synthesizing evaluator runs fast trig while the comparator is exact.
+// dense profile, synthesized R profiles within rSlack.
 func TestProfile2DOptSlack(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	angles := UniformAngles(720)
@@ -102,24 +97,16 @@ func TestProfile2DOptSlack(t *testing.T) {
 			if kind == KindR {
 				slack = rSlack
 			}
-			exact, err := NewEvaluator(snaps, p, kind)
+			ev, err := NewEvaluator(snaps, p, kind)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := exact.Profile2D(angles)
-			for _, fast := range []bool{false, trial%3 == 0} {
-				ev := exact
-				if fast {
-					if ev, err = NewEvaluator(snaps, p, kind, WithFastTrig()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got := ev.Profile2DSynth(angles)
-				for k := range got.Power {
-					if d := math.Abs(got.Power[k] - want.Power[k]); d > slack {
-						t.Fatalf("trial %d %v fast=%v cell %d: synthesized %v vs exact %v (Δ=%v > %v)",
-							trial, kind, fast, k, got.Power[k], want.Power[k], d, slack)
-					}
+			want := ev.Profile2D(angles)
+			got := ev.Profile2DSynth(angles)
+			for k := range got.Power {
+				if d := math.Abs(got.Power[k] - want.Power[k]); d > slack {
+					t.Fatalf("trial %d %v cell %d: synthesized %v vs exact %v (Δ=%v > %v)",
+						trial, kind, k, got.Power[k], want.Power[k], d, slack)
 				}
 			}
 		}
@@ -164,10 +151,9 @@ func TestProfile3DOptSlack(t *testing.T) {
 // rest on, at the cells refinement actually synthesizes: random off-grid
 // (φ, γ) within ±2° of a session's peak, on full sessions of 288–447 reads
 // rather than the coarse subset. Every synthesized value must sit within
-// refineSlack of the same Evaluator's EvalAt: harmonicSlack/rSlack for
-// fast-trig Evaluators, the much tighter exact-mode slacks for exact ones —
-// across σ from 0.02 to 0.3 rad, since the exact R slack scales with the
-// kernel's wNorm and 1/σ_w. 2D cells fold at cos γ = 1 as
+// refineSlack of the same Evaluator's EvalAt — qExactSlack for Q, the
+// wNorm-relative budget for R — across σ from 0.02 to 0.3 rad, since the R
+// slack scales with the kernel's wNorm and 1/σ_w. 2D cells fold at cos γ = 1 as
 // refine2D does; 3D cells fold through foldRow as refine3D does, on
 // single-wavelength sessions and on sessions hopping between two carriers.
 // The guard case adds a session whose residual phasors cancel at one cell,
@@ -188,32 +174,26 @@ func TestRefineSynthSlack(t *testing.T) {
 				snaps = synthHopping(pp, reader, n, rng.Float64()*0.15, []float64{testFreq, testFreq + 1.5e6}, rng)
 			}
 			for _, kind := range []Kind{KindQ, KindR} {
-				for _, fast := range []bool{false, true} {
-					var opts []EvalOption
-					if fast {
-						opts = append(opts, WithFastTrig())
-					}
-					ev, err := NewEvaluator(snaps, pp, kind, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var peak Peak3D
+				ev, err := NewEvaluator(snaps, pp, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var peak Peak3D
+				if threeD {
+					peak = FindPeak3DEval(ev, SearchOptions{})
+				} else {
+					peak.Azimuth, _ = FindPeak2DEval(ev, SearchOptions{})
+				}
+				for row := 0; row < 3; row++ {
+					gamma := 0.0
 					if threeD {
-						peak = FindPeak3DEval(ev, SearchOptions{})
-					} else {
-						peak.Azimuth, _ = FindPeak2DEval(ev, SearchOptions{})
+						gamma = clampPolar(peak.Polar + geom.Radians(4*rng.Float64()-2))
 					}
-					for row := 0; row < 3; row++ {
-						gamma := 0.0
-						if threeD {
-							gamma = clampPolar(peak.Polar + geom.Radians(4*rng.Float64()-2))
-						}
-						phis := make([]float64, refineCells)
-						for k := range phis {
-							phis[k] = peak.Azimuth + geom.Radians(4*rng.Float64()-2)
-						}
-						checkRefineSynth(t, ev, phis, gamma, threeD)
+					phis := make([]float64, refineCells)
+					for k := range phis {
+						phis[k] = peak.Azimuth + geom.Radians(4*rng.Float64()-2)
 					}
+					checkRefineSynth(t, ev, phis, gamma, threeD)
 				}
 			}
 		}
@@ -240,22 +220,16 @@ func TestRefineSynthSlack(t *testing.T) {
 			if s := q.EvalAt(q.NewScratch(), 0, gamma0); s >= muGuardFrac/2 {
 				t.Fatalf("γ0 = %v: |S|/n = %v at the guard cell, want < %v", gamma0, s, muGuardFrac/2)
 			}
-			for _, fast := range []bool{false, true} {
-				var opts []EvalOption
-				if fast {
-					opts = append(opts, WithFastTrig())
-				}
-				ev := newEvaluatorFromTerms(terms, p, KindR, opts...)
-				phis := make([]float64, refineCells) // phis[0] = 0 is the guard cell
-				for k := 1; k < len(phis); k++ {
-					phis[k] = geom.Radians(4*rng.Float64() - 2)
-				}
-				got := checkRefineSynth(t, ev, phis, gamma0, gamma0 != 0)
-				// A guarded cell is evaluated densely, so it carries EvalAt's
-				// very bits; a synthesized one would not.
-				if want := ev.EvalAt(ev.NewScratch(), 0, gamma0); got[0] != want {
-					t.Fatalf("γ0 = %v fast=%v: guard cell %v != EvalAt %v, want the dense fallback", gamma0, fast, got[0], want)
-				}
+			ev := newEvaluatorFromTerms(terms, p, KindR)
+			phis := make([]float64, refineCells) // phis[0] = 0 is the guard cell
+			for k := 1; k < len(phis); k++ {
+				phis[k] = geom.Radians(4*rng.Float64() - 2)
+			}
+			got := checkRefineSynth(t, ev, phis, gamma0, gamma0 != 0)
+			// A guarded cell is evaluated densely, so it carries EvalAt's
+			// very bits; a synthesized one would not.
+			if want := ev.EvalAt(ev.NewScratch(), 0, gamma0); got[0] != want {
+				t.Fatalf("γ0 = %v: guard cell %v != EvalAt %v, want the dense fallback", gamma0, got[0], want)
 			}
 		}
 	})
@@ -291,8 +265,8 @@ func checkRefineSynth(t *testing.T, ev *Evaluator, phis []float64, gamma float64
 	for k, phi := range phis {
 		want := ev.EvalAt(exact, phi, gamma)
 		if d := math.Abs(got[k] - want); d > slack {
-			t.Fatalf("%v fast=%v 3D=%v n=%d at (%v, %v): synthesized %v vs EvalAt %v (Δ=%v > %v)",
-				ev.kind, ev.fastTrig, threeD, ev.terms.n(), phi, gamma, got[k], want, d, slack)
+			t.Fatalf("%v 3D=%v n=%d at (%v, %v): synthesized %v vs EvalAt %v (Δ=%v > %v)",
+				ev.kind, threeD, ev.terms.n(), phi, gamma, got[k], want, d, slack)
 		}
 	}
 	return got
@@ -356,5 +330,35 @@ func TestSearchStatsCounters(t *testing.T) {
 	}
 	if st := SearchStatsSnapshot(); st != want {
 		t.Fatalf("route counts %+v, want %+v", st, want)
+	}
+}
+
+// TestWrapToPiFast pins the rounded wrap against the exact mathx.WrapToPi
+// across the magnitudes spectrum residuals produce, including the ±π
+// boundaries where the two conventions may differ by a full turn (which
+// every consumer treats as the same angle).
+func TestWrapToPiFast(t *testing.T) {
+	angleDiff := func(a, b float64) float64 {
+		d := math.Abs(a - b)
+		return math.Min(d, mathx.TwoPi-d)
+	}
+	for i := -200_000; i <= 200_000; i++ {
+		x := float64(i) * 2.5e-4 // covers [-50, 50]
+		got := wrapToPiFast(x)
+		if got > math.Pi || got < -math.Pi {
+			t.Fatalf("wrapToPiFast(%v) = %v out of [-π, π]", x, got)
+		}
+		if d := angleDiff(got, mathx.WrapToPi(x)); d > 1e-12 {
+			t.Fatalf("wrapToPiFast(%v) = %v, exact %v (Δ=%g)", x, got, mathx.WrapToPi(x), d)
+		}
+	}
+	for _, x := range []float64{math.Pi, -math.Pi, 3 * math.Pi, -3 * math.Pi, 1e7, -1e7, 1e12} {
+		got := wrapToPiFast(x)
+		if got > math.Pi || got < -math.Pi {
+			t.Fatalf("wrapToPiFast(%v) = %v out of [-π, π]", x, got)
+		}
+		if d := angleDiff(got, mathx.WrapToPi(x)); d > 1e-9 {
+			t.Fatalf("wrapToPiFast(%v) = %v, exact %v (Δ=%g)", x, got, mathx.WrapToPi(x), d)
+		}
 	}
 }

@@ -31,14 +31,11 @@ const chunkTarget = 64
 // in a caller-owned Scratch (grid scans draw theirs from an internal
 // free list, so steady-state scans allocate nothing either).
 //
-// Two trig paths exist. The default exact path uses math.Sincos everywhere
-// and is bit-identical to a naive serial evaluation — equivalence tests pin
-// this. WithFastTrig selects the batched fast kernel: mathx.FastSincos for
-// the per-snapshot phasors (absolute error ≤ mathx.FastSincosMaxErr) and a
-// rotation-recurrence trig table for uniform candidate grids (re-seeded
-// from math.Sincos every trigReseedInterval points). The fast path changes
-// profile values by ≲1e-6 and peak locations by well under 1e-5 rad; the
-// kernel tests bound both.
+// Every per-candidate value uses math.Sincos and is bit-identical to a
+// naive serial evaluation — equivalence tests pin this. The synthesis
+// routes (harmonic.go, allcells.go, nufft.go) approximate these values
+// within documented slacks and exact-rescore any cell that could win, so
+// their answers carry the same bits.
 //
 // An Evaluator is immutable after construction (the pools are internally
 // synchronized) and safe for concurrent use. All mutable per-evaluation
@@ -50,12 +47,11 @@ type Evaluator struct {
 	kind        Kind
 	literalRef  bool
 	weightSigma float64 // Gaussian kernel width for the R weights
-	fastTrig    bool    // FastSincos + recurrence tables instead of math.Sincos
 
-	// Hoisted Gaussian-kernel constants for the fast R path: GaussPDF's
-	// per-call 1/(σ√2π) and 1/(2σ²) pulled out of the inner loop. The
-	// exact path keeps calling mathx.GaussPDF so its results stay
-	// bit-identical to the pre-kernel engine.
+	// Hoisted Gaussian-kernel constants for the R synthesis weighting pass:
+	// GaussPDF's per-call 1/(σ√2π) and 1/(2σ²) pulled out of the inner
+	// loop. The per-candidate path keeps calling mathx.GaussPDF so its
+	// results stay bit-identical to the pre-kernel engine.
 	wNorm    float64
 	wInv2Sig float64
 
@@ -64,27 +60,14 @@ type Evaluator struct {
 	jobPool   sync.Pool   // *scanJob, reused across grid scans
 }
 
-// EvalOption configures an Evaluator at construction.
-type EvalOption func(*Evaluator)
-
-// WithFastTrig selects the fast trig kernel (mathx.FastSincos plus
-// rotation-recurrence candidate tables) for every evaluation this Evaluator
-// performs. Profile values move by ≲1e-6 and refined peak locations by well
-// under 1e-5 rad relative to the default exact path; grid scans get several
-// times faster. Use it on serving paths; leave the default for equivalence
-// tests and paper-figure reproduction.
-func WithFastTrig() EvalOption {
-	return func(e *Evaluator) { e.fastTrig = true }
-}
-
 // NewEvaluator prepares the snapshot terms and trig tables for repeated
 // evaluation of the selected profile kind.
-func NewEvaluator(snaps []phase.Snapshot, p Params, kind Kind, opts ...EvalOption) (*Evaluator, error) {
+func NewEvaluator(snaps []phase.Snapshot, p Params, kind Kind) (*Evaluator, error) {
 	terms, err := prepare(snaps, p)
 	if err != nil {
 		return nil, err
 	}
-	return newEvaluatorFromTerms(terms, p, kind, opts...), nil
+	return newEvaluatorFromTerms(terms, p, kind), nil
 }
 
 // weightSigma returns the Gaussian kernel width the R weights use.
@@ -102,7 +85,7 @@ func (p Params) weightSigma() float64 {
 // newEvaluatorFromTerms builds an Evaluator over already-prepared terms. The
 // streaming Accumulator finalizes through this path, so batch and streaming
 // searches run on the very same engine.
-func newEvaluatorFromTerms(terms []snapshotTerm, p Params, kind Kind, opts ...EvalOption) *Evaluator {
+func newEvaluatorFromTerms(terms []snapshotTerm, p Params, kind Kind) *Evaluator {
 	ts := makeTermSlices(terms)
 	e := &Evaluator{
 		terms:       ts,
@@ -113,9 +96,6 @@ func newEvaluatorFromTerms(terms []snapshotTerm, p Params, kind Kind, opts ...Ev
 	}
 	e.wNorm = 1 / (e.weightSigma * math.Sqrt(mathx.TwoPi))
 	e.wInv2Sig = 1 / (2 * e.weightSigma * e.weightSigma)
-	for _, opt := range opts {
-		opt(e)
-	}
 	return e
 }
 
@@ -244,13 +224,7 @@ func (e *Evaluator) evalTerms(terms termSlices, sc *Scratch, phi, gamma float64)
 	sinPhi, cosPhi := math.Sincos(phi)
 	cg := math.Cos(gamma)
 	if e.kind != KindR {
-		if e.fastTrig {
-			return evalQFast(terms, sinPhi, cosPhi, cg)
-		}
 		return evalQExact(terms, sinPhi, cosPhi, cg)
-	}
-	if e.fastTrig {
-		return e.evalRFast(terms, sc, sinPhi, cosPhi, cg)
 	}
 	return e.evalRExact(terms, sc, sinPhi, cosPhi, cg)
 }
@@ -268,21 +242,6 @@ func evalQExact(terms termSlices, sinPhi, cosPhi, cg float64) float64 {
 		sumIm += s
 	}
 	return math.Hypot(sumRe, sumIm) / float64(len(scale))
-}
-
-// evalQFast is evalQExact with the per-snapshot sincos replaced by the
-// bounded-error fast kernel (and Hypot by a plain sqrt — the sums are
-// bounded by the term count, so overflow protection buys nothing).
-func evalQFast(terms termSlices, sinPhi, cosPhi, cg float64) float64 {
-	var sumRe, sumIm float64
-	relPhase, cosA, sinA, scale := terms.relPhase, terms.cosA, terms.sinA, terms.scale
-	for i := range scale {
-		aperture := scale[i] * (cosA[i]*cosPhi + sinA[i]*sinPhi) * cg
-		s, c := mathx.FastSincos(relPhase[i] + aperture)
-		sumRe += c
-		sumIm += s
-	}
-	return math.Sqrt(sumRe*sumRe+sumIm*sumIm) / float64(len(scale))
 }
 
 // evalRExact is the exact-trig R profile for one candidate: residual of
@@ -336,67 +295,6 @@ func (e *Evaluator) evalRExact(terms termSlices, sc *Scratch, sinPhi, cosPhi, cg
 	// would let a single accidentally-agreeing snapshot dominate at wrong
 	// angles.
 	return math.Hypot(sumRe, sumIm) / float64(n)
-}
-
-// evalRFast is evalRExact on the fast kernel: FastSincos phasors, an
-// additive phase wrap (arguments are bounded by π + 2·4πr/λ, so the mod in
-// WrapToPi is overkill), and the Gaussian weight with the normalization and
-// 1/2σ² hoisted into the Evaluator.
-func (e *Evaluator) evalRFast(terms termSlices, sc *Scratch, sinPhi, cosPhi, cg float64) float64 {
-	scale := terms.scale
-	n := len(scale)
-	relPhase := terms.relPhase[:n]
-	cosA := terms.cosA[:n]
-	sinA := terms.sinA[:n]
-	refAperture := scale[0] * (cosA[0]*cosPhi + sinA[0]*sinPhi) * cg
-	residuals := sc.residuals[:n]
-	apertures := sc.apertures[:n]
-	var rs, rc float64
-	for i := 0; i < n; i++ {
-		aperture := scale[i] * (cosA[i]*cosPhi + sinA[i]*sinPhi) * cg
-		apertures[i] = aperture
-		res := wrapToPiFast(relPhase[i] - (refAperture - aperture))
-		residuals[i] = res
-		s, c := mathx.FastSincos(res)
-		rs += s
-		rc += c
-	}
-	var mu float64
-	if !e.literalRef {
-		mu = math.Atan2(rs, rc)
-	}
-	var sumRe, sumIm float64
-	for i, res := range residuals {
-		d := wrapToPiFast(res - mu)
-		w := e.wNorm * math.Exp(-d*d*e.wInv2Sig)
-		s, c := mathx.FastSincos(relPhase[i] + apertures[i])
-		sumRe += w * c
-		sumIm += w * s
-	}
-	return math.Sqrt(sumRe*sumRe+sumIm*sumIm) / float64(n)
-}
-
-// inv2Pi is 1/2π for the rounded phase wrap below.
-const inv2Pi = 1 / mathx.TwoPi
-
-// wrapToPiFast maps a phase difference into [-π, π] by subtracting the
-// rounded multiple of 2π — one multiply, an intrinsic floor, and one
-// fused subtract, against math.Mod inside mathx.WrapToPi. The subtracted
-// multiple k carries |k|·ulp(2π) ≲ 1e-14 rad of error for the |x| ≤
-// π + 2·4πr/λ arguments spectrum residuals produce, far inside the fast
-// path's 1e-7 budget; the boundary case that lands on −π instead of the
-// exact wrap's (−π, π] is harmless because every consumer (sincos, the
-// squared Gaussian distance) is continuous through ±π. Pathological
-// magnitudes fall back to the exact wrap before the k·2π cancellation
-// could lose precision.
-func wrapToPiFast(x float64) float64 {
-	if x > 1e6 || x < -1e6 {
-		return mathx.WrapToPi(x)
-	}
-	if x > math.Pi || x < -math.Pi {
-		x -= math.Floor(x*inv2Pi+0.5) * mathx.TwoPi
-	}
-	return x
 }
 
 // scanJob describes one grid scan as plain data — which snapshot terms,
@@ -464,11 +362,11 @@ func (e *Evaluator) runChunk(j *scanJob, sc *Scratch, lo, hi int) {
 	switch {
 	case j.rows != nil:
 		for i := lo; i < hi; i++ {
-			e.fillAngleTrig(sc, j.angles)
+			fillAngleTrig(sc, j.angles)
 			e.evalRow(j.terms, sc, j.polars[i], len(j.angles), j.rows[i])
 		}
 	case j.angles != nil:
-		e.fillAngleTrig(sc, j.angles[lo:hi])
+		fillAngleTrig(sc, j.angles[lo:hi])
 		e.evalRow(j.terms, sc, j.gamma, hi-lo, j.out[lo:hi])
 	case j.azCount > 0:
 		gamma := j.polBase + float64(lo/j.azCount)*j.polStep

@@ -46,9 +46,9 @@ import (
 // harmonic path gated by the existing bit-identity suites.
 
 // harmonicSlack is the documented bound on |synthesized − exact| per cell.
-// It covers Bessel truncation, synthesis rounding, and (in fast-trig mode)
-// the bounded-error trig tables; the measured exact-mode error is ~1e-12
-// (TestHarmonicSynthesisMatchesExact pins it).
+// It covers Bessel truncation (≲1e-20) and synthesis rounding; the measured
+// error is ~1e-12 (TestHarmonicSynthesisMatchesExact pins it), so 1e-6
+// leaves about six orders of margin.
 const harmonicSlack = 1e-6
 
 // harmonicsNeeded returns the harmonic count H for aperture scale w:

@@ -215,7 +215,7 @@ func (p *nufftScratch) prepare(maxM int) {
 	p.cosU = p.cosU[:u]
 	// The oversampled grid is uniform by construction, so its trig table
 	// comes from the shared plan cache like every uniform coarse grid.
-	planCache.fill(p.sinU, p.cosU, planKey{i0: 0, n: u, step: h, fast: false})
+	planCache.fill(p.sinU, p.cosU, planKey{i0: 0, n: u, step: h})
 }
 
 // gridSynth runs steps 1–2: deconvolve hc into p.coeffs and synthesize the
@@ -422,7 +422,7 @@ func (e *Evaluator) nufftArgmaxR(terms termSlices, angles []float64) int {
 	n := len(angles)
 	vals := hs.values(n)
 	sc := e.getScratch()
-	fillAngleTrigExact(sc, angles)
+	fillAngleTrig(sc, angles)
 	sc.ensureRow(n)
 	qRe := sc.sumRe[:n]
 	qIm := sc.sumIm[:n]

@@ -240,8 +240,8 @@ func TestAnglesRoutingCounters(t *testing.T) {
 }
 
 // TestAccumulatorAnglesBitIdentity pins the streamed angle-grid finalize
-// for every accumulator mode and session length, in both trig modes: it
-// must return the batch FindPeak2DAnglesEval's bits over the same grid.
+// for every accumulator mode and session length: it must return the batch
+// FindPeak2DAnglesEval's bits over the same grid.
 func TestAccumulatorAnglesBitIdentity(t *testing.T) {
 	p := testParams()
 	for i, tc := range accumKinds {
@@ -252,29 +252,23 @@ func TestAccumulatorAnglesBitIdentity(t *testing.T) {
 			pp.LiteralReference = tc.literal
 			for _, n := range accumLengths {
 				snaps := synth(p, randReader(rng, true), n, 0.8, 0.05, rng)
-				for _, fast := range []bool{false, true} {
-					var eo []EvalOption
-					if fast {
-						eo = append(eo, WithFastTrig())
-					}
-					a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{}, eo...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					feedAccumulator(t, a, snaps)
-					gotAz, gotPow, err := a.FindPeak2D()
-					if err != nil {
-						t.Fatal(err)
-					}
-					ev, err := NewEvaluator(snaps, pp, tc.kind, eo...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-					if gotAz != wantAz || gotPow != wantPow {
-						t.Fatalf("%d snapshots, fast=%v: streamed (%v, %v) != batch (%v, %v)",
-							n, fast, gotAz, gotPow, wantAz, wantPow)
-					}
+				a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedAccumulator(t, a, snaps)
+				gotAz, gotPow, err := a.FindPeak2D()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev, err := NewEvaluator(snaps, pp, tc.kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
+				if gotAz != wantAz || gotPow != wantPow {
+					t.Fatalf("%d snapshots: streamed (%v, %v) != batch (%v, %v)",
+						n, gotAz, gotPow, wantAz, wantPow)
 				}
 			}
 		})

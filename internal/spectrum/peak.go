@@ -310,26 +310,18 @@ func (e *Evaluator) refine2DDense(best, step float64, opts SearchOptions) (float
 
 // refineSlack bounds |synthesized − EvalAt| for one refinement candidate;
 // a round's shortlist window is twice it. Refinement synthesizes with the
-// accurate kernels only, so no coarse-kernel widening applies. A fast-trig
-// Evaluator's EvalAt carries its own kernel error, which harmonicSlack and
-// rSlack cover. An exact Evaluator's EvalAt does not, so the bound need only
-// cover synthesis: qExactSlack for Q, and for R a wNorm-relative budget
-// (rExactRel, rExactMuRel) that also holds at extreme user σ.
-// TestRefineSynthSlack pins both modes on full sessions.
+// accurate kernels only, so no coarse-kernel widening applies, and EvalAt
+// is exact, so the bound need only cover synthesis: qExactSlack for Q, and
+// for R a wNorm-relative budget (rExactRel, rExactMuRel) that also holds at
+// extreme user σ. TestRefineSynthSlack pins both kinds on full sessions.
 func (e *Evaluator) refineSlack() float64 {
-	switch {
-	case e.fastTrig && e.kind == KindR:
-		return rSlack
-	case e.fastTrig:
-		return harmonicSlack
-	case e.kind == KindR:
+	if e.kind == KindR {
 		return e.wNorm * (rExactRel + rExactMuRel/e.weightSigma)
-	default:
-		return qExactSlack
 	}
+	return qExactSlack
 }
 
-// Exact-mode refinement slacks (refineSlack).
+// Refinement slacks (refineSlack).
 const (
 	// qExactSlack bounds synthesized Q against evalQExact: Bessel
 	// truncation (≲1e-20) plus fold and Chebyshev rounding, measured at
@@ -350,8 +342,8 @@ const (
 
 // refineTrig fills phis with a round's azimuth candidates lo + k·fine —
 // the very expression the dense loop evaluates — and sc's row tables with
-// their exact trig, as fillAngleTrigExact does. Refinement tables are not
-// plan-cache traffic, so unlike fillAngleTrigExact it counts no bypass.
+// their exact trig, as fillAngleTrig does. Refinement tables are not
+// plan-cache traffic, so unlike fillAngleTrig it counts no bypass.
 func refineTrig(sc *Scratch, phis *[refineCells]float64, lo, fine float64) (sinPhi, cosPhi []float64) {
 	sc.ensureRow(refineCells)
 	sinPhi, cosPhi = sc.sinPhi[:refineCells], sc.cosPhi[:refineCells]

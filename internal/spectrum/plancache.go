@@ -9,13 +9,12 @@ import (
 // This file holds the process-wide plan cache for uniform-grid trig tables.
 //
 // The uniform coarse grids the peak searches scan are keyed entirely by
-// (first index, point count, step, trig mode): every locate at the default
-// 0.5° grid asks for exactly the same handful of tables — one per chunk of
-// the coarse sweep — yet before this cache each Evaluator rebuilt them on
-// every scan. Both builders are deterministic functions of the key (the
-// exact path is math.Sincos per point; the fast path is the rotation
-// recurrence re-seeded every trigReseedInterval points), so a cached table
-// is bit-identical to a fresh build and caching cannot perturb results.
+// (first index, point count, step): every locate at the default 0.5° grid
+// asks for exactly the same handful of tables — one per chunk of the
+// coarse sweep — yet before this cache each Evaluator rebuilt them on every
+// scan. The builder (math.Sincos per point) is a deterministic function of
+// the key, so a cached table is bit-identical to a fresh build and caching
+// cannot perturb results.
 //
 // The cache is sharded (planShards maps, each under its own RWMutex) so
 // concurrent scans on the shared compute pool don't serialize on one lock,
@@ -39,18 +38,14 @@ const (
 )
 
 // planKey identifies one uniform-grid trig table: points φ_k = (i0+k)·step
-// for k ∈ [0, n), built with the exact or fast kernel.
+// for k ∈ [0, n).
 type planKey struct {
 	i0, n int
 	step  float64
-	fast  bool
 }
 
 func (k planKey) shard() uint64 {
 	h := uint64(k.i0)*0x9e3779b97f4a7c15 ^ uint64(k.n)*0xbf58476d1ce4e5b9 ^ math.Float64bits(k.step)
-	if k.fast {
-		h ^= 0x94d049bb133111eb
-	}
 	h ^= h >> 29
 	return h & (planShards - 1)
 }
@@ -93,10 +88,10 @@ func (pc *planCacheT) fill(dstSin, dstCos []float64, key planKey) {
 		return
 	}
 	pc.misses.Add(1)
-	buildUniformTrig(dstSin, dstCos, key.i0, key.step, key.fast)
+	buildUniformTrig(dstSin, dstCos, key.i0, key.step)
 	// Insert a private copy so the cached table cannot alias Scratch
 	// memory. First store wins; a racing builder produced identical bytes
-	// (the builders are deterministic), so dropping the loser changes
+	// (the builder is deterministic), so dropping the loser changes
 	// nothing.
 	backing := make([]float64, 2*key.n)
 	pl = &trigPlan{sin: backing[:key.n:key.n], cos: backing[key.n:]}

@@ -9,72 +9,39 @@ import (
 )
 
 // TestPlanCacheBitIdentical pins the cache's core soundness claim: a table
-// served from the cache is bit-identical to a fresh build, for both trig
-// modes, across the chunk shapes the peak searches actually request
+// served from the cache is bit-identical to a fresh build, across the
+// chunk shapes the peak searches actually request
 // (including i0 offsets and partial tails).
 func TestPlanCacheBitIdentical(t *testing.T) {
 	ResetPlanCache()
 	defer ResetPlanCache()
 	step := 2 * math.Pi / 720
-	for _, fast := range []bool{false, true} {
-		for _, tc := range []struct{ i0, n int }{
-			{0, 64}, {64, 64}, {704, 16}, {0, 720}, {128, 100},
-		} {
-			want := make([]float64, 2*tc.n)
-			buildUniformTrig(want[:tc.n], want[tc.n:], tc.i0, step, fast)
-			// First fill misses and builds; second fill must hit.
-			for round := 0; round < 2; round++ {
-				got := make([]float64, 2*tc.n)
-				planCache.fill(got[:tc.n], got[tc.n:], planKey{i0: tc.i0, n: tc.n, step: step, fast: fast})
-				for k := 0; k < 2*tc.n; k++ {
-					if got[k] != want[k] {
-						t.Fatalf("fast=%v i0=%d n=%d round=%d: table differs at %d: %v != %v",
-							fast, tc.i0, tc.n, round, k, got[k], want[k])
-					}
+	for _, tc := range []struct{ i0, n int }{
+		{0, 64}, {64, 64}, {704, 16}, {0, 720}, {128, 100},
+	} {
+		want := make([]float64, 2*tc.n)
+		buildUniformTrig(want[:tc.n], want[tc.n:], tc.i0, step)
+		// First fill misses and builds; second fill must hit.
+		for round := 0; round < 2; round++ {
+			got := make([]float64, 2*tc.n)
+			planCache.fill(got[:tc.n], got[tc.n:], planKey{i0: tc.i0, n: tc.n, step: step})
+			for k := 0; k < 2*tc.n; k++ {
+				if got[k] != want[k] {
+					t.Fatalf("i0=%d n=%d round=%d: table differs at %d: %v != %v",
+						tc.i0, tc.n, round, k, got[k], want[k])
 				}
 			}
 		}
 	}
 	st := PlanCacheSnapshot()
-	if st.Hits != 10 || st.Misses != 10 {
-		t.Errorf("hits=%d misses=%d, want 10/10 (one miss then one hit per key)", st.Hits, st.Misses)
+	if st.Hits != 5 || st.Misses != 5 {
+		t.Errorf("hits=%d misses=%d, want 5/5 (one miss then one hit per key)", st.Hits, st.Misses)
 	}
-	if st.Entries != 10 {
-		t.Errorf("Entries = %d, want 10", st.Entries)
+	if st.Entries != 5 {
+		t.Errorf("Entries = %d, want 5", st.Entries)
 	}
 	if st.HitRate != 0.5 {
 		t.Errorf("HitRate = %v, want 0.5", st.HitRate)
-	}
-}
-
-// TestPlanCacheKeyedByTrigMode proves exact and fast tables never alias:
-// the same grid in the two modes yields different bytes (the recurrence
-// differs from per-point sincos in the last ulps), so a shared key would
-// corrupt exact-mode results.
-func TestPlanCacheKeyedByTrigMode(t *testing.T) {
-	ResetPlanCache()
-	defer ResetPlanCache()
-	const n = 128
-	step := 2 * math.Pi / 720
-	exact := make([]float64, 2*n)
-	fast := make([]float64, 2*n)
-	planCache.fill(exact[:n], exact[n:], planKey{i0: 0, n: n, step: step, fast: false})
-	planCache.fill(fast[:n], fast[n:], planKey{i0: 0, n: n, step: step, fast: true})
-	if st := PlanCacheSnapshot(); st.Misses != 2 || st.Entries != 2 {
-		t.Fatalf("misses=%d entries=%d, want 2/2 — modes must occupy distinct keys", st.Misses, st.Entries)
-	}
-	// Each cached entry must match its own mode's reference build.
-	wantExact := make([]float64, 2*n)
-	buildUniformTrig(wantExact[:n], wantExact[n:], 0, step, false)
-	wantFast := make([]float64, 2*n)
-	buildUniformTrig(wantFast[:n], wantFast[n:], 0, step, true)
-	for k := 0; k < 2*n; k++ {
-		if exact[k] != wantExact[k] {
-			t.Fatalf("exact table differs from exact build at %d", k)
-		}
-		if fast[k] != wantFast[k] {
-			t.Fatalf("fast table differs from fast build at %d", k)
-		}
 	}
 }
 
@@ -87,7 +54,7 @@ func TestPlanCacheConcurrentFirstBuild(t *testing.T) {
 	const n = 256
 	step := 2 * math.Pi / 1440
 	want := make([]float64, 2*n)
-	buildUniformTrig(want[:n], want[n:], 32, step, true)
+	buildUniformTrig(want[:n], want[n:], 32, step)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -97,7 +64,7 @@ func TestPlanCacheConcurrentFirstBuild(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got := make([]float64, 2*n)
-			planCache.fill(got[:n], got[n:], planKey{i0: 32, n: n, step: step, fast: true})
+			planCache.fill(got[:n], got[n:], planKey{i0: 32, n: n, step: step})
 			for k := 0; k < 2*n; k++ {
 				if got[k] != want[k] {
 					errs <- "racing fill returned non-canonical table"
@@ -125,7 +92,7 @@ func TestPlanCacheShardCap(t *testing.T) {
 	step := 1e-3
 	for n := planMinN; n < planMinN+planShards*planShardCap+64; n++ {
 		buf := make([]float64, 2*n)
-		planCache.fill(buf[:n], buf[n:], planKey{i0: 0, n: n, step: step, fast: false})
+		planCache.fill(buf[:n], buf[n:], planKey{i0: 0, n: n, step: step})
 	}
 	st := PlanCacheSnapshot()
 	if st.Entries > planShards*planShardCap {
@@ -134,9 +101,9 @@ func TestPlanCacheShardCap(t *testing.T) {
 	// A post-cap key must still produce correct values (built directly).
 	const n = 9999
 	got := make([]float64, 2*n)
-	planCache.fill(got[:n], got[n:], planKey{i0: 7, n: n, step: step, fast: false})
+	planCache.fill(got[:n], got[n:], planKey{i0: 7, n: n, step: step})
 	want := make([]float64, 2*n)
-	buildUniformTrig(want[:n], want[n:], 7, step, false)
+	buildUniformTrig(want[:n], want[n:], 7, step)
 	for k := 0; k < 2*n; k++ {
 		if got[k] != want[k] {
 			t.Fatalf("post-cap fill differs at %d", k)
@@ -152,7 +119,7 @@ func TestPlanCacheHitRateOnRepeatedGrid(t *testing.T) {
 	defer ResetPlanCache()
 	p := testParams()
 	snaps := synth(p, gg.V3(-2.2, 1.3, 0), 90, 0.7, 0, nil)
-	ev, err := NewEvaluator(snaps, p, KindR, WithFastTrig())
+	ev, err := NewEvaluator(snaps, p, KindR)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func withPoolWidth(t *testing.T, workers int, fn func()) {
 // the shared-pool migration: Profile2DInto, Profile3D, FindPeak2DEval and
 // FindPeak3DEval must produce bit-identical results whether scans run
 // inline (1-worker pool → serial fallback) or on the shared pool, for both
-// trig modes. Run under -race at GOMAXPROCS=1 and 4 by `make check`.
+// kinds. Run under -race at GOMAXPROCS=1 and 4 by `make check`.
 func TestPooledScanEquivalence(t *testing.T) {
 	p := testParams()
 	snaps := synth(p, geom.V3(-2.0, 1.1, 0.5), 120, 0.8, 0, nil)
@@ -32,67 +32,49 @@ func TestPooledScanEquivalence(t *testing.T) {
 	pol := mathx.Linspace(-math.Pi/2, math.Pi/2, 17)
 
 	for _, kind := range []Kind{KindQ, KindR} {
-		for _, fast := range []bool{false, true} {
-			var opts []EvalOption
-			if fast {
-				opts = append(opts, WithFastTrig())
-			}
-			ev, err := NewEvaluator(snaps, p, kind, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
+		ev, err := NewEvaluator(snaps, p, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			var ser2, pool2 Profile
-			var ser3, pool3 Profile3D
-			var serAz, serPow, poolAz, poolPow float64
-			var ser3D, pool3D Peak3D
-			withPoolWidth(t, 1, func() {
-				ev.Profile2DInto(&ser2, angles)
-				ser3 = ev.Profile3D(angles[:96], pol)
-				serAz, serPow = FindPeak2DEval(ev, SearchOptions{})
-				ser3D = FindPeak3DEval(ev, SearchOptions{})
-			})
-			withPoolWidth(t, 4, func() {
-				ev.Profile2DInto(&pool2, angles)
-				pool3 = ev.Profile3D(angles[:96], pol)
-				poolAz, poolPow = FindPeak2DEval(ev, SearchOptions{})
-				pool3D = FindPeak3DEval(ev, SearchOptions{})
-			})
+		var ser2, pool2 Profile
+		var ser3, pool3 Profile3D
+		var serAz, serPow, poolAz, poolPow float64
+		var ser3D, pool3D Peak3D
+		withPoolWidth(t, 1, func() {
+			ev.Profile2DInto(&ser2, angles)
+			ser3 = ev.Profile3D(angles[:96], pol)
+			serAz, serPow = FindPeak2DEval(ev, SearchOptions{})
+			ser3D = FindPeak3DEval(ev, SearchOptions{})
+		})
+		withPoolWidth(t, 4, func() {
+			ev.Profile2DInto(&pool2, angles)
+			pool3 = ev.Profile3D(angles[:96], pol)
+			poolAz, poolPow = FindPeak2DEval(ev, SearchOptions{})
+			pool3D = FindPeak3DEval(ev, SearchOptions{})
+		})
 
-			tag := kindTag(kind, fast)
-			for i := range ser2.Power {
-				if pool2.Power[i] != ser2.Power[i] {
-					t.Fatalf("%s: Profile2DInto diverged at %d: %v != %v",
-						tag, i, pool2.Power[i], ser2.Power[i])
-				}
-			}
-			for i := range ser3.Power {
-				for j := range ser3.Power[i] {
-					if pool3.Power[i][j] != ser3.Power[i][j] {
-						t.Fatalf("%s: Profile3D diverged at %d,%d", tag, i, j)
-					}
-				}
-			}
-			if poolAz != serAz || poolPow != serPow {
-				t.Fatalf("%s: FindPeak2DEval pooled (%v,%v) != serial (%v,%v)",
-					tag, poolAz, poolPow, serAz, serPow)
-			}
-			if pool3D != ser3D {
-				t.Fatalf("%s: FindPeak3DEval pooled %+v != serial %+v", tag, pool3D, ser3D)
+		for i := range ser2.Power {
+			if pool2.Power[i] != ser2.Power[i] {
+				t.Fatalf("%v: Profile2DInto diverged at %d: %v != %v",
+					kind, i, pool2.Power[i], ser2.Power[i])
 			}
 		}
+		for i := range ser3.Power {
+			for j := range ser3.Power[i] {
+				if pool3.Power[i][j] != ser3.Power[i][j] {
+					t.Fatalf("%v: Profile3D diverged at %d,%d", kind, i, j)
+				}
+			}
+		}
+		if poolAz != serAz || poolPow != serPow {
+			t.Fatalf("%v: FindPeak2DEval pooled (%v,%v) != serial (%v,%v)",
+				kind, poolAz, poolPow, serAz, serPow)
+		}
+		if pool3D != ser3D {
+			t.Fatalf("%v: FindPeak3DEval pooled %+v != serial %+v", kind, pool3D, ser3D)
+		}
 	}
-}
-
-func kindTag(kind Kind, fast bool) string {
-	s := "Q"
-	if kind == KindR {
-		s = "R"
-	}
-	if fast {
-		return s + "/fast"
-	}
-	return s + "/exact"
 }
 
 // TestPooledConcurrentScansEquivalence runs many evaluators' scans on the
@@ -102,7 +84,7 @@ func kindTag(kind Kind, fast bool) string {
 func TestPooledConcurrentScansEquivalence(t *testing.T) {
 	p := testParams()
 	snaps := synth(p, geom.V3(-1.7, 0.9, 0), 100, 1.1, 0, nil)
-	ev, err := NewEvaluator(snaps, p, KindR, WithFastTrig())
+	ev, err := NewEvaluator(snaps, p, KindR)
 	if err != nil {
 		t.Fatal(err)
 	}

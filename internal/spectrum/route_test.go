@@ -57,16 +57,15 @@ func synthHopping(p Params, reader geom.Vec3, n int, sigma float64, freqs []floa
 // shortlist-then-exact-rescore (DESIGN.md §11).
 //
 // The 2D arm's "long" case draws sessions of 288–447 reads, real session
-// lengths, for Q, robust R and literal R, with fast trig on every third
-// trial: the refinement rounds then fold and score the full session, not
-// the coarse subset.
+// lengths, for Q, robust R and literal R: the refinement rounds then fold
+// and score the full session, not the coarse subset.
 //
 // The 3D arm draws 40 sessions per kind and reference on the default 2°
 // polar grid, where mirror rows share one synthesis, at real session lengths
 // (≥288 reads per tag), so what gets scanned is the strided coarse subset
-// (≤64 terms). Every third trial uses fast trig. R runs with both the
-// robust and the literal reference. A 7° grid, whose rows are not symmetric
-// and must each be synthesized, adds 8 sessions per case. The "short" case
+// (≤64 terms). R runs with both the robust and the literal reference. A
+// 7° grid, whose rows are not symmetric and must each be synthesized, adds
+// 8 sessions per case. The "short" case
 // keeps 40 sessions per kind of 24–63 reads, where the coarse set is the
 // whole session. The "pole" case puts the reader within 4° of ±90°
 // elevation, so the refinement windows run past ±π/2 and clampPolar
@@ -102,18 +101,14 @@ func TestPeakCaptureBound(t *testing.T) {
 				for trial := 0; trial < 60; trial++ {
 					n := 288 + rng.Intn(160)
 					snaps := synth(pp, randReader(rng, true), n, rng.Float64()*2, rng.Float64()*0.2, rng)
-					var evalOpts []EvalOption
-					if trial%3 == 2 {
-						evalOpts = append(evalOpts, WithFastTrig())
-					}
-					ev, err := NewEvaluator(snaps, pp, tc.kind, evalOpts...)
+					ev, err := NewEvaluator(snaps, pp, tc.kind)
 					if err != nil {
 						t.Fatal(err)
 					}
 					wantAz, wantPow := FindPeak2DDense(ev, opts)
 					if gotAz, gotPow := FindPeak2DEval(ev, opts); gotAz != wantAz || gotPow != wantPow {
-						t.Fatalf("trial %d (n=%d fast=%v): routed (%v, %v) != dense (%v, %v)",
-							trial, n, len(evalOpts) > 0, gotAz, gotPow, wantAz, wantPow)
+						t.Fatalf("trial %d (n=%d): routed (%v, %v) != dense (%v, %v)",
+							trial, n, gotAz, gotPow, wantAz, wantPow)
 					}
 				}
 			})
@@ -158,11 +153,7 @@ func TestPeakCaptureBound(t *testing.T) {
 							for trial := 0; trial < trials; trial++ {
 								n := 288 + rng.Intn(160)
 								snaps := synth3D(pp, randReader(rng, false), n, rng.Float64()*0.15, rng)
-								var evalOpts []EvalOption
-								if trial%3 == 2 {
-									evalOpts = append(evalOpts, WithFastTrig())
-								}
-								ev, err := NewEvaluator(snaps, pp, kind, evalOpts...)
+								ev, err := NewEvaluator(snaps, pp, kind)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -170,7 +161,7 @@ func TestPeakCaptureBound(t *testing.T) {
 									t.Fatalf("coarse subset has %d of %d terms, want a strided subset of ≤%d", m, n, coarseTermLimit)
 								}
 								if got, want := FindPeak3DEval(ev, o), FindPeak3DDense(ev, o); got != want {
-									t.Fatalf("trial %d (n=%d fast=%v): routed %+v != dense %+v", trial, n, len(evalOpts) > 0, got, want)
+									t.Fatalf("trial %d (n=%d): routed %+v != dense %+v", trial, n, got, want)
 								}
 							}
 						})
@@ -192,11 +183,7 @@ func TestPeakCaptureBound(t *testing.T) {
 					if trial%2 == 1 {
 						snaps = synthHopping(pp, reader, n, rng.Float64()*0.15, []float64{testFreq, testFreq + 1.5e6}, rng)
 					}
-					var evalOpts []EvalOption
-					if trial%3 == 2 {
-						evalOpts = append(evalOpts, WithFastTrig())
-					}
-					ev, err := NewEvaluator(snaps, pp, tc.kind, evalOpts...)
+					ev, err := NewEvaluator(snaps, pp, tc.kind)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -207,7 +194,7 @@ func TestPeakCaptureBound(t *testing.T) {
 						clamped++
 					}
 					if got, want := FindPeak3DEval(ev, opts), FindPeak3DDense(ev, opts); got != want {
-						t.Fatalf("trial %d (n=%d fast=%v): routed %+v != dense %+v", trial, n, len(evalOpts) > 0, got, want)
+						t.Fatalf("trial %d (n=%d): routed %+v != dense %+v", trial, n, got, want)
 					}
 				}
 				if clamped == 0 {
