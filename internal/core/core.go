@@ -3,13 +3,14 @@
 // generates an angle spectrum per tag, and intersects the resulting bearings
 // to pinpoint the reader antenna in 2D or 3D.
 //
-// The orientation calibration runs as a two-pass scheme: the reader
-// direction is first estimated from uncalibrated snapshots, the orientation
-// ρ of each snapshot is computed against that coarse direction, the fitted
-// phase-orientation function is subtracted, and the spectrum is recomputed.
-// (§III-B specifies *that* the offset must be erased per sampled
-// orientation; the orientation is only computable once a direction estimate
-// exists, hence the two passes.)
+// The orientation calibration runs as an iterated scheme: a bootstrap pass
+// first estimates the reader position from uncalibrated snapshots; then up
+// to three correction passes each compute the orientation ρ of every
+// snapshot against the previous pass's position, subtract the fitted
+// phase-orientation function, and recompute the spectrum, stopping early
+// once the position moves less than 1 cm. (§III-B specifies *that* the
+// offset must be erased per sampled orientation; the orientation is only
+// computable once a direction estimate exists, hence the bootstrap pass.)
 package core
 
 import (
@@ -292,13 +293,12 @@ func orderTags(registered []SpinningTag, obs Observations) []SpinningTag {
 
 // estimateAll runs fn — a per-tag spectrum estimate — for every present tag
 // concurrently. The per-tag peak searches are independent and dominate a
-// pass's cost. One lightweight goroutine per tag submits that tag's grid
-// scans; the scans themselves execute on the shared compute pool
-// (internal/sched), which interleaves them at chunk granularity, so this
-// fan-out sizes pending work, not CPU parallelism — the pool's worker count
-// bounds the latter. Results land in tag-index slots and the first error
-// *in tag order* is returned, so the output is deterministic regardless of
-// goroutine scheduling.
+// pass's cost. Each tag's search runs serially on its own goroutine: the
+// synthesized coarse and refinement routes submit no jobs to the shared
+// compute pool (internal/sched), so this per-tag fan-out is the locate's
+// only parallelism, bounded by GOMAXPROCS. Results land in tag-index slots
+// and the first error *in tag order* is returned, so the output is
+// deterministic regardless of goroutine scheduling.
 func estimateAll(present []SpinningTag, fn func(tag SpinningTag) (EstimatorTag, error)) ([]EstimatorTag, error) {
 	etags := make([]EstimatorTag, len(present))
 	errs := make([]error, len(present))
@@ -337,10 +337,11 @@ func (l *Locator) solvePass2D(present []SpinningTag, selected map[string][]phase
 
 // Locate2D estimates the reader position in the plane from the observations
 // of two or more registered spinning tags. When orientation calibrations are
-// available it runs two passes: an uncorrected solve provides the coarse
-// position the per-snapshot orientations are computed against, then the
-// corrected snapshots are solved again (§III-B's Step 2 needs a direction,
-// which only exists after a first estimate).
+// available, an uncorrected solve provides the coarse position the
+// per-snapshot orientations are computed against, then up to three
+// correction passes solve the corrected snapshots again, each against the
+// previous position (§III-B's Step 2 needs a direction, which only exists
+// after a first estimate; finish2D has the loop).
 func (l *Locator) Locate2D(registered []SpinningTag, obs Observations) (Result2D, error) {
 	return l.Locate2DContext(context.Background(), registered, obs)
 }
@@ -464,8 +465,8 @@ func (l *Locator) solvePass3D(present []SpinningTag, selected map[string][]phase
 }
 
 // Locate3D estimates the reader position in space from the observations of
-// two or more registered spinning tags, with the same two-pass orientation
-// handling as Locate2D.
+// two or more registered spinning tags, with the same orientation passes
+// as Locate2D.
 func (l *Locator) Locate3D(registered []SpinningTag, obs Observations) (Result3D, error) {
 	return l.Locate3DContext(context.Background(), registered, obs)
 }

@@ -251,8 +251,10 @@ func (h *harmonicCoeffs) synthesizeComplex(outRe, outIm, sinPhi, cosPhi []float6
 // under muGuardFrac are evaluated densely instead (see the constant). sc
 // supplies the working buffers — residuals/apertures are repurposed as the
 // per-term phase-coefficient arrays, so the rare guard fallback runs on a
-// second pooled Scratch.
-func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64, coarse bool) {
+// second pooled Scratch. cut2 is the argmax routes' prune cut (rPruneCut):
+// cells whose |Ŝ|²/n² falls under it are written −Inf unweighted; profile
+// and refinement callers pass 0, which prunes nothing.
+func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64, coarse bool, cut2 float64) {
 	n := len(out)
 	if terms.n() == 0 || n == 0 {
 		return
@@ -261,7 +263,7 @@ func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch,
 	qRe := sc.sumRe[:n]
 	qIm := sc.sumIm[:n]
 	hc.synthesizeComplex(qRe, qIm, sinPhi[:n], cosPhi[:n])
-	e.weightRowR(terms, sc, cg, sinPhi, cosPhi, qRe, qIm, out, coarse, muGuardFrac)
+	e.weightRowR(terms, sc, cg, sinPhi, cosPhi, qRe, qIm, out, coarse, muGuardFrac, cut2)
 }
 
 // weightRowR is synthRowR's per-cell pass: given the normalized pass-one
@@ -269,9 +271,11 @@ func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch,
 // spreader), recover the robust mean per cell and run the tight weighting
 // loop. muGuard is the |Ŝ|/n floor below which the cell is evaluated
 // densely instead — muGuardFrac for exact-synthesis sums, nufftMuGuard for
-// spread sums whose error is ~1e−7 rather than ~1e−12. Split out so the
-// NUFFT route replays the identical weighting over its spread sums.
-func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi, cosPhi, qRe, qIm, out []float64, coarse bool, muGuard float64) {
+// spread sums whose error is ~1e−7 rather than ~1e−12. A cell whose |Ŝ|²/n²
+// sits under cut2 is proven unable to win (rPruneCut) and is written −Inf
+// with neither its weighting loop nor its guard fallback run. Split out so
+// the NUFFT route replays the identical weighting over its spread sums.
+func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi, cosPhi, qRe, qIm, out []float64, coarse bool, muGuard, cut2 float64) {
 	m := terms.n()
 	n := len(out)
 	if m == 0 || n == 0 {
@@ -301,12 +305,17 @@ func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi
 	var fb *Scratch // lazily acquired for guard-cell dense fallback
 	out = out[:n]
 	for k := 0; k < n; k++ {
+		re, im := qRe[k], qIm[k]
+		mag2 := re*re + im*im
+		if mag2 < cut2 {
+			out[k] = math.Inf(-1)
+			continue
+		}
 		c, s := cosPhi[k], sinPhi[k]
 		refA := pc0*c + ps0*s
 		off := refA
 		if robust {
-			re, im := qRe[k], qIm[k]
-			if re*re+im*im < muGuard*muGuard {
+			if mag2 < muGuard*muGuard {
 				if fb == nil {
 					fb = e.getScratch()
 				}
@@ -384,14 +393,78 @@ func wrapToPiFast(x float64) float64 {
 	return x
 }
 
+// Coarse R pruning. Every R argmax route holds, before its weighting pass,
+// the synthesized pass-one magnitude q̂ = |Ŝ(φ)|/n of every cell, and q̂
+// bounds the cell's exact value from above (DESIGN.md §15 has the
+// derivation). With d_i = wrap(res_i − μ) the weighted residuals,
+// κ = e^{−2/σ_w²}, and q = |S|/n the exact magnitude,
+//
+//	R ≤ Σ_i w_i/n = wNorm·mean e^{−d_i²/2σ_w²}        (|Σ w_i e^{jψ_i}| ≤ Σ w_i)
+//	  ≤ wNorm·mean e^{−(1−cos d_i)/σ_w²}               (d² ≥ 2(1 − cos d))
+//	  ≤ wNorm·(κ + (1−κ)(1 + mean cos d_i)/2)          (convex in cos d: chord on [−1, 1])
+//	  ≤ wNorm·(κ + (1−κ)(1 + q)/2)                     (mean cos(res_i − μ) ≤ |S|/n for any μ)
+//
+// in robust mode (μ the circular mean) and literal mode (μ = 0) alike. So
+// once a route knows one exact value lo — an incumbent every cell that can
+// still win must reach — any cell whose bound sits below lo is out, and
+// its weighting loop never runs. The incumbent is the exact value, in the
+// rescore's own arithmetic, of the cell with the largest synthesized |Ŝ|:
+// the dense argmax cell scores at least lo, so it and every cell tied with
+// it survive the cut, and the shortlist-then-rescore argument goes through
+// unchanged on the survivors. Pruned cells are written −Inf, which no
+// shortlist window reaches.
+
+// rPruneMargin is the relative rounding margin on the incumbent: the exact
+// values the rescore computes sit within ~1e-14 (relative) of the
+// real-valued R the bound speaks about, and 1e-9 covers that with room.
+const rPruneMargin = 1e-9
+
+// rPruneCut inverts the bound B(q) = wNorm·(1 − (1−κ)(1−q)/2): it returns
+// the |Ŝ|²/n² below which a cell's exact R value provably falls under lo,
+// given that the synthesized magnitude strays at most slack from the exact
+// one. lo is shaved by rPruneMargin first. It returns 0 — prune nothing —
+// when the cut would fall at or below zero, and when σ_w is so wide
+// (1 − κ < 1e-6, σ_w past ~2000 rad) that the bound is flat and the
+// inversion ill-conditioned.
+func (e *Evaluator) rPruneCut(lo, slack float64) float64 {
+	gap := -math.Expm1(-4 * e.wInv2Sig) // 1 − κ, κ = e^{−2/σ_w²}
+	if !(gap >= 1e-6) {
+		return 0
+	}
+	q := 1 - 2*(1-lo*(1-rPruneMargin)/e.wNorm)/gap - slack
+	if !(q > 0) { // also catches a NaN incumbent
+		return 0
+	}
+	return q * q
+}
+
+// rIncumbent returns the exact R value, through evalRExact at cos γ = cg
+// from the row's own trig entries (the rescore's arithmetic), of the cell
+// with the largest synthesized |Ŝ|²; qRe/qIm hold the row's normalized
+// pass-one sums. It runs on sc's residual buffers, so callers take it
+// before weightRowR repurposes them.
+func (e *Evaluator) rIncumbent(terms termSlices, sc *Scratch, cg float64, sinPhi, cosPhi, qRe, qIm []float64) float64 {
+	n := len(qRe)
+	qIm, sinPhi, cosPhi = qIm[:n], sinPhi[:n], cosPhi[:n]
+	best, bs, bc := -1.0, 0.0, 1.0
+	for k, re := range qRe {
+		if m := re*re + qIm[k]*qIm[k]; m > best {
+			best, bs, bc = m, sinPhi[k], cosPhi[k]
+		}
+	}
+	return e.evalRExact(terms, sc, bs, bc, cg)
+}
+
 // harmonicArgmaxR2D is the coarseArgmax2D drop-in for KindR on the uniform
-// azimuth grid (γ = 0): fold the Q coefficients once, synthesize the whole R
-// row through the two-pass kernel with the shortlist-grade coarse kernels,
-// then exact-rescore every cell within 2·(rSlack + rCoarseRel·wNorm) of the
-// synthesized maximum — the window is wide enough that the dense argmax
-// cell always shortlists despite the coarse kernels' error. The rescore
-// evaluates exactly what the dense scan evaluates at those cells (ascending
-// index, strict >), so the returned index equals the dense scan's argmax —
+// azimuth grid (γ = 0): fold the Q coefficients once, synthesize the
+// pass-one sums Ŝ, prune every cell the incumbent rules out (rPruneCut,
+// widened by harmonicSlack), run the two-pass kernel's weighting pass with
+// the shortlist-grade coarse kernels on the survivors, then exact-rescore
+// every cell within 2·(rSlack + rCoarseRel·wNorm) of the synthesized
+// maximum — the window is wide enough that the dense argmax cell always
+// shortlists despite the coarse kernels' error. The rescore evaluates
+// exactly what the dense scan evaluates at those cells (ascending index,
+// strict >), so the returned index equals the dense scan's argmax —
 // TestRHarmonicArgmax pins this.
 func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
@@ -399,7 +472,11 @@ func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int
 	vals := hs.values(n)
 	sc := e.getScratch()
 	e.fillUniformTrig(sc, 0, n, step)
-	e.synthRowR(terms, &hs.coeffs, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], vals, true)
+	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
+	qRe, qIm := sc.sumRe[:n], sc.sumIm[:n]
+	hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
+	cut2 := e.rPruneCut(e.rIncumbent(terms, sc, 1, sinPhi, cosPhi, qRe, qIm), harmonicSlack)
+	e.weightRowR(terms, sc, 1, sinPhi, cosPhi, qRe, qIm, vals, true, muGuardFrac, cut2)
 	e.putScratch(sc)
 	maxV := maxOf(vals)
 	window := 2 * (rSlack + rCoarseRel*e.wNorm)
@@ -424,20 +501,26 @@ const polarMirrorTol = 1e-14
 // harmonicArgmax3D is coarseArgmax3D's route for both kinds over the
 // row-major nAz × nPol grid (φ_a = a·azStep, γ_r = −π/2 + r·polStep). Each
 // polar row is the 2D problem with the aperture scaled by cos γ_r: fold the
-// harmonic coefficients at that cos γ, synthesize the row (Q magnitudes, or
+// harmonic coefficients at that cos γ (foldRow: a single-wavelength term set
+// folds its γ-free unit sums once and scales them per row, within ~1e-13 of
+// a per-row fold), synthesize the row (Q magnitudes, or
 // the two-pass R kernel with the coarse kernels), and shortlist every cell
 // within the kind's window of the running synthesized maximum — 2·
-// harmonicSlack for Q, 2·(rSlack + rCoarseRel·wNorm) for R, as in 2D. When
-// the lattice is symmetric (γ_r + γ_m within polarMirrorTol, m = nPol−1−r)
-// row m reuses row r's synthesis: both rows score the same cos γ up to a
-// few ulp, which moves every aperture phase by ≲ z·1e-14 rad — far inside
-// either slack. The exception is an R cell under the μ̂ guard, whose robust
-// mean is ill-conditioned; row m re-evaluates those cells densely at its
-// own γ. The shortlist is then exact-rescored with the dense per-cell
-// arithmetic (evalGridCell) under the lowest-index tie rule, so the
-// returned cell is the dense scan's bit for bit. Rows run serially, like
-// the 2D routes: the per-tag callers supply the parallelism, and no buffer
-// spans the grid.
+// harmonicSlack for Q, 2·(rSlack + rCoarseRel·wNorm) for R, as in 2D. R
+// first takes its prune incumbent over the whole grid (rIncumbent3D); rows
+// whose every cell sits under the cut are skipped whole, and every other
+// row's weighting pass skips the cells the cut rules out, as in 2D.
+// When the lattice is symmetric (γ_r + γ_m within polarMirrorTol,
+// m = nPol−1−r) row m reuses row r's synthesis: both rows score the same
+// cos γ up to a few ulp, which moves every aperture phase — and |Ŝ|, so
+// the prune cut holds for both — by ≲ z·1e-14 rad, far inside either
+// slack. The exception is an unpruned R cell under the μ̂ guard, whose
+// robust mean is ill-conditioned; row m re-evaluates those cells densely
+// at its own γ. The shortlist is then exact-rescored with the dense
+// per-cell arithmetic (evalGridCell) under the lowest-index tie rule, so
+// the returned cell is the dense scan's bit for bit. Rows run serially,
+// like the 2D routes: the per-tag callers supply the parallelism, and no
+// buffer spans the grid.
 func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
 	vals := hs.values(nAz)
@@ -445,23 +528,33 @@ func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, po
 	one.ensureRow(1)
 	e.fillUniformTrig(sc, 0, nAz, azStep)
 	sinPhi, cosPhi := sc.sinPhi[:nAz], sc.cosPhi[:nAz]
+	z := terms.singleScale()
+	if z > 0 {
+		foldUnitSums(hs, terms)
+	}
+	if cap(hs.rowMax) < nPol {
+		hs.rowMax = make([]float64, nPol)
+	}
+	rowMax := hs.rowMax[:nPol]
 	window := 2 * harmonicSlack
+	cut2 := math.Inf(-1) // Q prunes nothing, whatever rowMax holds
 	if e.kind == KindR {
 		window = 2 * (rSlack + rCoarseRel*e.wNorm)
+		cut2 = e.rPruneCut(e.rIncumbent3D(hs, terms, z, sc, one, rowMax, polStep), harmonicSlack)
 	}
 	list, maxV := hs.shortlist[:0], math.Inf(-1)
-	for r := 0; r < nPol; r++ {
-		m := nPol - 1 - r
-		gamma := -math.Pi/2 + float64(r)*polStep
-		gammaM := -math.Pi/2 + float64(m)*polStep
-		mirror := m != r && math.Abs(gamma+gammaM) <= polarMirrorTol
+	for r := range rowMax {
+		m, mirror := polarMirror(r, nPol, polStep)
 		if mirror && m < r {
 			continue // served with row m
 		}
-		cg := math.Cos(gamma)
-		foldTermsHarmonic(hs, terms, cg)
+		if rowMax[r] < cut2 {
+			continue // every cell of the row (and its mirror) is pruned
+		}
+		cg := math.Cos(polarAngle(r, polStep))
+		foldRow(hs, terms, z, cg)
 		if e.kind == KindR {
-			e.synthRowR(terms, &hs.coeffs, sc, cg, sinPhi, cosPhi, vals, true)
+			e.synthRowR(terms, &hs.coeffs, sc, cg, sinPhi, cosPhi, vals, true, cut2)
 		} else {
 			hs.coeffs.synthesize(vals, sinPhi, cosPhi)
 		}
@@ -472,8 +565,9 @@ func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, po
 		if e.kind == KindR && !e.literalRef {
 			// synthRowR leaves the row's normalized Ŝ in sumRe/sumIm.
 			qRe, qIm := sc.sumRe[:nAz], sc.sumIm[:nAz]
+			gammaM := polarAngle(m, polStep)
 			for k, re := range qRe {
-				if im := qIm[k]; re*re+im*im < muGuardFrac*muGuardFrac {
+				if m2 := re*re + qIm[k]*qIm[k]; m2 < muGuardFrac*muGuardFrac && m2 >= cut2 {
 					vals[k] = e.evalGridCell(terms, one, sinPhi[k], cosPhi[k], gammaM)
 				}
 			}
@@ -483,7 +577,7 @@ func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, po
 	best, bestV := 0, math.Inf(-1)
 	for _, c := range list {
 		a, r := uint(c.idx)%uint(len(sinPhi)), c.idx/nAz
-		v := e.evalGridCell(terms, one, sinPhi[a], cosPhi[a], -math.Pi/2+float64(r)*polStep)
+		v := e.evalGridCell(terms, one, sinPhi[a], cosPhi[a], polarAngle(r, polStep))
 		if v > bestV || v == bestV && c.idx < best { // lowest-index tie rule
 			best, bestV = c.idx, v
 		}
@@ -493,6 +587,54 @@ func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, po
 	hs.shortlist = list
 	harmPool.Put(hs)
 	return best
+}
+
+// polarAngle returns the 3D coarse grid's polar angle γ_r = −π/2 + r·polStep
+// — the expression the dense scan's row geometry evaluates.
+func polarAngle(r int, polStep float64) float64 {
+	return -math.Pi/2 + float64(r)*polStep
+}
+
+// polarMirror returns row r's mirror row m = nPol−1−r and whether the two
+// may share one synthesis (γ_r + γ_m within polarMirrorTol).
+func polarMirror(r, nPol int, polStep float64) (m int, mirror bool) {
+	m = nPol - 1 - r
+	return m, m != r && math.Abs(polarAngle(r, polStep)+polarAngle(m, polStep)) <= polarMirrorTol
+}
+
+// rIncumbent3D is rIncumbent over the whole 3D coarse grid: one sweep over
+// the rows harmonicArgmax3D synthesizes (fold plus synthesis of Ŝ into sc's
+// row sums, mirror rows skipped) finds the cell with the largest
+// synthesized |Ŝ|, which evalGridCell then scores exactly. sc's trig rows
+// hold the grid's azimuths; z and hs.unit are harmonicArgmax3D's foldRow
+// state. The sweep also leaves each swept row r's largest |Ŝ|²/n² in
+// rowMax[r] (len(rowMax) is the polar row count): those are synthesized
+// magnitudes under the same harmonicSlack, so a row whose maximum sits
+// under the cut is pruned whole, fold and synthesis included. Rows that
+// survive refold in the main pass rather than keep a grid-sized Ŝ buffer.
+func (e *Evaluator) rIncumbent3D(hs *harmonicScratch, terms termSlices, z float64, sc, one *Scratch, rowMax []float64, polStep float64) float64 {
+	n, nPol := len(sc.sinPhi), len(rowMax)
+	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
+	qRe, qIm := sc.sumRe[:n], sc.sumIm[:n]
+	best, bs, bc, bestR := -1.0, 0.0, 1.0, 0
+	for r := range rowMax {
+		if m, mirror := polarMirror(r, nPol, polStep); mirror && m < r {
+			continue
+		}
+		foldRow(hs, terms, z, math.Cos(polarAngle(r, polStep)))
+		hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
+		rm := 0.0
+		for k, re := range qRe {
+			if m2 := re*re + qIm[k]*qIm[k]; m2 > rm {
+				rm = m2
+				if m2 > best {
+					best, bs, bc, bestR = m2, sinPhi[k], cosPhi[k], r
+				}
+			}
+		}
+		rowMax[r] = rm
+	}
+	return e.evalGridCell(terms, one, bs, bc, polarAngle(bestR, polStep))
 }
 
 // evalGridCell scores one cell of the 3D coarse grid through the dense
@@ -523,7 +665,7 @@ func shortlistRow(list []maxEntry, vals []float64, base int, maxV, window float6
 		list = kept
 	}
 	for k, v := range vals {
-		if v >= maxV-window {
+		if v >= maxV-window && v > math.Inf(-1) { // −Inf: pruned, never a winner
 			list = append(list, maxEntry{idx: base + k, val: v})
 		}
 	}
@@ -539,7 +681,7 @@ func shortlistRow(list []maxEntry, vals []float64, base int, maxV, window float6
 // on.
 func (e *Evaluator) synthRow(hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64) {
 	if e.kind == KindR {
-		e.synthRowR(e.terms, hc, sc, cg, sinPhi, cosPhi, out, false)
+		e.synthRowR(e.terms, hc, sc, cg, sinPhi, cosPhi, out, false, 0)
 		return
 	}
 	hc.synthesize(out, sinPhi, cosPhi)

@@ -249,7 +249,7 @@ func checkRefineSynth(t *testing.T, ev *Evaluator, phis []float64, gamma float64
 		if z > 0 {
 			foldUnitSums(hs, ev.terms)
 		}
-		ev.foldRow(hs, z, cg)
+		foldRow(hs, ev.terms, z, cg)
 	} else {
 		foldTermsHarmonic(hs, ev.terms, 1)
 	}

@@ -223,6 +223,7 @@ type harmonicScratch struct {
 	vals      []float64
 	cand      []int
 	shortlist []maxEntry     // harmonicArgmax3D's (cell, synthesized value) list
+	rowMax    []float64      // rIncumbent3D's per-row max |Ŝ|²/n²
 	unit      harmonicCoeffs // foldUnitSums' γ-free sums (refine3D)
 }
 

@@ -414,7 +414,11 @@ func (e *Evaluator) nufftArgmaxQ(terms termSlices, angles []float64) int {
 // sums feed the same two-pass robust weighting kernel the uniform harmonic-R
 // route uses (weightRowR with shortlist-grade coarse kernels), with the μ̂
 // guard raised to nufftMuGuard and the window widened to cover both the
-// spreader and the coarse kernels. The exact rescore then erases all of it.
+// spreader and the coarse kernels. Like harmonicArgmaxR2D it first scores
+// the largest-|Ŝ| cell exactly and skips the weighting pass of every cell
+// the resulting cut rules out (rPruneCut, allcells.go) — the cut widened by
+// nufftSlackQ, the spread magnitudes' error bound. The exact rescore then
+// erases all of it.
 func (e *Evaluator) nufftArgmaxR(terms termSlices, angles []float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
 	defer harmPool.Put(hs)
@@ -427,7 +431,9 @@ func (e *Evaluator) nufftArgmaxR(terms termSlices, angles []float64) int {
 	qRe := sc.sumRe[:n]
 	qIm := sc.sumIm[:n]
 	nufftSynthComplex(&hs.coeffs, angles, qRe, qIm)
-	e.weightRowR(terms, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], qRe, qIm, vals, true, nufftMuGuard)
+	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
+	cut2 := e.rPruneCut(e.rIncumbent(terms, sc, 1, sinPhi, cosPhi, qRe, qIm), nufftSlackQ)
+	e.weightRowR(terms, sc, 1, sinPhi, cosPhi, qRe, qIm, vals, true, nufftMuGuard, cut2)
 	e.putScratch(sc)
 	maxV := maxOf(vals)
 	window := 2 * (nufftSlackR + rCoarseRel*e.wNorm)

@@ -514,7 +514,7 @@ func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOp
 				}
 				continue
 			}
-			e.foldRow(hs, z, cgs[i])
+			foldRow(hs, e.terms, z, cgs[i])
 			e.synthRow(&hs.coeffs, sc, cgs[i], sinPhi, cosPhi, row)
 			maxV = max(maxV, maxOf(row))
 		}
@@ -536,16 +536,16 @@ func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOp
 	return best
 }
 
-// foldRow leaves the full term set's coefficients at cos γ = cg in
-// hs.coeffs. A single-scale set (z > 0, hs.unit already folded by
-// foldUnitSums) scales its unit sums; a set mixing wavelengths (z = 0)
-// folds every term.
-func (e *Evaluator) foldRow(hs *harmonicScratch, z, cg float64) {
+// foldRow leaves the coefficients of terms at cos γ = cg in hs.coeffs. A
+// single-scale set (z = terms.singleScale() > 0, hs.unit already folded
+// from terms by foldUnitSums) scales its unit sums; a set mixing
+// wavelengths (z = 0) folds every term.
+func foldRow(hs *harmonicScratch, terms termSlices, z, cg float64) {
 	if z > 0 {
 		scaleUnitSums(hs, z*cg)
 		return
 	}
-	foldTermsHarmonic(hs, e.terms, cg)
+	foldTermsHarmonic(hs, terms, cg)
 }
 
 // refine3DDense is refine3D scoring every candidate with EvalAt — the

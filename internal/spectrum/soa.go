@@ -89,7 +89,7 @@ func (ts termSlices) maxScale() float64 {
 // set mixes wavelengths or is empty. Channel-filtered sessions — every
 // locate the pipeline runs — have one wavelength and hence one scale.
 func (ts termSlices) singleScale() float64 {
-	if ts.n() == 0 {
+	if len(ts.scale) == 0 {
 		return 0
 	}
 	z := ts.scale[0]
