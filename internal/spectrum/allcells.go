@@ -438,21 +438,29 @@ func (e *Evaluator) rPruneCut(lo, slack float64) float64 {
 	return q * q
 }
 
+// maxPhasorCell returns the largest |Ŝ|²/n² of a row of normalized
+// pass-one sums qRe/qIm and that cell's trig entries — always a real cell
+// of the row, the first one when every sum vanishes (−1 for an empty row).
+func maxPhasorCell(qRe, qIm, sinPhi, cosPhi []float64) (m2, s, c float64) {
+	n := len(qRe)
+	qIm, sinPhi, cosPhi = qIm[:n], sinPhi[:n], cosPhi[:n]
+	m2, c = -1, 1
+	for k, re := range qRe {
+		if m := re*re + qIm[k]*qIm[k]; m > m2 {
+			m2, s, c = m, sinPhi[k], cosPhi[k]
+		}
+	}
+	return m2, s, c
+}
+
 // rIncumbent returns the exact R value, through evalRExact at cos γ = cg
 // from the row's own trig entries (the rescore's arithmetic), of the cell
-// with the largest synthesized |Ŝ|²; qRe/qIm hold the row's normalized
+// with the largest synthesized |Ŝ|; qRe/qIm hold the row's normalized
 // pass-one sums. It runs on sc's residual buffers, so callers take it
 // before weightRowR repurposes them.
 func (e *Evaluator) rIncumbent(terms termSlices, sc *Scratch, cg float64, sinPhi, cosPhi, qRe, qIm []float64) float64 {
-	n := len(qRe)
-	qIm, sinPhi, cosPhi = qIm[:n], sinPhi[:n], cosPhi[:n]
-	best, bs, bc := -1.0, 0.0, 1.0
-	for k, re := range qRe {
-		if m := re*re + qIm[k]*qIm[k]; m > best {
-			best, bs, bc = m, sinPhi[k], cosPhi[k]
-		}
-	}
-	return e.evalRExact(terms, sc, bs, bc, cg)
+	_, s, c := maxPhasorCell(qRe, qIm, sinPhi, cosPhi)
+	return e.evalRExact(terms, sc, s, c, cg)
 }
 
 // harmonicArgmaxR2D is the coarseArgmax2D drop-in for KindR on the uniform
@@ -623,16 +631,11 @@ func (e *Evaluator) rIncumbent3D(hs *harmonicScratch, terms termSlices, z float6
 		}
 		foldRow(hs, terms, z, math.Cos(polarAngle(r, polStep)))
 		hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
-		rm := 0.0
-		for k, re := range qRe {
-			if m2 := re*re + qIm[k]*qIm[k]; m2 > rm {
-				rm = m2
-				if m2 > best {
-					best, bs, bc, bestR = m2, sinPhi[k], cosPhi[k], r
-				}
-			}
+		m2, s, c := maxPhasorCell(qRe, qIm, sinPhi, cosPhi)
+		if m2 > best {
+			best, bs, bc, bestR = m2, s, c, r
 		}
-		rowMax[r] = rm
+		rowMax[r] = m2
 	}
 	return e.evalGridCell(terms, one, bs, bc, polarAngle(bestR, polStep))
 }
