@@ -14,7 +14,8 @@ GO ?= go
 # plan-cache and golden-trace tests at the scheduling extremes
 # (single-threaded runtime vs 4-way) to catch regressions that only show
 # under a particular worker/CPU ratio; the golden traces pin that answers
-# stay bit-identical at both.
+# stay bit-identical at both. The last pass runs the batch tests on one
+# CPU, where a GOMAXPROCS-sized default would run batch items one at a time.
 check: build vet-strict
 	cd bench && $(GO) test ./...
 	$(GO) test -race ./...
@@ -22,6 +23,7 @@ check: build vet-strict
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestAccumulator|TestStream' ./internal/spectrum/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestReroute|TestKill|TestDrain|TestHealth|TestRing' ./internal/coord/ ./internal/locsrv/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestLocateBatch|TestRequestTimeoutCancelsStalledBatchItem' ./internal/locsrv/
 
 build:
 	$(GO) build ./...

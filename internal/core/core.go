@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -183,29 +184,43 @@ type Observations map[tags.EPC][]phase.Snapshot
 // selectSnapshots validates, sorts, and reduces a tag's snapshots to the
 // dominant carrier frequency (with hopping readers, mixing channels would
 // break the θ_div cancellation because the D-dependent term differs per λ).
+// The dominant carrier's reads are copied once, in input order, before the
+// time sort.
 func (l *Locator) selectSnapshots(snaps []phase.Snapshot) ([]phase.Snapshot, error) {
 	if len(snaps) < l.cfg.minSnapshots() {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewSnapshots, len(snaps), l.cfg.minSnapshots())
 	}
-	groups := make(map[float64][]phase.Snapshot)
-	for _, s := range snaps {
-		groups[s.FrequencyHz] = append(groups[s.FrequencyHz], s)
+	freq, n := dominantCarrier(snaps)
+	if n < l.cfg.minSnapshots() {
+		return nil, fmt.Errorf("%w: dominant channel has %d reads, need %d",
+			ErrTooFewSnapshots, n, l.cfg.minSnapshots())
 	}
-	var best []phase.Snapshot
-	var bestFreq float64
-	for freq, g := range groups {
-		if len(g) > len(best) || (len(g) == len(best) && freq < bestFreq) {
-			best, bestFreq = g, freq
+	out := make([]phase.Snapshot, 0, n)
+	for _, s := range snaps {
+		if s.FrequencyHz == freq {
+			out = append(out, s)
 		}
 	}
-	if len(best) < l.cfg.minSnapshots() {
-		return nil, fmt.Errorf("%w: dominant channel has %d reads, need %d",
-			ErrTooFewSnapshots, len(best), l.cfg.minSnapshots())
-	}
-	out := make([]phase.Snapshot, len(best))
-	copy(out, best)
 	phase.SortByTime(out)
 	return out, nil
+}
+
+// dominantCarrier returns the carrier frequency with the most reads and its
+// read count; a tie goes to the lower frequency. A NaN frequency equals no
+// carrier, so its reads belong to none.
+func dominantCarrier(snaps []phase.Snapshot) (freq float64, n int) {
+	counts := make(map[float64]int, 1)
+	for _, s := range snaps {
+		if !math.IsNaN(s.FrequencyHz) {
+			counts[s.FrequencyHz]++
+		}
+	}
+	for f, c := range counts {
+		if c > n || (c == n && f < freq) {
+			freq, n = f, c
+		}
+	}
+	return freq, n
 }
 
 // applyOrientation removes the fitted orientation offset from snaps given a

@@ -168,7 +168,8 @@ func TestDrainShedsNewFinishesInFlight(t *testing.T) {
 }
 
 // TestStatsEndpoint verifies the coordinator-facing /v1/stats rollup source:
-// the counter snapshot is served as JSON on the API listener.
+// the counter snapshot is served as JSON on the API listener. Locates that
+// do not stream, single or batched, still count their post-collect compute.
 func TestStatsEndpoint(t *testing.T) {
 	reg, obs := collectFixture(t)
 	srv, err := locsrv.New(locsrv.Config{
@@ -186,6 +187,12 @@ func TestStatsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("locate = %d", resp.StatusCode)
 	}
+	bresp := postJSON(t, ts.URL+"/v1/locate-batch", locsrv.BatchRequest{Requests: []locsrv.LocateRequest{
+		{ReaderAddr: "reader:5084"}, {ReaderAddr: "reader:5084", Mode: "3d"},
+	}})
+	if bresp.StatusCode != http.StatusOK {
+		t.Fatalf("locate-batch = %d", bresp.StatusCode)
+	}
 	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +202,14 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatalf("stats decode: %v", err)
 	}
-	if st.Locates != 1 {
-		t.Errorf("stats locates = %d, want 1", st.Locates)
+	if st.Locates != 1 || st.Batches != 1 {
+		t.Errorf("stats locates = %d, batches = %d, want 1 and 1", st.Locates, st.Batches)
+	}
+	if st.FinalizeCount != 3 || st.FinalizeNsTotal <= 0 {
+		t.Errorf("FinalizeCount = %d, FinalizeNsTotal = %d, want 3 and > 0", st.FinalizeCount, st.FinalizeNsTotal)
+	}
+	if st.StreamLocates != 0 {
+		t.Errorf("StreamLocates = %d, want 0", st.StreamLocates)
 	}
 	if st.Draining {
 		t.Error("fresh server reports draining")

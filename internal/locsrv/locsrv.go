@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -59,21 +58,20 @@ type Config struct {
 	// DisableStreaming for when the server streams.
 	CollectStream CollectStreamFunc
 	// DisableStreaming forces the batch pipeline even when a streaming
-	// collector is available. By default locates stream: snapshots are
-	// checked and prepared as spectrum terms in per-tag accumulators as they
-	// arrive, so only the peak search and solve remain after collection
-	// ends.
+	// collector is available. By default single locates stream: snapshots
+	// are checked and prepared as spectrum terms in per-tag accumulators as
+	// they arrive, so only the peak search and solve remain after collection
+	// ends. Batch items never stream; they collect through the same
+	// collector with no per-report sink and run the batch pipeline.
 	DisableStreaming bool
 	// Client tunes collection sessions (including retry policy:
 	// MaxAttempts, BaseBackoff).
 	Client client.Config
-	// BatchConcurrency bounds how many batch items run at once; zero means
-	// GOMAXPROCS. Since the shared compute pool (internal/sched) took over
-	// spectrum execution, this no longer multiplies CPU fan-out — all grid
-	// scans queue on the pool's fixed workers regardless of how many items
-	// run — so it mainly bounds concurrent *collects* (open reader
-	// sessions, their buffers, and retry timers) and the pipeline working
-	// set per in-flight item.
+	// BatchConcurrency, when positive, bounds how many batch items run at
+	// once: open reader sessions, their buffers and retry timers, and each
+	// item's pipeline working set. Zero starts every item at once (MaxBatch
+	// caps a batch), so a batch lasts about one collect, not one collect per
+	// wave of items: a locate spends most of its time waiting on the reader.
 	BatchConcurrency int
 	// Workers, when positive, pins the process-wide spectrum compute pool
 	// width (sched.SetWorkers) when the server is built. Zero leaves the
@@ -81,10 +79,11 @@ type Config struct {
 	Workers int
 	// MaxInFlight bounds admitted locate/locate-batch HTTP requests (one
 	// slot per request, whatever its batch size). Beyond it the server
-	// sheds load with 503 + Retry-After instead of queueing: the compute
-	// pool serializes excess scan work anyway, so queued requests would
-	// only accumulate latency until they hit RequestTimeout (504) with no
-	// extra throughput. Zero means 2 × the pool width; negative disables
+	// sheds load with 503 + Retry-After instead of queueing: every admitted
+	// request's scans already share the process's CPUs, so queued requests
+	// would only accumulate latency until they hit RequestTimeout (504) with
+	// no extra throughput. Zero means 2 × the compute pool width (sched
+	// workers: Workers, TAGSPIN_WORKERS or GOMAXPROCS); negative disables
 	// admission control.
 	MaxInFlight int
 	// RequestTimeout bounds each locate/locate-batch request end to end;
@@ -107,8 +106,9 @@ type Server struct {
 	collect   CollectFunc
 	mux       *http.ServeMux
 
-	// collectStream, when non-nil, is the streaming collector locate items
-	// use; streaming reports whether locates take the streaming path.
+	// collectStream, when non-nil, is the streaming collector; streaming
+	// reports whether locates collect through it (single locates with a
+	// per-report sink, batch items with none).
 	collectStream CollectStreamFunc
 	streaming     bool
 
@@ -299,9 +299,10 @@ type Stats struct {
 	// MaxAccumBacklog is the accumulation queue's high-water mark across
 	// all streamed locates — how far term preparation ever lagged the wire.
 	MaxAccumBacklog int64
-	// FinalizeCount and FinalizeNsTotal measure the streaming path's
-	// last-snapshot-to-answer latency: total time spent in Finalize
-	// (peak search on the prepared terms + solve) over that many calls.
+	// FinalizeCount and FinalizeNsTotal measure every successful locate's
+	// post-collect compute, streamed or not: total time from the end of
+	// collection to the answer (peak search + solve, plus term preparation
+	// on the batch pipeline) over that many locates.
 	FinalizeCount   uint64
 	FinalizeNsTotal int64
 	// SpectrumSearch is the process-wide coarse-search routing tally —
@@ -339,7 +340,7 @@ func (s *Server) Stats() Stats {
 }
 
 // noteStream folds one finished streamed locate into the server counters.
-func (s *Server) noteStream(finalize time.Duration, st core.StreamStats) {
+func (s *Server) noteStream(st core.StreamStats) {
 	s.streamLocates.Add(1)
 	s.streamFallbackTags.Add(uint64(st.FallbackTags))
 	s.snapshotsStreamed.Add(uint64(st.Snapshots))
@@ -349,10 +350,12 @@ func (s *Server) noteStream(finalize time.Duration, st core.StreamStats) {
 			break
 		}
 	}
-	if finalize >= 0 {
-		s.finalizeCount.Add(1)
-		s.finalizeNsTotal.Add(int64(finalize))
-	}
+}
+
+// noteFinalize counts one successful locate's post-collect compute.
+func (s *Server) noteFinalize(d time.Duration) {
+	s.finalizeCount.Add(1)
+	s.finalizeNsTotal.Add(int64(d))
 }
 
 // logf logs through the configured sink.
@@ -505,7 +508,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	resp, serr := s.locateOne(ctx, req, spinning)
+	resp, serr := s.locateOne(ctx, req, spinning, s.streaming)
 	if serr != nil {
 		writeError(w, serr.status, serr)
 		return
@@ -552,14 +555,6 @@ type BatchResponse struct {
 // bound so a batch it accepts is one its replicas accept.
 const MaxBatch = 64
 
-// batchConcurrency returns the bound on concurrently running batch items.
-func (s *Server) batchConcurrency() int {
-	if s.cfg.BatchConcurrency > 0 {
-		return s.cfg.BatchConcurrency
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.tryAdmit(w) {
 		return
@@ -584,18 +579,20 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// A semaphore bounds how many items are in flight: each item opens a
-	// reader collect session and holds a pipeline working set, so an
-	// unbounded fan-out would hammer the readers and balloon memory on
-	// large batches (the CPU side is already bounded by the shared compute
-	// pool).
+	// Every item starts at once unless BatchConcurrency caps them: an item
+	// spends most of its life waiting on its reader's session, so running
+	// items in waves would make a batch last one collect per wave.
 	// Every item inherits the request context: when the client disconnects
 	// or RequestTimeout fires, queued items fail fast instead of starting
 	// doomed collects, and running ones are canceled.
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	items := make([]BatchItem, len(req.Requests))
-	sem := make(chan struct{}, s.batchConcurrency())
+	limit := s.cfg.BatchConcurrency
+	if limit <= 0 || limit > len(items) {
+		limit = len(items)
+	}
+	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
 	wg.Add(len(req.Requests))
 	for i := range req.Requests {
@@ -610,7 +607,7 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer func() { <-sem }()
-			resp, serr := s.locateOne(ctx, req.Requests[i], spinning)
+			resp, serr := s.locateOne(ctx, req.Requests[i], spinning, false)
 			if serr != nil {
 				item.Error = serr.Error()
 			} else {
@@ -659,11 +656,12 @@ func deadlineStatus(err error, fallback int) int {
 }
 
 // locateOne validates one request, collects snapshots from the reader, and
-// runs the localization pipeline. Both the single-locate handler and every
-// batch item share this path, so validation, error mapping, and response
-// construction cannot drift between the two. The context bounds the whole
-// item: collect and solve are both canceled when it expires.
-func (s *Server) locateOne(ctx context.Context, req LocateRequest, spinning []core.SpinningTag) (*LocateResponse, *statusError) {
+// runs the localization pipeline, streaming when stream is set. Both the
+// single-locate handler and every batch item share this path, so
+// validation, error mapping, and response construction cannot drift between
+// the two. The context bounds the whole item: collect and solve are both
+// canceled when it expires.
+func (s *Server) locateOne(ctx context.Context, req LocateRequest, spinning []core.SpinningTag, stream bool) (*LocateResponse, *statusError) {
 	if req.ReaderAddr == "" {
 		return nil, &statusError{http.StatusBadRequest, errors.New("readerAddr required")}
 	}
@@ -699,27 +697,39 @@ func (s *Server) locateOne(ctx context.Context, req LocateRequest, spinning []co
 			callerHook(err)
 		}
 	}
-	if s.streaming {
+	if stream {
 		return s.locateStreaming(ctx, loc, req.ReaderAddr, ccfg, mode, spinning)
 	}
-	obs, err := s.collect(ctx, req.ReaderAddr, ccfg)
+	var obs core.Observations
+	var err error
+	if s.streaming {
+		// The streaming collector with no sink: retries, deadlines and any
+		// wrapping the caller installed behave as for a streamed locate.
+		obs, err = s.collectStream(ctx, req.ReaderAddr, ccfg, func() client.ReportFunc { return nil })
+	} else {
+		obs, err = s.collect(ctx, req.ReaderAddr, ccfg)
+	}
 	if err != nil {
 		return nil, &statusError{deadlineStatus(err, http.StatusBadGateway), fmt.Errorf("collect from %s: %w", req.ReaderAddr, err)}
 	}
+	start := time.Now()
+	var resp *LocateResponse
 	switch mode {
 	case "3d":
 		res, err := loc.Locate3DContext(ctx, spinning, obs)
 		if err != nil {
 			return nil, &statusError{deadlineStatus(err, http.StatusUnprocessableEntity), err}
 		}
-		return respond3D(res), nil
+		resp = respond3D(res)
 	default:
 		res, err := loc.Locate2DContext(ctx, spinning, obs)
 		if err != nil {
 			return nil, &statusError{deadlineStatus(err, http.StatusUnprocessableEntity), err}
 		}
-		return respond2D(res), nil
+		resp = respond2D(res)
 	}
+	s.noteFinalize(time.Since(start))
+	return resp, nil
 }
 
 // locateStreaming is locateOne's streaming pipeline: the spectrum grid
@@ -743,25 +753,24 @@ func (s *Server) locateStreaming(ctx context.Context, loc *core.Locator, addr st
 	if err != nil {
 		return nil, &statusError{deadlineStatus(err, http.StatusBadGateway), fmt.Errorf("collect from %s: %w", addr, err)}
 	}
+	defer func() { s.noteStream(st.Stats()) }()
 	finalize := time.Now()
 	var resp *LocateResponse
 	switch mode {
 	case "3d":
 		res, ferr := st.Finalize3D(ctx, obs)
 		if ferr != nil {
-			s.noteStream(-1, st.Stats())
 			return nil, &statusError{deadlineStatus(ferr, http.StatusUnprocessableEntity), ferr}
 		}
 		resp = respond3D(res)
 	default:
 		res, ferr := st.Finalize2D(ctx, obs)
 		if ferr != nil {
-			s.noteStream(-1, st.Stats())
 			return nil, &statusError{deadlineStatus(ferr, http.StatusUnprocessableEntity), ferr}
 		}
 		resp = respond2D(res)
 	}
-	s.noteStream(time.Since(finalize), st.Stats())
+	s.noteFinalize(time.Since(finalize))
 	return resp, nil
 }
 

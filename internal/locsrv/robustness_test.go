@@ -121,9 +121,9 @@ func TestRequestTimeoutCancelsStalledBatchItem(t *testing.T) {
 	srv, err := locsrv.New(locsrv.Config{
 		Registry:       reg,
 		RequestTimeout: 3 * time.Second,
-		// Both items must run concurrently even on a single-core box, or
-		// the stalled item would pin the only slot until the deadline.
-		BatchConcurrency: 2,
+		// The default BatchConcurrency runs both items at once even on a
+		// single-core box; a cap of one would let the stalled item pin the
+		// only slot until the deadline.
 		// Real network client (no canned collector): the stall is a live
 		// TCP connection that never completes, the timeout must cut it.
 		Client: client.Config{MaxAttempts: 1},
