@@ -23,10 +23,10 @@ func TestSelectSnapshotsCarrier(t *testing.T) {
 		return phase.Snapshot{Time: time.Duration(ms) * time.Millisecond, Phase: float64(i), FrequencyHz: freq}
 	}
 	cases := []struct {
-		name  string
-		in    []phase.Snapshot
-		want  []int // input indices of the kept reads, in output order
-		error bool
+		name string
+		in   []phase.Snapshot
+		want []int  // input indices of the kept reads, in output order
+		err  string // when set, the selection fails saying this
 	}{
 		{
 			name: "dominant carrier wins",
@@ -68,17 +68,22 @@ func TestSelectSnapshotsCarrier(t *testing.T) {
 			want: []int{0, 2, 3},
 		},
 		{
-			name:  "only NaN reads",
-			in:    []phase.Snapshot{snap(0, 1, nan), snap(1, 2, nan)},
-			error: true,
+			name: "only NaN reads",
+			in:   []phase.Snapshot{snap(0, 1, nan), snap(1, 2, nan)},
+			err:  "dominant channel has 0 reads, need 2",
+		},
+		{
+			name: "enough reads, but not on one carrier",
+			in:   []phase.Snapshot{snap(0, 1, 902e6), snap(1, 2, 915e6), snap(2, 3, 928e6)},
+			err:  "dominant channel has 1 reads, need 2",
 		},
 	}
 	l := NewLocator(Config{MinSnapshots: 2})
 	for _, tc := range cases {
 		got, err := l.selectSnapshots(tc.in)
-		if tc.error {
-			if !errors.Is(err, ErrTooFewSnapshots) {
-				t.Errorf("%s: err = %v, want ErrTooFewSnapshots", tc.name, err)
+		if tc.err != "" {
+			if !errors.Is(err, ErrTooFewSnapshots) || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: err = %v, want ErrTooFewSnapshots saying %q", tc.name, err, tc.err)
 			}
 			continue
 		}
@@ -93,19 +98,5 @@ func TestSelectSnapshotsCarrier(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: got %v, want %v", tc.name, got, want)
 		}
-	}
-}
-
-// TestSelectSnapshotsDominantTooFew reports the dominant carrier's count when
-// it alone falls short, even though the session has enough reads in total.
-func TestSelectSnapshotsDominantTooFew(t *testing.T) {
-	l := NewLocator(Config{MinSnapshots: 3})
-	in := []phase.Snapshot{{FrequencyHz: 902e6}, {FrequencyHz: 915e6}, {FrequencyHz: 915e6}, {FrequencyHz: 928e6}}
-	_, err := l.selectSnapshots(in)
-	if !errors.Is(err, ErrTooFewSnapshots) {
-		t.Fatalf("err = %v, want ErrTooFewSnapshots", err)
-	}
-	if want := "dominant channel has 2 reads, need 3"; !strings.Contains(err.Error(), want) {
-		t.Errorf("err = %q, want it to say %q", err, want)
 	}
 }

@@ -581,9 +581,9 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every item starts at once unless BatchConcurrency caps them: an item
 	// spends most of its life waiting on its reader's session, so running
-	// items in waves would make a batch last one collect per wave.
-	// Every item inherits the request context: when the client disconnects
-	// or RequestTimeout fires, queued items fail fast instead of starting
+	// items in waves would make a batch last one collect per wave. Items
+	// inherit the request context: when the client disconnects or
+	// RequestTimeout fires, queued items fail fast instead of starting
 	// doomed collects, and running ones are canceled.
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
