@@ -1,10 +1,11 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check build test race vet vet-strict bench bench-json bench-load bench-stream bench-sublin bench-nufft bench-compare run-fleet
+.PHONY: check build fmt-check test race vet vet-strict bench bench-json bench-load bench-stream bench-sublin bench-nufft bench-compare run-fleet
 
 .DEFAULT_GOAL := check
 
-# check is the default tier-1 gate: build, vet-strict (vet plus the
+# check is the default tier-1 gate: build, fmt-check, vet-strict (vet plus the
 # bounds-check-elimination spot check on the spectrum hot loops), the
 # benchmark module's tests (bench/ is its own module, which `go test ./...`
 # never builds, yet it calls the spectrum, core and locsrv APIs), and the
@@ -16,7 +17,7 @@ GO ?= go
 # under a particular worker/CPU ratio; the golden traces pin that answers
 # stay bit-identical at both. The last pass runs the batch tests on one
 # CPU, where a GOMAXPROCS-sized default would run batch items one at a time.
-check: build vet-strict
+check: build fmt-check vet-strict
 	cd bench && $(GO) test ./...
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
@@ -27,6 +28,11 @@ check: build vet-strict
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when gofmt would change any Go file in the repository,
+# the bench module included, and lists the files.
+fmt-check:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt: unformatted files:" >&2; echo "$$out" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -42,7 +48,7 @@ vet:
 
 # vet-strict is vet plus the bounds-check-elimination spot check: the SoA
 # hot loops in internal/spectrum (allcells.go synthesis and weighting
-# kernels, harmonic.go folds and synthesis, nufft.go spreading) are written
+# kernels, harmonic.go folds and synthesis) are written
 # so the compiler can prove every index in range, and
 # scripts/check-bce.sh fails if a bounds check creeps back in (DESIGN.md
 # §13 documents the layout rules the script enforces).
@@ -65,9 +71,9 @@ bench:
 # (SubLinLocate2D/3D vs their dense Locate2D/3D baselines), and the
 # all-cells rows (SubLinLocateR plus the DenseProfile/AllCellsProfile 2D/3D
 # pairs per kind, with their speedup floors), and the non-uniform-grid
-# rows (DenseLocateNU2D/NUFFTLocate2D with the ≥3x NUFFT floor,
-# DenseLocateNUR/NUFFTLocateR, and the LoadLocate2DStream/ml estimator
-# A/B).
+# rows (DenseLocateNU2D/NUFFTLocate2D with the ≥3x floor on the
+# synthesized angle-grid route, DenseLocateNUR/NUFFTLocateR, and the
+# LoadLocate2DStream/ml estimator A/B).
 bench-json:
 	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
 
@@ -91,7 +97,9 @@ bench-sublin:
 
 # bench-nufft is bench-json under its non-uniform-grid name: the schema-10
 # report is where the DenseLocateNU2D/NUFFTLocate2D pair (≥3x floor on the
-# NUFFT row) and the DenseLocateNUR/NUFFTLocateR pair live.
+# synthesized angle-grid route; the NUFFT names are kept from the route it
+# replaced so bench-compare still pairs the rows) and the
+# DenseLocateNUR/NUFFTLocateR pair live.
 bench-nufft:
 	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
 

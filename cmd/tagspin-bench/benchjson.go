@@ -31,8 +31,9 @@ import (
 // ns/op does not compare with version-8 reports. Version 8 keeps every
 // version-7 row and adds the non-uniform-grid rows: DenseLocateNU2D /
 // NUFFTLocate2D — the KindQ angle-grid coarse-scan pair on a jittered
-// 720-cell grid over a jittery-actuator Gen2 session, the NUFFT row
-// carrying speedupVsBatch against its dense baseline and gated at
+// 720-cell grid over a jittery-actuator Gen2 session, the NUFFT row (named
+// for the route it first timed; it now times the synthesized angle-grid
+// route) carrying speedupVsBatch against its dense baseline and gated at
 // nufftMinSpeedup — DenseLocateNUR / NUFFTLocateR, the KindR pair
 // (reported, ungated), and the estimator-backend streaming load A/B
 // (LoadLocate2DStream/ml/K=<k> next to the schema-4

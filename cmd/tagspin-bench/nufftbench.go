@@ -17,11 +17,13 @@ import (
 	"github.com/tagspin/tagspin/internal/testbed"
 )
 
-// nufftMinSpeedup is the acceptance floor for the gated NUFFT coarse-scan
-// row: the fold + oversampled-grid spread must beat the dense non-uniform
-// scan by at least this factor on the jittered 720-cell grid. It matches
-// the all-cells profile floor — the NUFFT replaces the same O(cells·terms)
-// trig with O(terms·H + U·H + cells·W) work.
+// nufftMinSpeedup is the acceptance floor for the gated angle-grid
+// coarse-scan row: the fold + per-cell synthesis + exact rescore must beat
+// the dense non-uniform scan by at least this factor on the jittered
+// 720-cell grid. It matches the all-cells profile floor — the synthesis
+// replaces the same O(cells·terms) trig with O((terms + cells)·H) work. The
+// row and constant names come from the NUFFT spreader the route replaced;
+// they are kept so bench-compare still pairs the rows with older reports.
 const nufftMinSpeedup = 3.0
 
 // nufftBenchAngles is the benchmark candidate grid: the uniform 720-cell
@@ -40,20 +42,20 @@ func nufftBenchAngles() []float64 {
 }
 
 // nufftBenchRows measures the non-uniform-grid coarse scans (schema 8).
-// The session is deliberately the ugly one the NUFFT route exists for: a
-// jittery actuator (JitterStd 0.02 rad) read through the Gen2 MAC, so the
-// aperture samples are non-uniform in time, localized over the jittered
-// candidate grid. DenseLocateNU2D / NUFFTLocate2D pair the dense angle-grid
-// scan with the NUFFT route for KindQ (the NUFFT row is gated at
+// The session is deliberately an ugly one: a jittery actuator (JitterStd
+// 0.02 rad) read through the Gen2 MAC, so the aperture samples are
+// non-uniform in time, localized over the jittered candidate grid.
+// DenseLocateNU2D / NUFFTLocate2D pair the dense angle-grid scan with the
+// synthesized route for KindQ (the second row is gated at
 // nufftMinSpeedup); DenseLocateNUR / NUFFTLocateR are the KindR pair,
-// reported ungated — pass two of the R replay still walks every term per
-// cell, so its ratio is informative rather than enforced.
+// reported ungated — pass two of the R synthesis still walks every term
+// per surviving cell, so its ratio is informative rather than enforced.
 //
 // Before any timing, both pairs re-check what the spectrum test suite pins:
-// the NUFFT argmax equals the dense argmax bit for bit on this exact
-// session and grid, and the spread Q profile sits within the exported slack
-// of the dense one — a speedup row can never quietly measure a path that
-// stopped agreeing.
+// the synthesized argmax equals the dense argmax bit for bit on this exact
+// session and grid, and the synthesized Q profile sits within the exported
+// slack of the dense one — a speedup row can never quietly measure a path
+// that stopped agreeing.
 func nufftBenchRows() ([]benchResult, error) {
 	rng := rand.New(rand.NewSource(23))
 	sc := testbed.DefaultScenario(0, rng)
@@ -80,8 +82,8 @@ func nufftBenchRows() ([]benchResult, error) {
 
 	opts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
 
-	// Preflight 1: NUFFT argmax bit-identity against the dense scan, both
-	// kinds, on the measured session and grid.
+	// Preflight 1: synthesized argmax bit-identity against the dense scan,
+	// both kinds, on the measured session and grid.
 	for _, pre := range []struct {
 		kind string
 		ev   *spectrum.Evaluator
@@ -89,16 +91,16 @@ func nufftBenchRows() ([]benchResult, error) {
 		wantAz, wantPow := spectrum.FindPeak2DAnglesDense(pre.ev, angles, opts)
 		gotAz, gotPow := spectrum.FindPeak2DAnglesEval(pre.ev, angles, opts)
 		if gotAz != wantAz || gotPow != wantPow {
-			return nil, fmt.Errorf("nufft bench: %s NUFFT peak (%v, %v) != dense (%v, %v)",
+			return nil, fmt.Errorf("nufft bench: %s synthesized peak (%v, %v) != dense (%v, %v)",
 				pre.kind, gotAz, gotPow, wantAz, wantPow)
 		}
 	}
-	// Preflight 2: the spread Q profile within the exported slack.
-	var dense, spread spectrum.Profile
+	// Preflight 2: the synthesized Q profile within the exported slack.
+	var dense, synth spectrum.Profile
 	evQ.Profile2DInto(&dense, angles)
-	evQ.Profile2DIntoSynth(&spread, angles)
+	evQ.Profile2DIntoSynth(&synth, angles)
 	for k := range dense.Power {
-		if d := math.Abs(spread.Power[k] - dense.Power[k]); d > spectrum.ProfileSlackQ {
+		if d := math.Abs(synth.Power[k] - dense.Power[k]); d > spectrum.ProfileSlackQ {
 			return nil, fmt.Errorf("nufft bench: Q profile cell %d off by %v (> %v)",
 				k, d, spectrum.ProfileSlackQ)
 		}

@@ -126,7 +126,7 @@ func (a *Announcer) do(req *http.Request) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close() //nolint:errcheck // drained below
+	defer resp.Body.Close()                              //nolint:errcheck // drained below
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // connection reuse
 	if resp.StatusCode >= 300 {
 		return fmt.Errorf("coordinator %s: status %d", a.Coordinator, resp.StatusCode)

@@ -313,7 +313,7 @@ func (c *Coordinator) handleListReplicas(w http.ResponseWriter, _ *http.Request)
 
 func (c *Coordinator) handleRegisterReplica(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, locsrv.MaxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode register: %w", err))
 		return
 	}
@@ -505,14 +505,11 @@ func routeErrorStatus(w http.ResponseWriter, err error) {
 	}
 }
 
-// maxLocateBody bounds buffered locate payloads; far above any legal batch.
-const maxLocateBody = 1 << 20
-
 func (c *Coordinator) handleLocate(w http.ResponseWriter, r *http.Request) {
 	if !c.admit(w) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxLocateBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, locsrv.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 		return
@@ -542,7 +539,7 @@ func (c *Coordinator) handleLocateBatch(w http.ResponseWriter, r *http.Request) 
 	if !c.admit(w) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxLocateBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, locsrv.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 		return
@@ -689,7 +686,7 @@ func (c *Coordinator) fanOut(ctx context.Context, method, path string, body []by
 }
 
 func (c *Coordinator) handleAddTag(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxLocateBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, locsrv.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 		return

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,7 +15,6 @@ import (
 	"github.com/tagspin/tagspin/internal/client"
 	"github.com/tagspin/tagspin/internal/core"
 	"github.com/tagspin/tagspin/internal/locsrv"
-	"github.com/tagspin/tagspin/internal/registry"
 )
 
 // TestLocateBatchOverlapsCollects proves the default config starts every
@@ -146,17 +144,7 @@ func TestLocateBatchMatchesSingle(t *testing.T) {
 //
 //	go test -run '^$' -fuzz FuzzLocateBatchBody -fuzztime 60s ./internal/locsrv/
 func FuzzLocateBatchBody(f *testing.F) {
-	srv, err := locsrv.New(locsrv.Config{
-		Registry:    registry.New(),
-		MaxInFlight: -1,
-		Collect: func(context.Context, string, client.Config) (core.Observations, error) {
-			return nil, errors.New("reader offline")
-		},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	h := srv.Handler()
+	h := offlineHandler(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/locate-batch", bytes.NewReader(body)))

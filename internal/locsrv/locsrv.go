@@ -306,10 +306,11 @@ type Stats struct {
 	FinalizeCount   uint64
 	FinalizeNsTotal int64
 	// SpectrumSearch is the process-wide coarse-search routing tally —
-	// which route (harmonic Q/R synthesis in 2D and 3D, NUFFT synthesis,
-	// the dense oracle, all-cells profile synthesis) actually served the
-	// scans behind this server's locates; the tagspin_spectrum_search
-	// expvar publishes the same fields under the same keys. A fleet dashboard that sees Dense2D climbing while
+	// which route (harmonic Q/R synthesis in 2D, on uniform and angle
+	// grids alike, and in 3D; the dense oracle; all-cells profile
+	// synthesis) actually served the scans behind this server's locates;
+	// the tagspin_spectrum_search expvar publishes the same fields under
+	// the same keys. A fleet dashboard that sees Dense2D climbing while
 	// HarmonicR2D stays flat is watching a routing regression, not a load
 	// change.
 	SpectrumSearch spectrum.SearchStats
@@ -405,7 +406,7 @@ func (s *Server) handleListTags(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleAddTag(w http.ResponseWriter, r *http.Request) {
 	var e registry.Entry
-	if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
+	if err := decodeBody(w, r, &e); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode entry: %w", err))
 		return
 	}
@@ -497,7 +498,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseAdmit()
 	s.locates.Add(1)
 	var req LocateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
@@ -555,6 +556,17 @@ type BatchResponse struct {
 // bound so a batch it accepts is one its replicas accept.
 const MaxBatch = 64
 
+// MaxBodyBytes bounds every request body a server reads, and the bodies the
+// coordinator buffers before forwarding: far above any legal batch, yet
+// small enough that a client cannot make a server read gigabytes before
+// the body is validated. A longer body is answered 400.
+const MaxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most MaxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+}
+
 func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.tryAdmit(w) {
 		return
@@ -562,7 +574,7 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseAdmit()
 	s.batches.Add(1)
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}

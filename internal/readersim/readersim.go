@@ -99,9 +99,9 @@ type Reader struct {
 	rejected  int
 	midClosed int
 	closed    chan struct{}
-	wg       sync.WaitGroup
-	lis      net.Listener
-	conns    map[*llrp.Conn]struct{}
+	wg        sync.WaitGroup
+	lis       net.Listener
+	conns     map[*llrp.Conn]struct{}
 }
 
 // New builds a Reader.

@@ -263,19 +263,17 @@ func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch,
 	qRe := sc.sumRe[:n]
 	qIm := sc.sumIm[:n]
 	hc.synthesizeComplex(qRe, qIm, sinPhi[:n], cosPhi[:n])
-	e.weightRowR(terms, sc, cg, sinPhi, cosPhi, qRe, qIm, out, coarse, muGuardFrac, cut2)
+	e.weightRowR(terms, sc, cg, sinPhi, cosPhi, qRe, qIm, out, coarse, cut2)
 }
 
 // weightRowR is synthRowR's per-cell pass: given the normalized pass-one
-// phasor sums qRe/qIm (from exact Chebyshev synthesis or the NUFFT
-// spreader), recover the robust mean per cell and run the tight weighting
-// loop. muGuard is the |Ŝ|/n floor below which the cell is evaluated
-// densely instead — muGuardFrac for exact-synthesis sums, nufftMuGuard for
-// spread sums whose error is ~1e−7 rather than ~1e−12. A cell whose |Ŝ|²/n²
-// sits under cut2 is proven unable to win (rPruneCut) and is written −Inf
-// with neither its weighting loop nor its guard fallback run. Split out so
-// the NUFFT route replays the identical weighting over its spread sums.
-func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi, cosPhi, qRe, qIm, out []float64, coarse bool, muGuard, cut2 float64) {
+// phasor sums qRe/qIm, recover the robust mean per cell and run the tight
+// weighting loop. Cells under the muGuardFrac floor are evaluated densely
+// instead. A cell whose |Ŝ|²/n² sits under cut2 is proven unable to win
+// (rPruneCut) and is written −Inf with neither its weighting loop nor its
+// guard fallback run. Split out so the 2D argmax route can take its prune
+// incumbent between the synthesis and the weighting.
+func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi, cosPhi, qRe, qIm, out []float64, coarse bool, cut2 float64) {
 	m := terms.n()
 	n := len(out)
 	if m == 0 || n == 0 {
@@ -315,7 +313,7 @@ func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi
 		refA := pc0*c + ps0*s
 		off := refA
 		if robust {
-			if mag2 < muGuard*muGuard {
+			if mag2 < muGuardFrac*muGuardFrac {
 				if fb == nil {
 					fb = e.getScratch()
 				}
@@ -395,7 +393,7 @@ func wrapToPiFast(x float64) float64 {
 
 // Coarse R pruning. Every R argmax route holds, before its weighting pass,
 // the synthesized pass-one magnitude q̂ = |Ŝ(φ)|/n of every cell, and q̂
-// bounds the cell's exact value from above (DESIGN.md §15 has the
+// bounds the cell's exact value from above (DESIGN.md §14 has the
 // derivation). With d_i = wrap(res_i − μ) the weighted residuals,
 // κ = e^{−2/σ_w²}, and q = |S|/n the exact magnitude,
 //
@@ -463,43 +461,6 @@ func (e *Evaluator) rIncumbent(terms termSlices, sc *Scratch, cg float64, sinPhi
 	return e.evalRExact(terms, sc, s, c, cg)
 }
 
-// harmonicArgmaxR2D is the coarseArgmax2D drop-in for KindR on the uniform
-// azimuth grid (γ = 0): fold the Q coefficients once, synthesize the
-// pass-one sums Ŝ, prune every cell the incumbent rules out (rPruneCut,
-// widened by harmonicSlack), run the two-pass kernel's weighting pass with
-// the shortlist-grade coarse kernels on the survivors, then exact-rescore
-// every cell within 2·(rSlack + rCoarseRel·wNorm) of the synthesized
-// maximum — the window is wide enough that the dense argmax cell always
-// shortlists despite the coarse kernels' error. The rescore evaluates
-// exactly what the dense scan evaluates at those cells (ascending index,
-// strict >), so the returned index equals the dense scan's argmax —
-// TestRHarmonicArgmax pins this.
-func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int {
-	hs := harmPool.Get().(*harmonicScratch)
-	foldTermsHarmonic(hs, terms, 1)
-	vals := hs.values(n)
-	sc := e.getScratch()
-	e.fillUniformTrig(sc, 0, n, step)
-	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
-	qRe, qIm := sc.sumRe[:n], sc.sumIm[:n]
-	hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
-	cut2 := e.rPruneCut(e.rIncumbent(terms, sc, 1, sinPhi, cosPhi, qRe, qIm), harmonicSlack)
-	e.weightRowR(terms, sc, 1, sinPhi, cosPhi, qRe, qIm, vals, true, muGuardFrac, cut2)
-	e.putScratch(sc)
-	maxV := maxOf(vals)
-	window := 2 * (rSlack + rCoarseRel*e.wNorm)
-	cand := hs.cand[:0]
-	for k, v := range vals {
-		if v >= maxV-window {
-			cand = append(cand, k)
-		}
-	}
-	hs.cand = cand
-	idx := e.rescoreUniform(terms, cand, step)
-	harmPool.Put(hs)
-	return idx
-}
-
 // polarMirrorTol is how far from zero γ_r + γ_{nPol−1−r} may sit for
 // harmonicArgmax3D to serve both polar rows from one synthesis. Only cos γ
 // enters the profile, so a symmetric lattice's mirror rows differ by
@@ -527,7 +488,7 @@ const polarMirrorTol = 1e-14
 // at its own γ. The shortlist is then exact-rescored with the dense
 // per-cell arithmetic (evalGridCell) under the lowest-index tie rule, so
 // the returned cell is the dense scan's bit for bit. Rows run serially,
-// like the 2D routes: the per-tag callers supply the parallelism, and no
+// like the 2D route: the per-tag callers supply the parallelism, and no
 // buffer spans the grid.
 func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
@@ -718,17 +679,6 @@ func (e *Evaluator) Profile2DIntoSynth(prof *Profile, angles []float64) {
 	n := len(prof.Angles)
 	hs := harmPool.Get().(*harmonicScratch)
 	foldTermsHarmonic(hs, e.terms, 1)
-	if e.kind != KindR && n >= nufftMinCells {
-		// Large Q grids go through the gridded spreader: no per-cell trig
-		// at all, and the value error stays inside the same harmonicSlack
-		// contract (nufftSlackQ == harmonicSlack). The R pass keeps the
-		// exact synthesis — its robust mean amplifies pass-one error by
-		// 1/|Ŝ|, which would break the documented rSlack value bound.
-		searchCounters.nufftProfile.Add(1)
-		nufftSynthQ(&hs.coeffs, prof.Angles, prof.Power)
-		harmPool.Put(hs)
-		return
-	}
 	sc := e.getScratch()
 	fillAngleTrig(sc, prof.Angles)
 	e.synthRow(&hs.coeffs, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], prof.Power)
@@ -746,33 +696,15 @@ func (e *Evaluator) Profile3DSynth(azimuths, polars []float64) Profile3D {
 	prof := newProfile3D(azimuths, polars)
 	n := len(prof.Azimuths)
 	hs := harmPool.Get().(*harmonicScratch)
-	// Large Q rows spread instead of running the per-cell recurrences; the
-	// azimuth set is shared by every row, so the spreader's target wrap and
-	// exponentials re-run per row but its grid synthesis replaces the
-	// O(cells·H) row synthesis — and no per-cell trig table is built at
-	// all. R rows keep exact synthesis (see Profile2DIntoSynth on the μ̂
-	// amplification).
-	spreadQ := e.kind != KindR && n >= nufftMinCells
-	if spreadQ {
-		searchCounters.nufftProfile.Add(1)
-	}
 	sc := e.getScratch()
-	var sinPhi, cosPhi []float64
-	if !spreadQ {
-		fillAngleTrig(sc, prof.Azimuths)
-		sinPhi = sc.sinPhi[:n]
-		cosPhi = sc.cosPhi[:n]
-	}
+	fillAngleTrig(sc, prof.Azimuths)
+	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
 	rows := prof.Power
 	pols := prof.Polars[:len(rows)]
 	for i := range rows {
 		cg := math.Cos(pols[i])
 		foldTermsHarmonic(hs, e.terms, cg)
-		if spreadQ {
-			nufftSynthQ(&hs.coeffs, prof.Azimuths, rows[i])
-		} else {
-			e.synthRow(&hs.coeffs, sc, cg, sinPhi, cosPhi, rows[i])
-		}
+		e.synthRow(&hs.coeffs, sc, cg, sinPhi, cosPhi, rows[i])
 	}
 	e.putScratch(sc)
 	harmPool.Put(hs)

@@ -83,11 +83,12 @@ func TestAccumulatorHarmonicRBoundary(t *testing.T) {
 }
 
 // TestProfile2DOptSlack pins the all-cells value contract on random
-// sessions: synthesized Q profiles sit within harmonicSlack of the exact
-// dense profile, synthesized R profiles within rSlack.
+// sessions, over the uniform 720-cell grid and a jittered one: synthesized
+// Q profiles sit within harmonicSlack of the exact dense profile,
+// synthesized R profiles within rSlack.
 func TestProfile2DOptSlack(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	angles := UniformAngles(720)
+	grids := [][]float64{UniformAngles(720), jitteredAngles(720, 0.35, rng)}
 	for trial := 0; trial < 20; trial++ {
 		p := testParams()
 		p.LiteralReference = trial%2 == 1
@@ -101,12 +102,14 @@ func TestProfile2DOptSlack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ev.Profile2D(angles)
-			got := ev.Profile2DSynth(angles)
-			for k := range got.Power {
-				if d := math.Abs(got.Power[k] - want.Power[k]); d > slack {
-					t.Fatalf("trial %d %v cell %d: synthesized %v vs exact %v (Δ=%v > %v)",
-						trial, kind, k, got.Power[k], want.Power[k], d, slack)
+			for g, angles := range grids {
+				want := ev.Profile2D(angles)
+				got := ev.Profile2DSynth(angles)
+				for k := range got.Power {
+					if d := math.Abs(got.Power[k] - want.Power[k]); d > slack {
+						t.Fatalf("trial %d %v grid %d cell %d: synthesized %v vs exact %v (Δ=%v > %v)",
+							trial, kind, g, k, got.Power[k], want.Power[k], d, slack)
+					}
 				}
 			}
 		}
@@ -323,10 +326,10 @@ func TestSearchStatsCounters(t *testing.T) {
 	FindPeak2DAnglesEval(evQ, UniformAngles(64), SearchOptions{})
 	FindPeak2DAnglesEval(evR, UniformAngles(64), SearchOptions{})
 	evR.Profile2DSynth(UniformAngles(64))
-	evQ.Profile2DSynth(UniformAngles(nufftMinCells))
+	evQ.Profile2DSynth(UniformAngles(720))
 	want := SearchStats{
-		HarmonicQ2D: 1, HarmonicR2D: 1, HarmonicQ3D: 1, HarmonicR3D: 1, Dense2D: 1, Dense3D: 1,
-		ProfileSynth: 2, NUFFT2D: 1, NUFFTR2D: 1, NUFFTProfile: 1,
+		HarmonicQ2D: 2, HarmonicR2D: 2, HarmonicQ3D: 1, HarmonicR3D: 1, Dense2D: 1, Dense3D: 1,
+		ProfileSynth: 2,
 	}
 	if st := SearchStatsSnapshot(); st != want {
 		t.Fatalf("route counts %+v, want %+v", st, want)

@@ -54,74 +54,13 @@ func synthJittered(p Params, reader geom.Vec3, n int, sigma, tJitter float64, rn
 	return snaps
 }
 
-// TestNUFFTSynthQError pins the value contract of nufftSynthQ: synthesized
-// Q values on jittered grids stay within nufftSlackQ of the exact dense
-// profile, in both the gridded-spreading regime (≥ nufftMinCells) and the
-// direct per-cell regime below it.
-func TestNUFFTSynthQError(t *testing.T) {
-	p := testParams()
-	rng := rand.New(rand.NewSource(501))
-	for trial := 0; trial < 30; trial++ {
-		snaps := synth(p, randReader(rng, true), 20+rng.Intn(120), rng.Float64()*2, rng.Float64()*0.2, rng)
-		ev, err := NewEvaluator(snaps, p, KindQ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{64, nufftMinCells, 720} {
-			angles := jitteredAngles(n, 0.35, rng)
-			var exact Profile
-			ev.Profile2DInto(&exact, angles)
-			hs := harmPool.Get().(*harmonicScratch)
-			foldTermsHarmonic(hs, ev.terms, 1)
-			got := make([]float64, n)
-			nufftSynthQ(&hs.coeffs, angles, got)
-			harmPool.Put(hs)
-			for k := range got {
-				if d := math.Abs(got[k] - exact.Power[k]); d > nufftSlackQ {
-					t.Fatalf("trial %d, %d cells: |synth-exact| = %v at cell %d exceeds %v",
-						trial, n, d, k, nufftSlackQ)
-				}
-			}
-		}
-	}
-}
-
-// TestNUFFTSpreadMatchesDirect pins the spreader itself: on grids large
-// enough to spread, the gridded Gaussian-kernel values must sit within the
-// truncation bound (~2e-8 for W = 8) of the direct per-cell synthesis —
-// the harmonic truncation error is common to both and cancels.
-func TestNUFFTSpreadMatchesDirect(t *testing.T) {
-	p := testParams()
-	rng := rand.New(rand.NewSource(502))
-	const spreadTol = 5e-8
-	for trial := 0; trial < 20; trial++ {
-		snaps := synth(p, randReader(rng, true), 30+rng.Intn(90), rng.Float64()*2, rng.Float64()*0.15, rng)
-		ev, err := NewEvaluator(snaps, p, KindQ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		angles := jitteredAngles(nufftMinCells+rng.Intn(600), 0.35, rng)
-		hs := harmPool.Get().(*harmonicScratch)
-		foldTermsHarmonic(hs, ev.terms, 1)
-		spread := make([]float64, len(angles))
-		nufftSynthQ(&hs.coeffs, angles, spread)
-		for k, phi := range angles {
-			if d := math.Abs(spread[k] - hs.coeffs.synthAt(phi)); d > spreadTol {
-				t.Fatalf("trial %d: spread error %v at cell %d exceeds %v", trial, d, k, spreadTol)
-			}
-		}
-		harmPool.Put(hs)
-	}
-}
-
 // TestNUFFTArgmaxBitIdentity is the routing contract: FindPeak2DAnglesEval
-// (the NUFFT route) must return FindPeak2DAnglesDense's (azimuth, power)
-// bit for bit, for both kinds, across jittered grids spanning the
-// direct-synthesis and gridded-spreading regimes (including the
-// nufftMinCells seam) and randomized sessions.
+// (the synthesized route) must return FindPeak2DAnglesDense's (azimuth,
+// power) bit for bit, for both kinds, across jittered grids from 48 to 720
+// cells and randomized sessions.
 func TestNUFFTArgmaxBitIdentity(t *testing.T) {
 	p := testParams()
-	grids := []int{48, nufftMinCells - 1, nufftMinCells, nufftMinCells + 1, 720}
+	grids := []int{48, 127, 128, 129, 720}
 	for _, kind := range []Kind{KindQ, KindR} {
 		name := "Q"
 		if kind == KindR {
@@ -140,7 +79,7 @@ func TestNUFFTArgmaxBitIdentity(t *testing.T) {
 				gotAz, gotPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
 				wantAz, wantPow := FindPeak2DAnglesDense(ev, angles, SearchOptions{})
 				if gotAz != wantAz || gotPow != wantPow {
-					t.Fatalf("trial %d, %d cells: NUFFT (%v, %v) != dense (%v, %v)",
+					t.Fatalf("trial %d, %d cells: synthesized (%v, %v) != dense (%v, %v)",
 						trial, n, gotAz, gotPow, wantAz, wantPow)
 				}
 			}
@@ -170,7 +109,7 @@ func TestNUFFTJitteredOmegaSession(t *testing.T) {
 				gotAz, gotPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
 				wantAz, wantPow := FindPeak2DAnglesDense(ev, angles, SearchOptions{})
 				if gotAz != wantAz || gotPow != wantPow {
-					t.Fatalf("trial %d: NUFFT (%v, %v) != dense (%v, %v)",
+					t.Fatalf("trial %d: synthesized (%v, %v) != dense (%v, %v)",
 						trial, gotAz, gotPow, wantAz, wantPow)
 				}
 			}
@@ -180,19 +119,20 @@ func TestNUFFTJitteredOmegaSession(t *testing.T) {
 
 // TestAnglesRoutingCounters drives both kinds through the angle-grid entry
 // points and checks exactly one routing counter moves — the expvar surface
-// operators use to confirm which path served traffic.
+// operators use to confirm which path served traffic. Angle grids share the
+// uniform grid's synthesized route and its counters.
 func TestAnglesRoutingCounters(t *testing.T) {
 	p := testParams()
 	rng := rand.New(rand.NewSource(530))
 	snaps := synth(p, geom.V3(-2.2, 1.3, 0), 60, 0.8, 0.05, rng)
 	angles := jitteredAngles(720, 0.35, rng)
 	cases := []struct {
-		name string
-		kind Kind
-		pick func(SearchStats) uint64
+		name        string
+		kind        Kind
+		argmax, all SearchStats
 	}{
-		{"Q-auto", KindQ, func(s SearchStats) uint64 { return s.NUFFT2D }},
-		{"R-auto", KindR, func(s SearchStats) uint64 { return s.NUFFTR2D }},
+		{"Q", KindQ, SearchStats{HarmonicQ2D: 1}, SearchStats{ProfileSynth: 1}},
+		{"R", KindR, SearchStats{HarmonicR2D: 1}, SearchStats{ProfileSynth: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,41 +142,17 @@ func TestAnglesRoutingCounters(t *testing.T) {
 			}
 			ResetSearchStats()
 			FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-			st := SearchStatsSnapshot()
-			if got := tc.pick(st); got != 1 {
-				t.Fatalf("expected routing counter = 1, snapshot %+v", st)
+			if st := SearchStatsSnapshot(); st != tc.argmax {
+				t.Fatalf("argmax: route counts %+v, want %+v", st, tc.argmax)
 			}
-			if total := st.NUFFT2D + st.NUFFTR2D + st.Dense2D; total != 1 {
-				t.Fatalf("expected exactly one angle-grid route, snapshot %+v", st)
+			ResetSearchStats()
+			var prof Profile
+			ev.Profile2DIntoSynth(&prof, angles)
+			if st := SearchStatsSnapshot(); st != tc.all {
+				t.Fatalf("profile: route counts %+v, want %+v", st, tc.all)
 			}
 		})
 	}
-
-	t.Run("profile", func(t *testing.T) {
-		var prof Profile
-		small := jitteredAngles(nufftMinCells-1, 0.35, rng)
-		cases := []struct {
-			name   string
-			kind   Kind
-			angles []float64
-			want   uint64
-		}{
-			{"Q-large", KindQ, angles, 1},
-			{"Q-small", KindQ, small, 0},
-			{"R-large", KindR, angles, 0},
-		}
-		for _, tc := range cases {
-			ev, err := NewEvaluator(snaps, p, tc.kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ResetSearchStats()
-			ev.Profile2DIntoSynth(&prof, tc.angles)
-			if got := SearchStatsSnapshot().NUFFTProfile; got != tc.want {
-				t.Fatalf("%s: NUFFTProfile = %d, want %d", tc.name, got, tc.want)
-			}
-		}
-	})
 }
 
 // TestAccumulatorAnglesBitIdentity pins the streamed angle-grid finalize

@@ -33,7 +33,7 @@ const chunkTarget = 64
 //
 // Every per-candidate value uses math.Sincos and is bit-identical to a
 // naive serial evaluation — equivalence tests pin this. The synthesis
-// routes (harmonic.go, allcells.go, nufft.go) approximate these values
+// routes (harmonic.go, allcells.go) approximate these values
 // within documented slacks and exact-rescore any cell that could win, so
 // their answers carry the same bits.
 //
@@ -222,7 +222,12 @@ func (e *Evaluator) EvalCoarse(sc *Scratch, phi, gamma float64) float64 {
 // the grid.
 func (e *Evaluator) evalTerms(terms termSlices, sc *Scratch, phi, gamma float64) float64 {
 	sinPhi, cosPhi := math.Sincos(phi)
-	cg := math.Cos(gamma)
+	return e.evalCell(terms, sc, sinPhi, cosPhi, math.Cos(gamma))
+}
+
+// evalCell is evalTerms from the candidate's trig and cos γ: given the bits
+// math.Sincos(φ) and math.Cos(γ) produce, it returns evalTerms' bits.
+func (e *Evaluator) evalCell(terms termSlices, sc *Scratch, sinPhi, cosPhi, cg float64) float64 {
 	if e.kind != KindR {
 		return evalQExact(terms, sinPhi, cosPhi, cg)
 	}

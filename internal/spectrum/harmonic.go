@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// This file holds the FFT-style azimuth evaluator: the Q profile over a
-// uniform azimuth grid computed through a harmonic (Fourier) expansion
-// instead of a dense per-cell × per-snapshot scan.
+// This file holds the FFT-style azimuth evaluator: the Q profile over an
+// azimuth grid — uniform or an arbitrary angle list — computed through a
+// harmonic (Fourier) expansion instead of a dense per-cell × per-snapshot
+// scan.
 //
 // The unnormalized Q phasor sum at fixed polar angle γ is
 //
@@ -37,7 +38,7 @@ import (
 // Exactness: the synthesized values differ from evalQExact only by Bessel
 // truncation (≲1e-14) and resummation rounding (≲1e-12) — bounded well
 // under harmonicSlack. The argmax therefore cannot be read directly off the
-// synthesized values without risking a flipped tie, so harmonicArgmax2D
+// synthesized values without risking a flipped tie, so coarseArgmax2D
 // collects every cell within 2·harmonicSlack of the synthesized maximum and
 // rescores those few cells with the exact per-cell formula. Any cell the
 // dense scan could have returned is within harmonicSlack of its synthesized
@@ -221,8 +222,7 @@ type harmonicScratch struct {
 	coeffs    harmonicCoeffs
 	bess      []float64
 	vals      []float64
-	cand      []int
-	shortlist []maxEntry     // harmonicArgmax3D's (cell, synthesized value) list
+	shortlist []maxEntry     // the coarse routes' (cell, synthesized value) list
 	rowMax    []float64      // rIncumbent3D's per-row max |Ŝ|²/n²
 	unit      harmonicCoeffs // foldUnitSums' γ-free sums (refine3D)
 }
@@ -276,34 +276,6 @@ func foldTermsHarmonic(hs *harmonicScratch, terms termSlices, cosGamma float64) 
 		}
 		hs.coeffs.foldTerm(relPhase[i], cosA[i], sinA[i], bess)
 	}
-}
-
-// harmonicArgmax2D is the coarseArgmax2D drop-in for KindQ on the uniform
-// azimuth grid φ_k = k·step (γ = 0): fold coefficients, synthesize all
-// cells, then exact-rescore every cell within 2·harmonicSlack of the
-// synthesized maximum. The rescore evaluates the very same expression the
-// dense scan uses at those cells (ascending index, strict >), so the
-// returned index equals the dense scan's argmax whenever synthesis error
-// stays within harmonicSlack — which the equivalence tests pin.
-func (e *Evaluator) harmonicArgmax2D(terms termSlices, n int, step float64) int {
-	hs := harmPool.Get().(*harmonicScratch)
-	foldTermsHarmonic(hs, terms, 1)
-	vals := hs.values(n)
-	sc := e.getScratch()
-	e.fillUniformTrig(sc, 0, n, step)
-	hs.coeffs.synthesize(vals, sc.sinPhi[:n], sc.cosPhi[:n])
-	e.putScratch(sc)
-	maxV := maxOf(vals)
-	cand := hs.cand[:0]
-	for k, v := range vals {
-		if v >= maxV-2*harmonicSlack {
-			cand = append(cand, k)
-		}
-	}
-	hs.cand = cand
-	idx := e.rescoreUniform(terms, cand, step)
-	harmPool.Put(hs)
-	return idx
 }
 
 // foldUnitSums folds a term set into hs.unit with every Bessel factor set

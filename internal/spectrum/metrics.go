@@ -29,9 +29,6 @@ type searchCountersT struct {
 	dense2D      atomic.Uint64
 	dense3D      atomic.Uint64
 	profileSynth atomic.Uint64
-	nufft2D      atomic.Uint64
-	nufftR2D     atomic.Uint64
-	nufftProfile atomic.Uint64
 }
 
 var searchCounters searchCountersT
@@ -41,16 +38,13 @@ var searchCounters searchCountersT
 // Profile counters count synthesized full-profile calls
 // (Profile2DIntoSynth/Profile3DSynth).
 type SearchStats struct {
-	HarmonicQ2D  uint64 // uniform 2D KindQ argmax via harmonic synthesis
-	HarmonicR2D  uint64 // uniform 2D KindR argmax via the two-pass R synthesis
+	HarmonicQ2D  uint64 // 2D KindQ argmax (uniform or angle grid) via harmonic synthesis
+	HarmonicR2D  uint64 // 2D KindR argmax (uniform or angle grid) via the two-pass R synthesis
 	HarmonicQ3D  uint64 // 3D KindQ argmax via per-row harmonic synthesis
 	HarmonicR3D  uint64 // 3D KindR argmax via per-row two-pass R synthesis
 	Dense2D      uint64 // 2D argmax via a dense reference function (FindPeak2DDense, FindPeak2DAnglesDense)
 	Dense3D      uint64 // 3D argmax via the dense reference function (FindPeak3DDense)
 	ProfileSynth uint64 // full profiles synthesized all-cells
-	NUFFT2D      uint64 // angle-grid KindQ argmax via the NUFFT synthesis
-	NUFFTR2D     uint64 // angle-grid KindR argmax via the NUFFT replay
-	NUFFTProfile uint64 // full Q profiles spread through the NUFFT kernel
 }
 
 // SearchStatsSnapshot returns the current routing counters.
@@ -63,9 +57,6 @@ func SearchStatsSnapshot() SearchStats {
 		Dense2D:      searchCounters.dense2D.Load(),
 		Dense3D:      searchCounters.dense3D.Load(),
 		ProfileSynth: searchCounters.profileSynth.Load(),
-		NUFFT2D:      searchCounters.nufft2D.Load(),
-		NUFFTR2D:     searchCounters.nufftR2D.Load(),
-		NUFFTProfile: searchCounters.nufftProfile.Load(),
 	}
 }
 
@@ -78,9 +69,6 @@ func ResetSearchStats() {
 	searchCounters.dense2D.Store(0)
 	searchCounters.dense3D.Store(0)
 	searchCounters.profileSynth.Store(0)
-	searchCounters.nufft2D.Store(0)
-	searchCounters.nufftR2D.Store(0)
-	searchCounters.nufftProfile.Store(0)
 }
 
 // Normalized returns a copy of the profile scaled so its maximum is 1.
@@ -133,7 +121,7 @@ func (p Profile) HalfPowerBeamwidth() float64 {
 
 // HalfPowerBeamwidthChecked is HalfPowerBeamwidth with the failure modes
 // split out: it returns (NaN, ErrNonUniformAngles) when the profile was
-// sampled on a non-uniform grid — the NUFFT entry points produce such
+// sampled on a non-uniform grid — the angle-grid entry points produce such
 // profiles routinely — and (NaN, nil) for the too-short-to-measure case.
 func (p Profile) HalfPowerBeamwidthChecked() (float64, error) {
 	n := len(p.Power)
@@ -170,6 +158,27 @@ func (p Profile) HalfPowerBeamwidthChecked() (float64, error) {
 	// Convert bin counts to radians using the (uniform) grid spacing.
 	spacing := geom.AngleDistance(p.Angles[1], p.Angles[0])
 	return float64(left+right+1) * spacing, nil
+}
+
+// uniformAngleTol is the absolute gap tolerance (radians) under which an
+// angle grid counts as uniform-step: UniformAngles grids pass at ~1e−15 gap
+// wobble, any intentional jitter is ≥ microradians.
+const uniformAngleTol = 1e-9
+
+// anglesApproxUniform reports whether the grid's consecutive gaps all match
+// the first gap within uniformAngleTol. Grids shorter than 3 cells are
+// trivially uniform.
+func anglesApproxUniform(angles []float64) bool {
+	if len(angles) < 3 {
+		return true
+	}
+	g0 := angles[1] - angles[0]
+	for k := 2; k < len(angles); k++ {
+		if d := angles[k] - angles[k-1] - g0; d > uniformAngleTol || d < -uniformAngleTol {
+			return false
+		}
+	}
+	return true
 }
 
 // PeakToSidelobe returns the ratio of the main peak to the highest local

@@ -18,7 +18,7 @@ const NoRefine = -1
 // SearchOptions tunes the coarse-to-fine peak search: the coarse grid
 // spacing and the refinement depth. Which coarse-search route scans the grid
 // is not an option — it follows from the profile kind and the grid shape
-// (coarseArgmax2D, coarseArgmax2DAngles, coarseArgmax3D), and every route
+// (coarseArgmax2D, coarseArgmax3D), and every route
 // returns exactly the dense scan's argmax cell.
 type SearchOptions struct {
 	// CoarseStep is the initial azimuth grid spacing. Zero means 0.5°.
@@ -92,7 +92,7 @@ func FindPeak2D(snaps []phase.Snapshot, p Params, kind Kind, opts SearchOptions)
 // nothing — scratch and argmax state come from the Evaluator's pools.
 func FindPeak2DEval(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	step := opts.coarseStep()
-	idx := ev.coarseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step)
+	idx := ev.coarseArgmax2D(ev.coarse, nil, gridSteps(2*math.Pi, step), step)
 	return ev.refine2D(float64(idx)*step, step, opts)
 }
 
@@ -111,7 +111,7 @@ func FindPeak2DDense(ev *Evaluator, opts SearchOptions) (float64, float64) {
 // It is FindPeak2D for callers whose candidate set is not φ_i = i·step —
 // jittered survey grids, importance-sampled cells, externally supplied
 // candidate lists. The coarse argmax over the given angles is bit-identical
-// to a dense scan of the same grid (the NUFFT route keeps the
+// to a dense scan of the same grid (the synthesized route keeps the
 // shortlist-then-rescore contract); refinement then searches the winner's
 // neighborhood at the grid's mean spacing.
 func FindPeak2DAngles(snaps []phase.Snapshot, p Params, kind Kind, angles []float64, opts SearchOptions) (float64, float64, error) {
@@ -130,14 +130,14 @@ func FindPeak2DAnglesEval(ev *Evaluator, angles []float64, opts SearchOptions) (
 	if len(angles) == 0 {
 		return 0, 0
 	}
-	idx := ev.coarseArgmax2DAngles(ev.coarse, angles)
+	idx := ev.coarseArgmax2D(ev.coarse, angles, 0, 0)
 	step := 2 * math.Pi / float64(len(angles))
 	return ev.refine2D(angles[idx], step, opts)
 }
 
 // FindPeak2DAnglesDense is FindPeak2DAnglesEval with the coarse pass on the
-// dense per-cell scan of the angle grid — the NUFFT route's reference, like
-// FindPeak2DDense.
+// dense per-cell scan of the angle grid — the synthesized route's
+// reference, like FindPeak2DDense.
 func FindPeak2DAnglesDense(ev *Evaluator, angles []float64, opts SearchOptions) (float64, float64) {
 	if len(angles) == 0 {
 		return 0, 0
@@ -146,21 +146,6 @@ func FindPeak2DAnglesDense(ev *Evaluator, angles []float64, opts SearchOptions) 
 	idx := ev.denseArgmax2DAngles(ev.coarse, angles)
 	step := 2 * math.Pi / float64(len(angles))
 	return ev.refine2DDense(angles[idx], step, opts)
-}
-
-// coarseArgmax2DAngles is coarseArgmax2D over an arbitrary angle grid, the
-// NUFFT route: fold the harmonic coefficients once and synthesize every cell
-// through the oversampled-grid spreader — KindQ on magnitudes, KindR
-// replaying the robust weighting over the spread phasor sums — then
-// shortlist and exact-rescore, so the returned index matches the dense scan
-// bit for bit.
-func (e *Evaluator) coarseArgmax2DAngles(terms termSlices, angles []float64) int {
-	if e.kind == KindR {
-		searchCounters.nufftR2D.Add(1)
-		return e.nufftArgmaxR(terms, angles)
-	}
-	searchCounters.nufft2D.Add(1)
-	return e.nufftArgmaxQ(terms, angles)
 }
 
 // denseArgmax2DAngles is the full parallel scan over an arbitrary angle
@@ -189,48 +174,58 @@ func (e *Evaluator) denseArgmax2DAngles(terms termSlices, angles []float64) int 
 	return best
 }
 
-// rescoreAngles evaluates the exact per-cell formula at the given grid cells
-// (indices ascending) and returns the winner — rescoreUniform for arbitrary
-// angle grids.
-func (e *Evaluator) rescoreAngles(terms termSlices, idxs []int, angles []float64) int {
+// coarseArgmax2D returns the dense scan's argmax index over a 2D grid at
+// γ = 0, scored on the given term subset: the uniform grid φ_k = k·step,
+// k < n, when angles is nil, else the cells of angles (n and step unused).
+// Both kinds and both grid shapes take one route. Fold the harmonic
+// coefficients once at cos γ = 1, fill the grid's trig table (plan-cached
+// when uniform), and synthesize every cell: Q magnitudes (harmonic.go), or
+// for R the pass-one sums Ŝ, the prune cut their largest-|Ŝ| cell sets
+// (rPruneCut, widened by harmonicSlack) and the weighting pass with the
+// shortlist-grade kernels on the survivors (allcells.go). Then shortlist
+// every cell within the kind's window of the synthesized maximum —
+// 2·harmonicSlack for Q, 2·(rSlack + rCoarseRel·wNorm) for R — and rescore
+// those cells exactly from the table's own (sin, cos) entries at cos γ = 1.
+// The entries are the math.Sincos bits the dense scan uses, so the rescore
+// evaluates what the dense scan evaluates, and the ascending strict-> pass
+// keeps its lowest-index tie rule: the returned index is the dense scan's
+// bit for bit. The synthesis seeds each cell's Chebyshev recurrence from
+// that cell's own table entry, so no grid needs a constant step.
+func (e *Evaluator) coarseArgmax2D(terms termSlices, angles []float64, n int, step float64) int {
 	sc := e.getScratch()
-	defer e.putScratch(sc)
-	bestIdx, bestVal := idxs[0], math.Inf(-1)
-	for _, k := range idxs { // ascending index → lowest-index tie rule
-		if v := e.evalTerms(terms, sc, angles[k], 0); v > bestVal {
-			bestIdx, bestVal = k, v
-		}
+	if angles != nil {
+		n = len(angles)
+		fillAngleTrig(sc, angles)
+	} else {
+		e.fillUniformTrig(sc, 0, n, step)
 	}
-	return bestIdx
-}
-
-// rescoreUniform evaluates the exact per-cell formula at the given cells
-// (indices ascending) of the uniform azimuth grid φ_k = k·step and returns
-// the winner. Ties resolve to the lowest index, the dense scan's rule.
-func (e *Evaluator) rescoreUniform(terms termSlices, idxs []int, step float64) int {
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	bestIdx, bestVal := idxs[0], math.Inf(-1)
-	for _, k := range idxs { // ascending index → lowest-index tie rule
-		if v := e.evalTerms(terms, sc, float64(k)*step, 0); v > bestVal {
-			bestIdx, bestVal = k, v
-		}
-	}
-	return bestIdx
-}
-
-// coarseArgmax2D returns the argmax index over the uniform grid
-// φ_i = i·step, i < n, scored on the given term subset, through harmonic
-// synthesis: KindQ synthesizes the phasor magnitude (harmonic.go), KindR runs
-// the two-pass all-cells transform (allcells.go). Both shortlist and
-// exact-rescore, returning exactly the dense scan's cell.
-func (e *Evaluator) coarseArgmax2D(terms termSlices, n int, step float64) int {
+	hs := harmPool.Get().(*harmonicScratch)
+	foldTermsHarmonic(hs, terms, 1)
+	vals := hs.values(n)
+	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
+	window := 2 * harmonicSlack
 	if e.kind == KindR {
 		searchCounters.harmonicR2D.Add(1)
-		return e.harmonicArgmaxR2D(terms, n, step)
+		window = 2 * (rSlack + rCoarseRel*e.wNorm)
+		qRe, qIm := sc.sumRe[:n], sc.sumIm[:n]
+		hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
+		cut2 := e.rPruneCut(e.rIncumbent(terms, sc, 1, sinPhi, cosPhi, qRe, qIm), harmonicSlack)
+		e.weightRowR(terms, sc, 1, sinPhi, cosPhi, qRe, qIm, vals, true, cut2)
+	} else {
+		searchCounters.harmonicQ2D.Add(1)
+		hs.coeffs.synthesize(vals, sinPhi, cosPhi)
 	}
-	searchCounters.harmonicQ2D.Add(1)
-	return e.harmonicArgmax2D(terms, n, step)
+	list, _ := shortlistRow(hs.shortlist[:0], vals, 0, math.Inf(-1), window)
+	best, bestV := 0, math.Inf(-1)
+	for _, c := range list { // ascending index → lowest-index tie rule
+		if v := e.evalCell(terms, sc, sinPhi[c.idx], cosPhi[c.idx], 1); v > bestV {
+			best, bestV = c.idx, v
+		}
+	}
+	hs.shortlist = list
+	harmPool.Put(hs)
+	e.putScratch(sc)
+	return best
 }
 
 // denseArgmax2D is the full parallel scan over the uniform azimuth grid.

@@ -67,8 +67,9 @@ type planCacheT struct {
 	// nonUniformMiss counts trig-table builds the cache could not even be
 	// asked about: non-uniform angle grids have no (i0, n, step) key, so
 	// fillAngleTrig builds per-point tables directly. A climbing rate in
-	// production means traffic is on the NUFFT/dense non-uniform paths and
-	// the plan cache's hit rate no longer describes most table builds.
+	// production means traffic is on angle-grid searches or profiles
+	// (synthesized or dense) and the plan cache's hit rate no longer
+	// describes most table builds.
 	nonUniformMiss atomic.Uint64
 }
 

@@ -89,15 +89,16 @@ func jitteredGrid(n int, rng *rand.Rand) []float64 {
 // sessions the locate pipeline actually scans: calibrated DefaultScenario
 // sessions, uncorrected and orientation-corrected against the truth and
 // against a 15 cm-offset position, in robust and literal mode. Every
-// pruned search — FindPeak2DEval, FindPeak2DAnglesEval (the NUFFT route)
-// and FindPeak3DEval — must return its dense oracle's peak bit for bit. The
-// 3D arm also checks that the prune still fires: on corrected sessions in
-// the pipeline's robust mode at least 80% of the synthesized coarse cells
-// must fall under the cut (~95% measured), so a change that silently stops
-// pruning fails here. Uncorrected and literal-mode sessions prune far less
-// and are pinned for bit-identity only. A weak
-// incumbent — the largest-|Ŝ| cell not being the R argmax — must occur in
-// some session, so the cut is exercised below the peak value too.
+// pruned search — FindPeak2DEval, FindPeak2DAnglesEval (the same route over
+// an angle list) and FindPeak3DEval — must return its dense oracle's peak
+// bit for bit. The 3D arm also checks that the prune still fires: on
+// corrected sessions in the pipeline's robust mode at least 80% of the
+// synthesized coarse cells must fall under the cut (~95% measured), so a
+// change that silently stops pruning fails here. Uncorrected and
+// literal-mode sessions prune far less and are pinned for bit-identity
+// only. A weak incumbent — the largest-|Ŝ| cell not being the R argmax —
+// must occur in some session, so the cut is exercised below the peak value
+// too.
 func TestPrunedSearchMatchesDensePipeline(t *testing.T) {
 	opts := spectrum.SearchOptions{}
 	t.Run("2D", func(t *testing.T) {

@@ -17,8 +17,8 @@ import (
 // incumbent always survives. It sweeps σ ∈ {0.01, DefaultSigma, 1, 3} in
 // robust and literal mode over 2D sessions, 3D sessions on the unique rows
 // of the default grid, sessions hopping between two carriers, near-pole
-// readers, μ̂-guard cells (residual phasors summing to zero), and spread
-// NUFFT sums on a jittered grid under nufftSlackQ.
+// readers, μ̂-guard cells (residual phasors summing to zero), and a
+// jittered angle grid.
 func TestRPruneBound(t *testing.T) {
 	azStep, polStep, nAz, nPol := SearchOptions{}.grid3D()
 	var rows3D []float64
@@ -65,29 +65,20 @@ func TestRPruneBound(t *testing.T) {
 					ev := newEvaluatorFromTerms(rootsOfUnityTerms(48, cg), p, KindR)
 					hs := &harmonicScratch{}
 					foldTermsHarmonic(hs, ev.coarse, cg)
-					if re, im := hs.coeffs.synthAtComplex(0); math.Hypot(re, im) >= muGuardFrac {
-						t.Fatalf("cos γ0 = %v: |Ŝ|/n = %v at the guard cell, want < %v", cg, math.Hypot(re, im), muGuardFrac)
+					re, im := []float64{0}, []float64{0}
+					hs.coeffs.synthesizeComplex(re, im, []float64{0}, []float64{1}) // the cell φ = 0
+					if q := math.Hypot(re[0], im[0]); q >= muGuardFrac {
+						t.Fatalf("cos γ0 = %v: |Ŝ|/n = %v at the guard cell, want < %v", cg, q, muGuardFrac)
 					}
 					checkRPruneBound(t, ev, []float64{cg}, uniformGrid(n2D, step2D))
 				}
-				// Spread sums on a jittered grid carry nufftSlackQ, not
-				// harmonicSlack.
+				// A jittered angle grid takes the same synthesis.
 				snaps := synth(p, randReader(rng, true), 200, 0.4, 0.1, rng)
 				ev, err := NewEvaluator(snaps, p, KindR)
 				if err != nil {
 					t.Fatal(err)
 				}
-				angles := jitteredAngles(720, 0.3, rng)
-				hs := &harmonicScratch{}
-				foldTermsHarmonic(hs, ev.coarse, 1)
-				qRe, qIm := make([]float64, len(angles)), make([]float64, len(angles))
-				nufftSynthComplex(&hs.coeffs, angles, qRe, qIm)
-				sc := ev.NewScratch()
-				for k, phi := range angles {
-					s, c := math.Sincos(phi)
-					exact := ev.evalRExact(ev.coarse, sc, s, c, 1)
-					checkPruneCell(t, ev, exact, qRe[k], qIm[k], nufftSlackQ, phi, 0)
-				}
+				checkRPruneBound(t, ev, []float64{1}, jitteredAngles(720, 0.3, rng))
 			})
 		}
 	}
