@@ -127,12 +127,12 @@ func TestAnglesRoutingCounters(t *testing.T) {
 	snaps := synth(p, geom.V3(-2.2, 1.3, 0), 60, 0.8, 0.05, rng)
 	angles := jitteredAngles(720, 0.35, rng)
 	cases := []struct {
-		name        string
-		kind        Kind
-		argmax, all SearchStats
+		name string
+		kind Kind
+		want SearchStats
 	}{
-		{"Q", KindQ, SearchStats{HarmonicQ2D: 1}, SearchStats{ProfileSynth: 1}},
-		{"R", KindR, SearchStats{HarmonicR2D: 1}, SearchStats{ProfileSynth: 1}},
+		{"Q-auto", KindQ, SearchStats{HarmonicQ2D: 1}},
+		{"R-auto", KindR, SearchStats{HarmonicR2D: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,17 +142,26 @@ func TestAnglesRoutingCounters(t *testing.T) {
 			}
 			ResetSearchStats()
 			FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-			if st := SearchStatsSnapshot(); st != tc.argmax {
-				t.Fatalf("argmax: route counts %+v, want %+v", st, tc.argmax)
-			}
-			ResetSearchStats()
-			var prof Profile
-			ev.Profile2DIntoSynth(&prof, angles)
-			if st := SearchStatsSnapshot(); st != tc.all {
-				t.Fatalf("profile: route counts %+v, want %+v", st, tc.all)
+			if st := SearchStatsSnapshot(); st != tc.want {
+				t.Fatalf("route counts %+v, want %+v", st, tc.want)
 			}
 		})
 	}
+
+	t.Run("profile", func(t *testing.T) {
+		var prof Profile
+		for _, kind := range []Kind{KindQ, KindR} {
+			ev, err := NewEvaluator(snaps, p, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ResetSearchStats()
+			ev.Profile2DIntoSynth(&prof, angles)
+			if st, want := SearchStatsSnapshot(), (SearchStats{ProfileSynth: 1}); st != want {
+				t.Fatalf("%v: route counts %+v, want %+v", kind, st, want)
+			}
+		}
+	})
 }
 
 // TestAccumulatorAnglesBitIdentity pins the streamed angle-grid finalize

@@ -18,8 +18,8 @@ const NoRefine = -1
 // SearchOptions tunes the coarse-to-fine peak search: the coarse grid
 // spacing and the refinement depth. Which coarse-search route scans the grid
 // is not an option — it follows from the profile kind and the grid shape
-// (coarseArgmax2D, coarseArgmax3D), and every route
-// returns exactly the dense scan's argmax cell.
+// (coarseArgmax2D, coarseArgmax3D), and every route returns exactly the
+// dense scan's argmax cell.
 type SearchOptions struct {
 	// CoarseStep is the initial azimuth grid spacing. Zero means 0.5°.
 	CoarseStep float64
