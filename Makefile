@@ -11,17 +11,21 @@ GOFMT ?= gofmt
 # never builds, yet it calls the spectrum, core and locsrv APIs), and the
 # full test suite under the race detector — the
 # collection pipeline's retry/cancellation paths are all concurrent. The
-# two pinned-GOMAXPROCS passes re-run the compute-pool equivalence,
-# plan-cache and golden-trace tests at the scheduling extremes
-# (single-threaded runtime vs 4-way) to catch regressions that only show
-# under a particular worker/CPU ratio; the golden traces pin that answers
-# stay bit-identical at both. The last pass runs the batch tests on one
-# CPU, where a GOMAXPROCS-sized default would run batch items one at a time.
+# two pinned-GOMAXPROCS passes re-run the dense-scan scheduler,
+# pooled-scan equivalence, plan-cache and golden-trace tests at the
+# scheduling extremes (single-threaded runtime vs 4-way) to catch
+# regressions that only show under a particular helper/CPU ratio; the
+# golden traces pin that answers stay bit-identical at both.
+# TestFindPeakEvalZeroAllocs skips under the race detector, so a non-race
+# GOMAXPROCS=4 pass runs it and TestSchedRunZeroAllocs with chunks fanned
+# out to helpers even on a 1-CPU machine. The last pass runs the batch tests on one CPU, where a
+# GOMAXPROCS-sized default would run batch items one at a time.
 check: build fmt-check vet-strict
 	cd bench && $(GO) test ./...
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestFindPeakEvalZeroAllocs|TestSchedRunZeroAllocs' ./internal/spectrum/ ./internal/sched/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestAccumulator|TestStream' ./internal/spectrum/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestReroute|TestKill|TestDrain|TestHealth|TestRing' ./internal/coord/ ./internal/locsrv/
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestLocateBatch|TestRequestTimeoutCancelsStalledBatchItem' ./internal/locsrv/
@@ -61,7 +65,7 @@ bench:
 # bench-json regenerates the machine-readable perf snapshot consumed by
 # trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/10 —
 # micro rows (exact kernel only since schema 10), concurrent-load rows (K
-# simultaneous Locate2D pipelines on the shared compute pool, grid and ml
+# simultaneous Locate2D pipelines in one process, grid and ml
 # solve backends, on the exact kernel every locator runs) with plan-cache hit
 # rates, the streaming rows (StreamLocate2D tail-latency pairs,
 # LoadLocate2DStream throughput; since schema 9 over the full-length

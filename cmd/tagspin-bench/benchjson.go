@@ -264,10 +264,10 @@ func writeBenchJSON(path string, rebaselined bool) error {
 		sched.SetWorkers(prevWorkers)
 	}()
 	for _, procs := range benchProcs() {
-		// The shared compute pool's width is what the "parallel" rows
-		// actually measure now; keep it in lockstep with GOMAXPROCS so
-		// procs=1 rows are genuinely serial (the evaluator falls back to
-		// its inline path at width 1).
+		// The scheduler's width is what the "parallel" dense rows
+		// actually measure; keep it in lockstep with GOMAXPROCS so
+		// procs=1 rows are genuinely serial (sched.Run runs every chunk
+		// on the caller at width 1).
 		runtime.GOMAXPROCS(procs)
 		sched.SetWorkers(procs)
 		for _, bench := range benches {

@@ -37,13 +37,13 @@ func loadConcurrencies() []int {
 	return out
 }
 
-// loadBenchRows measures the serving-path shape the compute pool exists
-// for: K goroutines each running complete Locate2D pipelines back to back
-// against the same scenario, all scan work multiplexed onto the shared
-// pool. Each K yields one row per solve backend — LoadLocate2D/K=<k> for
-// the default bearing-grid estimator (name unchanged since schema 3) and
-// LoadLocate2D/ml/K=<k> for the joint maximum-likelihood backend (schema
-// 6) — with aggregate locates/sec, mean latency as nsPerOp, p50/p99
+// loadBenchRows measures the serving-path shape: K goroutines each running
+// complete Locate2D pipelines back to back against the same scenario, all
+// contending for the same CPUs. Each K yields one row per solve backend —
+// LoadLocate2D/K=<k> for the default bearing-grid estimator (name unchanged
+// since schema 3) and LoadLocate2D/ml/K=<k> for the joint
+// maximum-likelihood backend (schema 6) — with aggregate locates/sec, mean
+// latency as nsPerOp, p50/p99
 // latency, and the plan-cache hit rate over the run (the cache is reset per
 // row, so the rate reflects steady-state reuse after one cold sweep, the
 // acceptance scenario of repeated locates at the default grid).
@@ -80,8 +80,8 @@ func loadBenchRows() ([]benchResult, error) {
 	return rows, nil
 }
 
-// measureLoad runs K goroutines of back-to-back Locate2D calls against the
-// shared compute pool for loadBenchDuration and distills one load row.
+// measureLoad runs K goroutines of back-to-back Locate2D calls for
+// loadBenchDuration and distills one load row.
 func measureLoad(locator *core.Locator, col testbed.Collection, name string, k int) (benchResult, error) {
 	spectrum.ResetPlanCache()
 	latencies := make([][]time.Duration, k)

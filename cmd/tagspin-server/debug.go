@@ -18,7 +18,7 @@ import (
 // The -debug-addr listener serves http.DefaultServeMux, which carries the
 // net/http/pprof profiles (imported above) and expvar's /debug/vars
 // (registered by the expvar import). The tagspin-specific vars below add
-// the compute-pool gauges (workers, active jobs, chunks/sec), the trig
+// the dense-scan scheduler counters (width, jobs and chunks run), the trig
 // plan-cache hit/miss counters, the spectrum coarse-search routing tally
 // (which accelerator served each scan), and the server's request/admission
 // counters. The debug listener is separate from the API listener on

@@ -15,7 +15,7 @@ import (
 )
 
 // TestDebugVars pins the observability surface: after publishDebugVars, the
-// default mux's /debug/vars carries the pool, plan-cache, and server
+// default mux's /debug/vars carries the scheduler, plan-cache, and server
 // counter groups, and the pprof index is mounted.
 func TestDebugVars(t *testing.T) {
 	srv, err := locsrv.New(locsrv.Config{Registry: registry.New()})
@@ -52,9 +52,17 @@ func TestDebugVars(t *testing.T) {
 			t.Errorf("%q is not a JSON object: %v", key, err)
 		}
 	}
-	var pool struct{ Workers int }
-	if err := json.Unmarshal(vars["tagspin_sched"], &pool); err == nil && pool.Workers < 1 {
-		t.Errorf("tagspin_sched.Workers = %d, want >= 1", pool.Workers)
+	var sched map[string]float64
+	if err := json.Unmarshal(vars["tagspin_sched"], &sched); err != nil {
+		t.Errorf("tagspin_sched: %v", err)
+	}
+	if len(sched) != 3 || sched["Workers"] < 1 {
+		t.Errorf("tagspin_sched = %v, want exactly Workers (>= 1), JobsRun and ChunksRun", sched)
+	}
+	for _, key := range []string{"JobsRun", "ChunksRun"} {
+		if _, ok := sched[key]; !ok {
+			t.Errorf("tagspin_sched missing %q: %v", key, sched)
+		}
 	}
 
 	resp, err = http.Get(ts.URL + "/debug/pprof/")

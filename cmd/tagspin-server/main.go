@@ -50,8 +50,7 @@ func run(ctx context.Context, args []string) error {
 		maxAttempts    = fs.Int("max-attempts", 0, "collect attempts per reader, retrying transient failures (0 = client default of 3)")
 		baseBackoff    = fs.Duration("base-backoff", 0, "first collect retry delay, doubled with jitter (0 = client default of 100ms)")
 		collectTimeout = fs.Duration("collect-timeout", 0, "wall-clock bound per collection session (0 = client default of 30s)")
-		workers        = fs.Int("workers", 0, "spectrum compute-pool width (0 = TAGSPIN_WORKERS env or GOMAXPROCS)")
-		maxInFlight    = fs.Int("max-in-flight", 0, "admitted locate requests before shedding with 503 (0 = 2x pool width, negative = unlimited)")
+		maxInFlight    = fs.Int("max-in-flight", 0, "admitted locate requests before shedding with 503 (0 = 2x GOMAXPROCS, negative = unlimited)")
 		debugAddr      = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address (empty = disabled)")
 		coordAddr      = fs.String("coord", "", "register with the fleet coordinator at this address (host:port; empty = standalone)")
 		advertise      = fs.String("advertise", "", "address to advertise to the coordinator (empty = -addr)")
@@ -71,7 +70,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	srv, err := locsrv.New(locsrv.Config{
 		Registry:       reg,
-		Workers:        *workers,
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *requestTimeout,
 		Client: client.Config{

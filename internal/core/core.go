@@ -24,7 +24,6 @@ import (
 	"github.com/tagspin/tagspin/internal/geom"
 	"github.com/tagspin/tagspin/internal/locate"
 	"github.com/tagspin/tagspin/internal/phase"
-	"github.com/tagspin/tagspin/internal/sched"
 	"github.com/tagspin/tagspin/internal/spectrum"
 	"github.com/tagspin/tagspin/internal/spindisk"
 	"github.com/tagspin/tagspin/internal/tags"
@@ -73,13 +72,6 @@ type Config struct {
 	// ZPolicy resolves the 3D mirror ambiguity; zero means
 	// locate.ZPreferNonNegative.
 	ZPolicy locate.ZPolicy
-	// Workers, when positive, pins the width of the process-wide spectrum
-	// compute pool (sched.SetWorkers) at NewLocator time. The pool is
-	// shared by every Locator in the process — this is a convenience for
-	// single-locator programs, not a per-locator knob; the last setter
-	// wins. Zero leaves the pool at its current width (TAGSPIN_WORKERS or
-	// GOMAXPROCS by default). Results are identical at any width.
-	Workers int
 	// Estimator is the solve backend that fuses per-tag spectrum peaks
 	// into a position; nil means the GridEstimator (bearing-line
 	// intersection with ZPolicy mirror resolution). See internal/estimate
@@ -111,9 +103,6 @@ type Locator struct {
 
 // NewLocator builds a Locator.
 func NewLocator(cfg Config) *Locator {
-	if cfg.Workers > 0 {
-		sched.SetWorkers(cfg.Workers)
-	}
 	est := cfg.Estimator
 	if est == nil {
 		est = GridEstimator{Policy: cfg.ZPolicy}
@@ -309,8 +298,8 @@ func orderTags(registered []SpinningTag, obs Observations) []SpinningTag {
 // estimateAll runs fn — a per-tag spectrum estimate — for every present tag
 // concurrently. The per-tag peak searches are independent and dominate a
 // pass's cost. Each tag's search runs serially on its own goroutine: the
-// synthesized coarse and refinement routes submit no jobs to the shared
-// compute pool (internal/sched), so this per-tag fan-out is the locate's
+// synthesized coarse and refinement routes submit no jobs to the dense-scan
+// scheduler (internal/sched), so this per-tag fan-out is the locate's
 // only parallelism, bounded by GOMAXPROCS. Results land in tag-index slots
 // and the first error *in tag order* is returned, so the output is
 // deterministic regardless of goroutine scheduling.

@@ -231,8 +231,8 @@ func TestStreamLongSessionCountsFallbacks(t *testing.T) {
 
 // TestStreamIngestSubmitsNoPoolJobs pins the ingestion cost: streaming a
 // full-length session through Report and Quiesce only prepares terms, so it
-// must submit no jobs to the shared compute pool even when the pool is wide
-// enough to take them.
+// must submit no jobs to the dense-scan scheduler even when it is wide
+// enough to fan them out.
 func TestStreamIngestSubmitsNoPoolJobs(t *testing.T) {
 	registered, obs := longScenario(t, 42)
 	old := sched.Workers()

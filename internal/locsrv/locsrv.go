@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,6 @@ import (
 	"github.com/tagspin/tagspin/internal/core"
 	"github.com/tagspin/tagspin/internal/estimate"
 	"github.com/tagspin/tagspin/internal/registry"
-	"github.com/tagspin/tagspin/internal/sched"
 	"github.com/tagspin/tagspin/internal/spectrum"
 )
 
@@ -73,18 +73,13 @@ type Config struct {
 	// caps a batch), so a batch lasts about one collect, not one collect per
 	// wave of items: a locate spends most of its time waiting on the reader.
 	BatchConcurrency int
-	// Workers, when positive, pins the process-wide spectrum compute pool
-	// width (sched.SetWorkers) when the server is built. Zero leaves the
-	// pool at its current width (TAGSPIN_WORKERS env or GOMAXPROCS).
-	Workers int
 	// MaxInFlight bounds admitted locate/locate-batch HTTP requests (one
 	// slot per request, whatever its batch size). Beyond it the server
 	// sheds load with 503 + Retry-After instead of queueing: every admitted
 	// request's scans already share the process's CPUs, so queued requests
 	// would only accumulate latency until they hit RequestTimeout (504) with
-	// no extra throughput. Zero means 2 × the compute pool width (sched
-	// workers: Workers, TAGSPIN_WORKERS or GOMAXPROCS); negative disables
-	// admission control.
+	// no extra throughput. Zero means 2 × runtime.GOMAXPROCS(0); negative
+	// disables admission control.
 	MaxInFlight int
 	// RequestTimeout bounds each locate/locate-batch request end to end;
 	// zero means no server-imposed deadline. Batch items inherit the
@@ -141,9 +136,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("locsrv: nil registry")
 	}
-	if cfg.Workers > 0 {
-		sched.SetWorkers(cfg.Workers)
-	}
 	s := &Server{
 		cfg:     cfg,
 		locator: cfg.Locator,
@@ -169,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight >= 0 {
 		slots := cfg.MaxInFlight
 		if slots == 0 {
-			slots = 2 * sched.Workers()
+			slots = 2 * runtime.GOMAXPROCS(0)
 		}
 		s.admit = make(chan struct{}, slots)
 	}

@@ -1,364 +1,149 @@
-// Package sched owns the process-wide compute pool every chunked grid scan
-// runs on. Before it existed, each spectrum scan privately spawned up to
-// GOMAXPROCS goroutines, and a locate-batch multiplied that by per-tag
-// bearing parallelism and the batch fan-out — B×T×GOMAXPROCS transient
-// goroutines contending for the same cores. The pool replaces that with a
-// fixed set of persistent workers (default GOMAXPROCS, overridable with
-// SetWorkers or the TAGSPIN_WORKERS environment variable) that pull chunks
-// from whatever jobs are active, round-robin across jobs, so concurrent
-// requests interleave at chunk granularity instead of oversubscribing the Go
-// scheduler.
+// Package sched fans chunked grid scans out over a fixed, process-wide set
+// of helper goroutines. The dense Q/R scans (the test oracle, Profile2D/3D,
+// ExhaustivePeak2D) are its only callers.
 //
-// The execution contract matches the scan machinery it absorbed: a job is a
-// half-open index range [0, n) cut into fixed-size chunks, every chunk is
-// executed exactly once by exactly one goroutine, and each RunChunk call
-// covers at most one chunk — callers (the 3D coarse scan in particular) may
-// rely on chunk boundaries. Scheduling order never enters the caller's
-// arithmetic, so results are bit-identical to a serial loop.
+// Run offers a job to at most Workers()−1 idle helpers and runs chunks on
+// the calling goroutine too until none are left. Busy helpers are not
+// offered the job, so concurrent scans never queue behind each other and at
+// most Workers() goroutines run one scan's chunks; at width 1 every chunk
+// runs inline on the caller.
 //
-// Submitters participate in their own job: Run claims and executes chunks
-// inline alongside the workers, which guarantees forward progress for every
-// active job regardless of the pool width (even a 1-worker pool cannot
-// starve one of two concurrent jobs) and keeps the pool deadlock-free — a
-// job never waits on a worker becoming available.
-//
-// The steady-state hot path allocates nothing: job descriptors are pooled,
-// completion is signaled through a reusable sync.WaitGroup, and the active
-// job list reuses its backing array. That keeps the zero-allocs/op contract
-// of the spectrum engine intact now that its scans route through here.
+// Every chunk runs exactly once, and each RunChunk call covers exactly one
+// chunk (the 3D coarse scan relies on chunk boundaries). Which goroutine
+// runs a chunk never enters the caller's arithmetic, so results are
+// bit-identical to a serial loop. The steady-state submit path allocates
+// nothing: job descriptors are pooled and completion is a reusable
+// sync.WaitGroup.
 package sched
 
 import (
-	"context"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// WorkersEnv is the environment variable that overrides the default pool
-// width at process start. SetWorkers takes precedence once called.
-const WorkersEnv = "TAGSPIN_WORKERS"
-
-// Chunked is a unit of pool work: chunk [lo, hi) of a job's index range.
-// Implementations must tolerate concurrent RunChunk calls on disjoint
-// chunks (each chunk is delivered exactly once, to exactly one goroutine).
+// Chunked is a unit of scan work: chunk [lo, hi) of a job's index range.
+// RunChunk must tolerate concurrent calls on disjoint chunks.
 type Chunked interface {
 	RunChunk(lo, hi int)
 }
 
-// job is one submitted scan: a chunk cursor over [0, n) plus completion
-// accounting. Jobs are pooled; all fields are reset between uses.
+// job is one submitted scan: a chunk cursor over [0, n) plus the
+// WaitGroup its helpers release. A helper touches the job only before its
+// wg.Done, so once Run's wg.Wait returns the descriptor can be recycled.
 type job struct {
 	task    Chunked
 	n       int // index range is [0, n)
-	chunk   int // chunk size; last chunk may be partial
+	chunk   int // chunk size; the last chunk may be partial
 	nChunks int
-
-	// next hands out chunk indices; it may run past nChunks (claims past
-	// the end simply fail). completed counts finished chunks; the goroutine
-	// that completes the last chunk releases the submitter's WaitGroup.
-	next      atomic.Int64
-	completed atomic.Int64
-	// canceled makes remaining chunks drain as no-ops once the submitter
-	// observes its context is done; claimed-but-running chunks finish.
-	canceled atomic.Bool
-	wg       sync.WaitGroup
-	pool     *Pool
+	next    atomic.Int64 // next chunk index to claim; may run past nChunks
+	wg      sync.WaitGroup
 }
 
-// claim hands out the next unclaimed chunk of the job.
-func (jb *job) claim() (lo, hi int, ok bool) {
-	c := int(jb.next.Add(1)) - 1
-	if c >= jb.nChunks {
-		return 0, 0, false
+// drain claims and runs chunks until the job has none left.
+func (jb *job) drain() {
+	ran := 0
+	for {
+		c := int(jb.next.Add(1)) - 1
+		if c >= jb.nChunks {
+			break
+		}
+		lo := c * jb.chunk
+		jb.task.RunChunk(lo, min(lo+jb.chunk, jb.n))
+		ran++
 	}
-	lo = c * jb.chunk
-	hi = lo + jb.chunk
-	if hi > jb.n {
-		hi = jb.n
-	}
-	return lo, hi, true
+	chunksRun.Add(uint64(ran))
 }
 
-// run executes (or, past cancellation, skips) one claimed chunk and
-// performs the completion accounting. Recycle safety hinges on the access
-// order here: until this goroutine's completed.Add lands, the job holds an
-// uncounted chunk and cannot be recycled, so every field read must happen
-// before the Add (hence the hoisted nChunks). After the Add, a non-final
-// chunk must not touch the descriptor at all — a concurrent final completer
-// may already have released the submitter and the descriptor may be reset
-// for reuse. The final chunk alone may keep going: wg.Wait cannot return
-// before its wg.Done.
-func (jb *job) run(lo, hi int) {
-	if !jb.canceled.Load() {
-		jb.task.RunChunk(lo, hi)
-		jb.pool.chunksRun.Add(1)
-	}
-	nChunks := int64(jb.nChunks)
-	if jb.completed.Add(1) == nChunks {
+var (
+	// work hands a job to an idle helper. It is unbuffered, so a send
+	// succeeds only when a helper is parked on the receive.
+	work = make(chan *job)
+
+	mu      sync.Mutex
+	width   atomic.Int64 // configured width; 0 until first use
+	helpers int          // helper goroutines started so far; guarded by mu
+
+	jobs               = sync.Pool{New: func() any { return new(job) }}
+	jobsRun, chunksRun atomic.Uint64
+)
+
+// helper runs the chunks of every job it is handed, for the life of the
+// process.
+func helper() {
+	for jb := range work {
+		jb.drain()
 		jb.wg.Done()
 	}
 }
 
-// Pool is a bounded set of persistent workers executing chunked jobs.
-// Use the package-level Run/SetWorkers for the shared process pool; NewPool
-// exists so tests can exercise an isolated instance.
-type Pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	jobs    []*job // active jobs; workers round-robin over this list
-	rr      int    // next job index workers pull from
-	target  int    // desired worker count
-	running int    // spawned workers that have not exited
-
-	jobPool   sync.Pool
-	start     time.Time
-	chunksRun atomic.Uint64
-	jobsRun   atomic.Uint64
+// SetWorkers sets how many goroutines may run one scan's chunks, the caller
+// included (minimum 1; the default is GOMAXPROCS at first use). Helpers are
+// started as the width grows and stay parked when it shrinks.
+func SetWorkers(n int) {
+	mu.Lock()
+	setLocked(max(n, 1))
+	mu.Unlock()
 }
 
-// NewPool builds a pool with the given worker target (minimum 1). Workers
-// spawn lazily on first use.
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
+func setLocked(n int) {
+	for ; helpers < n-1; helpers++ {
+		go helper()
 	}
-	p := &Pool{target: workers, start: time.Now()}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+	width.Store(int64(n))
 }
 
-// defaultWorkers resolves the initial width of the shared pool: a positive
-// TAGSPIN_WORKERS wins, otherwise GOMAXPROCS at first use.
-func defaultWorkers() int {
-	if s := os.Getenv(WorkersEnv); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
+// Workers reports the configured width.
+func Workers() int {
+	if w := width.Load(); w > 0 {
+		return int(w)
 	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// shared is the process-wide pool, created on first use so that
-// TAGSPIN_WORKERS and early SetWorkers calls are both honored.
-var (
-	sharedOnce sync.Once
-	sharedPool *Pool
-)
-
-func shared() *Pool {
-	sharedOnce.Do(func() { sharedPool = NewPool(defaultWorkers()) })
-	return sharedPool
-}
-
-// Run executes t over [0, n) on the shared pool. See Pool.Run.
-func Run(ctx context.Context, t Chunked, n, chunk int) error {
-	return shared().Run(ctx, t, n, chunk)
-}
-
-// SetWorkers pins the shared pool's width (minimum 1), letting operators
-// size compute independently of GOMAXPROCS. Safe to call at any time;
-// in-flight chunks finish where they are and the worker count converges.
-func SetWorkers(n int) { shared().SetWorkers(n) }
-
-// Workers reports the shared pool's configured width.
-func Workers() int { return shared().Workers() }
-
-// PoolStats reports the shared pool's counters.
-func PoolStats() Stats { return shared().Stats() }
-
-// SetWorkers adjusts the pool's worker target (minimum 1). Shrinking takes
-// effect as surplus workers finish their current chunk; growing spawns
-// immediately.
-func (p *Pool) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
+	mu.Lock()
+	defer mu.Unlock()
+	if width.Load() == 0 {
+		setLocked(runtime.GOMAXPROCS(0))
 	}
-	p.mu.Lock()
-	p.target = n
-	p.spawnLocked()
-	p.mu.Unlock()
-	// Wake idle workers so surplus ones notice the lower target and exit.
-	p.cond.Broadcast()
+	return int(width.Load())
 }
 
-// Workers returns the configured worker target.
-func (p *Pool) Workers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.target
-}
-
-// spawnLocked brings the running worker count up to the target. Caller
-// holds p.mu.
-func (p *Pool) spawnLocked() {
-	for p.running < p.target {
-		p.running++
-		go p.worker()
-	}
-}
-
-// worker is one persistent pool goroutine: pick the next active job
-// round-robin, claim one chunk, run it, repeat; sleep when no jobs are
-// active; exit when the pool shrank below this worker's slot.
-func (p *Pool) worker() {
-	p.mu.Lock()
-	for {
-		if p.running > p.target {
-			p.running--
-			p.mu.Unlock()
-			return
-		}
-		if len(p.jobs) == 0 {
-			p.cond.Wait()
-			continue
-		}
-		if p.rr >= len(p.jobs) {
-			p.rr = 0
-		}
-		jb := p.jobs[p.rr]
-		p.rr++
-		// Claim under the pool lock: a job can only be recycled after its
-		// submitter detaches it (also under the lock) and every claimed
-		// chunk completes, so a worker can never claim a stale descriptor.
-		lo, hi, ok := jb.claim()
-		if !ok {
-			p.detachLocked(jb)
-			continue
-		}
-		p.mu.Unlock()
-		jb.run(lo, hi)
-		p.mu.Lock()
-	}
-}
-
-// detachLocked removes a drained job from the active list (idempotent).
-func (p *Pool) detachLocked(jb *job) {
-	for i, j := range p.jobs {
-		if j == jb {
-			last := len(p.jobs) - 1
-			p.jobs[i] = p.jobs[last]
-			p.jobs[last] = nil
-			p.jobs = p.jobs[:last]
-			return
-		}
-	}
-}
-
-// getJob draws a reset job descriptor from the pool.
-func (p *Pool) getJob() *job {
-	if jb, ok := p.jobPool.Get().(*job); ok {
-		return jb
-	}
-	return &job{pool: p}
-}
-
-// putJob resets and returns a descriptor. Only called after wg.Wait has
-// returned, so no other goroutine can still touch it.
-func (p *Pool) putJob(jb *job) {
-	jb.task = nil
-	jb.n, jb.chunk, jb.nChunks = 0, 0, 0
-	jb.next.Store(0)
-	jb.completed.Store(0)
-	jb.canceled.Store(false)
-	p.jobPool.Put(jb)
-}
-
-// Run executes t's chunks of [0, n) and blocks until every executed chunk
-// has finished. The calling goroutine participates: it claims and runs
-// chunks of its own job alongside the workers, so every active job makes
-// progress no matter how narrow the pool is. When ctx is canceled,
-// unclaimed chunks are dropped, in-flight ones finish, and Run returns
-// ctx.Err(); otherwise it returns nil with every chunk executed exactly
-// once.
-func (p *Pool) Run(ctx context.Context, t Chunked, n, chunk int) error {
+// Run executes t over the chunks of [0, n) and returns once every chunk has
+// run. A non-positive chunk means one chunk of n.
+func Run(t Chunked, n, chunk int) {
 	if n <= 0 {
-		return nil
+		return
 	}
 	if chunk <= 0 {
 		chunk = n
 	}
-	nChunks := (n + chunk - 1) / chunk
-	jb := p.getJob()
-	jb.task, jb.n, jb.chunk, jb.nChunks = t, n, chunk, nChunks
-	jb.wg.Add(1)
-	if nChunks > 1 {
-		// Publish the job so workers help; a single-chunk job is just an
-		// inline call and skips the list entirely.
-		p.mu.Lock()
-		p.spawnLocked()
-		p.jobs = append(p.jobs, jb)
-		p.mu.Unlock()
-		p.cond.Broadcast()
-	}
-	done := ctx.Done()
-	for {
-		if done != nil && !jb.canceled.Load() {
-			select {
-			case <-done:
-				jb.canceled.Store(true)
-			default:
-			}
+	jb := jobs.Get().(*job)
+	jb.task, jb.n, jb.chunk, jb.nChunks = t, n, chunk, (n+chunk-1)/chunk
+offer:
+	for i := min(Workers(), jb.nChunks) - 1; i > 0; i-- {
+		jb.wg.Add(1)
+		select {
+		case work <- jb:
+		default:
+			jb.wg.Done() // no helper is idle; stop offering
+			break offer
 		}
-		lo, hi, ok := jb.claim()
-		if !ok {
-			break
-		}
-		jb.run(lo, hi)
 	}
-	if nChunks > 1 {
-		p.mu.Lock()
-		p.detachLocked(jb)
-		p.mu.Unlock()
-	}
+	jb.drain()
 	jb.wg.Wait()
-	p.jobsRun.Add(1)
-	var err error
-	if jb.canceled.Load() {
-		err = ctx.Err()
-	}
-	p.putJob(jb)
-	return err
+	jobsRun.Add(1)
+	jb.task = nil
+	jb.next.Store(0)
+	jobs.Put(jb)
 }
 
-// Stats is a point-in-time snapshot of a pool's activity, shaped for
+// Stats is a point-in-time snapshot of the scheduler's counters, shaped for
 // expvar publication.
 type Stats struct {
-	// Workers is the configured pool width (SetWorkers / TAGSPIN_WORKERS /
-	// GOMAXPROCS default).
-	Workers int
-	// ActiveJobs is how many jobs currently have unclaimed chunks.
-	ActiveJobs int
-	// ChunksRun and JobsRun are cumulative since pool creation.
-	ChunksRun uint64
-	JobsRun   uint64
-	// ChunksPerSec is the lifetime average chunk completion rate; scrape
-	// ChunksRun deltas for instantaneous rates.
-	ChunksPerSec float64
-	// UptimeSec is seconds since the pool was created.
-	UptimeSec float64
+	Workers   int    // configured width: SetWorkers, or GOMAXPROCS
+	JobsRun   uint64 // Run calls since process start
+	ChunksRun uint64 // chunks run since process start
 }
 
-// Stats reports the pool's counters.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	workers, active := p.target, len(p.jobs)
-	p.mu.Unlock()
-	up := time.Since(p.start).Seconds()
-	chunks := p.chunksRun.Load()
-	var rate float64
-	if up > 0 {
-		rate = float64(chunks) / up
-	}
-	return Stats{
-		Workers:      workers,
-		ActiveJobs:   active,
-		ChunksRun:    chunks,
-		JobsRun:      p.jobsRun.Load(),
-		ChunksPerSec: rate,
-		UptimeSec:    up,
-	}
+// PoolStats reports the scheduler's counters.
+func PoolStats() Stats {
+	return Stats{Workers: Workers(), JobsRun: jobsRun.Load(), ChunksRun: chunksRun.Load()}
 }

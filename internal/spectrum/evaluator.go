@@ -1,7 +1,6 @@
 package spectrum
 
 import (
-	"context"
 	"math"
 	"sync"
 
@@ -397,11 +396,10 @@ func (j *scanJob) reduceChunk(sc *Scratch, lo, hi int) {
 	j.bests[lo/j.chunk] = best
 }
 
-// RunChunk implements sched.Chunked: execute one claimed chunk of the scan
-// on a pooled Scratch. It runs on shared-pool workers and the submitting
-// goroutine alike; the scratch list is internally synchronized and every
-// chunk writes a disjoint slice of the job's output, so no further locking
-// is needed.
+// RunChunk implements sched.Chunked: execute one chunk of the scan on a
+// pooled Scratch. It runs on scheduler helpers and the submitting goroutine
+// alike; the scratch list is internally synchronized and every chunk writes
+// a disjoint slice of the job's output, so no further locking is needed.
 func (j *scanJob) RunChunk(lo, hi int) {
 	e := j.ev
 	sc := e.getScratch()
@@ -409,47 +407,21 @@ func (j *scanJob) RunChunk(lo, hi int) {
 	e.putScratch(sc)
 }
 
-// scanChunks runs a job's chunks of [0, n). Multi-chunk scans are submitted
-// to the process-wide compute pool (internal/sched): persistent workers
-// claim chunks from the job's cursor and concurrent scans interleave at
-// chunk granularity instead of each spawning its own GOMAXPROCS goroutines.
-// Single-chunk scans — and every scan when the pool is pinned to one worker
-// (sched.SetWorkers(1) / TAGSPIN_WORKERS=1) — run inline on one Scratch.
+// scanChunks runs a job's chunks of [0, n) through sched.Run, which fans
+// them out over up to sched.Workers() goroutines and runs every chunk on the
+// caller at width 1.
 //
 // Every index is processed exactly once, output writes never race, and
 // evaluation order never enters the arithmetic, so results are bit-identical
 // to a serial loop regardless of scheduling. Chunk boundaries are part of
-// the contract: each runChunk call covers at most one chunk (the 3D coarse
-// scan relies on a chunk being exactly one polar row), in both the serial
-// and pooled paths.
+// the contract: each runChunk call covers exactly one chunk (the 3D coarse
+// scan relies on a chunk being exactly one polar row).
 func (e *Evaluator) scanChunks(j *scanJob) {
-	if j.n <= 0 {
-		return
-	}
 	if j.chunk <= 0 {
 		j.chunk = chunkTarget
 	}
-	nChunks := (j.n + j.chunk - 1) / j.chunk
-	if nChunks <= 1 || sched.Workers() <= 1 {
-		sc := e.getScratch()
-		for c := 0; c < nChunks; c++ {
-			lo := c * j.chunk
-			hi := lo + j.chunk
-			if hi > j.n {
-				hi = j.n
-			}
-			e.runChunk(j, sc, lo, hi)
-		}
-		e.putScratch(sc)
-		return
-	}
-	// The submitting goroutine runs chunks alongside the pool's workers,
-	// each goroutine one chunk at a time.
-	e.reserveScratch(min(sched.Workers()+1, nChunks))
-	// Background context: scans are short (a request's cancellation is
-	// checked between pipeline passes in core), and an uncancelable submit
-	// keeps this path allocation-free.
-	_ = sched.Run(context.Background(), j, j.n, j.chunk)
+	e.reserveScratch(min(sched.Workers(), (j.n+j.chunk-1)/j.chunk))
+	sched.Run(j, j.n, j.chunk)
 }
 
 // maxEntry records one chunk's best candidate during a parallel argmax.

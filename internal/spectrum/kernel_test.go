@@ -154,8 +154,8 @@ func TestNoRefineCoarseOnly(t *testing.T) {
 // TestFindPeakEvalZeroAllocs pins the pooled steady state: with a prebuilt
 // Evaluator, whole peak searches — the 3D one on the default grid — and
 // Profile2DInto scans allocate nothing. The measurement runs at the default
-// pool width, so chunks fan out to the compute pool's workers and every
-// Scratch they draw must already be warm.
+// scheduler width, so dense chunks fan out to the scheduler's helpers and
+// every Scratch they draw must already be warm.
 func TestFindPeakEvalZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are pinned in the non-race run")

@@ -17,7 +17,7 @@ import (
 // cannot perturb results.
 //
 // The cache is sharded (planShards maps, each under its own RWMutex) so
-// concurrent scans on the shared compute pool don't serialize on one lock,
+// concurrent scans on different goroutines don't serialize on one lock,
 // and bounded (planShardCap entries per shard; beyond that new keys are
 // built directly and not stored — grids are operator-configured, so in
 // practice the working set is a few dozen keys). Hits copy the canonical

@@ -9,9 +9,9 @@ import (
 	"github.com/tagspin/tagspin/internal/sched"
 )
 
-// withPoolWidth runs fn with the shared compute pool pinned to the given
-// width, restoring the previous width afterwards. Width 1 forces the
-// evaluator's inline serial path; wider forces the pooled path.
+// withPoolWidth runs fn with the scheduler pinned to the given width,
+// restoring the previous width afterwards. Width 1 runs every chunk on the
+// calling goroutine; wider fans chunks out to the scheduler's helpers.
 func withPoolWidth(t *testing.T, workers int, fn func()) {
 	t.Helper()
 	old := sched.Workers()
@@ -23,7 +23,7 @@ func withPoolWidth(t *testing.T, workers int, fn func()) {
 // TestPooledScanEquivalence is the pool-path bit-exactness pin required by
 // the shared-pool migration: Profile2DInto, Profile3D, FindPeak2DEval and
 // FindPeak3DEval must produce bit-identical results whether scans run
-// inline (1-worker pool → serial fallback) or on the shared pool, for both
+// on the caller alone (width 1) or fanned out over helpers, for both
 // kinds. Run under -race at GOMAXPROCS=1 and 4 by `make check`.
 func TestPooledScanEquivalence(t *testing.T) {
 	p := testParams()
@@ -77,9 +77,9 @@ func TestPooledScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestPooledConcurrentScansEquivalence runs many evaluators' scans on the
-// shared pool at once — the serving-path shape where jobs interleave at
-// chunk granularity — and checks every result against the serial reference.
+// TestPooledConcurrentScansEquivalence runs many evaluators' scans through
+// the scheduler at once — concurrent scans contend for its helpers — and
+// checks every result against the serial reference.
 // Under -race this is the cross-job interference test.
 func TestPooledConcurrentScansEquivalence(t *testing.T) {
 	p := testParams()

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -23,6 +24,14 @@ import (
 
 // ErrEmptyTrace reports a trace without a header line.
 var ErrEmptyTrace = errors.New("trace: empty input")
+
+// ErrTimeRange reports a record whose timeUs does not fit a time.Duration:
+// its magnitude exceeds maxTimeMicros.
+var ErrTimeRange = errors.New("trace: timestamp out of range")
+
+// maxTimeMicros is the largest |timeUs| a time.Duration holds, about 292
+// years.
+const maxTimeMicros = math.MaxInt64 / int64(time.Microsecond)
 
 // Header is the first line of a trace file.
 type Header struct {
@@ -90,13 +99,17 @@ func New(description string, registered []core.SpinningTag, obs core.Observation
 	return t
 }
 
-// Observations reconstructs the pipeline input.
+// Observations reconstructs the pipeline input. A record whose timestamp
+// does not fit a time.Duration fails with ErrTimeRange.
 func (t *Trace) Observations() (core.Observations, error) {
 	obs := make(core.Observations)
 	for i, r := range t.Records {
 		epc, err := tags.ParseEPC(r.EPC)
 		if err != nil {
 			return nil, fmt.Errorf("trace record %d: %w", i, err)
+		}
+		if r.TimeMicros > maxTimeMicros || r.TimeMicros < -maxTimeMicros {
+			return nil, fmt.Errorf("trace record %d: timeUs %d: %w", i, r.TimeMicros, ErrTimeRange)
 		}
 		obs[epc] = append(obs[epc], phase.Snapshot{
 			Time:        time.Duration(r.TimeMicros) * time.Microsecond,

@@ -3,10 +3,12 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tagspin/tagspin/internal/core"
 	"github.com/tagspin/tagspin/internal/geom"
@@ -126,5 +128,32 @@ func TestBadEPCInRecords(t *testing.T) {
 	}
 	if _, err := tr.Observations(); err == nil {
 		t.Error("bad EPC accepted")
+	}
+}
+
+// TestTimeOutOfRange pins the timestamp bound: a timeUs whose microseconds
+// overflow a time.Duration fails with ErrTimeRange instead of wrapping
+// into a garbage snapshot time, and the extremes that still fit convert
+// exactly.
+func TestTimeOutOfRange(t *testing.T) {
+	const epc = "b03b2442c5defe5836c62e80"
+	const limit = math.MaxInt64 / int64(time.Microsecond)
+	for _, us := range []int64{limit + 1, -limit - 1, math.MaxInt64, math.MinInt64} {
+		tr := &trace.Trace{Header: trace.Header{Version: 1}, Records: []trace.Record{{EPC: epc, TimeMicros: us}}}
+		if _, err := tr.Observations(); !errors.Is(err, trace.ErrTimeRange) {
+			t.Errorf("timeUs %d: err = %v, want ErrTimeRange", us, err)
+		}
+	}
+	for _, us := range []int64{limit, -limit} {
+		tr := &trace.Trace{Header: trace.Header{Version: 1}, Records: []trace.Record{{EPC: epc, TimeMicros: us}}}
+		obs, err := tr.Observations()
+		if err != nil {
+			t.Fatalf("timeUs %d: %v", us, err)
+		}
+		for _, snaps := range obs {
+			if got := snaps[0].Time; got%time.Microsecond != 0 || got/time.Microsecond != time.Duration(us) {
+				t.Errorf("timeUs %d: snapshot time %d", us, got)
+			}
+		}
 	}
 }
