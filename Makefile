@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build fmt-check test race vet vet-strict bench bench-json bench-load bench-stream bench-sublin bench-nufft bench-compare run-fleet
+.PHONY: check build fmt-check test race vet vet-strict bench bench-json bench-compare run-fleet
 
 .DEFAULT_GOAL := check
 
@@ -63,52 +63,21 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/spectrum/
 
 # bench-json regenerates the machine-readable perf snapshot consumed by
-# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/10 —
-# micro rows (exact kernel only since schema 10), concurrent-load rows (K
-# simultaneous Locate2D pipelines in one process, grid and ml
-# solve backends, on the exact kernel every locator runs) with plan-cache hit
-# rates, the streaming rows (StreamLocate2D tail-latency pairs,
-# LoadLocate2DStream throughput; since schema 9 over the full-length
-# session, with a stream tail that saves only term preparation, so the
-# pair's speedupVsBatch sits near 1), the MLLocate2D/3D grid-vs-ml
-# solve-backend A/B rows with meanErrM, the sub-linear coarse-scan rows
-# (SubLinLocate2D/3D vs their dense Locate2D/3D baselines), and the
-# all-cells rows (SubLinLocateR plus the DenseProfile/AllCellsProfile 2D/3D
-# pairs per kind, with their speedup floors), and the non-uniform-grid
-# rows (DenseLocateNU2D/NUFFTLocate2D with the ≥3x floor on the
-# synthesized angle-grid route, DenseLocateNUR/NUFFTLocateR, and the
-# LoadLocate2DStream/ml estimator A/B).
+# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/11 —
+# micro rows on the exact kernel, concurrent-load rows (K simultaneous
+# Locate2D pipelines in one process, grid and ml solve backends) with
+# plan-cache hit rates, the streaming rows (StreamLocate2D tail-latency
+# pairs over the full-length session, LoadLocate2DStream throughput), the
+# MLLocate2D/3D grid-vs-ml solve-backend A/B rows with meanErrM, and the
+# sub-linear coarse-scan pairs against their dense baselines:
+# SubLinLocate2D (≥5x floor), SubLinLocate3D, SubLinLocateR (≥4x floor)
+# and SubLinLocateR3D (≥4x floor, checked by bench-compare). The run
+# fails when SubLinLocate2D or SubLinLocateR falls below its floor.
 bench-json:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
-
-# bench-load is bench-json under its serving-path name: the schema-10 report
-# is where the concurrent-load rows live.
-bench-load:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
-
-# bench-stream is bench-json under its streaming-path name: the schema-10
-# report is where the StreamLocate2D/LoadLocate2DStream rows live.
-bench-stream:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
-
-# bench-sublin is bench-json under its sub-linear-search name: the schema-10
-# report is where the SubLinLocate2D/3D rows (≥5x 2D floor), the
-# SubLinLocateR row (≥4x floor), the SubLinLocateR3D row (≥4x floor,
-# checked by bench-compare) and the AllCellsProfile rows (≥3x floor on the
-# 2D/Q pair) live.
-bench-sublin:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
-
-# bench-nufft is bench-json under its non-uniform-grid name: the schema-10
-# report is where the DenseLocateNU2D/NUFFTLocate2D pair (≥3x floor on the
-# synthesized angle-grid route; the NUFFT names are kept from the route it
-# replaced so bench-compare still pairs the rows) and the
-# DenseLocateNUR/NUFFTLocateR pair live.
-bench-nufft:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_10.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_11.json
 
 # bench-compare diffs the two newest BENCH_<n>.json snapshots and fails on
-# any >10% ns/op regression — the pre-merge perf gate for the spectrum
+# any >30% ns/op regression — the pre-merge perf gate for the spectrum
 # engine. `make bench-compare REBASELINE=1` first re-measures the baseline
 # snapshot (the older of the two newest) on this machine, marking it
 # `rebaselined: true` — separating container drift from real regressions

@@ -2,14 +2,12 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 
 	"github.com/tagspin/tagspin/internal/geom"
-	"github.com/tagspin/tagspin/internal/mathx"
 	"github.com/tagspin/tagspin/internal/phase"
 	"github.com/tagspin/tagspin/internal/spectrum"
 	"github.com/tagspin/tagspin/internal/testbed"
@@ -22,27 +20,16 @@ import (
 // per-cell sincos/exp/mod, not the term loop itself.
 const subLinRMinSpeedup = 4.0
 
-// allCellsMinSpeedup is the acceptance floor for the gated full-profile
-// rows: the AllCellsProfile2D/Q synthesis must beat the dense exact profile
-// scan by at least this factor. Like the coarse-scan floors, the row
-// generator enforces it at measurement time and bench-compare re-checks the
-// recorded ratio on every snapshot.
-const allCellsMinSpeedup = 3.0
-
-// allCellsBenchRows measures the all-cells transform against its dense
-// baselines (schema 7). The SubLinLocateR pair is the KindR counterpart of
-// schema 6's Locate2D/SubLinLocate2D: coarse-only argmax (NoRefine),
-// FindPeak2DDense versus the harmonic route. The profile pairs time the
-// full-profile entry points: Profile2DInto / Profile3D (dense, exact trig)
-// versus Profile2DIntoSynth / Profile3DSynth (fold + synthesis), per kind.
-// Each AllCells/SubLin row carries speedupVsBatch against the dense row
-// measured immediately before it.
+// allCellsBenchRows measures the two-pass R synthesis against its dense
+// baseline (schema 7). The LocateR/SubLinLocateR pair is the KindR
+// counterpart of schema 6's Locate2D/SubLinLocate2D: coarse-only argmax
+// (NoRefine), FindPeak2DDense versus the harmonic route, the SubLin row
+// carrying speedupVsBatch against the dense row measured immediately before
+// it.
 //
-// Before any timing, the rows re-check what the spectrum test suite pins:
-// the sub-linear R argmax equals the dense argmax bit for bit, and every
-// synthesized profile cell sits within the kind's exported slack
-// (spectrum.ProfileSlackQ / ProfileSlackR) of the dense value — so a speedup
-// row can never quietly measure a path that stopped agreeing.
+// Before any timing, the rows re-check what the spectrum test suite pins —
+// the sub-linear R argmax equals the dense argmax bit for bit — so the
+// speedup row can never quietly measure a path that stopped agreeing.
 func allCellsBenchRows() ([]benchResult, error) {
 	rng := rand.New(rand.NewSource(17))
 	sc := testbed.DefaultScenario(0, rng)
@@ -55,56 +42,17 @@ func allCellsBenchRows() ([]benchResult, error) {
 	snaps := col.Obs[sc.Installs[0].Tag.EPC]
 	phase.SortByTime(snaps)
 	params := spectrum.Params{Disk: sc.Installs[0].Disk}
-	evQ, err := spectrum.NewEvaluator(snaps, params, spectrum.KindQ)
-	if err != nil {
-		return nil, err
-	}
 	evR, err := spectrum.NewEvaluator(snaps, params, spectrum.KindR)
 	if err != nil {
 		return nil, err
 	}
 
 	opts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
-	angles := spectrum.UniformAngles(720)
-	az3 := spectrum.UniformAngles(180)
-	pol3 := mathx.Linspace(-math.Pi/2, math.Pi/2, 31)
-
-	// Preflight 1: R sub-linear argmax bit-identity against the dense scan.
+	// Preflight: R sub-linear argmax bit-identity against the dense scan.
 	wantAz, wantPow := spectrum.FindPeak2DDense(evR, opts)
 	if gotAz, gotPow := spectrum.FindPeak2DEval(evR, opts); gotAz != wantAz || gotPow != wantPow {
 		return nil, fmt.Errorf("allcells bench: R sub-linear peak (%v, %v) != dense (%v, %v)",
 			gotAz, gotPow, wantAz, wantPow)
-	}
-	// Preflight 2: profile synthesis within the exported slack, per kind,
-	// 2D and 3D.
-	checkProfile := func(kind string, slack float64, got, want []float64) error {
-		for k := range want {
-			if d := math.Abs(got[k] - want[k]); d > slack {
-				return fmt.Errorf("allcells bench: %s profile cell %d off by %v (> %v)", kind, k, d, slack)
-			}
-		}
-		return nil
-	}
-	for _, pre := range []struct {
-		kind  string
-		slack float64
-		ev    *spectrum.Evaluator
-	}{
-		{"Q", spectrum.ProfileSlackQ, evQ},
-		{"R", spectrum.ProfileSlackR, evR},
-	} {
-		dense := pre.ev.Profile2D(angles)
-		synth := pre.ev.Profile2DSynth(angles)
-		if err := checkProfile(pre.kind+"/2D", pre.slack, synth.Power, dense.Power); err != nil {
-			return nil, err
-		}
-		dense3 := pre.ev.Profile3D(az3, pol3)
-		synth3 := pre.ev.Profile3DSynth(az3, pol3)
-		for i := range dense3.Power {
-			if err := checkProfile(pre.kind+"/3D", pre.slack, synth3.Power[i], dense3.Power[i]); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	var sink float64
@@ -119,75 +67,23 @@ func allCellsBenchRows() ([]benchResult, error) {
 			}
 		}
 	}
-	profDense := func(ev *spectrum.Evaluator) func(b *testing.B) {
-		return func(b *testing.B) {
-			var prof spectrum.Profile
-			ev.Profile2DInto(&prof, angles)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.Profile2DInto(&prof, angles)
-			}
-		}
-	}
-	profSynth := func(ev *spectrum.Evaluator) func(b *testing.B) {
-		return func(b *testing.B) {
-			var prof spectrum.Profile
-			ev.Profile2DIntoSynth(&prof, angles)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.Profile2DIntoSynth(&prof, angles)
-			}
-		}
-	}
-	prof3Dense := func(ev *spectrum.Evaluator) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ev.Profile3D(az3, pol3)
-			}
-		}
-	}
-	prof3Synth := func(ev *spectrum.Evaluator) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ev.Profile3DSynth(az3, pol3)
-			}
-		}
-	}
 
 	cases := []struct {
-		name    string
-		variant string
-		// pairWith, when ≥ 0, is the index of the dense baseline this row's
-		// speedupVsBatch is computed against.
-		pairWith int
-		// gated marks rows whose timing feeds a speedup floor (either side
-		// of a gated ratio); those are measured best-of-3 to keep a stray
-		// scheduler stall on the shared CPU from failing the gate or, worse,
-		// inflating a baseline and passing a regression.
-		gated bool
-		fn    func(b *testing.B)
+		name, variant string
+		fn            func(b *testing.B)
 	}{
-		{"LocateR", "dense/exact", -1, true, peakR(spectrum.FindPeak2DDense)},
-		{"SubLinLocateR", "harmonic/exact", 0, true, peakR(spectrum.FindPeak2DEval)},
-		{"DenseProfile2D/Q", "dense/exact", -1, true, profDense(evQ)},
-		{"AllCellsProfile2D/Q", "harmonic/exact", 2, true, profSynth(evQ)},
-		{"DenseProfile2D/R", "dense/exact", -1, false, profDense(evR)},
-		{"AllCellsProfile2D/R", "harmonic/exact", 4, false, profSynth(evR)},
-		{"DenseProfile3D/Q", "dense/exact", -1, false, prof3Dense(evQ)},
-		{"AllCellsProfile3D/Q", "harmonic/exact", 6, false, prof3Synth(evQ)},
-		{"DenseProfile3D/R", "dense/exact", -1, false, prof3Dense(evR)},
-		{"AllCellsProfile3D/R", "harmonic/exact", 8, false, prof3Synth(evR)},
+		{"LocateR", "dense/exact", peakR(spectrum.FindPeak2DDense)},
+		{"SubLinLocateR", "harmonic/exact", peakR(spectrum.FindPeak2DEval)},
 	}
 	procs := runtime.GOMAXPROCS(0)
 	rows := make([]benchResult, 0, len(cases))
 	for _, c := range cases {
+		// Both rows feed the floor, so each is measured best-of-3 to keep a
+		// stray scheduler stall on the shared CPU from failing the gate or,
+		// worse, inflating the baseline and passing a regression.
 		res := testing.Benchmark(c.fn)
 		ns := float64(res.T.Nanoseconds()) / float64(res.N)
-		if c.gated && !raceEnabled {
+		if !raceEnabled {
 			for rep := 0; rep < 2; rep++ {
 				r := testing.Benchmark(c.fn)
 				if v := float64(r.T.Nanoseconds()) / float64(r.N); v < ns {
@@ -206,11 +102,7 @@ func allCellsBenchRows() ([]benchResult, error) {
 		})
 	}
 	_ = sink
-	for i, c := range cases {
-		if c.pairWith >= 0 {
-			rows[i].SpeedupVsBatch = rows[c.pairWith].NsPerOp / rows[i].NsPerOp
-		}
-	}
+	rows[1].SpeedupVsBatch = rows[0].NsPerOp / rows[1].NsPerOp
 	for _, r := range rows {
 		extra := ""
 		if r.SpeedupVsBatch > 0 {
@@ -219,19 +111,9 @@ func allCellsBenchRows() ([]benchResult, error) {
 		fmt.Fprintf(os.Stderr, "tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op %6d allocs/op%s\n",
 			r.Name, r.Variant, r.GoMaxProcs, r.NsPerOp, r.AllocsPerOp, extra)
 	}
-	// Race instrumentation compresses the ratios the same way it does for
-	// SubLinLocate2D (the rescore and pass-two loops take the tax hardest);
-	// the floors are calibrated for un-instrumented builds and re-checked by
-	// bench-compare on every recorded snapshot.
-	if !raceEnabled {
-		if rows[1].SpeedupVsBatch < subLinRMinSpeedup {
-			return nil, fmt.Errorf("allcells bench: SubLinLocateR speedup %.1fx below the %.0fx floor",
-				rows[1].SpeedupVsBatch, subLinRMinSpeedup)
-		}
-		if rows[3].SpeedupVsBatch < allCellsMinSpeedup {
-			return nil, fmt.Errorf("allcells bench: AllCellsProfile2D/Q speedup %.1fx below the %.0fx floor",
-				rows[3].SpeedupVsBatch, allCellsMinSpeedup)
-		}
+	if enforceFloors() && rows[1].SpeedupVsBatch < subLinRMinSpeedup {
+		return nil, fmt.Errorf("allcells bench: SubLinLocateR speedup %.1fx below the %.0fx floor",
+			rows[1].SpeedupVsBatch, subLinRMinSpeedup)
 	}
 	return rows, nil
 }

@@ -45,13 +45,14 @@ type benchKey struct {
 }
 
 // readBenchReport parses a BENCH_*.json of any schema version (1 through
-// 10). Schema-1 rows carry no per-row GOMAXPROCS; they inherit the
+// 11). Schema-1 rows carry no per-row GOMAXPROCS; they inherit the
 // report-level value so cross-schema keys align. Schema-3 load rows
 // (concurrency, locates/sec, percentiles, plan-cache hit rate), schema-4
 // streaming rows, schema-5 backend rows, schema-6 sub-linear rows,
 // schema-7 all-cells rows, and schema-8 NUFFT + streaming-ml rows all
 // decode into the same row struct; their extra fields are zero in older
-// files. Schemas 9 and 10 changed row inputs and kernels, not fields.
+// files. Schemas 9 and 10 changed row inputs and kernels, not fields, and
+// schema 11 only drops rows.
 func readBenchReport(path string) (benchReport, error) {
 	var report benchReport
 	data, err := os.ReadFile(path)
@@ -76,11 +77,9 @@ func readBenchReport(path string) (benchReport, error) {
 // compare accepts; the same constants the row generators enforce at
 // measurement time (SubLinLocateR3D's floor is checked here only).
 var speedupFloors = map[string]float64{
-	"SubLinLocate2D":      subLinMinSpeedup,
-	"SubLinLocateR3D":     subLinR3DMinSpeedup,
-	"SubLinLocateR":       subLinRMinSpeedup,
-	"AllCellsProfile2D/Q": allCellsMinSpeedup,
-	"NUFFTLocate2D":       nufftMinSpeedup,
+	"SubLinLocate2D":  subLinMinSpeedup,
+	"SubLinLocateR3D": subLinR3DMinSpeedup,
+	"SubLinLocateR":   subLinRMinSpeedup,
 }
 
 var benchFilePattern = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
@@ -174,13 +173,11 @@ func rebaselineBench(spec string) error {
 // present on only one side — rows a newer schema added, retired paths —
 // warn but never fail: an older baseline simply predates them, and gating
 // would force every schema bump through a rebaseline. The SubLinLocate2D,
-// SubLinLocateR, AllCellsProfile2D/Q and NUFFTLocate2D rows additionally
-// gate on their recorded speedupVsBatch staying at or above their floors
-// (subLinMinSpeedup, subLinRMinSpeedup, allCellsMinSpeedup,
-// nufftMinSpeedup), so an accelerated path that
-// silently decays toward the dense scan fails the compare even when its own
-// ns/op is stable (the other ratio-carrying rows report their ratio but only
-// the row generator bounds them).
+// SubLinLocateR and SubLinLocateR3D rows additionally gate on their
+// recorded speedupVsBatch staying at or above their floors
+// (speedupFloors), so an accelerated path that silently decays toward the
+// dense scan fails the compare even when its own ns/op is stable (the other
+// ratio-carrying rows report their ratio ungated).
 func compareBenchJSON(spec string) error {
 	var oldPath, newPath string
 	if spec == "auto" || spec == "" {

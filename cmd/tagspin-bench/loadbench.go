@@ -87,7 +87,7 @@ func measureLoad(locator *core.Locator, col testbed.Collection, name string, k i
 	latencies := make([][]time.Duration, k)
 	var wg sync.WaitGroup
 	start := time.Now()
-	deadline := start.Add(loadBenchDuration)
+	deadline := start.Add(loadDuration())
 	for g := 0; g < k; g++ {
 		wg.Add(1)
 		go func(g int) {

@@ -41,7 +41,7 @@ func run(args []string) error {
 		seed         = fs.Int64("seed", 0, "random seed")
 		trials       = fs.Int("trials", 0, "override per-experiment trial counts (0 = defaults)")
 		benchJSON    = fs.String("benchjson", "", "write spectrum micro-benchmark results (ns/op, allocs/op) as JSON to this file and exit")
-		benchCompare = fs.String("benchcompare", "", "compare two bench reports ('old.json,new.json', or 'auto' for the two newest BENCH_<n>.json here) and fail on >10% ns/op regressions")
+		benchCompare = fs.String("benchcompare", "", "compare two bench reports ('old.json,new.json', or 'auto' for the two newest BENCH_<n>.json here) and fail on >30% ns/op regressions")
 		rebaseline   = fs.String("rebaseline", "", "re-measure the benchmark suite on this machine and overwrite the given baseline file ('auto' = the older of the two newest BENCH_<n>.json here, the -benchcompare baseline), marking it rebaselined so bench-compare deltas reflect code rather than environment drift")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile   = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,13 +25,27 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestBenchJSON exercises the machine-readable perf report end to end: the
-// file must parse, carry every expected benchmark with provenance, and show
-// the zero-alloc steady state of the evaluation engine.
+// TestBenchJSON smoke-runs the machine-readable perf report end to end at
+// a short bench time: the file must parse, carry every expected benchmark
+// with provenance, and show the zero-alloc steady state of the evaluation
+// engine. The speedup floors are not checked here — a few iterations carry
+// no ratio — but by make bench-json at full bench time and by bench-compare
+// on the recorded report.
 func TestBenchJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmarks take seconds")
 	}
+	prevTime := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "20ms"); err != nil {
+		t.Fatal(err)
+	}
+	benchSmoke = true
+	defer func() {
+		benchSmoke = false
+		if err := flag.Set("test.benchtime", prevTime); err != nil {
+			t.Error(err)
+		}
+	}()
 	path := filepath.Join(t.TempDir(), "BENCH_2.json")
 	if err := run([]string{"-benchjson", path}); err != nil {
 		t.Fatalf("-benchjson: %v", err)

@@ -219,7 +219,7 @@ func streamLoadBackendRows(locator *core.Locator, prefix string, registered []co
 		latencies := make([][]time.Duration, k)
 		var wg sync.WaitGroup
 		start := time.Now()
-		deadline := start.Add(loadBenchDuration)
+		deadline := start.Add(loadDuration())
 		for g := 0; g < k; g++ {
 			wg.Add(1)
 			go func(g int) {

@@ -138,13 +138,7 @@ func subLinBenchRows() ([]benchResult, error) {
 		fmt.Fprintf(os.Stderr, "tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op %6d allocs/op%s\n",
 			r.Name, r.Variant, r.GoMaxProcs, r.NsPerOp, r.AllocsPerOp, extra)
 	}
-	// Race instrumentation taxes the harmonic path's tight rescore loops
-	// harder than the dense scan's and compresses the ratio below the
-	// floor (~4.7x observed); only un-instrumented builds produce
-	// measurements the floor is calibrated for. bench-compare re-checks
-	// the recorded ratio on every BENCH_6+ snapshot, so the gate still
-	// holds where it matters.
-	if !raceEnabled && rows[1].SpeedupVsBatch < subLinMinSpeedup {
+	if enforceFloors() && rows[1].SpeedupVsBatch < subLinMinSpeedup {
 		return nil, fmt.Errorf("sublin bench: SubLinLocate2D speedup %.1fx below the %.0fx floor",
 			rows[1].SpeedupVsBatch, subLinMinSpeedup)
 	}

@@ -313,7 +313,7 @@ func (c *Coordinator) handleListReplicas(w http.ResponseWriter, _ *http.Request)
 
 func (c *Coordinator) handleRegisterReplica(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, locsrv.MaxBodyBytes)).Decode(&req); err != nil {
+	if _, err := locsrv.ReadJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode register: %w", err))
 		return
 	}
@@ -509,13 +509,9 @@ func (c *Coordinator) handleLocate(w http.ResponseWriter, r *http.Request) {
 	if !c.admit(w) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, locsrv.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
-		return
-	}
 	var req locsrv.LocateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	body, err := locsrv.ReadJSON(w, r, &req)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
@@ -539,13 +535,8 @@ func (c *Coordinator) handleLocateBatch(w http.ResponseWriter, r *http.Request) 
 	if !c.admit(w) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, locsrv.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
-		return
-	}
 	var req locsrv.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if _, err := locsrv.ReadJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}

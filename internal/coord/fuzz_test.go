@@ -36,8 +36,8 @@ func echoReplica(tb testing.TB) string {
 
 // FuzzCoordLocateBatchBody sends arbitrary bodies to the coordinator's
 // /v1/locate-batch over two echoing stub replicas. The coordinator must
-// answer 400 exactly when the body is too long, does not decode, or holds
-// an empty or over-MaxBatch batch; any other body gets 200 with every item
+// answer 400 exactly when the body is too long, is not one JSON value
+// (trailing data included), or holds an empty or over-MaxBatch batch; any other body gets 200 with every item
 // back in request order, whichever replica its reader hashed to. The seed
 // corpus is in testdata/fuzz/FuzzCoordLocateBatchBody. Run it beyond the
 // seeds with

@@ -137,8 +137,9 @@ func TestLocateBatchMatchesSingle(t *testing.T) {
 
 // FuzzLocateBatchBody sends arbitrary bodies to /v1/locate-batch on a server
 // whose collector fails at once. The handler must never panic or answer
-// 500; a body that does not decode, an empty batch and one over MaxBatch get
-// 400; any other body gets 200 with one item per request, in order, each
+// 500; a body longer than MaxBodyBytes, one that is not one JSON value
+// (trailing data included, as json.Unmarshal rules), an empty batch and
+// one over MaxBatch get 400; any other body gets 200 with one item per request, in order, each
 // carrying exactly one of result or error. The seed corpus is in
 // testdata/fuzz/FuzzLocateBatchBody. Run it beyond the seeds with
 //
@@ -149,8 +150,8 @@ func FuzzLocateBatchBody(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/locate-batch", bytes.NewReader(body)))
 		var req locsrv.BatchRequest
-		decodeErr := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
-		if decodeErr != nil || len(req.Requests) == 0 || len(req.Requests) > locsrv.MaxBatch {
+		decodeErr := json.Unmarshal(body, &req)
+		if len(body) > locsrv.MaxBodyBytes || decodeErr != nil || len(req.Requests) == 0 || len(req.Requests) > locsrv.MaxBatch {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (decode error %v, %d requests): %s", rec.Code, decodeErr, len(req.Requests), rec.Body)
 			}

@@ -5,9 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/tagspin/tagspin/internal/client"
@@ -55,9 +55,10 @@ func TestBodyLimit(t *testing.T) {
 
 // FuzzLocateBody sends arbitrary bodies to /v1/locate on a server whose
 // collector fails at once. The handler must never panic; it answers 400
-// exactly when the body does not decode within MaxBodyBytes or names an
-// empty readerAddr, an unknown mode or backend, or a negative duration, and
-// 502 (the failed collect) otherwise. The seed corpus is in
+// exactly when the body is longer than MaxBodyBytes, is not one JSON value
+// (trailing data included, as json.Unmarshal rules), or names an empty
+// readerAddr, an unknown mode or backend, or a negative duration, and 502
+// (the failed collect) otherwise. The seed corpus is in
 // testdata/fuzz/FuzzLocateBody. Run it beyond the seeds with
 //
 //	go test -run '^$' -fuzz FuzzLocateBody -fuzztime 60s ./internal/locsrv/
@@ -67,8 +68,8 @@ func FuzzLocateBody(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/locate", bytes.NewReader(body)))
 		var req locsrv.LocateRequest
-		decodeErr := json.NewDecoder(io.LimitReader(bytes.NewReader(body), locsrv.MaxBodyBytes)).Decode(&req)
-		bad := decodeErr != nil || req.ReaderAddr == "" || req.DurationMillis < 0
+		decodeErr := json.Unmarshal(body, &req)
+		bad := len(body) > locsrv.MaxBodyBytes || decodeErr != nil || req.ReaderAddr == "" || req.DurationMillis < 0
 		switch req.Mode {
 		case "", "2d", "3d":
 		default:
@@ -85,6 +86,67 @@ func FuzzLocateBody(f *testing.F) {
 		}
 		if rec.Code != want {
 			t.Fatalf("status = %d, want %d (decode error %v, request %+v): %s", rec.Code, want, decodeErr, req, rec.Body)
+		}
+	})
+}
+
+// FuzzAddTagBody sends arbitrary bodies to POST /v1/tags on a server whose
+// registry already holds one tag. The handler must never panic; it answers
+// 400 exactly when the body is longer than MaxBodyBytes, is not one JSON
+// value, or holds an entry that fails Entry.Validate; 409 when the entry
+// names the registered tag's EPC in any hex case; and 201 otherwise, after
+// which the registry finds the new tag by its lowercase EPC and the response
+// echoes the entry as sent. The seed corpus is in
+// testdata/fuzz/FuzzAddTagBody. Run it beyond the seeds with
+//
+//	go test -run '^$' -fuzz FuzzAddTagBody -fuzztime 60s ./internal/locsrv/
+func FuzzAddTagBody(f *testing.F) {
+	reg := registry.New()
+	const held = "00000000000000000000000a"
+	if err := reg.Add(registry.Entry{EPC: held, Center: [3]float64{-0.25, 0, 0}, RadiusM: 0.1, OmegaRadPerSec: 3.14}); err != nil {
+		f.Fatal(err)
+	}
+	srv, err := locsrv.New(locsrv.Config{Registry: reg, MaxInFlight: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tags", bytes.NewReader(body)))
+		var e registry.Entry
+		decodeErr := json.Unmarshal(body, &e)
+		want := http.StatusCreated
+		switch {
+		case len(body) > locsrv.MaxBodyBytes || decodeErr != nil || e.Validate() != nil:
+			want = http.StatusBadRequest
+		case strings.ToLower(e.EPC) == held:
+			want = http.StatusConflict
+		}
+		if rec.Code != want {
+			t.Fatalf("status = %d, want %d (decode error %v, entry %+v): %s", rec.Code, want, decodeErr, e, rec.Body)
+		}
+		if want != http.StatusCreated {
+			if reg.Len() != 1 {
+				t.Fatalf("rejected entry changed the registry: %d tags", reg.Len())
+			}
+			return
+		}
+		var echoed registry.Entry
+		if err := json.Unmarshal(rec.Body.Bytes(), &echoed); err != nil {
+			t.Fatalf("decode response: %v", err)
+		}
+		if echoed.EPC != e.EPC {
+			t.Errorf("response EPC %q, want %q", echoed.EPC, e.EPC)
+		}
+		if got, err := reg.Get(strings.ToLower(e.EPC)); err != nil || got.EPC != e.EPC || reg.Len() != 2 {
+			t.Errorf("registry after add: %+v, %v, %d tags", got, err, reg.Len())
+		}
+		if _, err := reg.SpinningTags(); err != nil {
+			t.Errorf("SpinningTags after add: %v", err)
+		}
+		if err := reg.Remove(e.EPC); err != nil {
+			t.Fatalf("remove %q: %v", e.EPC, err)
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -398,7 +399,7 @@ func (s *Server) handleListTags(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleAddTag(w http.ResponseWriter, r *http.Request) {
 	var e registry.Entry
-	if err := decodeBody(w, r, &e); err != nil {
+	if _, err := ReadJSON(w, r, &e); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode entry: %w", err))
 		return
 	}
@@ -490,7 +491,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseAdmit()
 	s.locates.Add(1)
 	var req LocateRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if _, err := ReadJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
@@ -554,9 +555,17 @@ const MaxBatch = 64
 // the body is validated. A longer body is answered 400.
 const MaxBodyBytes = 1 << 20
 
-// decodeBody decodes r's JSON body into v, reading at most MaxBodyBytes.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+// ReadJSON reads r's body, at most MaxBodyBytes, and decodes it into v as
+// exactly one JSON value: trailing data other than whitespace is an error,
+// as in json.Unmarshal. The replica and the coordinator read every request
+// body through it, so both tiers accept the same bodies. It returns the
+// body for callers that forward it.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
+		return nil, err
+	}
+	return body, json.Unmarshal(body, v)
 }
 
 func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
@@ -566,7 +575,7 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseAdmit()
 	s.batches.Add(1)
 	var req BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if _, err := ReadJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}

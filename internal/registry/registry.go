@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,10 +44,17 @@ type Entry struct {
 	Orientation *phase.OrientationCalibration `json:"orientation,omitempty"`
 }
 
-// Validate checks the entry.
+// Validate checks the entry. Every geometry field must be finite: JSON
+// cannot carry NaN or ±Inf, but a Go caller can, and one non-finite field
+// turns every bearing computed from the disk into NaN.
 func (e Entry) Validate() error {
 	if _, err := tags.ParseEPC(e.EPC); err != nil {
 		return fmt.Errorf("registry: %w", err)
+	}
+	for _, v := range [...]float64{e.Center[0], e.Center[1], e.Center[2], e.RadiusM, e.OmegaRadPerSec, e.Theta0Rad} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("registry: entry %s: non-finite geometry %v", e.EPC, v)
+		}
 	}
 	disk := e.disk()
 	if err := disk.Validate(); err != nil {
@@ -89,7 +97,18 @@ func EntryFromSpinningTag(t core.SpinningTag) Entry {
 	}
 }
 
-// Registry is a concurrency-safe spinning-tag store.
+// key returns the canonical form of a hex EPC, lowercase as tags.EPC.String
+// writes it, so one tag has one key however its hex is cased. A string that
+// is no EPC is its own key.
+func key(epc string) string {
+	if e, err := tags.ParseEPC(epc); err == nil {
+		return e.String()
+	}
+	return epc
+}
+
+// Registry is a concurrency-safe spinning-tag store, keyed by canonical EPC
+// (key); each entry keeps its EPC as it was registered.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]Entry
@@ -100,17 +119,17 @@ func New() *Registry {
 	return &Registry{entries: make(map[string]Entry)}
 }
 
-// Add registers an entry. Duplicate EPCs are rejected.
+// Add registers an entry. Duplicate EPCs are rejected, in any hex case.
 func (r *Registry) Add(e Entry) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[e.EPC]; ok {
+	if _, ok := r.entries[key(e.EPC)]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, e.EPC)
 	}
-	r.entries[e.EPC] = e
+	r.entries[key(e.EPC)] = e
 	return nil
 }
 
@@ -122,10 +141,10 @@ func (r *Registry) Update(e Entry) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[e.EPC]; !ok {
+	if _, ok := r.entries[key(e.EPC)]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, e.EPC)
 	}
-	r.entries[e.EPC] = e
+	r.entries[key(e.EPC)] = e
 	return nil
 }
 
@@ -133,10 +152,10 @@ func (r *Registry) Update(e Entry) error {
 func (r *Registry) Remove(epc string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[epc]; !ok {
+	if _, ok := r.entries[key(epc)]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, epc)
 	}
-	delete(r.entries, epc)
+	delete(r.entries, key(epc))
 	return nil
 }
 
@@ -144,7 +163,7 @@ func (r *Registry) Remove(epc string) error {
 func (r *Registry) Get(epc string) (Entry, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.entries[epc]
+	e, ok := r.entries[key(epc)]
 	if !ok {
 		return Entry{}, fmt.Errorf("%w: %s", ErrNotFound, epc)
 	}

@@ -1,10 +1,12 @@
 package registry
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -345,5 +347,113 @@ func assertNoTempFiles(t *testing.T, dir string) {
 		if strings.Contains(e.Name(), ".tmp") {
 			t.Errorf("leaked temp file %s", e.Name())
 		}
+	}
+}
+
+// FuzzRegistryLoad feeds arbitrary files to Load. It must never panic, and
+// it must succeed exactly when the file is one JSON array of entries that
+// each pass Entry.Validate and name distinct tags, however their EPC hex is
+// cased. A loaded registry finds every entry by its lowercase EPC, yields
+// one SpinningTag per entry, and survives a Save/Load round trip
+// unchanged. The seed corpus is in testdata/fuzz/FuzzRegistryLoad. Run it
+// beyond the seeds with
+//
+//	go test -run '^$' -fuzz FuzzRegistryLoad -fuzztime 60s ./internal/registry/
+func FuzzRegistryLoad(f *testing.F) {
+	// One directory per fuzz process: its inputs run one at a time.
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "registry.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Load(path)
+
+		var entries []Entry
+		ok := json.Unmarshal(data, &entries) == nil
+		seen := map[string]bool{}
+		for _, e := range entries {
+			ok = ok && e.Validate() == nil && !seen[strings.ToLower(e.EPC)]
+			seen[strings.ToLower(e.EPC)] = true
+		}
+		if (err == nil) != ok {
+			t.Fatalf("Load error %v, want success %v", err, ok)
+		}
+		if err != nil {
+			return
+		}
+		list := r.List()
+		if len(list) != len(entries) {
+			t.Fatalf("%d entries loaded, want %d", len(list), len(entries))
+		}
+		for _, e := range list {
+			if got, err := r.Get(strings.ToLower(e.EPC)); err != nil || got.EPC != e.EPC {
+				t.Errorf("Get(%q) = %+v, %v; want the entry registered as %q", strings.ToLower(e.EPC), got, err, e.EPC)
+			}
+		}
+		tagList, err := r.SpinningTags()
+		if err != nil || len(tagList) != len(entries) {
+			t.Fatalf("SpinningTags: %d tags, %v", len(tagList), err)
+		}
+		again := filepath.Join(dir, "again.json")
+		if err := r.Save(again); err != nil {
+			t.Fatal(err)
+		}
+		r2, err := Load(again)
+		if err != nil {
+			t.Fatalf("reload: %v", err)
+		}
+		if !reflect.DeepEqual(r2.List(), list) {
+			t.Errorf("round trip changed the registry:\n%+v\n%+v", r2.List(), list)
+		}
+	})
+}
+
+// TestValidateNonFinite pins the finite-geometry rule: a NaN or ±Inf in any
+// disk field fails Entry.Validate, so Add rejects it.
+func TestValidateNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field := 0; field < 6; field++ {
+			e := validEntry(1)
+			switch field {
+			case 0, 1, 2:
+				e.Center[field] = bad
+			case 3:
+				e.RadiusM = bad
+			case 4:
+				e.OmegaRadPerSec = bad
+			case 5:
+				e.Theta0Rad = bad
+			}
+			if err := New().Add(e); err == nil {
+				t.Errorf("field %d = %v accepted", field, bad)
+			}
+		}
+	}
+}
+
+// TestEPCCaseIsOneTag pins the canonical EPC key: an EPC in upper-case hex
+// is the same tag as its lowercase form for Add, Get, Update and Remove,
+// and the entry keeps the EPC it was registered with.
+func TestEPCCaseIsOneTag(t *testing.T) {
+	r := New()
+	e := validEntry(0xab)
+	upper := e
+	upper.EPC = strings.ToUpper(e.EPC)
+	if err := r.Add(upper); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Add(e); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("lowercase duplicate: err = %v, want ErrDuplicate", err)
+	}
+	got, err := r.Get(e.EPC)
+	if err != nil || got.EPC != upper.EPC {
+		t.Fatalf("Get(%q) = %+v, %v; want EPC %q", e.EPC, got, err, upper.EPC)
+	}
+	if err := r.Update(e); err != nil {
+		t.Fatalf("Update by lower case: %v", err)
+	}
+	if err := r.Remove(upper.EPC); err != nil || r.Len() != 0 {
+		t.Fatalf("Remove(%q): %v, %d left", upper.EPC, err, r.Len())
 	}
 }

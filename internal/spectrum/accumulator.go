@@ -10,11 +10,10 @@ import (
 // they arrive, and finalizes through the batch peak search. Add does the
 // per-snapshot work the batch path would do after the session — the
 // makeTerm conversion and its validation — so a bad snapshot is rejected
-// the moment it arrives; FindPeak2D/FindPeak3D then run FindPeak2DEval
-// (FindPeak2DAnglesEval on an angle grid) or FindPeak3DEval on an Evaluator
-// over the buffered terms, built exactly as NewEvaluator builds one. A
-// streamed answer is therefore the batch answer by construction, at every
-// session length.
+// the moment it arrives; FindPeak2D/FindPeak3D then run FindPeak2DEval or
+// FindPeak3DEval on an Evaluator over the buffered terms, built exactly as
+// NewEvaluator builds one. A streamed answer is therefore the batch answer
+// by construction, at every session length.
 //
 // The accumulator deliberately folds nothing per cell. The batch coarse
 // pass scores a strided subset of at most coarseTermLimit terms whose
@@ -30,9 +29,6 @@ type Accumulator struct {
 	kind   Kind
 	opts   SearchOptions
 	threeD bool
-	// angles, when non-nil, is the arbitrary 2D candidate grid of
-	// NewAccumulator2DAngles; the finalize runs FindPeak2DAnglesEval on it.
-	angles []float64
 
 	terms   []snapshotTerm
 	ref     phase.Snapshot
@@ -43,38 +39,24 @@ type Accumulator struct {
 // NewAccumulator2D builds a streaming accumulator whose finalize runs the
 // batch 2D peak search for the same SearchOptions.
 func NewAccumulator2D(p Params, kind Kind, opts SearchOptions) (*Accumulator, error) {
-	return newAccumulator(p, kind, opts, false, nil)
-}
-
-// NewAccumulator2DAngles is NewAccumulator2D over an arbitrary (typically
-// non-uniform) 2D candidate grid: FindPeak2D returns FindPeak2DAnglesEval's
-// bits over angles. The grid must be non-empty.
-func NewAccumulator2DAngles(p Params, kind Kind, angles []float64, opts SearchOptions) (*Accumulator, error) {
-	if len(angles) == 0 {
-		return nil, fmt.Errorf("spectrum: angle-grid accumulator needs a non-empty grid")
-	}
-	return newAccumulator(p, kind, opts, false, angles)
+	return newAccumulator(p, kind, opts, false)
 }
 
 // NewAccumulator3D is NewAccumulator2D for the batch 3D peak search.
 func NewAccumulator3D(p Params, kind Kind, opts SearchOptions) (*Accumulator, error) {
-	return newAccumulator(p, kind, opts, true, nil)
+	return newAccumulator(p, kind, opts, true)
 }
 
-func newAccumulator(p Params, kind Kind, opts SearchOptions, threeD bool, angles []float64) (*Accumulator, error) {
+func newAccumulator(p Params, kind Kind, opts SearchOptions, threeD bool) (*Accumulator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Accumulator{
+	return &Accumulator{
 		params: p,
 		kind:   kind,
 		opts:   opts,
 		threeD: threeD,
-	}
-	if angles != nil {
-		a.angles = append([]float64(nil), angles...)
-	}
-	return a, nil
+	}, nil
 }
 
 // Snapshots returns how many snapshots have been added.
@@ -112,7 +94,7 @@ func (a *Accumulator) Evaluator() (*Evaluator, error) {
 }
 
 // FindPeak2D finalizes the accumulated session into the refined 2D peak:
-// FindPeak2DEval (FindPeak2DAnglesEval on an angle grid) on Evaluator().
+// FindPeak2DEval on Evaluator().
 func (a *Accumulator) FindPeak2D() (float64, float64, error) {
 	if a.threeD {
 		return 0, 0, fmt.Errorf("spectrum: 3D accumulator cannot run a 2D peak search")
@@ -120,10 +102,6 @@ func (a *Accumulator) FindPeak2D() (float64, float64, error) {
 	ev, err := a.Evaluator()
 	if err != nil {
 		return 0, 0, err
-	}
-	if a.angles != nil {
-		az, pow := FindPeak2DAnglesEval(ev, a.angles, a.opts)
-		return az, pow, nil
 	}
 	az, pow := FindPeak2DEval(ev, a.opts)
 	return az, pow, nil

@@ -6,12 +6,13 @@ import (
 	"github.com/tagspin/tagspin/internal/mathx"
 )
 
-// This file holds the all-cells transform: full-profile synthesis through
-// the harmonic (Jacobi–Anger) expansion for both profile kinds, extending
-// harmonic.go's argmax-only Q route to whole profiles and to KindR.
+// This file holds the all-cells transform: synthesis of every candidate
+// cell through the harmonic (Jacobi–Anger) expansion for both profile
+// kinds, extending harmonic.go's Q synthesis to KindR. The coarse argmax
+// routes and the refinement rounds both score their cells through it.
 //
 // Q is immediate: the phasor sum S(φ) is the bandlimited trigonometric
-// polynomial harmonic.go already folds, so a full Q profile is one
+// polynomial harmonic.go already folds, so a row of Q cells is one
 // O(snaps·H) fold plus an O(cells·H) synthesis.
 //
 // R is not bandlimited — the Gaussian residual weights
@@ -42,8 +43,7 @@ import (
 // argmax routes use the established shortlist-then-exact-rescore guarantee
 // from harmonic.go — collect every cell within 2·rSlack of the synthesized
 // maximum, rescore those few with the dense per-cell formula — making the
-// returned peak bit-identical to the dense scan's. Full-profile routes
-// (Profile2DIntoSynth/Profile3DSynth) document the value slack instead.
+// returned peak bit-identical to the dense scan's.
 
 // rSlack bounds |synthesized − dense| per cell for the two-pass R synthesis.
 // Budget: wrapped-range phasors ≤ mean(w)·1.5·wrappedSincosMaxErr ≈ 7e-9,
@@ -54,15 +54,6 @@ import (
 // than 10× margin over that sum; the randomized slack test pins the
 // measured error at a fraction of it.
 const rSlack = 2.5e-6
-
-// ProfileSlackQ and ProfileSlackR are the exported per-cell value slacks of
-// the profile synthesis (Profile2DIntoSynth / Profile3DSynth) relative to
-// the exact dense profile — the numbers the API contract and the bench
-// preflight check against.
-const (
-	ProfileSlackQ = harmonicSlack
-	ProfileSlackR = rSlack
-)
 
 // wrappedSincos computes (sin d, cos d) for a residual already wrapped to
 // |d| ≤ π (+rounding), taking the precomputed d² so the weighting pass
@@ -113,8 +104,9 @@ const (
 // four fewer multiply-adds per call at ≤ coarseSincosMaxErr. Only the
 // argmax route uses it — the coarse synthesized values feed a shortlist
 // whose window is widened by rCoarseRel·wNorm, and the exact rescore that
-// follows erases the kernel error from the returned peak entirely. Profile
-// routes, whose values are the product, keep the accurate kernel.
+// follows erases the kernel error from the returned peak entirely.
+// Refinement, whose shortlist window is the tighter refineSlack, keeps the
+// accurate kernel.
 func coarseWrappedSincos(d, d2 float64) (sin, cos float64) {
 	sin = d * (sinE1 + d2*(sinE3+d2*(sinE5+d2*(sinE7+d2*sinE9))))
 	cos = cosE0 + d2*(cosE2+d2*(cosE4+d2*(cosE6+d2*(cosE8+d2*cosE10))))
@@ -252,8 +244,8 @@ func (h *harmonicCoeffs) synthesizeComplex(outRe, outIm, sinPhi, cosPhi []float6
 // supplies the working buffers — residuals/apertures are repurposed as the
 // per-term phase-coefficient arrays, so the rare guard fallback runs on a
 // second pooled Scratch. cut2 is the argmax routes' prune cut (rPruneCut):
-// cells whose |Ŝ|²/n² falls under it are written −Inf unweighted; profile
-// and refinement callers pass 0, which prunes nothing.
+// cells whose |Ŝ|²/n² falls under it are written −Inf unweighted;
+// refinement passes 0, which prunes nothing.
 func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64, coarse bool, cut2 float64) {
 	n := len(out)
 	if terms.n() == 0 || n == 0 {
@@ -640,73 +632,12 @@ func shortlistRow(list []maxEntry, vals []float64, base int, maxV, window float6
 // cells whose exact trig sits in sinPhi/cosPhi, from hc folded over the
 // full term set at that cg: Q magnitudes, or the two-pass R kernel with the
 // accurate weighting kernels. Values land within harmonicSlack (Q) or
-// rSlack (R) of EvalAt — the contract the Profile*Synth routes document —
-// and within the tighter refineSlack, which the refinement shortlists rely
-// on.
+// rSlack (R) of EvalAt (TestProfile2DOptSlack, TestProfile3DOptSlack), and
+// within the tighter refineSlack, which the refinement shortlists rely on.
 func (e *Evaluator) synthRow(hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64) {
 	if e.kind == KindR {
 		e.synthRowR(e.terms, hc, sc, cg, sinPhi, cosPhi, out, false, 0)
 		return
 	}
 	hc.synthesize(out, sinPhi, cosPhi)
-}
-
-// Profile2DSynth is Profile2D through the all-cells transform; see
-// Profile2DIntoSynth.
-func (e *Evaluator) Profile2DSynth(angles []float64) Profile {
-	var prof Profile
-	e.Profile2DIntoSynth(&prof, angles)
-	return prof
-}
-
-// Profile2DIntoSynth is Profile2DInto through the all-cells transform: the
-// profile is produced by one O(snaps·H) coefficient fold plus an O(cells·H)
-// synthesis (Q), or the fold plus the two-pass weighting kernel (R), instead
-// of the dense O(cells·snaps) scan.
-//
-// Contract: synthesized values approximate the *exact* dense profile within
-// harmonicSlack (Q) / rSlack (R) per cell — callers needing
-// Profile2DInto's bit-for-bit guarantee keep calling Profile2DInto. Angles
-// may be arbitrary; uniformity is not required.
-func (e *Evaluator) Profile2DIntoSynth(prof *Profile, angles []float64) {
-	searchCounters.profileSynth.Add(1)
-	prof.Angles = append(prof.Angles[:0], angles...)
-	if cap(prof.Power) >= len(angles) {
-		prof.Power = prof.Power[:len(angles)]
-	} else {
-		prof.Power = make([]float64, len(angles))
-	}
-	n := len(prof.Angles)
-	hs := harmPool.Get().(*harmonicScratch)
-	foldTermsHarmonic(hs, e.terms, 1)
-	sc := e.getScratch()
-	fillAngleTrig(sc, prof.Angles)
-	e.synthRow(&hs.coeffs, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], prof.Power)
-	e.putScratch(sc)
-	harmPool.Put(hs)
-}
-
-// Profile3DSynth is Profile3D through the same synthesis: each polar row
-// refolds the coefficients at its cos γ (O(snaps·H) per row) and
-// synthesizes the row's cells, so the whole grid costs
-// O(rows·(snaps+cells)·H) instead of the dense O(rows·cells·snaps). The
-// same value contract as Profile2DIntoSynth applies per cell.
-func (e *Evaluator) Profile3DSynth(azimuths, polars []float64) Profile3D {
-	searchCounters.profileSynth.Add(1)
-	prof := newProfile3D(azimuths, polars)
-	n := len(prof.Azimuths)
-	hs := harmPool.Get().(*harmonicScratch)
-	sc := e.getScratch()
-	fillAngleTrig(sc, prof.Azimuths)
-	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
-	rows := prof.Power
-	pols := prof.Polars[:len(rows)]
-	for i := range rows {
-		cg := math.Cos(pols[i])
-		foldTermsHarmonic(hs, e.terms, cg)
-		e.synthRow(&hs.coeffs, sc, cg, sinPhi, cosPhi, rows[i])
-	}
-	e.putScratch(sc)
-	harmPool.Put(hs)
-	return prof
 }

@@ -82,10 +82,28 @@ func TestAccumulatorHarmonicRBoundary(t *testing.T) {
 	}
 }
 
+// synthProfile synthesizes ev's profile row at polar gamma over angles
+// through synthRow, the row kernel refinement scores its candidates with,
+// from coefficients folded over the full term set at cos γ.
+func synthProfile(ev *Evaluator, angles []float64, gamma float64) []float64 {
+	hs := &harmonicScratch{}
+	cg := math.Cos(gamma)
+	foldTermsHarmonic(hs, ev.terms, cg)
+	sc := ev.NewScratch()
+	sc.ensureRow(len(angles))
+	sinPhi, cosPhi := sc.sinPhi[:len(angles)], sc.cosPhi[:len(angles)]
+	for k, phi := range angles {
+		sinPhi[k], cosPhi[k] = math.Sincos(phi)
+	}
+	out := make([]float64, len(angles))
+	ev.synthRow(&hs.coeffs, sc, cg, sinPhi, cosPhi, out)
+	return out
+}
+
 // TestProfile2DOptSlack pins the all-cells value contract on random
-// sessions, over the uniform 720-cell grid and a jittered one: synthesized
-// Q profiles sit within harmonicSlack of the exact dense profile,
-// synthesized R profiles within rSlack.
+// sessions, over the uniform 720-cell grid and a jittered one: synthRow's
+// Q values sit within harmonicSlack of the exact dense profile, its R
+// values within rSlack.
 func TestProfile2DOptSlack(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	grids := [][]float64{UniformAngles(720), jitteredAngles(720, 0.35, rng)}
@@ -104,11 +122,11 @@ func TestProfile2DOptSlack(t *testing.T) {
 			}
 			for g, angles := range grids {
 				want := ev.Profile2D(angles)
-				got := ev.Profile2DSynth(angles)
-				for k := range got.Power {
-					if d := math.Abs(got.Power[k] - want.Power[k]); d > slack {
+				got := synthProfile(ev, angles, 0)
+				for k := range got {
+					if d := math.Abs(got[k] - want.Power[k]); d > slack {
 						t.Fatalf("trial %d %v grid %d cell %d: synthesized %v vs exact %v (Δ=%v > %v)",
-							trial, kind, g, k, got.Power[k], want.Power[k], d, slack)
+							trial, kind, g, k, got[k], want.Power[k], d, slack)
 					}
 				}
 			}
@@ -117,8 +135,8 @@ func TestProfile2DOptSlack(t *testing.T) {
 }
 
 // TestProfile3DOptSlack is the polar-sweep version of the value contract:
-// every (γ, φ) cell of the synthesized 3D profile sits within the kind's
-// slack of the exact dense grid.
+// every (γ, φ) cell synthRow produces, row by row, sits within the kind's
+// slack of the exact dense 3D grid.
 func TestProfile3DOptSlack(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	p := testParams()
@@ -138,12 +156,12 @@ func TestProfile3DOptSlack(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := ev.Profile3D(az, pol)
-		got := ev.Profile3DSynth(az, pol)
-		for i := range want.Power {
+		for i, gamma := range pol {
+			got := synthProfile(ev, az, gamma)
 			for j := range want.Power[i] {
-				if d := math.Abs(got.Power[i][j] - want.Power[i][j]); d > slack {
+				if d := math.Abs(got[j] - want.Power[i][j]); d > slack {
 					t.Fatalf("%v cell (%d,%d): synthesized %v vs exact %v (Δ=%v > %v)",
-						kind, i, j, got.Power[i][j], want.Power[i][j], d, slack)
+						kind, i, j, got[j], want.Power[i][j], d, slack)
 				}
 			}
 		}
@@ -323,14 +341,7 @@ func TestSearchStatsCounters(t *testing.T) {
 	FindPeak3DEval(evQ, coarse3D)
 	FindPeak3DEval(evR, coarse3D)
 	FindPeak3DDense(evR, coarse3D)
-	FindPeak2DAnglesEval(evQ, UniformAngles(64), SearchOptions{})
-	FindPeak2DAnglesEval(evR, UniformAngles(64), SearchOptions{})
-	evR.Profile2DSynth(UniformAngles(64))
-	evQ.Profile2DSynth(UniformAngles(720))
-	want := SearchStats{
-		HarmonicQ2D: 2, HarmonicR2D: 2, HarmonicQ3D: 1, HarmonicR3D: 1, Dense2D: 1, Dense3D: 1,
-		ProfileSynth: 2,
-	}
+	want := SearchStats{HarmonicQ2D: 1, HarmonicR2D: 1, HarmonicQ3D: 1, HarmonicR3D: 1, Dense2D: 1, Dense3D: 1}
 	if st := SearchStatsSnapshot(); st != want {
 		t.Fatalf("route counts %+v, want %+v", st, want)
 	}

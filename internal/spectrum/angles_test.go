@@ -54,13 +54,18 @@ func synthJittered(p Params, reader geom.Vec3, n int, sigma, tJitter float64, rn
 	return snaps
 }
 
-// TestNUFFTArgmaxBitIdentity is the routing contract: FindPeak2DAnglesEval
-// (the synthesized route) must return FindPeak2DAnglesDense's (azimuth,
-// power) bit for bit, for both kinds, across jittered grids from 48 to 720
-// cells and randomized sessions.
+// gridCells are the uniform coarse grids the bit-identity tests cycle
+// through: small, odd, a power of two and its neighbours, and the default
+// 720 cells. Odd counts take synthesizeComplex's unpaired tail.
+var gridCells = []int{48, 127, 128, 129, 720}
+
+// TestNUFFTArgmaxBitIdentity is the routing contract at caller-chosen grid
+// steps: FindPeak2DEval (the synthesized route) must return
+// FindPeak2DDense's (azimuth, power) bit for bit, for both kinds, on
+// uniform grids of 48 to 720 cells (CoarseStep = 2π/n) and randomized
+// sessions.
 func TestNUFFTArgmaxBitIdentity(t *testing.T) {
 	p := testParams()
-	grids := []int{48, 127, 128, 129, 720}
 	for _, kind := range []Kind{KindQ, KindR} {
 		name := "Q"
 		if kind == KindR {
@@ -74,10 +79,10 @@ func TestNUFFTArgmaxBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				n := grids[trial%len(grids)]
-				angles := jitteredAngles(n, 0.35, rng)
-				gotAz, gotPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-				wantAz, wantPow := FindPeak2DAnglesDense(ev, angles, SearchOptions{})
+				n := gridCells[trial%len(gridCells)]
+				opts := SearchOptions{CoarseStep: 2 * math.Pi / float64(n)}
+				gotAz, gotPow := FindPeak2DEval(ev, opts)
+				wantAz, wantPow := FindPeak2DDense(ev, opts)
 				if gotAz != wantAz || gotPow != wantPow {
 					t.Fatalf("trial %d, %d cells: synthesized (%v, %v) != dense (%v, %v)",
 						trial, n, gotAz, gotPow, wantAz, wantPow)
@@ -88,8 +93,8 @@ func TestNUFFTArgmaxBitIdentity(t *testing.T) {
 }
 
 // TestNUFFTJitteredOmegaSession repeats the bit-identity check on sessions
-// whose sampling instants are themselves jittered (a wobbling actuator):
-// non-uniform apertures AND a non-uniform candidate grid together.
+// whose sampling instants are themselves jittered (a wobbling actuator), so
+// the harmonic fold runs over non-uniform apertures.
 func TestNUFFTJitteredOmegaSession(t *testing.T) {
 	p := testParams()
 	for _, kind := range []Kind{KindQ, KindR} {
@@ -105,22 +110,23 @@ func TestNUFFTJitteredOmegaSession(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				angles := jitteredAngles(720, 0.35, rng)
-				gotAz, gotPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-				wantAz, wantPow := FindPeak2DAnglesDense(ev, angles, SearchOptions{})
+				n := gridCells[trial%len(gridCells)]
+				opts := SearchOptions{CoarseStep: 2 * math.Pi / float64(n)}
+				gotAz, gotPow := FindPeak2DEval(ev, opts)
+				wantAz, wantPow := FindPeak2DDense(ev, opts)
 				if gotAz != wantAz || gotPow != wantPow {
-					t.Fatalf("trial %d: synthesized (%v, %v) != dense (%v, %v)",
-						trial, gotAz, gotPow, wantAz, wantPow)
+					t.Fatalf("trial %d, %d cells: synthesized (%v, %v) != dense (%v, %v)",
+						trial, n, gotAz, gotPow, wantAz, wantPow)
 				}
 			}
 		})
 	}
 }
 
-// TestAnglesRoutingCounters drives both kinds through the angle-grid entry
-// points and checks exactly one routing counter moves — the expvar surface
-// operators use to confirm which path served traffic. Angle grids share the
-// uniform grid's synthesized route and its counters.
+// TestAnglesRoutingCounters checks exactly one routing counter moves per
+// search at a caller-chosen odd grid step — the expvar surface operators
+// use to confirm which path served traffic — and that a dense profile over
+// a jittered angle grid, which is no argmax route, moves none.
 func TestAnglesRoutingCounters(t *testing.T) {
 	p := testParams()
 	rng := rand.New(rand.NewSource(530))
@@ -141,7 +147,7 @@ func TestAnglesRoutingCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			ResetSearchStats()
-			FindPeak2DAnglesEval(ev, angles, SearchOptions{})
+			FindPeak2DEval(ev, SearchOptions{CoarseStep: 2 * math.Pi / 127})
 			if st := SearchStatsSnapshot(); st != tc.want {
 				t.Fatalf("route counts %+v, want %+v", st, tc.want)
 			}
@@ -156,56 +162,12 @@ func TestAnglesRoutingCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			ResetSearchStats()
-			ev.Profile2DIntoSynth(&prof, angles)
-			if st, want := SearchStatsSnapshot(), (SearchStats{ProfileSynth: 1}); st != want {
-				t.Fatalf("%v: route counts %+v, want %+v", kind, st, want)
+			ev.Profile2DInto(&prof, angles)
+			if st := SearchStatsSnapshot(); st != (SearchStats{}) {
+				t.Fatalf("%v: route counts %+v, want none", kind, st)
 			}
 		}
 	})
-}
-
-// TestAccumulatorAnglesBitIdentity pins the streamed angle-grid finalize
-// for every accumulator mode and session length: it must return the batch
-// FindPeak2DAnglesEval's bits over the same grid.
-func TestAccumulatorAnglesBitIdentity(t *testing.T) {
-	p := testParams()
-	for i, tc := range accumKinds {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(550 + int64(i)))
-			angles := jitteredAngles(720, 0.35, rng)
-			pp := p
-			pp.LiteralReference = tc.literal
-			for _, n := range accumLengths {
-				snaps := synth(p, randReader(rng, true), n, 0.8, 0.05, rng)
-				a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedAccumulator(t, a, snaps)
-				gotAz, gotPow, err := a.FindPeak2D()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev, err := NewEvaluator(snaps, pp, tc.kind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-				if gotAz != wantAz || gotPow != wantPow {
-					t.Fatalf("%d snapshots: streamed (%v, %v) != batch (%v, %v)",
-						n, gotAz, gotPow, wantAz, wantPow)
-				}
-			}
-		})
-	}
-}
-
-// TestAccumulatorAnglesValidation covers the construction edges of the
-// angle-grid accumulator.
-func TestAccumulatorAnglesValidation(t *testing.T) {
-	if _, err := NewAccumulator2DAngles(testParams(), KindQ, nil, SearchOptions{}); err == nil {
-		t.Fatal("empty grid must be rejected")
-	}
 }
 
 // TestHalfPowerBeamwidthChecked pins the non-uniform-grid guard: the HPBW

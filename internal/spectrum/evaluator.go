@@ -203,29 +203,20 @@ func (e *Evaluator) reserveScratch(n int) {
 
 // EvalAt computes the configured power formula at candidate direction
 // (phi, gamma) over the full snapshot set; gamma = 0 reduces Eqn. 11/12 to
-// Eqn. 7/8. sc must come from NewScratch on this Evaluator.
+// Eqn. 7/8. sc must come from NewScratch on this Evaluator. Per candidate
+// it spends two trig calls on (sin φ, cos φ) and one on cos γ; the
+// per-snapshot factor cos(a_i−φ) then falls out of the tables as
+// cos a_i·cos φ + sin a_i·sin φ. The row kernels in kernel.go amortize the
+// candidate trig across uniform grids; this single-candidate form remains
+// for refinement loops and callers off the grid.
 func (e *Evaluator) EvalAt(sc *Scratch, phi, gamma float64) float64 {
-	return e.evalTerms(e.terms, sc, phi, gamma)
-}
-
-// EvalCoarse is EvalAt restricted to the strided coarse snapshot subset.
-func (e *Evaluator) EvalCoarse(sc *Scratch, phi, gamma float64) float64 {
-	return e.evalTerms(e.coarse, sc, phi, gamma)
-}
-
-// evalTerms evaluates one candidate. Per candidate it spends two trig calls
-// on (sin φ, cos φ) and one on cos γ; the per-snapshot factor cos(a_i−φ)
-// then falls out of the tables as cos a_i·cos φ + sin a_i·sin φ. The row
-// kernels in kernel.go amortize the candidate trig across uniform grids;
-// this single-candidate form remains for refinement loops and callers off
-// the grid.
-func (e *Evaluator) evalTerms(terms termSlices, sc *Scratch, phi, gamma float64) float64 {
 	sinPhi, cosPhi := math.Sincos(phi)
-	return e.evalCell(terms, sc, sinPhi, cosPhi, math.Cos(gamma))
+	return e.evalCell(e.terms, sc, sinPhi, cosPhi, math.Cos(gamma))
 }
 
-// evalCell is evalTerms from the candidate's trig and cos γ: given the bits
-// math.Sincos(φ) and math.Cos(γ) produce, it returns evalTerms' bits.
+// evalCell is EvalAt on a term subset from the candidate's trig and cos γ:
+// given the bits math.Sincos(φ) and math.Cos(γ) produce, it returns
+// EvalAt's bits on the same terms.
 func (e *Evaluator) evalCell(terms termSlices, sc *Scratch, sinPhi, cosPhi, cg float64) float64 {
 	if e.kind != KindR {
 		return evalQExact(terms, sinPhi, cosPhi, cg)

@@ -152,7 +152,7 @@ func TestEvalAtZeroAllocs(t *testing.T) {
 		phi := 0.0
 		allocs := testing.AllocsPerRun(200, func() {
 			evalSink = ev.EvalAt(sc, phi, 0.2)
-			evalSink += ev.EvalCoarse(sc, phi, 0)
+			evalSink += ev.EvalAt(sc, phi, 0)
 			phi += 0.01
 		})
 		if allocs != 0 {

@@ -6,9 +6,8 @@ import (
 )
 
 // This file holds the FFT-style azimuth evaluator: the Q profile over an
-// azimuth grid — uniform or an arbitrary angle list — computed through a
-// harmonic (Fourier) expansion instead of a dense per-cell × per-snapshot
-// scan.
+// azimuth grid computed through a harmonic (Fourier) expansion instead of
+// a dense per-cell × per-snapshot scan.
 //
 // The unnormalized Q phasor sum at fixed polar angle γ is
 //

@@ -16,9 +16,7 @@ import "math"
 
 // fillAngleTrig fills sc.sinPhi/cosPhi with the trig of arbitrary
 // candidate angles. It must use math.Sincos: grid scans stay bit-identical
-// to per-candidate evaluation, and synthesis seeds its Chebyshev
-// recurrences from these entries, where a seed error δ amplifies like m²·δ
-// through harmonic m.
+// to per-candidate evaluation.
 func fillAngleTrig(sc *Scratch, angles []float64) {
 	n := len(angles)
 	if n >= planMinN {

@@ -22,41 +22,36 @@ var ErrNonUniformAngles = errors.New("spectrum: profile angles are not uniformly
 // per-Evaluator) and atomically maintained, mirroring the plan-cache
 // telemetry in plancache.go.
 type searchCountersT struct {
-	harmonicQ2D  atomic.Uint64
-	harmonicR2D  atomic.Uint64
-	harmonicQ3D  atomic.Uint64
-	harmonicR3D  atomic.Uint64
-	dense2D      atomic.Uint64
-	dense3D      atomic.Uint64
-	profileSynth atomic.Uint64
+	harmonicQ2D atomic.Uint64
+	harmonicR2D atomic.Uint64
+	harmonicQ3D atomic.Uint64
+	harmonicR3D atomic.Uint64
+	dense2D     atomic.Uint64
+	dense3D     atomic.Uint64
 }
 
 var searchCounters searchCountersT
 
 // SearchStats is a point-in-time snapshot of the coarse-search routing
-// counters. The argmax counters sum to the number of coarse scans; the
-// Profile counters count synthesized full-profile calls
-// (Profile2DIntoSynth/Profile3DSynth).
+// counters. They sum to the number of coarse scans.
 type SearchStats struct {
-	HarmonicQ2D  uint64 // 2D KindQ argmax (uniform or angle grid) via harmonic synthesis
-	HarmonicR2D  uint64 // 2D KindR argmax (uniform or angle grid) via the two-pass R synthesis
-	HarmonicQ3D  uint64 // 3D KindQ argmax via per-row harmonic synthesis
-	HarmonicR3D  uint64 // 3D KindR argmax via per-row two-pass R synthesis
-	Dense2D      uint64 // 2D argmax via a dense reference function (FindPeak2DDense, FindPeak2DAnglesDense)
-	Dense3D      uint64 // 3D argmax via the dense reference function (FindPeak3DDense)
-	ProfileSynth uint64 // full profiles synthesized all-cells
+	HarmonicQ2D uint64 // 2D KindQ argmax via harmonic synthesis
+	HarmonicR2D uint64 // 2D KindR argmax via the two-pass R synthesis
+	HarmonicQ3D uint64 // 3D KindQ argmax via per-row harmonic synthesis
+	HarmonicR3D uint64 // 3D KindR argmax via per-row two-pass R synthesis
+	Dense2D     uint64 // 2D argmax via the dense reference function (FindPeak2DDense)
+	Dense3D     uint64 // 3D argmax via the dense reference function (FindPeak3DDense)
 }
 
 // SearchStatsSnapshot returns the current routing counters.
 func SearchStatsSnapshot() SearchStats {
 	return SearchStats{
-		HarmonicQ2D:  searchCounters.harmonicQ2D.Load(),
-		HarmonicR2D:  searchCounters.harmonicR2D.Load(),
-		HarmonicQ3D:  searchCounters.harmonicQ3D.Load(),
-		HarmonicR3D:  searchCounters.harmonicR3D.Load(),
-		Dense2D:      searchCounters.dense2D.Load(),
-		Dense3D:      searchCounters.dense3D.Load(),
-		ProfileSynth: searchCounters.profileSynth.Load(),
+		HarmonicQ2D: searchCounters.harmonicQ2D.Load(),
+		HarmonicR2D: searchCounters.harmonicR2D.Load(),
+		HarmonicQ3D: searchCounters.harmonicQ3D.Load(),
+		HarmonicR3D: searchCounters.harmonicR3D.Load(),
+		Dense2D:     searchCounters.dense2D.Load(),
+		Dense3D:     searchCounters.dense3D.Load(),
 	}
 }
 
@@ -68,7 +63,6 @@ func ResetSearchStats() {
 	searchCounters.harmonicR3D.Store(0)
 	searchCounters.dense2D.Store(0)
 	searchCounters.dense3D.Store(0)
-	searchCounters.profileSynth.Store(0)
 }
 
 // Normalized returns a copy of the profile scaled so its maximum is 1.
@@ -121,8 +115,8 @@ func (p Profile) HalfPowerBeamwidth() float64 {
 
 // HalfPowerBeamwidthChecked is HalfPowerBeamwidth with the failure modes
 // split out: it returns (NaN, ErrNonUniformAngles) when the profile was
-// sampled on a non-uniform grid — the angle-grid entry points produce such
-// profiles routinely — and (NaN, nil) for the too-short-to-measure case.
+// sampled on a non-uniform grid — a dense profile over an arbitrary angle
+// list is one — and (NaN, nil) for the too-short-to-measure case.
 func (p Profile) HalfPowerBeamwidthChecked() (float64, error) {
 	n := len(p.Power)
 	if n < 2 {
@@ -270,28 +264,6 @@ func (p Profile3D) Sharpness() float64 {
 		return math.NaN()
 	}
 	return peak / (sum / float64(count))
-}
-
-// ValueAt returns the profile value at the grid point nearest to
-// (azimuth, polar).
-func (p Profile3D) ValueAt(azimuth, polar float64) float64 {
-	if len(p.Power) == 0 || len(p.Azimuths) == 0 {
-		return math.NaN()
-	}
-	bi, bj := 0, 0
-	bestPol := math.Inf(1)
-	for i, g := range p.Polars {
-		if d := math.Abs(g - polar); d < bestPol {
-			bestPol, bi = d, i
-		}
-	}
-	bestAz := math.Inf(1)
-	for j, a := range p.Azimuths {
-		if d := geom.AngleDistance(a, azimuth); d < bestAz {
-			bestAz, bj = d, j
-		}
-	}
-	return p.Power[bi][bj]
 }
 
 // LocalMaxima returns all strict interior local maxima of the 3D profile at

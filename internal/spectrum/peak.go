@@ -92,7 +92,7 @@ func FindPeak2D(snaps []phase.Snapshot, p Params, kind Kind, opts SearchOptions)
 // nothing — scratch and argmax state come from the Evaluator's pools.
 func FindPeak2DEval(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	step := opts.coarseStep()
-	idx := ev.coarseArgmax2D(ev.coarse, nil, gridSteps(2*math.Pi, step), step)
+	idx := ev.coarseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step)
 	return ev.refine2D(float64(idx)*step, step, opts)
 }
 
@@ -106,99 +106,23 @@ func FindPeak2DDense(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	return ev.refine2DDense(float64(idx)*step, step, opts)
 }
 
-// FindPeak2DAngles locates the azimuth maximizing the selected profile over
-// an arbitrary (typically non-uniform) candidate grid, then refines locally.
-// It is FindPeak2D for callers whose candidate set is not φ_i = i·step —
-// jittered survey grids, importance-sampled cells, externally supplied
-// candidate lists. The coarse argmax over the given angles is bit-identical
-// to a dense scan of the same grid (the synthesized route keeps the
-// shortlist-then-rescore contract); refinement then searches the winner's
-// neighborhood at the grid's mean spacing.
-func FindPeak2DAngles(snaps []phase.Snapshot, p Params, kind Kind, angles []float64, opts SearchOptions) (float64, float64, error) {
-	ev, err := NewEvaluator(snaps, p, kind)
-	if err != nil {
-		return 0, 0, err
-	}
-	az, pow := FindPeak2DAnglesEval(ev, angles, opts)
-	return az, pow, nil
-}
-
-// FindPeak2DAnglesEval is FindPeak2DAngles on a prebuilt Evaluator. An empty
-// grid returns (0, 0), matching the all-zero-profile default of the uniform
-// search.
-func FindPeak2DAnglesEval(ev *Evaluator, angles []float64, opts SearchOptions) (float64, float64) {
-	if len(angles) == 0 {
-		return 0, 0
-	}
-	idx := ev.coarseArgmax2D(ev.coarse, angles, 0, 0)
-	step := 2 * math.Pi / float64(len(angles))
-	return ev.refine2D(angles[idx], step, opts)
-}
-
-// FindPeak2DAnglesDense is FindPeak2DAnglesEval with the coarse pass on the
-// dense per-cell scan of the angle grid — the synthesized route's
-// reference, like FindPeak2DDense.
-func FindPeak2DAnglesDense(ev *Evaluator, angles []float64, opts SearchOptions) (float64, float64) {
-	if len(angles) == 0 {
-		return 0, 0
-	}
-	searchCounters.dense2D.Add(1)
-	idx := ev.denseArgmax2DAngles(ev.coarse, angles)
-	step := 2 * math.Pi / float64(len(angles))
-	return ev.refine2DDense(angles[idx], step, opts)
-}
-
-// denseArgmax2DAngles is the full parallel scan over an arbitrary angle
-// grid: the row kernels fill a pooled value buffer (the angles geometry has
-// no bests reduction), and a serial ascending strict-> pass picks the
-// winner — the same lowest-index tie rule as every other argmax.
-func (e *Evaluator) denseArgmax2DAngles(terms termSlices, angles []float64) int {
-	n := len(angles)
-	hs := harmPool.Get().(*harmonicScratch)
-	vals := hs.values(n)
-	j := e.getJob()
-	j.terms = terms
-	j.n = n
-	j.chunk = chunkTarget
-	j.angles = angles
-	j.out = vals
-	e.scanChunks(j)
-	e.putJob(j)
-	best, bestVal := 0, math.Inf(-1)
-	for k, v := range vals {
-		if v > bestVal {
-			best, bestVal = k, v
-		}
-	}
-	harmPool.Put(hs)
-	return best
-}
-
-// coarseArgmax2D returns the dense scan's argmax index over a 2D grid at
-// γ = 0, scored on the given term subset: the uniform grid φ_k = k·step,
-// k < n, when angles is nil, else the cells of angles (n and step unused).
-// Both kinds and both grid shapes take one route. Fold the harmonic
-// coefficients once at cos γ = 1, fill the grid's trig table (plan-cached
-// when uniform), and synthesize every cell: Q magnitudes (harmonic.go), or
-// for R the pass-one sums Ŝ, the prune cut their largest-|Ŝ| cell sets
-// (rPruneCut, widened by harmonicSlack) and the weighting pass with the
-// shortlist-grade kernels on the survivors (allcells.go). Then shortlist
-// every cell within the kind's window of the synthesized maximum —
-// 2·harmonicSlack for Q, 2·(rSlack + rCoarseRel·wNorm) for R — and rescore
-// those cells exactly from the table's own (sin, cos) entries at cos γ = 1.
-// The entries are the math.Sincos bits the dense scan uses, so the rescore
-// evaluates what the dense scan evaluates, and the ascending strict-> pass
-// keeps its lowest-index tie rule: the returned index is the dense scan's
-// bit for bit. The synthesis seeds each cell's Chebyshev recurrence from
-// that cell's own table entry, so no grid needs a constant step.
-func (e *Evaluator) coarseArgmax2D(terms termSlices, angles []float64, n int, step float64) int {
+// coarseArgmax2D returns the dense scan's argmax index over the uniform
+// grid φ_k = k·step, k < n, at γ = 0, scored on the given term subset. Both
+// kinds take one route. Fold the harmonic coefficients once at cos γ = 1,
+// fill the grid's plan-cached trig table, and synthesize every cell: Q
+// magnitudes (harmonic.go), or for R the pass-one sums Ŝ, the prune cut
+// their largest-|Ŝ| cell sets (rPruneCut, widened by harmonicSlack) and the
+// weighting pass with the shortlist-grade kernels on the survivors
+// (allcells.go). Then shortlist every cell within the kind's window of the
+// synthesized maximum — 2·harmonicSlack for Q, 2·(rSlack + rCoarseRel·wNorm)
+// for R — and rescore those cells exactly from the table's own (sin, cos)
+// entries at cos γ = 1. The entries are the math.Sincos bits the dense scan
+// uses, so the rescore evaluates what the dense scan evaluates, and the
+// ascending strict-> pass keeps its lowest-index tie rule: the returned
+// index is the dense scan's bit for bit.
+func (e *Evaluator) coarseArgmax2D(terms termSlices, n int, step float64) int {
 	sc := e.getScratch()
-	if angles != nil {
-		n = len(angles)
-		fillAngleTrig(sc, angles)
-	} else {
-		e.fillUniformTrig(sc, 0, n, step)
-	}
+	e.fillUniformTrig(sc, 0, n, step)
 	hs := harmPool.Get().(*harmonicScratch)
 	foldTermsHarmonic(hs, terms, 1)
 	vals := hs.values(n)
@@ -284,7 +208,7 @@ func (e *Evaluator) refine2D(best, step float64, opts SearchOptions) (float64, f
 }
 
 // refine2DDense is refine2D scoring every candidate with EvalAt — the
-// oracle behind FindPeak2DDense and FindPeak2DAnglesDense.
+// oracle behind FindPeak2DDense.
 func (e *Evaluator) refine2DDense(best, step float64, opts SearchOptions) (float64, float64) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)

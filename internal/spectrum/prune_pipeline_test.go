@@ -3,7 +3,6 @@ package spectrum_test
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"github.com/tagspin/tagspin/internal/core"
@@ -73,25 +72,13 @@ func orientationCorrected(tag core.SpinningTag, snaps []phase.Snapshot, reader g
 	})
 }
 
-// jitteredGrid returns n sorted angles around the uniform n-cell grid,
-// each displaced by up to 0.3 of the spacing.
-func jitteredGrid(n int, rng *rand.Rand) []float64 {
-	step := 2 * math.Pi / float64(n)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = (float64(i) + 0.3*(2*rng.Float64()-1)) * step
-	}
-	sort.Float64s(out)
-	return out
-}
-
 // TestPrunedSearchMatchesDensePipeline pins the coarse R prune on the
 // sessions the locate pipeline actually scans: calibrated DefaultScenario
 // sessions, uncorrected and orientation-corrected against the truth and
 // against a 15 cm-offset position, in robust and literal mode. Every
-// pruned search — FindPeak2DEval, FindPeak2DAnglesEval (the same route over
-// an angle list) and FindPeak3DEval — must return its dense oracle's peak
-// bit for bit. The 3D arm also checks that the prune still fires: on
+// pruned search — FindPeak2DEval on the default grid and on an odd 719-cell
+// one, and FindPeak3DEval — must return its dense oracle's peak bit for
+// bit. The 3D arm also checks that the prune still fires: on
 // corrected sessions in the pipeline's robust mode at least 80% of the
 // synthesized coarse cells must fall under the cut (~95% measured), so a
 // change that silently stops pruning fails here. Uncorrected and
@@ -102,8 +89,8 @@ func jitteredGrid(n int, rng *rand.Rand) []float64 {
 func TestPrunedSearchMatchesDensePipeline(t *testing.T) {
 	opts := spectrum.SearchOptions{}
 	t.Run("2D", func(t *testing.T) {
+		grids := []spectrum.SearchOptions{opts, {CoarseStep: 2 * math.Pi / 719}}
 		for i, truth := range []geom.Vec3{geom.V3(-1.8, 1.4, 0), geom.V3(0.6, 2.7, 0), geom.V3(2.9, 1.1, 0)} {
-			rng := rand.New(rand.NewSource(int64(40 + i)))
 			for _, s := range pipelineSessions(t, int64(30+i), truth) {
 				for _, literal := range []bool{false, true} {
 					p := spectrum.Params{Disk: s.tag.Disk, LiteralReference: literal}
@@ -111,16 +98,12 @@ func TestPrunedSearchMatchesDensePipeline(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotAz, gotPow := spectrum.FindPeak2DEval(ev, opts)
-					if wantAz, wantPow := spectrum.FindPeak2DDense(ev, opts); gotAz != wantAz || gotPow != wantPow {
-						t.Fatalf("placement %d %s literal=%v: routed (%v, %v) != dense (%v, %v)",
-							i, s.name, literal, gotAz, gotPow, wantAz, wantPow)
-					}
-					angles := jitteredGrid(720, rng)
-					gotAz, gotPow = spectrum.FindPeak2DAnglesEval(ev, angles, opts)
-					if wantAz, wantPow := spectrum.FindPeak2DAnglesDense(ev, angles, opts); gotAz != wantAz || gotPow != wantPow {
-						t.Fatalf("placement %d %s literal=%v: angles routed (%v, %v) != dense (%v, %v)",
-							i, s.name, literal, gotAz, gotPow, wantAz, wantPow)
+					for _, g := range grids {
+						gotAz, gotPow := spectrum.FindPeak2DEval(ev, g)
+						if wantAz, wantPow := spectrum.FindPeak2DDense(ev, g); gotAz != wantAz || gotPow != wantPow {
+							t.Fatalf("placement %d %s literal=%v step %v: routed (%v, %v) != dense (%v, %v)",
+								i, s.name, literal, g.CoarseStep, gotAz, gotPow, wantAz, wantPow)
+						}
 					}
 				}
 			}

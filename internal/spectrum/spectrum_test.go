@@ -189,8 +189,13 @@ func TestProfile3DPeakAndMirror(t *testing.T) {
 		t.Errorf("3D peak |polar| %v°, want %v°", geom.Degrees(math.Abs(pkPol)), geom.Degrees(math.Abs(wantPol)))
 	}
 	// The z-mirror of the truth scores the same (±z ambiguity, §V-B).
-	up := prof.ValueAt(wantAz, wantPol)
-	down := prof.ValueAt(wantAz, -wantPol)
+	ev, err := NewEvaluator(snaps, p, KindR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := ev.NewScratch()
+	up := ev.EvalAt(sc, wantAz, wantPol)
+	down := ev.EvalAt(sc, wantAz, -wantPol)
 	if math.Abs(up-down) > 0.05*up {
 		t.Errorf("mirror asymmetry: %v vs %v", up, down)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/tagspin/tagspin/internal/geom"
 	"github.com/tagspin/tagspin/internal/mathx"
 	"github.com/tagspin/tagspin/internal/phase"
 	"github.com/tagspin/tagspin/internal/spindisk"
@@ -139,59 +138,6 @@ func complexRect(r, theta float64) complex128 {
 }
 
 func complexAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
-
-// FindPeakVertical locates the (azimuth, polar) pair maximizing the
-// vertical disk's profile, coarse-to-fine. Unlike the horizontal search the
-// result's Polar sign is meaningful.
-func FindPeakVertical(snaps []phase.Snapshot, p VerticalParams, kind Kind, opts SearchOptions) (Peak3D, error) {
-	terms, err := prepareVertical(snaps, p)
-	if err != nil {
-		return Peak3D{}, err
-	}
-	sigma := p.sigma()
-	eval := func(phi, gamma float64) float64 {
-		return evalVertical(terms, kind, sigma, p.LiteralReference, p.Disk.PlaneAzimuth, phi, gamma)
-	}
-	coarse := terms
-	if len(terms) > 64 {
-		stride := (len(terms) + 63) / 64
-		coarse = make([]verticalTerm, 0, 64)
-		for i := 0; i < len(terms); i += stride {
-			coarse = append(coarse, terms[i])
-		}
-	}
-	coarseEval := func(phi, gamma float64) float64 {
-		return evalVertical(coarse, kind, sigma, p.LiteralReference, p.Disk.PlaneAzimuth, phi, gamma)
-	}
-
-	azStep := opts.coarseStep() * 4
-	polStep := opts.coarsePolarStep()
-	best := Peak3D{Power: math.Inf(-1)}
-	for gamma := -math.Pi / 2; gamma <= math.Pi/2; gamma += polStep {
-		for phi := 0.0; phi < 2*math.Pi; phi += azStep {
-			if v := coarseEval(phi, gamma); v > best.Power {
-				best = Peak3D{Azimuth: phi, Polar: gamma, Power: v}
-			}
-		}
-	}
-	best.Power = eval(best.Azimuth, best.Polar)
-	for r := 0; r < opts.refinements(); r++ {
-		fineAz, finePol := azStep/5, polStep/5
-		azLo, polLo := best.Azimuth-azStep, best.Polar-polStep
-		for i := 0; i <= 10; i++ {
-			gamma := clampPolar(polLo + float64(i)*finePol)
-			for k := 0; k <= 10; k++ {
-				phi := azLo + float64(k)*fineAz
-				if v := eval(phi, gamma); v > best.Power {
-					best = Peak3D{Azimuth: phi, Polar: gamma, Power: v}
-				}
-			}
-		}
-		azStep, polStep = fineAz, finePol
-	}
-	best.Azimuth = geom.NormalizeAngle(best.Azimuth)
-	return best, nil
-}
 
 // ResolveMirror decides the sign of a horizontal-disk polar estimate using
 // a vertical disk's signed peak: it returns +|polar| when the vertical

@@ -42,47 +42,25 @@ func synthVertical(p VerticalParams, reader geom.Vec3, n int, sigma float64, rng
 	return snaps
 }
 
-func TestFindPeakVerticalSignedPolar(t *testing.T) {
-	p := verticalParams()
-	for _, zSign := range []float64{+1, -1} {
-		reader := geom.V3(-2.0, 0.5, 0.3+zSign*0.9)
-		rel := reader.Sub(p.Disk.Center)
-		snaps := synthVertical(p, reader, 90, 0, nil)
-		pk, err := FindPeakVertical(snaps, p, KindR, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if geom.AngleDistance(pk.Azimuth, rel.Azimuth()) > geom.Radians(3) {
-			t.Errorf("zSign %v: azimuth %.1f°, want %.1f°",
-				zSign, geom.Degrees(pk.Azimuth), geom.Degrees(rel.Azimuth()))
-		}
-		// The signed polar must come out with the right sign — that is the
-		// whole point of the vertical disk.
-		if pk.Polar*rel.Polar() <= 0 {
-			t.Errorf("zSign %v: polar %.1f° has wrong sign (want like %.1f°)",
-				zSign, geom.Degrees(pk.Polar), geom.Degrees(rel.Polar()))
-		}
-		if math.Abs(pk.Polar-rel.Polar()) > geom.Radians(5) {
-			t.Errorf("zSign %v: polar %.1f°, want %.1f°",
-				zSign, geom.Degrees(pk.Polar), geom.Degrees(rel.Polar()))
-		}
-	}
-}
-
+// TestResolveMirror checks the vertical disk's profile tells +γ from −γ:
+// for readers above and below the disk, noise-free and noisy, ResolveMirror
+// must return the truth's polar sign from its magnitude.
 func TestResolveMirror(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := verticalParams()
-	for _, zSign := range []float64{+1, -1} {
-		reader := geom.V3(-1.8, 0.8, 0.3+zSign*1.0)
-		rel := reader.Sub(p.Disk.Center)
-		snaps := synthVertical(p, reader, 90, 0.1, rng)
-		got, err := ResolveMirror(snaps, p, KindR, rel.Azimuth(), math.Abs(rel.Polar()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got*rel.Polar() <= 0 {
-			t.Errorf("zSign %v: resolved polar %.1f°, truth %.1f°",
-				zSign, geom.Degrees(got), geom.Degrees(rel.Polar()))
+	for _, sigma := range []float64{0, 0.1} {
+		for _, zSign := range []float64{+1, -1} {
+			reader := geom.V3(-1.8, 0.8, 0.3+zSign*1.0)
+			rel := reader.Sub(p.Disk.Center)
+			snaps := synthVertical(p, reader, 90, sigma, rng)
+			got, err := ResolveMirror(snaps, p, KindR, rel.Azimuth(), math.Abs(rel.Polar()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got*rel.Polar() <= 0 {
+				t.Errorf("σ %v zSign %v: resolved polar %.1f°, truth %.1f°",
+					sigma, zSign, geom.Degrees(got), geom.Degrees(rel.Polar()))
+			}
 		}
 	}
 }
@@ -92,40 +70,45 @@ func TestVerticalValidation(t *testing.T) {
 	good := synthVertical(p, geom.V3(-2, 0, 1), 20, 0, nil)
 	bad := p
 	bad.Disk.Radius = 0
-	if _, err := FindPeakVertical(good, bad, KindR, SearchOptions{}); err == nil {
+	if _, err := ResolveMirror(good, bad, KindR, 0, 0.3); err == nil {
 		t.Error("zero radius accepted")
 	}
 	bad = p
 	bad.Disk.Omega = 0
-	if _, err := FindPeakVertical(good, bad, KindR, SearchOptions{}); err == nil {
+	if _, err := ResolveMirror(good, bad, KindR, 0, 0.3); err == nil {
 		t.Error("zero omega accepted")
 	}
-	if _, err := FindPeakVertical(good[:1], p, KindR, SearchOptions{}); err == nil {
+	bad = p
+	bad.Sigma = -1
+	if _, err := ResolveMirror(good, bad, KindR, 0, 0.3); err == nil {
+		t.Error("negative sigma accepted")
+	}
+	if _, err := ResolveMirror(good[:1], p, KindR, 0, 0.3); err == nil {
 		t.Error("single snapshot accepted")
 	}
 	noFreq := append([]phase.Snapshot(nil), good...)
 	noFreq[2].FrequencyHz = 0
-	if _, err := FindPeakVertical(noFreq, p, KindR, SearchOptions{}); err == nil {
+	if _, err := ResolveMirror(noFreq, p, KindR, 0, 0.3); err == nil {
 		t.Error("zero frequency accepted")
-	}
-	if _, err := ResolveMirror(good[:1], p, KindR, 0, 0.3); err == nil {
-		t.Error("ResolveMirror single snapshot accepted")
 	}
 }
 
+// TestVerticalQAlsoPeaks checks the plain Q profile of the vertical disk
+// is signed too: it scores the truth's side of the mirror higher, above and
+// below the disk, so ResolveMirror works for either kind.
 func TestVerticalQAlsoPeaks(t *testing.T) {
 	p := verticalParams()
-	reader := geom.V3(-2.2, 0.4, 1.2)
-	rel := reader.Sub(p.Disk.Center)
-	snaps := synthVertical(p, reader, 90, 0, nil)
-	pk, err := FindPeakVertical(snaps, p, KindQ, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if geom.AngleDistance(pk.Azimuth, rel.Azimuth()) > geom.Radians(3) ||
-		pk.Polar*rel.Polar() <= 0 {
-		t.Errorf("Q vertical peak (%.1f°, %.1f°), want (%.1f°, %.1f°)",
-			geom.Degrees(pk.Azimuth), geom.Degrees(pk.Polar),
-			geom.Degrees(rel.Azimuth()), geom.Degrees(rel.Polar()))
+	for _, zSign := range []float64{+1, -1} {
+		reader := geom.V3(-2.2, 0.4, 0.3+zSign*0.9)
+		rel := reader.Sub(p.Disk.Center)
+		snaps := synthVertical(p, reader, 90, 0, nil)
+		got, err := ResolveMirror(snaps, p, KindQ, rel.Azimuth(), math.Abs(rel.Polar()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got*rel.Polar() <= 0 {
+			t.Errorf("zSign %v: Q resolved polar %.1f°, truth %.1f°",
+				zSign, geom.Degrees(got), geom.Degrees(rel.Polar()))
+		}
 	}
 }
