@@ -124,12 +124,13 @@ func (r *Registry) Add(e Entry) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
+	k := key(e.EPC)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[key(e.EPC)]; ok {
+	if _, ok := r.entries[k]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, e.EPC)
 	}
-	r.entries[key(e.EPC)] = e
+	r.entries[k] = e
 	return nil
 }
 
@@ -139,23 +140,25 @@ func (r *Registry) Update(e Entry) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
+	k := key(e.EPC)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[key(e.EPC)]; !ok {
+	if _, ok := r.entries[k]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, e.EPC)
 	}
-	r.entries[key(e.EPC)] = e
+	r.entries[k] = e
 	return nil
 }
 
 // Remove deletes an entry.
 func (r *Registry) Remove(epc string) error {
+	k := key(epc)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[key(epc)]; !ok {
+	if _, ok := r.entries[k]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, epc)
 	}
-	delete(r.entries, key(epc))
+	delete(r.entries, k)
 	return nil
 }
 
