@@ -42,6 +42,71 @@ func synthVertical(p VerticalParams, reader geom.Vec3, n int, sigma float64, rng
 	return snaps
 }
 
+// TestFindPeakVerticalSignedPolar checks the vertical disk's R profile, the
+// one ResolveMirror scores, peaks at the truth over the whole signed
+// (azimuth, polar) grid: right azimuth, right polar sign, right polar. The
+// profile sees azimuth only through cos(φ−ψ), so the azimuth is found up to
+// its mirror 2ψ−φ in the disk plane; the polar sign has no such mirror.
+func TestFindPeakVerticalSignedPolar(t *testing.T) {
+	p := verticalParams()
+	for _, zSign := range []float64{+1, -1} {
+		reader := geom.V3(-2.0, 0.5, 0.3+zSign*0.9)
+		rel := reader.Sub(p.Disk.Center)
+		snaps := synthVertical(p, reader, 90, 0, nil)
+		terms, err := prepareVertical(snaps, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval := func(phi, gamma float64) float64 {
+			return evalVertical(terms, KindR, p.sigma(), p.LiteralReference, p.Disk.PlaneAzimuth, phi, gamma)
+		}
+		// Coarse 2° scan of the signed grid, then a 0.2° scan around the
+		// coarse peak.
+		step := geom.Radians(2)
+		bestAz, bestPol, bestPower := 0.0, 0.0, math.Inf(-1)
+		for i := -45; i <= 45; i++ {
+			for k := 0; k < 180; k++ {
+				if v := eval(float64(k)*step, float64(i)*step); v > bestPower {
+					bestAz, bestPol, bestPower = float64(k)*step, float64(i)*step, v
+				}
+			}
+		}
+		azLo, polLo, fine := bestAz-step, bestPol-step, step/10
+		for i := 0; i <= 20; i++ {
+			gamma := clampPolar(polLo + float64(i)*fine)
+			for k := 0; k <= 20; k++ {
+				phi := azLo + float64(k)*fine
+				if v := eval(phi, gamma); v > bestPower {
+					bestAz, bestPol, bestPower = phi, gamma, v
+				}
+			}
+		}
+		mirrorAz := 2*p.Disk.PlaneAzimuth - bestAz
+		if d := math.Min(geom.AngleDistance(bestAz, rel.Azimuth()), geom.AngleDistance(mirrorAz, rel.Azimuth())); d > geom.Radians(3) {
+			t.Errorf("zSign %v: azimuth %.1f° (mirror %.1f°), want %.1f°",
+				zSign, geom.Degrees(bestAz), geom.Degrees(geom.NormalizeAngle(mirrorAz)), geom.Degrees(rel.Azimuth()))
+		}
+		// The signed polar must come out with the right sign — that is the
+		// whole point of the vertical disk.
+		if bestPol*rel.Polar() <= 0 {
+			t.Errorf("zSign %v: polar %.1f° has wrong sign (want like %.1f°)",
+				zSign, geom.Degrees(bestPol), geom.Degrees(rel.Polar()))
+		}
+		if math.Abs(bestPol-rel.Polar()) > geom.Radians(5) {
+			t.Errorf("zSign %v: polar %.1f°, want %.1f°",
+				zSign, geom.Degrees(bestPol), geom.Degrees(rel.Polar()))
+		}
+		got, err := ResolveMirror(snaps, p, KindR, rel.Azimuth(), math.Abs(rel.Polar()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got*rel.Polar() <= 0 {
+			t.Errorf("zSign %v: resolved polar %.1f°, truth %.1f°",
+				zSign, geom.Degrees(got), geom.Degrees(rel.Polar()))
+		}
+	}
+}
+
 // TestResolveMirror checks the vertical disk's profile tells +γ from −γ:
 // for readers above and below the disk, noise-free and noisy, ResolveMirror
 // must return the truth's polar sign from its magnitude.
