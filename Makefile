@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build fmt-check test race vet vet-strict bench bench-json bench-compare run-fleet
+.PHONY: check build fmt-check test race vet vet-strict bench bench-json bench-compare accuracy accuracy-compare run-fleet
 
 .DEFAULT_GOAL := check
 
@@ -63,18 +63,20 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/spectrum/
 
 # bench-json regenerates the machine-readable perf snapshot consumed by
-# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/11 —
+# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/12 —
 # micro rows on the exact kernel, concurrent-load rows (K simultaneous
 # Locate2D pipelines in one process, grid and ml solve backends) with
 # plan-cache hit rates, the streaming rows (StreamLocate2D tail-latency
 # pairs over the full-length session, LoadLocate2DStream throughput), the
 # MLLocate2D/3D grid-vs-ml solve-backend A/B rows with meanErrM, and the
 # sub-linear coarse-scan pairs against their dense baselines:
-# SubLinLocate2D (≥5x floor), SubLinLocate3D, SubLinLocateR (≥4x floor)
-# and SubLinLocateR3D (≥4x floor, checked by bench-compare). The run
-# fails when SubLinLocate2D or SubLinLocateR falls below its floor.
+# SubLinLocate2D (≥5x floor), SubLinLocate3D, SubLinLocateR (≥4x floor,
+# the median of alternating dense/sub-linear rep pairs) and SubLinLocateR3D
+# (≥4x floor, checked by bench-compare), and the MLSolve2D/3D rows timing
+# the joint-ML solve alone. The run fails when SubLinLocate2D or
+# SubLinLocateR falls below its floor.
 bench-json:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_11.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_12.json
 
 # bench-compare diffs the two newest BENCH_<n>.json snapshots and fails on
 # any >30% ns/op regression — the pre-merge perf gate for the spectrum
@@ -87,6 +89,23 @@ ifdef REBASELINE
 	$(GO) run ./cmd/tagspin-bench -rebaseline auto
 endif
 	$(GO) run ./cmd/tagspin-bench -benchcompare auto
+
+# accuracy re-runs the F10a, F10b, F11b and X2 trials on the fixed seeds
+# in cmd/tagspin-bench/accuracy.go and rewrites ACCURACY.json with every
+# trial's localization error. The same seed draws the same session on any
+# tree, so two such files pair trial by trial.
+accuracy:
+	$(GO) run ./cmd/tagspin-bench -accuracy ACCURACY.json
+
+# accuracy-compare is the paired accuracy gate: it pairs the ACCURACY.json
+# committed at BASE (default HEAD) with the working tree's, prints each
+# arm's identical/worse/better counts and mean, p50 and p90 error deltas,
+# lists every trial that moved more than 1 cm, and fails when an arm lost
+# accuracy. Run `make accuracy` first to measure the working tree.
+BASE ?= HEAD
+accuracy-compare:
+	git show $(BASE):ACCURACY.json > .accuracy_base.json
+	$(GO) run ./cmd/tagspin-bench -accuracycompare .accuracy_base.json,ACCURACY.json
 
 # run-fleet brings up a local fleet — simulated reader, 2 locsrv replicas,
 # and the tagspin-coord router — smokes a locate through the coordinator,

@@ -18,7 +18,12 @@ import (
 	"github.com/tagspin/tagspin/internal/testbed"
 )
 
-// benchSchema is the current report schema. Version 11 deletes the rows
+// benchSchema is the current report schema. Version 12 adds the MLSolve2D
+// and MLSolve3D rows (estimate.ML's Solve2D/Solve3D alone on two fixed
+// synthesized disks of 576 reads, GOMAXPROCS 1), and SubLinLocateR's
+// speedupVsBatch becomes the median ratio of five alternating rep pairs
+// instead of the ratio of two best-of-3 rows timed one after the other;
+// every other row keeps its name, input and meaning. Version 11 deletes the rows
 // whose spectrum entry points are gone: DenseLocateNU2D/NUFFTLocate2D and
 // DenseLocateNUR/NUFFTLocateR (the angle-list argmax) and the
 // DenseProfile2D/3D and AllCellsProfile2D/3D pairs per kind (the
@@ -82,7 +87,7 @@ import (
 // both sides of the ratio — run at GOMAXPROCS 1 with one compute pool
 // worker, so a floor compares algorithms rather than how many cores the
 // dense baseline could spread over.
-const benchSchema = "tagspin-bench/11"
+const benchSchema = "tagspin-bench/12"
 
 // benchSmoke turns writeBenchJSON into a smoke run of the report's shape:
 // the load rows run for smokeLoadDuration instead of loadBenchDuration, and
@@ -355,11 +360,11 @@ func writeBenchJSON(path string, rebaselined bool) error {
 		return err
 	}
 	report.Benchmarks = append(report.Benchmarks, mlRows...)
-	// The speedup-gated pairs run serial (see benchSchema); the deferred
-	// restore puts the width back.
+	// The speedup-gated pairs and the ML solve rows run serial (see
+	// benchSchema); the deferred restore puts the width back.
 	runtime.GOMAXPROCS(1)
 	sched.SetWorkers(1)
-	for _, gated := range []func() ([]benchResult, error){subLinBenchRows, allCellsBenchRows} {
+	for _, gated := range []func() ([]benchResult, error){subLinBenchRows, allCellsBenchRows, mlSolveBenchRows} {
 		rows, err := gated()
 		if err != nil {
 			return err

@@ -10,6 +10,8 @@
 //	tagspin-bench -benchjson BENCH_6.json  # machine-readable spectrum perf
 //	tagspin-bench -benchcompare auto       # regression-gate the two newest BENCH_*.json
 //	tagspin-bench -rebaseline auto         # re-measure the comparison baseline on this machine
+//	tagspin-bench -accuracy ACCURACY.json  # per-trial errors of F10a, F10b, F11b, X2 on fixed seeds
+//	tagspin-bench -accuracycompare old.json,new.json  # paired accuracy gate
 //	tagspin-bench -cpuprofile cpu.pprof -benchjson BENCH_6.json  # profile the run
 //	tagspin-bench -memprofile mem.pprof -run T2                  # heap profile at exit
 package main
@@ -43,6 +45,8 @@ func run(args []string) error {
 		benchJSON    = fs.String("benchjson", "", "write spectrum micro-benchmark results (ns/op, allocs/op) as JSON to this file and exit")
 		benchCompare = fs.String("benchcompare", "", "compare two bench reports ('old.json,new.json', or 'auto' for the two newest BENCH_<n>.json here) and fail on >30% ns/op regressions")
 		rebaseline   = fs.String("rebaseline", "", "re-measure the benchmark suite on this machine and overwrite the given baseline file ('auto' = the older of the two newest BENCH_<n>.json here, the -benchcompare baseline), marking it rebaselined so bench-compare deltas reflect code rather than environment drift")
+		accuracy     = fs.String("accuracy", "", "run the F10a, F10b, F11b and X2 trials on fixed seeds, write their per-trial errors as JSON to this file and exit")
+		accCompare   = fs.String("accuracycompare", "", "pair the trials of two accuracy reports ('old.json,new.json'), print the error deltas and fail on an arm whose mean error rose")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile   = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
@@ -76,6 +80,12 @@ func run(args []string) error {
 	}
 	if *benchJSON != "" {
 		return writeBenchJSON(*benchJSON, false)
+	}
+	if *accuracy != "" {
+		return writeAccuracyJSON(*accuracy)
+	}
+	if *accCompare != "" {
+		return compareAccuracy(*accCompare, os.Stdout)
 	}
 	if *rebaseline != "" {
 		return rebaselineBench(*rebaseline)

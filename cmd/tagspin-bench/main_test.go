@@ -3,10 +3,14 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/tagspin/tagspin/internal/experiment"
 )
 
 func TestListAndSelect(t *testing.T) {
@@ -84,6 +88,7 @@ func TestBenchJSON(t *testing.T) {
 		"Profile2DR",
 		"Profile3DCoarseSerial", "Profile3DCoarseParallel",
 		"FindPeak2DR",
+		"MLSolve2D", "MLSolve3D",
 	} {
 		if _, ok := rows[name]; !ok {
 			t.Errorf("missing benchmark %q at GOMAXPROCS=1", name)
@@ -301,5 +306,89 @@ func TestBenchCompareNewRowsWarnNotFail(t *testing.T) {
 	newPath := writeReport(t, dir, "BENCH_2.json", next)
 	if err := compareBenchJSON(oldPath + "," + newPath); err != nil {
 		t.Errorf("rows absent from the baseline gated the compare: %v", err)
+	}
+}
+
+// TestAccuracyExperimentsReportErrors pins what the accuracy gate reads:
+// every experiment it records reports one error per trial for every arm.
+func TestAccuracyExperimentsReportErrors(t *testing.T) {
+	for _, id := range accuracyExperiments {
+		r, err := experiment.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run(experiment.Options{Seed: 1, Trials: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if len(res.Errors) == 0 {
+			t.Fatalf("%s reports no per-trial errors", id)
+		}
+		for arm, errs := range res.Errors {
+			if len(errs) != 2 {
+				t.Errorf("%s/%s: %d errors for 2 trials", id, arm, len(errs))
+			}
+		}
+	}
+}
+
+// TestAccuracyCompare pins the gate's verdicts on paired reports: equal
+// reports pass, a shifted arm fails, a one-trial outlier alone does not
+// fail it, a run that failed only in the new report fails it, and reports
+// on different seeds do not compare.
+func TestAccuracyCompare(t *testing.T) {
+	dir := t.TempDir()
+	base := make([]float64, 40)
+	for i := range base {
+		base[i] = 0.02 + 0.001*float64(i%7)
+	}
+	files := 0
+	report := func(shift func(i int) float64, runErr string, seed int64) string {
+		errs := make([]float64, len(base))
+		for i, e := range base {
+			errs[i] = e + shift(i)
+		}
+		run := accuracyRun{Experiment: "F10a", Seed: seed, Arms: map[string][]float64{"combined": errs}}
+		if runErr != "" {
+			run = accuracyRun{Experiment: "F10a", Seed: seed, Error: runErr}
+		}
+		data, err := json.Marshal(accuracyReport{Schema: accuracySchema, Runs: []accuracyRun{run}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		path := filepath.Join(dir, fmt.Sprintf("acc%d.json", files))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	zero := func(int) float64 { return 0 }
+	old := report(zero, "", 0)
+	cases := []struct {
+		name    string
+		newPath string
+		fail    bool
+	}{
+		{"identical", report(zero, "", 0), false},
+		{"shifted 5 mm", report(func(int) float64 { return 0.005 }, "", 0), true},
+		{"better by 5 mm", report(func(int) float64 { return -0.005 }, "", 0), false},
+		{"one 3 m outlier", report(func(i int) float64 {
+			if i == 3 {
+				return 3
+			}
+			return 0
+		}, "", 0), false},
+		{"run failed", report(zero, "trial 3: solve 2d: no bearings", 0), true},
+	}
+	for _, c := range cases {
+		var out strings.Builder
+		err := compareAccuracy(old+","+c.newPath, &out)
+		if (err != nil) != c.fail {
+			t.Errorf("%s: compare error %v, want failure %v\n%s", c.name, err, c.fail, out.String())
+		}
+	}
+	if err := compareAccuracy(old+","+report(zero, "", 1), io.Discard); err == nil {
+		t.Error("reports on different seeds compared")
 	}
 }

@@ -2,14 +2,19 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/tagspin/tagspin/internal/core"
 	"github.com/tagspin/tagspin/internal/estimate"
 	"github.com/tagspin/tagspin/internal/geom"
+	"github.com/tagspin/tagspin/internal/phase"
+	"github.com/tagspin/tagspin/internal/spindisk"
+	"github.com/tagspin/tagspin/internal/tags"
 	"github.com/tagspin/tagspin/internal/testbed"
 )
 
@@ -123,6 +128,100 @@ func mlBenchRows() ([]benchResult, error) {
 			r.Name, r.Variant, r.GoMaxProcs, r.NsPerOp, r.MeanErrM*100)
 	}
 	return rows, nil
+}
+
+// mlSolveReads is the read count of each synthesized disk behind the
+// MLSolve rows: one portal tag's session.
+const mlSolveReads = 576
+
+// mlSolveBenchRows times the joint-ML solve alone (schema 12): MLSolve2D
+// and MLSolve3D call estimate.ML's Solve2D/Solve3D on two fixed
+// synthesized disks of mlSolveReads reads each, seen from a planar and a
+// raised reader, so the rows isolate the likelihood refinement and the
+// Hessian from the spectrum search a Locate runs first.
+func mlSolveBenchRows() ([]benchResult, error) {
+	rng := rand.New(rand.NewSource(5))
+	disks := []spindisk.Disk{
+		{Center: geom.V3(-0.25, 0, 0), Radius: 0.10, Omega: math.Pi},
+		{Center: geom.V3(0.25, 0, 0), Radius: 0.10, Omega: math.Pi, Theta0: math.Pi / 3},
+	}
+	fixture := func(target geom.Vec3) []core.EstimatorTag {
+		etags := make([]core.EstimatorTag, len(disks))
+		for i, d := range disks {
+			etags[i] = synthEstimatorTag(byte(i+1), d, target, rng)
+		}
+		return etags
+	}
+	tags2, tags3 := fixture(geom.V3(-1.7, 1.3, 0)), fixture(geom.V3(-1.7, 1.3, 0.6))
+	ml := estimate.NewML(estimate.Config{})
+	if _, err := ml.Solve2D(tags2); err != nil {
+		return nil, err
+	}
+	if _, err := ml.Solve3D(tags3); err != nil {
+		return nil, err
+	}
+	cases := []struct {
+		name string
+		fn   func() error
+	}{
+		{"MLSolve2D", func() error { _, err := ml.Solve2D(tags2); return err }},
+		{"MLSolve3D", func() error { _, err := ml.Solve3D(tags3); return err }},
+	}
+	procs := runtime.GOMAXPROCS(0)
+	rows := make([]benchResult, 0, len(cases))
+	for _, c := range cases {
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		rows = append(rows, benchResult{
+			Name:        c.name,
+			Iterations:  res.N,
+			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+			AllocsPerOp: res.AllocsPerOp(),
+			BytesPerOp:  res.AllocedBytesPerOp(),
+			GoMaxProcs:  procs,
+			Variant:     "ml",
+		})
+	}
+	for _, r := range rows {
+		fmt.Fprintf(os.Stderr, "tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op %6d allocs/op\n",
+			r.Name, r.Variant, r.GoMaxProcs, r.NsPerOp, r.AllocsPerOp)
+	}
+	return rows, nil
+}
+
+// synthEstimatorTag synthesizes mlSolveReads reads of one disk over two
+// turns under the far-field phase model the Q profile assumes,
+// θ_j = C − (4πr/λ)·cos(a_j−φ*)·cos γ* + ε with σ = 0.1 rad, toward a
+// reader at p; the seed bearing is the true direction.
+func synthEstimatorTag(id byte, disk spindisk.Disk, p geom.Vec3, rng *rand.Rand) core.EstimatorTag {
+	const freqHz = 920.625e6
+	d := p.Sub(disk.Center)
+	phiStar := math.Atan2(d.Y, d.X)
+	gammaStar := math.Atan2(d.Z, math.Hypot(d.X, d.Y))
+	scale := 4 * math.Pi * disk.Radius * freqHz / 299792458.0
+	c0 := rng.Float64() * 2 * math.Pi
+	duration := 2 * float64(disk.Period())
+	snaps := make([]phase.Snapshot, mlSolveReads)
+	for j := range snaps {
+		t := time.Duration(float64(j) / mlSolveReads * duration)
+		snaps[j] = phase.Snapshot{
+			Time:        t,
+			Phase:       c0 - scale*math.Cos(disk.Angle(t)-phiStar)*math.Cos(gammaStar) + rng.NormFloat64()*0.1,
+			FrequencyHz: freqHz,
+		}
+	}
+	epc := tags.EPC{id}
+	return core.EstimatorTag{
+		Tag:   core.SpinningTag{EPC: epc, Disk: disk},
+		Snaps: snaps,
+		Est:   core.TagEstimate{EPC: epc, Azimuth: phiStar, Polar: gammaStar, Power: 1, Snapshots: mlSolveReads},
+	}
 }
 
 // mean averages xs; zero for an empty slice.

@@ -20,7 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -321,6 +323,10 @@ func (c *Coordinator) handleRegisterReplica(w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusBadRequest, errors.New("addr required"))
 		return
 	}
+	if err := checkReplicaAddr(req.Addr); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	c.heartbeats.Add(1)
 	now := time.Now()
 	c.mu.Lock()
@@ -336,6 +342,22 @@ func (c *Coordinator) handleRegisterReplica(w http.ResponseWriter, r *http.Reque
 		c.logf("coord: replica %s registered", req.Addr)
 	}
 	writeJSON(w, http.StatusOK, ReplicasResponse{Replicas: c.replicaTable()})
+}
+
+// checkReplicaAddr rejects a registration address the coordinator could
+// neither route to nor deregister: it must be host:port, as the announcer
+// advertises, with nothing a URL would read as path, query or userinfo —
+// "http://"+addr must parse with exactly addr as its host. That also rules
+// out "." and "..", which DELETE /v1/replicas/{addr} could never name
+// because the router cleans dot segments out of the path.
+func checkReplicaAddr(addr string) error {
+	if _, port, err := net.SplitHostPort(addr); err != nil || port == "" {
+		return fmt.Errorf("addr %q is not host:port", addr)
+	}
+	if u, err := url.Parse("http://" + addr); err != nil || u.Host != addr {
+		return fmt.Errorf("addr %q is not a URL host", addr)
+	}
+	return nil
 }
 
 func (c *Coordinator) handleDeregisterReplica(w http.ResponseWriter, r *http.Request) {

@@ -34,9 +34,11 @@ import (
 const qFloor = 1e-4
 
 // hessianStep is the central-difference step (meters) for the Hessian at the
-// optimum. The likelihood is built on exact-trig evaluators (noise ~1e-16),
-// so 2 mm balances truncation against cancellation; it is also well inside
-// the several-centimeter scale the likelihood varies on.
+// optimum. The likelihood scores folded harmonic coefficients
+// (spectrum.QFold), which agree with the exact per-read sum within
+// qExactSlack = 1e-9 and measure ~1e-15 (TestQFoldMatchesEvalAt), so 2 mm
+// balances truncation against cancellation; it is also well inside the
+// several-centimeter scale the likelihood varies on.
 const hessianStep = 0.002
 
 // mirrorMargin is the log-likelihood advantage the below-planes mirror
@@ -99,23 +101,36 @@ func (*ML) Name() string { return "ml" }
 
 // sceneSet is the structure-of-arrays layout of the per-disk likelihood
 // inputs: disk centers split into coordinate slices, fusion weights, and
-// the evaluator/scratch handles in parallel arrays. The scoring loops run
+// each disk's folded Q profile in a parallel array. The scoring loops run
 // thousands of times per solve (every simplex trial and Hessian probe walks
 // all disks), so the hot fields live in flat float64 slices the loop can
 // stream with the bounds checks retired — the same layout rule the spectrum
-// package applies to its term set. Exact evaluation is deliberate — an
-// approximate kernel's ~1e-6 profile noise would be far below any physical
-// effect but would dominate the 4h² denominator of the finite-difference
-// Hessian.
+// package applies to its term set.
+//
+// Every read of every disk stays in the likelihood, but each disk's reads
+// are folded once per solve into ~24 harmonic coefficients
+// (spectrum.QFold), so a likelihood call costs O(harmonics) per disk
+// instead of a sincos per read. The folded profile agrees with the exact
+// per-read sum within qExactSlack = 1e-9 (measured ~1e-15;
+// TestQFoldMatchesEvalAt pins it). That is what the finite-difference
+// Hessian needs: a kernel with ~1e-6 profile noise would be far below any
+// physical effect but would dominate its 4h² denominator.
 type sceneSet struct {
 	cx, cy, cz []float64 // disk centers, one coordinate per slice
 	w          []float64 // fusion weight per disk
-	evs        []*spectrum.Evaluator
-	scs        []*spectrum.Scratch
+	qs         []*spectrum.QFold
 }
 
-// scenes builds the per-disk evaluators for the live tags (Power > 0; dead
-// tags carry no directional evidence, mirroring the grid backend's filter).
+// release returns the folds' buffers to their pool.
+func (s *sceneSet) release() {
+	for _, q := range s.qs {
+		q.Release()
+	}
+}
+
+// scenes folds the Q profiles of the live tags (Power > 0; dead tags carry
+// no directional evidence, mirroring the grid backend's filter). The caller
+// releases the set when the solve is done.
 func (m *ML) scenes(tags []core.EstimatorTag) (*sceneSet, []core.EstimatorTag, error) {
 	live := make([]core.EstimatorTag, 0, len(tags))
 	for _, t := range tags {
@@ -131,17 +146,17 @@ func (m *ML) scenes(tags []core.EstimatorTag) (*sceneSet, []core.EstimatorTag, e
 	n := len(live)
 	coords := make([]float64, 4*n) // one backing array for cx/cy/cz/w
 	set := &sceneSet{
-		cx:  coords[0*n : 1*n],
-		cy:  coords[1*n : 2*n],
-		cz:  coords[2*n : 3*n],
-		w:   coords[3*n : 4*n],
-		evs: make([]*spectrum.Evaluator, n),
-		scs: make([]*spectrum.Scratch, n),
+		cx: coords[0*n : 1*n],
+		cy: coords[1*n : 2*n],
+		cz: coords[2*n : 3*n],
+		w:  coords[3*n : 4*n],
+		qs: make([]*spectrum.QFold, 0, n),
 	}
 	for i, t := range live {
 		params := spectrum.Params{Disk: t.Tag.Disk, Sigma: sigma}
-		ev, err := spectrum.NewEvaluator(t.Snaps, params, spectrum.KindQ)
+		q, err := spectrum.NewQFold(t.Snaps, params)
 		if err != nil {
+			set.release()
 			return nil, nil, fmt.Errorf("estimate: tag %s: %w", t.Tag.EPC, err)
 		}
 		c := t.Tag.Disk.Center
@@ -151,8 +166,7 @@ func (m *ML) scenes(tags []core.EstimatorTag) (*sceneSet, []core.EstimatorTag, e
 		// is what makes the Hessian the Fisher information and the 1σ
 		// ellipse contain the truth at the nominal ≈39% rate.
 		set.w[i] = float64(len(t.Snaps)) / (sigma * sigma)
-		set.evs[i] = ev
-		set.scs[i] = ev.NewScratch()
+		set.qs = append(set.qs, q)
 	}
 	return set, live, nil
 }
@@ -198,14 +212,13 @@ func logL2D(scenes *sceneSet, p geom.Vec2) float64 {
 	n := len(cx)
 	cy := scenes.cy[:n]
 	w := scenes.w[:n]
-	evs := scenes.evs[:n]
-	scs := scenes.scs[:n]
+	qs := scenes.qs[:n]
 	var sum float64
 	for i := 0; i < n; i++ {
 		dx := p.X - cx[i]
 		dy := p.Y - cy[i]
 		phi := math.Atan2(dy, dx)
-		q := evs[i].EvalAt(scs[i], phi, 0)
+		q := qs[i].At(phi, 0)
 		if q < qFloor {
 			q = qFloor
 		}
@@ -221,8 +234,7 @@ func logL3D(scenes *sceneSet, p geom.Vec3) float64 {
 	cy := scenes.cy[:n]
 	cz := scenes.cz[:n]
 	w := scenes.w[:n]
-	evs := scenes.evs[:n]
-	scs := scenes.scs[:n]
+	qs := scenes.qs[:n]
 	var sum float64
 	for i := 0; i < n; i++ {
 		dx := p.X - cx[i]
@@ -230,7 +242,7 @@ func logL3D(scenes *sceneSet, p geom.Vec3) float64 {
 		dz := p.Z - cz[i]
 		phi := math.Atan2(dy, dx)
 		gamma := math.Atan2(dz, math.Hypot(dx, dy))
-		q := evs[i].EvalAt(scs[i], phi, gamma)
+		q := qs[i].At(phi, gamma)
 		if q < qFloor {
 			q = qFloor
 		}
@@ -247,6 +259,7 @@ func (m *ML) Solve2D(tags []core.EstimatorTag) (core.Solution2D, error) {
 	if err != nil {
 		return core.Solution2D{}, err
 	}
+	defer scenes.release()
 	bearings := make([]locate.Bearing2D, len(live))
 	for i, t := range live {
 		bearings[i] = locate.Bearing2D{
@@ -290,6 +303,7 @@ func (m *ML) Solve3D(tags []core.EstimatorTag) (core.Solution3D, error) {
 	if err != nil {
 		return core.Solution3D{}, err
 	}
+	defer scenes.release()
 	bearings := make([]locate.Bearing3D, len(live))
 	for i, t := range live {
 		bearings[i] = locate.Bearing3D{

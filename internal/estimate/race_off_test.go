@@ -1,0 +1,7 @@
+//go:build !race
+
+package estimate
+
+// raceEnabled reports whether the race detector is compiled in; timing
+// assertions skip under it.
+const raceEnabled = false

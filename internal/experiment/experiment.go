@@ -47,6 +47,10 @@ type Result struct {
 	Lines []string
 	// Values holds key metrics by name.
 	Values map[string]float64
+	// Errors holds the per-trial localization errors (meters) of each
+	// localization arm by name, in trial order; nil for experiments that
+	// localize nothing. The accuracy gate compares them trial by trial.
+	Errors map[string][]float64
 }
 
 // Text renders the result for a terminal.

@@ -372,6 +372,12 @@ func RunX2(opts Options) (Result, error) {
 	res := Result{
 		ID:    "X2",
 		Title: "Extension: joint ML estimator vs bearing grid, with confidence",
+		Errors: map[string][]float64{
+			"grid2D": gridErr,
+			"ml2D":   mlErr,
+			"grid3D": grid3Err,
+			"ml3D":   ml3Err,
+		},
 		Values: map[string]float64{
 			"trials":         float64(n),
 			"mean2DGrid":     mGrid.Mean,

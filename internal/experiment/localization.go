@@ -24,8 +24,9 @@ func RunF10a(opts Options) (Result, error) {
 	}
 	combined := mathx.Summarize(errs.combined)
 	res := Result{
-		ID:    "F10a",
-		Title: "2D localization error CDF (Fig. 10a)",
+		ID:     "F10a",
+		Title:  "2D localization error CDF (Fig. 10a)",
+		Errors: map[string][]float64{"combined": errs.combined},
 		Values: map[string]float64{
 			"trials":       float64(n),
 			"meanX":        mathx.Mean(errs.x),
@@ -56,8 +57,9 @@ func RunF10b(opts Options) (Result, error) {
 	}
 	combined := mathx.Summarize(errs.combined)
 	res := Result{
-		ID:    "F10b",
-		Title: "3D localization error CDF (Fig. 10b)",
+		ID:     "F10b",
+		Title:  "3D localization error CDF (Fig. 10b)",
+		Errors: map[string][]float64{"combined": errs.combined},
 		Values: map[string]float64{
 			"trials":       float64(n),
 			"meanX":        mathx.Mean(errs.x),
@@ -217,6 +219,12 @@ func RunF11b(opts Options) (Result, error) {
 	res := Result{
 		ID:    "F11b",
 		Title: "Orientation calibration impact (Fig. 11b)",
+		Errors: map[string][]float64{
+			"withR":    with.combined,
+			"withoutR": without.combined,
+			"withQ":    withQ.combined,
+			"withoutQ": withoutQ.combined,
+		},
 		Values: map[string]float64{
 			"trials":            float64(n),
 			"meanWith":          mWith.Mean,

@@ -62,7 +62,7 @@ type Evaluator struct {
 // NewEvaluator prepares the snapshot terms and trig tables for repeated
 // evaluation of the selected profile kind.
 func NewEvaluator(snaps []phase.Snapshot, p Params, kind Kind) (*Evaluator, error) {
-	terms, err := prepare(snaps, p)
+	terms, err := prepare(nil, snaps, p)
 	if err != nil {
 		return nil, err
 	}

@@ -61,22 +61,30 @@ func harmonicsNeeded(w float64) int {
 	return int(math.Ceil(w)) + 20
 }
 
-// besselJArray fills out[m] = J_m(w) for m = 0..len(out)-1 using Miller's
-// downward recurrence: seed a tiny J at a start order safely above the
-// highest requested, recur down with J_{m-1} = (2m/w)·J_m − J_{m+1} (stable
-// downward), and normalize with the identity J₀ + 2·Σ_{k≥1} J_{2k} = 1.
+// besselSeriesMax is the aperture scale below which besselJArray sums the
+// power series instead of recurring: the recurrence grows by Π 2m/w from
+// its seed and overflows to NaN for w ≲ 4e-8 (a reader almost straight
+// above or below a disk), while two series terms are exact to ~1e-21
+// relative here.
+const besselSeriesMax = 1e-5
+
+// besselJArray fills out[m] = J_m(w) for m = 0..len(out)-1, w ≥ 0, using
+// Miller's downward recurrence: seed a tiny J at a start order safely above
+// the highest requested, recur down with J_{m-1} = (2m/w)·J_m − J_{m+1}
+// (stable downward), and normalize with the identity
+// J₀ + 2·Σ_{k≥1} J_{2k} = 1. Below besselSeriesMax it sums two terms of
+// J_m(w) = (w/2)^m/m!·(1 − (w/2)²/(m+1) + …) instead.
 func besselJArray(w float64, out []float64) {
 	if len(out) == 0 {
 		return
 	}
 	h := len(out) - 1
 	clear(out)
-	if w < 1e-12 {
-		// J₀(0) = 1; higher orders vanish (J₁(w) ≈ w/2 covers the rounding
-		// tail for denormal-scale w).
-		out[0] = 1
-		if h >= 1 {
-			out[1] = w / 2
+	if w < besselSeriesMax {
+		x, lead := w/2, 1.0 // lead = (w/2)^m/m!
+		for m := range out {
+			out[m] = lead * (1 - x*x/float64(m+1))
+			lead *= x / float64(m+1)
 		}
 		return
 	}
@@ -316,16 +324,25 @@ func scaleUnitSums(hs *harmonicScratch, w float64) {
 	}
 	bess := hs.bess[:nb]
 	besselJArray(w, bess)
-	h, u := &hs.coeffs, &hs.unit
-	h.reset(nb - 1)
+	hs.coeffs.reset(nb - 1)
+	hs.coeffs.addScaled(&hs.unit, bess)
+	hs.coeffs.n = hs.unit.n
+}
+
+// addScaled adds bess[m] times u's harmonic m to h's, for m < len(bess):
+// the coefficients of u's unit sums at the scale bess was tabulated for.
+// h must hold at least len(bess) harmonics and u must have been folded
+// with at least as many.
+func (h *harmonicCoeffs) addScaled(u *harmonicCoeffs, bess []float64) {
 	aRe, aIm := h.aRe[:len(bess)], h.aIm[:len(bess)]
 	bRe, bIm := h.bRe[:len(bess)], h.bIm[:len(bess)]
 	uaRe, uaIm := u.aRe[:len(bess)], u.aIm[:len(bess)]
 	ubRe, ubIm := u.bRe[:len(bess)], u.bIm[:len(bess)]
 	for m, j := range bess {
-		aRe[m], aIm[m] = j*uaRe[m], j*uaIm[m]
-		bRe[m], bIm[m] = j*ubRe[m], j*ubIm[m]
+		aRe[m] += j * uaRe[m]
+		aIm[m] += j * uaIm[m]
+		bRe[m] += j * ubRe[m]
+		bIm[m] += j * ubIm[m]
 	}
-	h.n = u.n
-	h.maxM = nb - 1
+	h.maxM = max(h.maxM, len(bess)-1)
 }

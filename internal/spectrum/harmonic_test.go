@@ -13,7 +13,7 @@ import (
 // (w = 4πr/λ ≈ 3.9) and beyond.
 func TestBesselJArray(t *testing.T) {
 	out := make([]float64, 30)
-	for _, w := range []float64{0, 1e-13, 0.05, 0.7, 1.9, 3.85, 4.2, 7.7, 12.5} {
+	for _, w := range []float64{0, 1e-13, 3e-9, 2e-7, 9.9e-6, 1e-5, 0.05, 0.7, 1.9, 3.85, 4.2, 7.7, 12.5} {
 		besselJArray(w, out)
 		for m := range out {
 			want := math.Jn(m, w)

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/tagspin/tagspin/internal/mathx"
 	"github.com/tagspin/tagspin/internal/phase"
@@ -143,25 +144,27 @@ func makeTerm(s, ref phase.Snapshot, p Params) (snapshotTerm, error) {
 	}, nil
 }
 
-// prepare converts snapshots into cached terms. It requires at least two
-// snapshots; the first one is the phase reference that cancels θ_div.
-func prepare(snaps []phase.Snapshot, p Params) ([]snapshotTerm, error) {
+// prepare converts snapshots into cached terms, appended to dst so a caller
+// that prepares session after session can reuse one buffer. It requires at
+// least two snapshots; the first one is the phase reference that cancels
+// θ_div.
+func prepare(dst []snapshotTerm, snaps []phase.Snapshot, p Params) ([]snapshotTerm, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if len(snaps) < 2 {
-		return nil, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(snaps))
+		return dst, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(snaps))
 	}
 	ref := snaps[0]
-	terms := make([]snapshotTerm, len(snaps))
+	dst = slices.Grow(dst, len(snaps))
 	for i, s := range snaps {
 		t, err := makeTerm(s, ref, p)
 		if err != nil {
-			return nil, fmt.Errorf("spectrum: snapshot %d %w", i, err)
+			return dst, fmt.Errorf("spectrum: snapshot %d %w", i, err)
 		}
-		terms[i] = t
+		dst = append(dst, t)
 	}
-	return terms, nil
+	return dst, nil
 }
 
 // Compute2D evaluates a 2D profile of the given kind over the angle grid,
