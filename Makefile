@@ -1,12 +1,13 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build fmt-check test race vet vet-strict bench bench-json bench-compare accuracy accuracy-compare run-fleet
+.PHONY: check build fmt-check doc-idents test race vet vet-strict bench bench-json bench-compare accuracy accuracy-compare run-fleet
 
 .DEFAULT_GOAL := check
 
 # check is the default tier-1 gate: build, fmt-check, vet-strict (vet plus the
-# bounds-check-elimination spot check on the spectrum hot loops), the
+# bounds-check-elimination spot check on the spectrum hot loops),
+# doc-idents (no stale backticked identifier in DESIGN.md or README.md), the
 # benchmark module's tests (bench/ is its own module, which `go test ./...`
 # never builds, yet it calls the spectrum, core and locsrv APIs), and the
 # full test suite under the race detector — the
@@ -20,7 +21,7 @@ GOFMT ?= gofmt
 # GOMAXPROCS=4 pass runs it and TestSchedRunZeroAllocs with chunks fanned
 # out to helpers even on a 1-CPU machine. The last pass runs the batch tests on one CPU, where a
 # GOMAXPROCS-sized default would run batch items one at a time.
-check: build fmt-check vet-strict
+check: build fmt-check vet-strict doc-idents
 	cd bench && $(GO) test ./...
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
@@ -52,23 +53,31 @@ vet:
 
 # vet-strict is vet plus the bounds-check-elimination spot check: the SoA
 # hot loops in internal/spectrum (allcells.go synthesis and weighting
-# kernels, harmonic.go folds and synthesis) are written
-# so the compiler can prove every index in range, and
-# scripts/check-bce.sh fails if a bounds check creeps back in (DESIGN.md
-# §13 documents the layout rules the script enforces).
+# kernels and harmonicArgmax3D, the one coarse argmax of both peak
+# searches; harmonic.go folds and synthesis) are written so the compiler
+# can prove every index in range, and scripts/check-bce.sh fails if a
+# bounds check creeps back in (DESIGN.md §13 documents the layout rules
+# the script enforces).
 vet-strict: vet
 	sh scripts/check-bce.sh
+
+# doc-idents fails when a backticked Go-style identifier in DESIGN.md or
+# README.md names nothing in the repository's Go, shell, Makefile or JSON
+# text and no file: a deleted name's history belongs in CHANGES.md.
+doc-idents:
+	sh scripts/check-doc-idents.sh
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/spectrum/
 
 # bench-json regenerates the machine-readable perf snapshot consumed by
-# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/12 —
+# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/13 —
 # micro rows on the exact kernel, concurrent-load rows (K simultaneous
 # Locate2D pipelines in one process, grid and ml solve backends) with
 # plan-cache hit rates, the streaming rows (StreamLocate2D tail-latency
 # pairs over the full-length session, LoadLocate2DStream throughput), the
-# MLLocate2D/3D grid-vs-ml solve-backend A/B rows with meanErrM, and the
+# MLLocate2D/3D grid-vs-ml solve-backend A/B rows with meanErrM (the
+# median of alternating grid/ml rep pairs at GOMAXPROCS 1), and the
 # sub-linear coarse-scan pairs against their dense baselines:
 # SubLinLocate2D (≥5x floor), SubLinLocate3D, SubLinLocateR (≥4x floor,
 # the median of alternating dense/sub-linear rep pairs) and SubLinLocateR3D
@@ -76,7 +85,7 @@ bench:
 # the joint-ML solve alone. The run fails when SubLinLocate2D or
 # SubLinLocateR falls below its floor.
 bench-json:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_12.json
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_13.json
 
 # bench-compare diffs the two newest BENCH_<n>.json snapshots and fails on
 # any >30% ns/op regression — the pre-merge perf gate for the spectrum

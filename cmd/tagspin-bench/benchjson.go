@@ -18,7 +18,13 @@ import (
 	"github.com/tagspin/tagspin/internal/testbed"
 )
 
-// benchSchema is the current report schema. Version 12 adds the MLSolve2D
+// benchSchema is the current report schema. Version 13 times the
+// MLLocate2D/{grid,ml} and MLLocate3D/{grid,ml} rows at GOMAXPROCS 1 as
+// mlPairs alternating (grid, ml) rep pairs per dimension and records each
+// dimension's median pair, instead of timing the four rows once each, one
+// after the other, at full width; same names, inputs and meanErrM, but
+// their GOMAXPROCS changed, so they do not line up with version-12 rows.
+// Version 12 adds the MLSolve2D
 // and MLSolve3D rows (estimate.ML's Solve2D/Solve3D alone on two fixed
 // synthesized disks of 576 reads, GOMAXPROCS 1), and SubLinLocateR's
 // speedupVsBatch becomes the median ratio of five alternating rep pairs
@@ -87,7 +93,7 @@ import (
 // both sides of the ratio — run at GOMAXPROCS 1 with one compute pool
 // worker, so a floor compares algorithms rather than how many cores the
 // dense baseline could spread over.
-const benchSchema = "tagspin-bench/12"
+const benchSchema = "tagspin-bench/13"
 
 // benchSmoke turns writeBenchJSON into a smoke run of the report's shape:
 // the load rows run for smokeLoadDuration instead of loadBenchDuration, and
@@ -355,16 +361,11 @@ func writeBenchJSON(path string, rebaselined bool) error {
 		return err
 	}
 	report.Benchmarks = append(report.Benchmarks, streamRows...)
-	mlRows, err := mlBenchRows()
-	if err != nil {
-		return err
-	}
-	report.Benchmarks = append(report.Benchmarks, mlRows...)
-	// The speedup-gated pairs and the ML solve rows run serial (see
-	// benchSchema); the deferred restore puts the width back.
+	// The speedup-gated pairs, the ML locate A/B and the ML solve rows run
+	// serial (see benchSchema); the deferred restore puts the width back.
 	runtime.GOMAXPROCS(1)
 	sched.SetWorkers(1)
-	for _, gated := range []func() ([]benchResult, error){subLinBenchRows, allCellsBenchRows, mlSolveBenchRows} {
+	for _, gated := range []func() ([]benchResult, error){subLinBenchRows, allCellsBenchRows, mlBenchRows, mlSolveBenchRows} {
 		rows, err := gated()
 		if err != nil {
 			return err

@@ -89,6 +89,7 @@ func TestBenchJSON(t *testing.T) {
 		"Profile3DCoarseSerial", "Profile3DCoarseParallel",
 		"FindPeak2DR",
 		"MLSolve2D", "MLSolve3D",
+		"MLLocate2D/grid", "MLLocate2D/ml", "MLLocate3D/grid", "MLLocate3D/ml",
 	} {
 		if _, ok := rows[name]; !ok {
 			t.Errorf("missing benchmark %q at GOMAXPROCS=1", name)

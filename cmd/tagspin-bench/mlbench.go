@@ -1,11 +1,13 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,11 +25,16 @@ import (
 // time, not to re-run the EXPERIMENTS error study (see experiment X2).
 const mlTrials = 8
 
+// mlPairs is the number of alternating (grid, ml) rep pairs behind each
+// MLLocate A/B; odd, so the median is one pair.
+const mlPairs = 5
+
 // mlBenchRows measures the grid and joint-ML solve backends end to end
 // (schema 5): MLLocate2D/{grid,ml} and MLLocate3D/{grid,ml} rows time a full
 // Locate call — shared spectrum peak search plus backend solve — over the
 // same observations, and carry the mean localization error of a small
-// multi-placement sweep so the A/B covers accuracy as well as cost.
+// multi-placement sweep so the A/B covers accuracy as well as cost. The
+// caller runs it at GOMAXPROCS 1.
 func mlBenchRows() ([]benchResult, error) {
 	rng := rand.New(rand.NewSource(11))
 	sc := testbed.DefaultScenario(0, rng)
@@ -82,46 +89,55 @@ func mlBenchRows() ([]benchResult, error) {
 		}
 	}
 
-	var rows []benchResult
+	// Host drift between two rows timed one after the other swamps the
+	// A/B, so each dimension alternates (grid, ml) rep pairs and reports
+	// the pair with the median ml/grid ratio: both of its rows come from
+	// back-to-back runs. The caller pins GOMAXPROCS to 1.
+	pairs := mlPairs
+	if raceEnabled {
+		pairs = 1
+	}
 	procs := runtime.GOMAXPROCS(0)
-	for _, be := range backends {
-		loc := be.loc
-		res2 := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := loc.Locate2D(registered, col.Obs); err != nil {
-					b.Fatal(err)
+	dims := []struct {
+		name   string
+		errs   map[string][]float64
+		locate func(*core.Locator) error
+	}{
+		{"MLLocate2D", errs2D, func(l *core.Locator) error { _, err := l.Locate2D(registered, col.Obs); return err }},
+		{"MLLocate3D", errs3D, func(l *core.Locator) error { _, err := l.Locate3D(registered, col.Obs); return err }},
+	}
+	type pair struct {
+		rows  [2]benchResult // grid, ml
+		ratio float64
+	}
+	var rows []benchResult
+	for _, d := range dims {
+		ps := make([]pair, pairs)
+		for rep := range ps {
+			for i, be := range backends {
+				res := testing.Benchmark(func(b *testing.B) {
+					b.ReportAllocs()
+					for n := 0; n < b.N; n++ {
+						if err := d.locate(be.loc); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				ps[rep].rows[i] = benchResult{
+					Name:        d.name + "/" + be.name,
+					Iterations:  res.N,
+					NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+					AllocsPerOp: res.AllocsPerOp(),
+					BytesPerOp:  res.AllocedBytesPerOp(),
+					GoMaxProcs:  procs,
+					Variant:     be.name,
+					MeanErrM:    mean(d.errs[be.name]),
 				}
 			}
-		})
-		rows = append(rows, benchResult{
-			Name:        "MLLocate2D/" + be.name,
-			Iterations:  res2.N,
-			NsPerOp:     float64(res2.T.Nanoseconds()) / float64(res2.N),
-			AllocsPerOp: res2.AllocsPerOp(),
-			BytesPerOp:  res2.AllocedBytesPerOp(),
-			GoMaxProcs:  procs,
-			Variant:     be.name,
-			MeanErrM:    mean(errs2D[be.name]),
-		})
-		res3 := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := loc.Locate3D(registered, col.Obs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rows = append(rows, benchResult{
-			Name:        "MLLocate3D/" + be.name,
-			Iterations:  res3.N,
-			NsPerOp:     float64(res3.T.Nanoseconds()) / float64(res3.N),
-			AllocsPerOp: res3.AllocsPerOp(),
-			BytesPerOp:  res3.AllocedBytesPerOp(),
-			GoMaxProcs:  procs,
-			Variant:     be.name,
-			MeanErrM:    mean(errs3D[be.name]),
-		})
+			ps[rep].ratio = ps[rep].rows[1].NsPerOp / ps[rep].rows[0].NsPerOp
+		}
+		slices.SortFunc(ps, func(a, b pair) int { return cmp.Compare(a.ratio, b.ratio) })
+		rows = append(rows, ps[len(ps)/2].rows[:]...)
 	}
 	for _, r := range rows {
 		fmt.Fprintf(os.Stderr, "tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op  meanErr %.1f cm\n",

@@ -8,8 +8,11 @@ import (
 
 // This file holds the all-cells transform: synthesis of every candidate
 // cell through the harmonic (Jacobi–Anger) expansion for both profile
-// kinds, extending harmonic.go's Q synthesis to KindR. The coarse argmax
-// routes and the refinement rounds both score their cells through it.
+// kinds, extending harmonic.go's Q synthesis to KindR. Both peak searches
+// run one coarse route (harmonicArgmax3D) and one refinement (refine3D),
+// keyed only by grid shape: the 3D search scans the polar rows over
+// [−π/2, π/2], the 2D search the single row γ = 0. Both score their cells
+// through it.
 //
 // Q is immediate: the phasor sum S(φ) is the bandlimited trigonometric
 // polynomial harmonic.go already folds, so a row of Q cells is one
@@ -40,7 +43,7 @@ import (
 // slices.
 //
 // Exactness: the synthesized values carry bounded error (rSlack below), so
-// argmax routes use the established shortlist-then-exact-rescore guarantee
+// the coarse argmax uses the established shortlist-then-exact-rescore guarantee
 // from harmonic.go — collect every cell within 2·rSlack of the synthesized
 // maximum, rescore those few with the dense per-cell formula — making the
 // returned peak bit-identical to the dense scan's.
@@ -238,12 +241,12 @@ func (h *harmonicCoeffs) synthesizeComplex(outRe, outIm, sinPhi, cosPhi []float6
 // cell. With coarse false, values land within rSlack of the dense per-cell
 // formula; with coarse true the weighting pass swaps in the shortlist-grade
 // kernels (FastExpNegCoarseCore, coarseWrappedSincos) and the bound loosens
-// by rCoarseRel·wNorm — only argmax routes may pass coarse, and they widen
-// their shortlist windows to match. Cells whose residual phasor sum falls
+// by rCoarseRel·wNorm — only the coarse argmax may pass coarse, and it
+// widens its shortlist window to match. Cells whose residual phasor sum falls
 // under muGuardFrac are evaluated densely instead (see the constant). sc
 // supplies the working buffers — residuals/apertures are repurposed as the
 // per-term phase-coefficient arrays, so the rare guard fallback runs on a
-// second pooled Scratch. cut2 is the argmax routes' prune cut (rPruneCut):
+// second pooled Scratch. cut2 is the coarse argmax's prune cut (rPruneCut):
 // cells whose |Ŝ|²/n² falls under it are written −Inf unweighted;
 // refinement passes 0, which prunes nothing.
 func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64, coarse bool, cut2 float64) {
@@ -263,8 +266,8 @@ func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch,
 // weighting loop. Cells under the muGuardFrac floor are evaluated densely
 // instead. A cell whose |Ŝ|²/n² sits under cut2 is proven unable to win
 // (rPruneCut) and is written −Inf with neither its weighting loop nor its
-// guard fallback run. Split out so the 2D argmax route can take its prune
-// incumbent between the synthesis and the weighting.
+// guard fallback run. Split out so a one-row coarse grid can weight the Ŝ
+// its prune incumbent sweep already synthesized.
 func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi, cosPhi, qRe, qIm, out []float64, coarse bool, cut2 float64) {
 	m := terms.n()
 	n := len(out)
@@ -383,7 +386,7 @@ func wrapToPiFast(x float64) float64 {
 	return x
 }
 
-// Coarse R pruning. Every R argmax route holds, before its weighting pass,
+// Coarse R pruning. The R coarse argmax holds, before its weighting pass,
 // the synthesized pass-one magnitude q̂ = |Ŝ(φ)|/n of every cell, and q̂
 // bounds the cell's exact value from above (DESIGN.md §14 has the
 // derivation). With d_i = wrap(res_i − μ) the weighted residuals,
@@ -395,7 +398,7 @@ func wrapToPiFast(x float64) float64 {
 //	  ≤ wNorm·(κ + (1−κ)(1 + q)/2)                     (mean cos(res_i − μ) ≤ |S|/n for any μ)
 //
 // in robust mode (μ the circular mean) and literal mode (μ = 0) alike. So
-// once a route knows one exact value lo — an incumbent every cell that can
+// once the route knows one exact value lo — an incumbent every cell that can
 // still win must reach — any cell whose bound sits below lo is out, and
 // its weighting loop never runs. The incumbent is the exact value, in the
 // rescore's own arithmetic, of the cell with the largest synthesized |Ŝ|:
@@ -443,50 +446,42 @@ func maxPhasorCell(qRe, qIm, sinPhi, cosPhi []float64) (m2, s, c float64) {
 	return m2, s, c
 }
 
-// rIncumbent returns the exact R value, through evalRExact at cos γ = cg
-// from the row's own trig entries (the rescore's arithmetic), of the cell
-// with the largest synthesized |Ŝ|; qRe/qIm hold the row's normalized
-// pass-one sums. It runs on sc's residual buffers, so callers take it
-// before weightRowR repurposes them.
-func (e *Evaluator) rIncumbent(terms termSlices, sc *Scratch, cg float64, sinPhi, cosPhi, qRe, qIm []float64) float64 {
-	_, s, c := maxPhasorCell(qRe, qIm, sinPhi, cosPhi)
-	return e.evalRExact(terms, sc, s, c, cg)
-}
-
 // polarMirrorTol is how far from zero γ_r + γ_{nPol−1−r} may sit for
 // harmonicArgmax3D to serve both polar rows from one synthesis. Only cos γ
 // enters the profile, so a symmetric lattice's mirror rows differ by
 // |Δcos γ| ≤ polarMirrorTol + 2 ulp; the default grids land at ≤ 4.4e-16.
 const polarMirrorTol = 1e-14
 
-// harmonicArgmax3D is coarseArgmax3D's route for both kinds over the
-// row-major nAz × nPol grid (φ_a = a·azStep, γ_r = −π/2 + r·polStep). Each
-// polar row is the 2D problem with the aperture scaled by cos γ_r: fold the
-// harmonic coefficients at that cos γ (foldRow: a single-wavelength term set
-// folds its γ-free unit sums once and scales them per row, within ~1e-13 of
-// a per-row fold), synthesize the row (Q magnitudes, or
-// the two-pass R kernel with the coarse kernels), and shortlist every cell
-// within the kind's window of the running synthesized maximum — 2·
-// harmonicSlack for Q, 2·(rSlack + rCoarseRel·wNorm) for R, as in 2D. R
-// first takes its prune incumbent over the whole grid (rIncumbent3D); rows
-// whose every cell sits under the cut are skipped whole, and every other
-// row's weighting pass skips the cells the cut rules out, as in 2D.
+// harmonicArgmax3D is the coarse argmax of both peak searches, for both
+// kinds, over the row-major nAz × nPol grid (φ_a = a·azStep, γ_r = polBase +
+// r·polStep): the polar rows over [−π/2, π/2] in 3D, the single row γ = 0
+// in 2D (Eqn. 7/8 are Eqn. 11/12 at γ = 0). Each row is the azimuth problem
+// with the aperture scaled by cos γ_r: fold the harmonic coefficients at
+// that cos γ (foldRow: a single-wavelength term set folds its γ-free unit
+// sums once and scales them per row, within ~1e-13 of a per-row fold),
+// synthesize the row (Q magnitudes, or the two-pass R kernel with the
+// coarse kernels), and shortlist every cell within the kind's window of the
+// running synthesized maximum — 2·harmonicSlack for Q, 2·(rSlack +
+// rCoarseRel·wNorm) for R. R first takes its prune incumbent over the whole
+// grid (rIncumbent3D); rows whose every cell sits under the cut are skipped
+// whole, and every other row's weighting pass skips the cells the cut rules
+// out. On a one-row grid the incumbent sweep already synthesized the row's
+// Ŝ, so the weighting pass runs on it without a second fold and synthesis.
 // When the lattice is symmetric (γ_r + γ_m within polarMirrorTol,
 // m = nPol−1−r) row m reuses row r's synthesis: both rows score the same
 // cos γ up to a few ulp, which moves every aperture phase — and |Ŝ|, so
 // the prune cut holds for both — by ≲ z·1e-14 rad, far inside either
 // slack. The exception is an unpruned R cell under the μ̂ guard, whose
 // robust mean is ill-conditioned; row m re-evaluates those cells densely
-// at its own γ. The shortlist is then exact-rescored with the dense
-// per-cell arithmetic (evalGridCell) under the lowest-index tie rule, so
-// the returned cell is the dense scan's bit for bit. Rows run serially,
-// like the 2D route: the per-tag callers supply the parallelism, and no
-// buffer spans the grid.
-func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
+// at its own γ. The shortlist is then exact-rescored through evalCell from
+// the row trig table's math.Sincos entries — the bits the dense scan's row
+// kernel computes — under the lowest-index tie rule, so the returned cell
+// is the dense scan's bit for bit. Rows run serially on one Scratch: the
+// per-tag callers supply the parallelism, and no buffer spans the grid.
+func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, polBase, polStep float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
 	vals := hs.values(nAz)
-	sc, one := e.getScratch(), e.getScratch()
-	one.ensureRow(1)
+	sc := e.getScratch()
 	e.fillUniformTrig(sc, 0, nAz, azStep)
 	sinPhi, cosPhi := sc.sinPhi[:nAz], sc.cosPhi[:nAz]
 	z := terms.singleScale()
@@ -501,23 +496,27 @@ func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, po
 	cut2 := math.Inf(-1) // Q prunes nothing, whatever rowMax holds
 	if e.kind == KindR {
 		window = 2 * (rSlack + rCoarseRel*e.wNorm)
-		cut2 = e.rPruneCut(e.rIncumbent3D(hs, terms, z, sc, one, rowMax, polStep), harmonicSlack)
+		cut2 = e.rPruneCut(e.rIncumbent3D(hs, terms, z, sc, rowMax, polBase, polStep), harmonicSlack)
 	}
 	list, maxV := hs.shortlist[:0], math.Inf(-1)
 	for r := range rowMax {
-		m, mirror := polarMirror(r, nPol, polStep)
+		m, mirror := polarMirror(r, nPol, polBase, polStep)
 		if mirror && m < r {
 			continue // served with row m
 		}
 		if rowMax[r] < cut2 {
 			continue // every cell of the row (and its mirror) is pruned
 		}
-		cg := math.Cos(polarAngle(r, polStep))
-		foldRow(hs, terms, z, cg)
-		if e.kind == KindR {
-			e.synthRowR(terms, &hs.coeffs, sc, cg, sinPhi, cosPhi, vals, true, cut2)
-		} else {
+		cg := math.Cos(polarAngle(r, polBase, polStep))
+		switch {
+		case e.kind != KindR:
+			foldRow(hs, terms, z, cg)
 			hs.coeffs.synthesize(vals, sinPhi, cosPhi)
+		case nPol == 1: // rIncumbent3D left the only row's Ŝ in sumRe/sumIm
+			e.weightRowR(terms, sc, cg, sinPhi, cosPhi, sc.sumRe[:nAz], sc.sumIm[:nAz], vals, true, cut2)
+		default:
+			foldRow(hs, terms, z, cg)
+			e.synthRowR(terms, &hs.coeffs, sc, cg, sinPhi, cosPhi, vals, true, cut2)
 		}
 		list, maxV = shortlistRow(list, vals, r*nAz, maxV, window)
 		if !mirror {
@@ -526,10 +525,10 @@ func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, po
 		if e.kind == KindR && !e.literalRef {
 			// synthRowR leaves the row's normalized Ŝ in sumRe/sumIm.
 			qRe, qIm := sc.sumRe[:nAz], sc.sumIm[:nAz]
-			gammaM := polarAngle(m, polStep)
+			cgM := math.Cos(polarAngle(m, polBase, polStep))
 			for k, re := range qRe {
 				if m2 := re*re + qIm[k]*qIm[k]; m2 < muGuardFrac*muGuardFrac && m2 >= cut2 {
-					vals[k] = e.evalGridCell(terms, one, sinPhi[k], cosPhi[k], gammaM)
+					vals[k] = e.evalCell(terms, sc, sinPhi[k], cosPhi[k], cgM)
 				}
 			}
 		}
@@ -538,51 +537,52 @@ func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, po
 	best, bestV := 0, math.Inf(-1)
 	for _, c := range list {
 		a, r := uint(c.idx)%uint(len(sinPhi)), c.idx/nAz
-		v := e.evalGridCell(terms, one, sinPhi[a], cosPhi[a], polarAngle(r, polStep))
+		v := e.evalCell(terms, sc, sinPhi[a], cosPhi[a], math.Cos(polarAngle(r, polBase, polStep)))
 		if v > bestV || v == bestV && c.idx < best { // lowest-index tie rule
 			best, bestV = c.idx, v
 		}
 	}
-	e.putScratch(one)
 	e.putScratch(sc)
 	hs.shortlist = list
 	harmPool.Put(hs)
 	return best
 }
 
-// polarAngle returns the 3D coarse grid's polar angle γ_r = −π/2 + r·polStep
+// polarAngle returns the coarse grid's polar angle γ_r = polBase + r·polStep
 // — the expression the dense scan's row geometry evaluates.
-func polarAngle(r int, polStep float64) float64 {
-	return -math.Pi/2 + float64(r)*polStep
+func polarAngle(r int, polBase, polStep float64) float64 {
+	return polBase + float64(r)*polStep
 }
 
 // polarMirror returns row r's mirror row m = nPol−1−r and whether the two
-// may share one synthesis (γ_r + γ_m within polarMirrorTol).
-func polarMirror(r, nPol int, polStep float64) (m int, mirror bool) {
+// may share one synthesis (γ_r + γ_m within polarMirrorTol). A one-row grid
+// has no mirror.
+func polarMirror(r, nPol int, polBase, polStep float64) (m int, mirror bool) {
 	m = nPol - 1 - r
-	return m, m != r && math.Abs(polarAngle(r, polStep)+polarAngle(m, polStep)) <= polarMirrorTol
+	return m, m != r && math.Abs(polarAngle(r, polBase, polStep)+polarAngle(m, polBase, polStep)) <= polarMirrorTol
 }
 
-// rIncumbent3D is rIncumbent over the whole 3D coarse grid: one sweep over
+// rIncumbent3D returns the coarse grid's prune incumbent: one sweep over
 // the rows harmonicArgmax3D synthesizes (fold plus synthesis of Ŝ into sc's
 // row sums, mirror rows skipped) finds the cell with the largest
-// synthesized |Ŝ|, which evalGridCell then scores exactly. sc's trig rows
-// hold the grid's azimuths; z and hs.unit are harmonicArgmax3D's foldRow
-// state. The sweep also leaves each swept row r's largest |Ŝ|²/n² in
-// rowMax[r] (len(rowMax) is the polar row count): those are synthesized
-// magnitudes under the same harmonicSlack, so a row whose maximum sits
-// under the cut is pruned whole, fold and synthesis included. Rows that
-// survive refold in the main pass rather than keep a grid-sized Ŝ buffer.
-func (e *Evaluator) rIncumbent3D(hs *harmonicScratch, terms termSlices, z float64, sc, one *Scratch, rowMax []float64, polStep float64) float64 {
+// synthesized |Ŝ|, which evalCell then scores exactly on sc's residual
+// buffers, leaving the row sums alone. sc's trig rows hold the grid's
+// azimuths; z and hs.unit are harmonicArgmax3D's foldRow state. The sweep
+// also leaves each swept row r's largest |Ŝ|²/n² in rowMax[r] (len(rowMax)
+// is the polar row count): those are synthesized magnitudes under the same
+// harmonicSlack, so a row whose maximum sits under the cut is pruned whole,
+// fold and synthesis included. Rows that survive refold in the main pass
+// rather than keep a grid-sized Ŝ buffer.
+func (e *Evaluator) rIncumbent3D(hs *harmonicScratch, terms termSlices, z float64, sc *Scratch, rowMax []float64, polBase, polStep float64) float64 {
 	n, nPol := len(sc.sinPhi), len(rowMax)
 	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
 	qRe, qIm := sc.sumRe[:n], sc.sumIm[:n]
 	best, bs, bc, bestR := -1.0, 0.0, 1.0, 0
 	for r := range rowMax {
-		if m, mirror := polarMirror(r, nPol, polStep); mirror && m < r {
+		if m, mirror := polarMirror(r, nPol, polBase, polStep); mirror && m < r {
 			continue
 		}
-		foldRow(hs, terms, z, math.Cos(polarAngle(r, polStep)))
+		foldRow(hs, terms, z, math.Cos(polarAngle(r, polBase, polStep)))
 		hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
 		m2, s, c := maxPhasorCell(qRe, qIm, sinPhi, cosPhi)
 		if m2 > best {
@@ -590,18 +590,7 @@ func (e *Evaluator) rIncumbent3D(hs *harmonicScratch, terms termSlices, z float6
 		}
 		rowMax[r] = m2
 	}
-	return e.evalGridCell(terms, one, bs, bc, polarAngle(bestR, polStep))
-}
-
-// evalGridCell scores one cell of the 3D coarse grid through the dense
-// scan's own row kernel, from the row trig table's entry (sinPhi, cosPhi),
-// so the value carries the very bits denseArgmax3D assigns that cell. one
-// is a Scratch whose rows hold at least one cell.
-func (e *Evaluator) evalGridCell(terms termSlices, one *Scratch, sinPhi, cosPhi, gamma float64) float64 {
-	s, c, row := one.sinPhi[:1], one.cosPhi[:1], one.row[:1]
-	s[0], c[0] = sinPhi, cosPhi
-	e.evalRow(terms, one, gamma, 1, row)
-	return row[0]
+	return e.evalCell(terms, sc, bs, bc, math.Cos(polarAngle(bestR, polBase, polStep)))
 }
 
 // shortlistRow appends the cells of one synthesized row (grid indices

@@ -174,8 +174,8 @@ func TestProfile3DOptSlack(t *testing.T) {
 // rather than the coarse subset. Every synthesized value must sit within
 // refineSlack of the same Evaluator's EvalAt — qExactSlack for Q, the
 // wNorm-relative budget for R — across σ from 0.02 to 0.3 rad, since the R
-// slack scales with the kernel's wNorm and 1/σ_w. 2D cells fold at cos γ = 1 as
-// refine2D does; 3D cells fold through foldRow as refine3D does, on
+// slack scales with the kernel's wNorm and 1/σ_w. Cells fold through foldRow
+// as refine3D does for both searches (2D cells at cos γ = 1), on
 // single-wavelength sessions and on sessions hopping between two carriers.
 // The guard case adds a session whose residual phasors cancel at one cell,
 // so that cell's μ̂ falls under muGuardFrac and is evaluated densely.
@@ -214,7 +214,7 @@ func TestRefineSynthSlack(t *testing.T) {
 					for k := range phis {
 						phis[k] = peak.Azimuth + geom.Radians(4*rng.Float64()-2)
 					}
-					checkRefineSynth(t, ev, phis, gamma, threeD)
+					checkRefineSynth(t, ev, phis, gamma)
 				}
 			}
 		}
@@ -246,7 +246,7 @@ func TestRefineSynthSlack(t *testing.T) {
 			for k := 1; k < len(phis); k++ {
 				phis[k] = geom.Radians(4*rng.Float64() - 2)
 			}
-			got := checkRefineSynth(t, ev, phis, gamma0, gamma0 != 0)
+			got := checkRefineSynth(t, ev, phis, gamma0)
 			// A guarded cell is evaluated densely, so it carries EvalAt's
 			// very bits; a synthesized one would not.
 			if want := ev.EvalAt(ev.NewScratch(), 0, gamma0); got[0] != want {
@@ -258,22 +258,18 @@ func TestRefineSynthSlack(t *testing.T) {
 
 // checkRefineSynth synthesizes ev's profile at the cells (phis[k], gamma)
 // through refinement's row kernels, fails if any value strays from EvalAt
-// by more than ev.refineSlack(), and returns the synthesized values. threeD selects refine3D's fold
-// (foldRow, scaling unit sums on single-scale sets); otherwise gamma must
-// be 0 and the cells fold at cos γ = 1 as refine2D's do.
-func checkRefineSynth(t *testing.T, ev *Evaluator, phis []float64, gamma float64, threeD bool) []float64 {
+// by more than ev.refineSlack(), and returns the synthesized values. The
+// cells fold as refine3D folds them (foldRow, scaling unit sums on
+// single-scale sets), in 2D and 3D alike.
+func checkRefineSynth(t *testing.T, ev *Evaluator, phis []float64, gamma float64) []float64 {
 	t.Helper()
 	hs := &harmonicScratch{}
 	cg := math.Cos(gamma)
-	if threeD {
-		z := ev.terms.singleScale()
-		if z > 0 {
-			foldUnitSums(hs, ev.terms)
-		}
-		foldRow(hs, ev.terms, z, cg)
-	} else {
-		foldTermsHarmonic(hs, ev.terms, 1)
+	z := ev.terms.singleScale()
+	if z > 0 {
+		foldUnitSums(hs, ev.terms)
 	}
+	foldRow(hs, ev.terms, z, cg)
 	sc := ev.NewScratch()
 	sc.ensureRow(len(phis))
 	for k, phi := range phis {
@@ -286,8 +282,8 @@ func checkRefineSynth(t *testing.T, ev *Evaluator, phis []float64, gamma float64
 	for k, phi := range phis {
 		want := ev.EvalAt(exact, phi, gamma)
 		if d := math.Abs(got[k] - want); d > slack {
-			t.Fatalf("%v 3D=%v n=%d at (%v, %v): synthesized %v vs EvalAt %v (Δ=%v > %v)",
-				ev.kind, threeD, ev.terms.n(), phi, gamma, got[k], want, d, slack)
+			t.Fatalf("%v n=%d at (%v, %v): synthesized %v vs EvalAt %v (Δ=%v > %v)",
+				ev.kind, ev.terms.n(), phi, gamma, got[k], want, d, slack)
 		}
 	}
 	return got

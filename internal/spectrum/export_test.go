@@ -11,23 +11,22 @@ import "math"
 func CoarsePrune3D(ev *Evaluator, opts SearchOptions) (share, incumbent, peak float64) {
 	azStep, polStep, nAz, nPol := opts.grid3D()
 	hs := &harmonicScratch{}
-	sc, one := ev.NewScratch(), ev.NewScratch()
-	one.ensureRow(1)
+	sc := ev.NewScratch()
 	ev.fillUniformTrig(sc, 0, nAz, azStep)
 	sinPhi, cosPhi := sc.sinPhi[:nAz], sc.cosPhi[:nAz]
 	z := ev.coarse.singleScale()
 	if z > 0 {
 		foldUnitSums(hs, ev.coarse)
 	}
-	incumbent = ev.rIncumbent3D(hs, ev.coarse, z, sc, one, make([]float64, nPol), polStep)
+	incumbent = ev.rIncumbent3D(hs, ev.coarse, z, sc, make([]float64, nPol), -math.Pi/2, polStep)
 	cut2 := ev.rPruneCut(incumbent, harmonicSlack)
 	qRe, qIm := make([]float64, nAz), make([]float64, nAz)
 	pruned, cells := 0, 0
 	for r := 0; r < nPol; r++ {
-		if m, mirror := polarMirror(r, nPol, polStep); mirror && m < r {
+		if m, mirror := polarMirror(r, nPol, -math.Pi/2, polStep); mirror && m < r {
 			continue
 		}
-		foldRow(hs, ev.coarse, z, math.Cos(polarAngle(r, polStep)))
+		foldRow(hs, ev.coarse, z, math.Cos(polarAngle(r, -math.Pi/2, polStep)))
 		hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
 		for k, re := range qRe {
 			cells++
@@ -37,6 +36,6 @@ func CoarsePrune3D(ev *Evaluator, opts SearchOptions) (share, incumbent, peak fl
 		}
 	}
 	idx := ev.denseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep)
-	peak = ev.evalGridCell(ev.coarse, one, sinPhi[idx%nAz], cosPhi[idx%nAz], polarAngle(idx/nAz, polStep))
+	peak = ev.evalCell(ev.coarse, sc, sinPhi[idx%nAz], cosPhi[idx%nAz], math.Cos(polarAngle(idx/nAz, -math.Pi/2, polStep)))
 	return float64(pruned) / float64(cells), incumbent, peak
 }

@@ -37,9 +37,13 @@ import (
 // Exactness: the synthesized values differ from evalQExact only by Bessel
 // truncation (≲1e-14) and resummation rounding (≲1e-12) — bounded well
 // under harmonicSlack. The argmax therefore cannot be read directly off the
-// synthesized values without risking a flipped tie, so coarseArgmax2D
-// collects every cell within 2·harmonicSlack of the synthesized maximum and
-// rescores those few cells with the exact per-cell formula. Any cell the
+// synthesized values without risking a flipped tie, so the coarse argmax
+// (harmonicArgmax3D, allcells.go) collects every cell within
+// 2·harmonicSlack of the synthesized maximum and rescores those few cells
+// with the exact per-cell formula. It is one route for both peak searches,
+// keyed by grid shape: the 3D search hands it the polar rows over
+// [−π/2, π/2], each synthesized at its own cos γ, and the 2D search the
+// single row γ = 0. Any cell the
 // dense scan could have returned is within harmonicSlack of its synthesized
 // value and hence inside the collection threshold, so the returned index is
 // exactly the dense scan's argmax — which is what keeps the default-on
@@ -229,7 +233,7 @@ type harmonicScratch struct {
 	coeffs    harmonicCoeffs
 	bess      []float64
 	vals      []float64
-	shortlist []maxEntry     // the coarse routes' (cell, synthesized value) list
+	shortlist []maxEntry     // the coarse argmax's (cell, synthesized value) list
 	rowMax    []float64      // rIncumbent3D's per-row max |Ŝ|²/n²
 	unit      harmonicCoeffs // foldUnitSums' γ-free sums (refine3D)
 }

@@ -17,9 +17,9 @@ const NoRefine = -1
 
 // SearchOptions tunes the coarse-to-fine peak search: the coarse grid
 // spacing and the refinement depth. Which coarse-search route scans the grid
-// is not an option — it follows from the profile kind and the grid shape
-// (coarseArgmax2D, coarseArgmax3D), and every route returns exactly the
-// dense scan's argmax cell.
+// is not an option — both dimensions run one route (harmonicArgmax3D, then
+// refine3D) whose grid shape alone tells 2D from 3D, and it returns exactly
+// the dense scan's argmax cell.
 type SearchOptions struct {
 	// CoarseStep is the initial azimuth grid spacing. Zero means 0.5°.
 	CoarseStep float64
@@ -86,14 +86,22 @@ func FindPeak2D(snaps []phase.Snapshot, p Params, kind Kind, opts SearchOptions)
 	return az, pow, nil
 }
 
-// FindPeak2DEval is FindPeak2D on a prebuilt Evaluator: the coarse pass
-// scores the strided snapshot subset (≤64) over the uniform azimuth grid,
-// and the refinement rounds use the full set. Steady-state calls allocate
-// nothing — scratch and argmax state come from the Evaluator's pools.
+// FindPeak2DEval is FindPeak2D on a prebuilt Evaluator: the 3D search on
+// the single polar row γ = 0, where Eqn. 11/12 reduce to Eqn. 7/8. The
+// coarse pass scores the strided snapshot subset (≤64) over the uniform
+// azimuth grid, and the refinement rounds use the full set, moving in
+// azimuth only (polar step 0). Steady-state calls allocate nothing —
+// scratch and argmax state come from the Evaluator's pools.
 func FindPeak2DEval(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	step := opts.coarseStep()
-	idx := ev.coarseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step)
-	return ev.refine2D(float64(idx)*step, step, opts)
+	if ev.kind == KindR {
+		searchCounters.harmonicR2D.Add(1)
+	} else {
+		searchCounters.harmonicQ2D.Add(1)
+	}
+	idx := ev.harmonicArgmax3D(ev.coarse, gridSteps(2*math.Pi, step), 1, step, 0, 0)
+	best := ev.refine3D(Peak3D{Azimuth: float64(idx) * step}, step, 0, opts)
+	return best.Azimuth, best.Power
 }
 
 // FindPeak2DDense is FindPeak2DEval with the coarse pass on the dense
@@ -104,52 +112,6 @@ func FindPeak2DDense(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	searchCounters.dense2D.Add(1)
 	idx := ev.denseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step)
 	return ev.refine2DDense(float64(idx)*step, step, opts)
-}
-
-// coarseArgmax2D returns the dense scan's argmax index over the uniform
-// grid φ_k = k·step, k < n, at γ = 0, scored on the given term subset. Both
-// kinds take one route. Fold the harmonic coefficients once at cos γ = 1,
-// fill the grid's plan-cached trig table, and synthesize every cell: Q
-// magnitudes (harmonic.go), or for R the pass-one sums Ŝ, the prune cut
-// their largest-|Ŝ| cell sets (rPruneCut, widened by harmonicSlack) and the
-// weighting pass with the shortlist-grade kernels on the survivors
-// (allcells.go). Then shortlist every cell within the kind's window of the
-// synthesized maximum — 2·harmonicSlack for Q, 2·(rSlack + rCoarseRel·wNorm)
-// for R — and rescore those cells exactly from the table's own (sin, cos)
-// entries at cos γ = 1. The entries are the math.Sincos bits the dense scan
-// uses, so the rescore evaluates what the dense scan evaluates, and the
-// ascending strict-> pass keeps its lowest-index tie rule: the returned
-// index is the dense scan's bit for bit.
-func (e *Evaluator) coarseArgmax2D(terms termSlices, n int, step float64) int {
-	sc := e.getScratch()
-	e.fillUniformTrig(sc, 0, n, step)
-	hs := harmPool.Get().(*harmonicScratch)
-	foldTermsHarmonic(hs, terms, 1)
-	vals := hs.values(n)
-	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
-	window := 2 * harmonicSlack
-	if e.kind == KindR {
-		searchCounters.harmonicR2D.Add(1)
-		window = 2 * (rSlack + rCoarseRel*e.wNorm)
-		qRe, qIm := sc.sumRe[:n], sc.sumIm[:n]
-		hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
-		cut2 := e.rPruneCut(e.rIncumbent(terms, sc, 1, sinPhi, cosPhi, qRe, qIm), harmonicSlack)
-		e.weightRowR(terms, sc, 1, sinPhi, cosPhi, qRe, qIm, vals, true, cut2)
-	} else {
-		searchCounters.harmonicQ2D.Add(1)
-		hs.coeffs.synthesize(vals, sinPhi, cosPhi)
-	}
-	list, _ := shortlistRow(hs.shortlist[:0], vals, 0, math.Inf(-1), window)
-	best, bestV := 0, math.Inf(-1)
-	for _, c := range list { // ascending index → lowest-index tie rule
-		if v := e.evalCell(terms, sc, sinPhi[c.idx], cosPhi[c.idx], 1); v > bestV {
-			best, bestV = c.idx, v
-		}
-	}
-	hs.shortlist = list
-	harmPool.Put(hs)
-	e.putScratch(sc)
-	return best
 }
 
 // denseArgmax2D is the full parallel scan over the uniform azimuth grid.
@@ -168,47 +130,8 @@ func (e *Evaluator) denseArgmax2D(terms termSlices, n int, step float64) int {
 // winner's ±step neighborhood at step/5 spacing.
 const refineCells = 11
 
-// refine2D runs the local refinement rounds from a coarse-grid winner,
-// re-scoring it with the full snapshot set first so the comparisons are
-// apples-to-apples. Each round covers the refineCells candidates
-// best−step … best+step at step/5, then shrinks step 5×. Rounds run like
-// the coarse routes: fold the harmonic coefficients over the full term set
-// once (γ = 0 in every round), synthesize the round's candidates, and
-// exact-rescore in candidate order only those within 2·refineSlack of the
-// round's synthesized maximum. The answer is refine2DDense's bit for bit;
-// refine3D gives the argument.
-func (e *Evaluator) refine2D(best, step float64, opts SearchOptions) (float64, float64) {
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	bestPow := e.EvalAt(sc, best, 0)
-	if opts.refinements() == 0 {
-		return geom.NormalizeAngle(best), bestPow
-	}
-	hs := harmPool.Get().(*harmonicScratch)
-	foldTermsHarmonic(hs, e.terms, 1)
-	vals := hs.values(refineCells)
-	var phis [refineCells]float64
-	for r := 0; r < opts.refinements(); r++ {
-		fine := step / 5
-		sinPhi, cosPhi := refineTrig(sc, &phis, best-step, fine)
-		e.synthRow(&hs.coeffs, sc, 1, sinPhi, cosPhi, vals)
-		cut := maxOf(vals) - 2*e.refineSlack()
-		for k, phi := range phis {
-			if vals[k] < cut {
-				continue
-			}
-			if v := e.EvalAt(sc, phi, 0); v > bestPow {
-				best, bestPow = phi, v
-			}
-		}
-		step = fine
-	}
-	harmPool.Put(hs)
-	return geom.NormalizeAngle(best), bestPow
-}
-
-// refine2DDense is refine2D scoring every candidate with EvalAt — the
-// oracle behind FindPeak2DDense.
+// refine2DDense is the 2D refinement (refine3D at polar step 0) scoring
+// every candidate with EvalAt — the oracle behind FindPeak2DDense.
 func (e *Evaluator) refine2DDense(best, step float64, opts SearchOptions) (float64, float64) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
@@ -332,7 +255,12 @@ func (o SearchOptions) grid3D() (azStep, polStep float64, nAz, nPol int) {
 // the refinement rounds use the full set.
 func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
 	azStep, polStep, nAz, nPol := opts.grid3D()
-	idx := ev.coarseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep)
+	if ev.kind == KindR {
+		searchCounters.harmonicR3D.Add(1)
+	} else {
+		searchCounters.harmonicQ3D.Add(1)
+	}
+	idx := ev.harmonicArgmax3D(ev.coarse, nAz, nPol, azStep, -math.Pi/2, polStep)
 	best := Peak3D{
 		Azimuth: float64(idx%nAz) * azStep,
 		Polar:   -math.Pi/2 + float64(idx/nAz)*polStep,
@@ -353,18 +281,6 @@ func FindPeak3DDense(ev *Evaluator, opts SearchOptions) Peak3D {
 	return ev.refine3DDense(best, azStep, polStep, opts)
 }
 
-// coarseArgmax3D is coarseArgmax2D over the az × polar grid: both kinds
-// synthesize row by row through harmonicArgmax3D (allcells.go), which
-// shortlists and exact-rescores, returning exactly the dense scan's cell.
-func (e *Evaluator) coarseArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
-	if e.kind == KindR {
-		searchCounters.harmonicR3D.Add(1)
-	} else {
-		searchCounters.harmonicQ3D.Add(1)
-	}
-	return e.harmonicArgmax3D(terms, nAz, nPol, azStep, polStep)
-}
-
 // denseArgmax3D is the full parallel scan over the az × polar grid, chunked
 // by polar row — the oracle behind FindPeak3DDense.
 func (e *Evaluator) denseArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
@@ -381,17 +297,21 @@ func (e *Evaluator) denseArgmax3D(terms termSlices, nAz, nPol int, azStep, polSt
 	return idx
 }
 
-// refine3D is refine2D over (azimuth, polar): each round covers the
-// refineCells × refineCells candidates, polar rows outer. Every row folds
-// the coefficients at its own cos γ and synthesizes its azimuths; the
-// round then exact-rescores, in candidate order, the candidates within
-// 2·refineSlack of its synthesized maximum. A single-wavelength session
-// folds its terms once per refine (foldUnitSums) and each row only scales
-// those sums by its Bessel table (scaleUnitSums). A row whose cos γ repeats an
-// earlier row's — rows clamped at ±π/2, or a ±γ pair — is skipped
-// outright: EvalAt sees γ only through cos γ, so it would score exactly
-// the earlier row's values and, under the strict >, never win. The answer
-// is refine3DDense's bit for bit.
+// refine3D runs the local refinement rounds of both peak searches from a
+// coarse-grid winner, re-scoring it with the full snapshot set first so the
+// comparisons are apples-to-apples. Each round covers the refineCells ×
+// refineCells candidates best ± step at step/5 per axis, polar rows outer,
+// then shrinks both steps 5×. Every row folds the coefficients at its own
+// cos γ and synthesizes its azimuths; the round then exact-rescores, in
+// candidate order, the candidates within 2·refineSlack of its synthesized
+// maximum. A single-wavelength session folds its terms once per refine
+// (foldUnitSums) and each row only scales those sums by its Bessel table
+// (scaleUnitSums). A row whose cos γ repeats an earlier row's — rows
+// clamped at ±π/2, a ±γ pair, or every row after the first of a 2D search,
+// which passes polar step 0 — is skipped outright: EvalAt sees γ only
+// through cos γ, so it would score exactly the earlier row's values and,
+// under the strict >, never win. The answer is refine3DDense's (at polar
+// step 0, refine2DDense's) bit for bit.
 //
 // Why the shortlist cannot change the answer: the dense loop returns the
 // incoming best unless some candidate beats it, and otherwise the first

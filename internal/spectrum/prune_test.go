@@ -23,8 +23,8 @@ func TestRPruneBound(t *testing.T) {
 	azStep, polStep, nAz, nPol := SearchOptions{}.grid3D()
 	var rows3D []float64
 	for r := 0; r < nPol; r++ {
-		if m, mirror := polarMirror(r, nPol, polStep); !mirror || m > r {
-			rows3D = append(rows3D, math.Cos(polarAngle(r, polStep)))
+		if m, mirror := polarMirror(r, nPol, -math.Pi/2, polStep); !mirror || m > r {
+			rows3D = append(rows3D, math.Cos(polarAngle(r, -math.Pi/2, polStep)))
 		}
 	}
 	step2D := SearchOptions{}.coarseStep()

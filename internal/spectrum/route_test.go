@@ -58,7 +58,11 @@ func synthHopping(p Params, reader geom.Vec3, n int, sigma float64, freqs []floa
 //
 // The 2D arm's "long" case draws sessions of 288–447 reads, real session
 // lengths, for Q, robust R and literal R: the refinement rounds then fold
-// and score the full session, not the coarse subset.
+// and score the full session, not the coarse subset. Its "long/hopping"
+// case hops those sessions between two carriers, so the terms mix aperture
+// scales and both passes fold term by term (foldTermsHarmonic) instead of
+// scaling one set of unit sums; the coarse subset mixes too whenever its
+// stride is odd.
 //
 // The 3D arm draws 40 sessions per kind and reference on the default 2°
 // polar grid, where mirror rows share one synthesis, at real session lengths
@@ -110,6 +114,36 @@ func TestPeakCaptureBound(t *testing.T) {
 						t.Fatalf("trial %d (n=%d): routed (%v, %v) != dense (%v, %v)",
 							trial, n, gotAz, gotPow, wantAz, wantPow)
 					}
+				}
+			})
+		}
+		for i, tc := range refineKinds {
+			t.Run("long/hopping/"+tc.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(120 + int64(i)))
+				pp := p
+				pp.LiteralReference = tc.literal
+				mixedCoarse := 0
+				for trial := 0; trial < 30; trial++ {
+					n := 288 + rng.Intn(160)
+					snaps := synthHopping(pp, randReader(rng, true), n, rng.Float64()*0.2, []float64{testFreq, testFreq + 1.5e6}, rng)
+					ev, err := NewEvaluator(snaps, pp, tc.kind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ev.terms.singleScale() != 0 {
+						t.Fatalf("trial %d: singleScale = %v, want a mixed set", trial, ev.terms.singleScale())
+					}
+					if ev.coarse.singleScale() == 0 {
+						mixedCoarse++
+					}
+					wantAz, wantPow := FindPeak2DDense(ev, opts)
+					if gotAz, gotPow := FindPeak2DEval(ev, opts); gotAz != wantAz || gotPow != wantPow {
+						t.Fatalf("trial %d (n=%d): routed (%v, %v) != dense (%v, %v)",
+							trial, n, gotAz, gotPow, wantAz, wantPow)
+					}
+				}
+				if mixedCoarse == 0 {
+					t.Fatal("no coarse subset mixed carriers: the coarse pass never folded term by term")
 				}
 			})
 		}
@@ -190,7 +224,7 @@ func TestPeakCaptureBound(t *testing.T) {
 					if (ev.terms.singleScale() == 0) != (trial%2 == 1) {
 						t.Fatalf("trial %d: singleScale = %v, want a mixed set exactly on odd trials", trial, ev.terms.singleScale())
 					}
-					if row := ev.coarseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep) / nAz; row == 0 || row == nPol-1 {
+					if row := ev.harmonicArgmax3D(ev.coarse, nAz, nPol, azStep, -math.Pi/2, polStep) / nAz; row == 0 || row == nPol-1 {
 						clamped++
 					}
 					if got, want := FindPeak3DEval(ev, opts), FindPeak3DDense(ev, opts); got != want {

@@ -3,15 +3,16 @@
 # loops (make vet-strict).
 #
 # The all-cells kernels in internal/spectrum/allcells.go (synthesizeComplex,
-# synthRowR, the Profile*Synth drivers, the 3D coarse-argmax driver
-# harmonicArgmax3D with its shortlistRow/evalGridCell helpers), the
-# harmonic kernels in internal/spectrum/harmonic.go (besselJArray, foldTerm,
-# foldTermsHarmonic, synthesize, the foldUnitSums/scaleUnitSums pair that
-# refine3D folds with — hot on the full term set once refinement
-# synthesizes) are written with explicit reslicing so the compiler can
-# prove every per-element index in range and drop the bounds checks; a
-# refactor that breaks that proof silently re-inserts a check per element
-# per iteration in the hottest loops of the package. This script rebuilds
+# synthRowR/weightRowR, and harmonicArgmax3D — the one coarse-argmax driver
+# of both peak searches, 2D being its single γ = 0 row — with its
+# rIncumbent3D/maxPhasorCell/shortlistRow helpers), the harmonic kernels in
+# internal/spectrum/harmonic.go (besselJArray, foldTerm, foldTermsHarmonic,
+# synthesize, the foldUnitSums/scaleUnitSums pair that refine3D folds with
+# — hot on the full term set once refinement synthesizes) are written with
+# explicit reslicing so the compiler can prove every per-element index in
+# range and drop the bounds checks; a refactor that breaks that proof
+# silently re-inserts a check per element per iteration in the hottest
+# loops of the package. This script rebuilds
 # the package with the compiler's check_bce diagnostic and fails if any
 # per-element IsInBounds check survives in either file.
 #
