@@ -19,8 +19,11 @@ GOFMT ?= gofmt
 # golden traces pin that answers stay bit-identical at both.
 # TestFindPeakEvalZeroAllocs skips under the race detector, so a non-race
 # GOMAXPROCS=4 pass runs it and TestSchedRunZeroAllocs with chunks fanned
-# out to helpers even on a 1-CPU machine. The last pass runs the batch tests on one CPU, where a
-# GOMAXPROCS-sized default would run batch items one at a time.
+# out to helpers even on a 1-CPU machine. The last pass runs on one CPU the
+# batch tests, where a GOMAXPROCS-sized default would run batch items one at
+# a time, and the core pass-loop tests: estimateAll's per-tag fan-out is a
+# locate's only parallelism, so the solve count, the 1 cm stop and
+# mid-locate cancellation must hold when every tag's search shares one CPU.
 check: build fmt-check vet-strict doc-idents
 	cd bench && $(GO) test ./...
 	$(GO) test -race ./...
@@ -29,7 +32,7 @@ check: build fmt-check vet-strict doc-idents
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestFindPeakEvalZeroAllocs|TestSchedRunZeroAllocs' ./internal/spectrum/ ./internal/sched/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestAccumulator|TestStream' ./internal/spectrum/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestReroute|TestKill|TestDrain|TestHealth|TestRing' ./internal/coord/ ./internal/locsrv/
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestLocateBatch|TestRequestTimeoutCancelsStalledBatchItem' ./internal/locsrv/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestLocateBatch|TestRequestTimeoutCancelsStalledBatchItem|TestPassLoop' ./internal/locsrv/ ./internal/core/
 
 build:
 	$(GO) build ./...

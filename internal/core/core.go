@@ -14,6 +14,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -103,11 +104,7 @@ type Locator struct {
 
 // NewLocator builds a Locator.
 func NewLocator(cfg Config) *Locator {
-	est := cfg.Estimator
-	if est == nil {
-		est = GridEstimator{Policy: cfg.ZPolicy}
-	}
-	return &Locator{cfg: cfg, est: est}
+	return (&Locator{cfg: cfg}).WithEstimator(cfg.Estimator)
 }
 
 // WithEstimator returns a copy of the Locator that solves through est,
@@ -227,61 +224,46 @@ func applyOrientation(tag SpinningTag, snaps []phase.Snapshot, readerPos geom.Ve
 	})
 }
 
-// estimate2D runs the per-tag 2D spectrum. When correctAgainst is non-nil
-// and the tag has an orientation calibration, the fitted offset is removed
-// against that reader-position estimate first. The returned EstimatorTag
-// carries the (possibly corrected) input snapshots so a model-based solve
-// backend can rebuild its likelihood from exactly what the peak saw.
-func (l *Locator) estimate2D(tag SpinningTag, selected []phase.Snapshot, kind spectrum.Kind, correctAgainst *geom.Vec2) (EstimatorTag, error) {
+// estimate runs one tag's spectrum peak search: FindPeak3DEval when threeD,
+// FindPeak2DEval otherwise. When against is non-nil and the tag has an
+// orientation calibration, the fitted offset is removed against that
+// reader-position estimate first; a 2D locate corrects against the position
+// at the tag disk's own height. The returned EstimatorTag carries the
+// (possibly corrected) input snapshots so a model-based solve backend can
+// rebuild its likelihood from exactly what the peak saw.
+func (l *Locator) estimate(tag SpinningTag, selected []phase.Snapshot, kind spectrum.Kind, threeD bool, against *geom.Vec3) (EstimatorTag, error) {
 	params := spectrum.Params{Disk: tag.Disk, Sigma: l.cfg.Sigma, LiteralReference: l.cfg.LiteralReference}
 	input := selected
-	if correctAgainst != nil && tag.Orientation != nil && !l.cfg.DisableOrientation {
-		input = applyOrientation(tag, selected, geom.V3(correctAgainst.X, correctAgainst.Y, tag.Disk.Center.Z))
+	if against != nil && tag.Orientation != nil && !l.cfg.DisableOrientation {
+		pos := *against
+		if !threeD {
+			pos.Z = tag.Disk.Center.Z
+		}
+		input = applyOrientation(tag, selected, pos)
 	}
 	ev, err := spectrum.NewEvaluator(input, params, kind)
 	if err != nil {
 		return EstimatorTag{}, fmt.Errorf("tag %s: %w", tag.EPC, err)
 	}
-	az, power := spectrum.FindPeak2DEval(ev, l.cfg.Search)
-	return EstimatorTag{
-		Tag:   tag,
-		Snaps: input,
-		Est: TagEstimate{
-			EPC:       tag.EPC,
-			Azimuth:   az,
-			Power:     power,
-			Snapshots: len(selected),
-		},
-	}, nil
+	var pk spectrum.Peak3D
+	if threeD {
+		pk = spectrum.FindPeak3DEval(ev, l.cfg.Search)
+	} else {
+		pk.Azimuth, pk.Power = spectrum.FindPeak2DEval(ev, l.cfg.Search)
+	}
+	return estimatorTag(tag, input, len(selected), pk), nil
 }
 
-// estimate3D is the 3D analogue of estimate2D.
-func (l *Locator) estimate3D(tag SpinningTag, selected []phase.Snapshot, kind spectrum.Kind, correctAgainst *geom.Vec3) (EstimatorTag, error) {
-	params := spectrum.Params{Disk: tag.Disk, Sigma: l.cfg.Sigma, LiteralReference: l.cfg.LiteralReference}
-	input := selected
-	if correctAgainst != nil && tag.Orientation != nil && !l.cfg.DisableOrientation {
-		input = applyOrientation(tag, selected, *correctAgainst)
-	}
-	ev, err := spectrum.NewEvaluator(input, params, kind)
-	if err != nil {
-		return EstimatorTag{}, fmt.Errorf("tag %s: %w", tag.EPC, err)
-	}
-	pk := spectrum.FindPeak3DEval(ev, l.cfg.Search)
-	return EstimatorTag{
-		Tag:   tag,
-		Snaps: input,
-		Est: TagEstimate{
-			EPC:       tag.EPC,
-			Azimuth:   pk.Azimuth,
-			Polar:     pk.Polar,
-			Power:     pk.Power,
-			Snapshots: len(selected),
-		},
-	}, nil
+// estimatorTag pairs a tag's spectrum peak with the snapshots behind it and
+// the count of selected reads that contributed.
+func estimatorTag(tag SpinningTag, snaps []phase.Snapshot, n int, pk spectrum.Peak3D) EstimatorTag {
+	est := TagEstimate{EPC: tag.EPC, Azimuth: pk.Azimuth, Polar: pk.Polar, Power: pk.Power, Snapshots: n}
+	return EstimatorTag{Tag: tag, Snaps: snaps, Est: est}
 }
 
 // orderTags returns the registered tags that have observations, in a
-// deterministic order (by EPC).
+// deterministic order (by EPC bytes, which is also the order of their
+// lowercase hex strings).
 func orderTags(registered []SpinningTag, obs Observations) []SpinningTag {
 	var present []SpinningTag
 	for _, t := range registered {
@@ -290,29 +272,29 @@ func orderTags(registered []SpinningTag, obs Observations) []SpinningTag {
 		}
 	}
 	sort.Slice(present, func(i, j int) bool {
-		return present[i].EPC.String() < present[j].EPC.String()
+		return bytes.Compare(present[i].EPC[:], present[j].EPC[:]) < 0
 	})
 	return present
 }
 
-// estimateAll runs fn — a per-tag spectrum estimate — for every present tag
-// concurrently. The per-tag peak searches are independent and dominate a
-// pass's cost. Each tag's search runs serially on its own goroutine: the
-// synthesized coarse and refinement routes submit no jobs to the dense-scan
-// scheduler (internal/sched), so this per-tag fan-out is the locate's
-// only parallelism, bounded by GOMAXPROCS. Results land in tag-index slots
-// and the first error *in tag order* is returned, so the output is
-// deterministic regardless of goroutine scheduling.
-func estimateAll(present []SpinningTag, fn func(tag SpinningTag) (EstimatorTag, error)) ([]EstimatorTag, error) {
-	etags := make([]EstimatorTag, len(present))
-	errs := make([]error, len(present))
+// estimateAll runs fn — tag i's spectrum estimate — for every one of n
+// present tags concurrently. The per-tag peak searches are independent and
+// dominate a pass's cost. Each tag's search runs serially on its own
+// goroutine: the synthesized coarse and refinement routes submit no jobs to
+// the dense-scan scheduler (internal/sched), so this per-tag fan-out is the
+// locate's only parallelism, bounded by GOMAXPROCS. Results land in
+// tag-index slots and the first error *in tag order* is returned, so the
+// output is deterministic regardless of goroutine scheduling.
+func estimateAll(n int, fn func(i int) (EstimatorTag, error)) ([]EstimatorTag, error) {
+	etags := make([]EstimatorTag, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	wg.Add(len(present))
-	for i, tag := range present {
-		go func(i int, tag SpinningTag) {
+	wg.Add(n)
+	for i := range n {
+		go func() {
 			defer wg.Done()
-			etags[i], errs[i] = fn(tag)
-		}(i, tag)
+			etags[i], errs[i] = fn(i)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -323,18 +305,74 @@ func estimateAll(present []SpinningTag, fn func(tag SpinningTag) (EstimatorTag, 
 	return etags, nil
 }
 
-// solvePass2D runs one estimate-and-solve pass through the configured
-// estimator backend.
-func (l *Locator) solvePass2D(present []SpinningTag, selected map[string][]phase.Snapshot, kind spectrum.Kind, correctAgainst *geom.Vec2) ([]EstimatorTag, Solution2D, error) {
-	etags, err := estimateAll(present, func(tag SpinningTag) (EstimatorTag, error) {
-		return l.estimate2D(tag, selected[tag.EPC.String()], kind, correctAgainst)
-	})
-	if err != nil {
-		return nil, Solution2D{}, err
+// solve fuses one pass's estimates through the configured estimator
+// backend. A 2D solution is lifted to z = 0 with no mirror.
+func (l *Locator) solve(etags []EstimatorTag, threeD bool) (Solution3D, error) {
+	if threeD {
+		return l.est.Solve3D(etags)
 	}
 	sol, err := l.est.Solve2D(etags)
+	return Solution3D{Position: geom.V3(sol.Position.X, sol.Position.Y, 0), Confidence: sol.Confidence}, err
+}
+
+// run is the one locate pipeline, behind the batch Locate*Context and the
+// streaming Finalize* of both dimensions: selection, a bootstrap pass, then
+// — when orientation calibrations apply — up to three correction passes,
+// each against the previous pass's position (in 3D, the selected candidate:
+// ρ is, to first order, insensitive to the sign of z). A better position
+// gives more accurate per-snapshot orientations; 1 cm of movement changes ρ
+// by well under a degree at operating distances, so the loop stops at the
+// first pass that moves the position less than that. first, when non-nil,
+// supplies a tag's bootstrap peak (a Stream's accumulators); ok false sends
+// the tag to the batch estimate. The context is checked before every pass.
+func (l *Locator) run(ctx context.Context, registered []SpinningTag, obs Observations, threeD bool,
+	first func(tag SpinningTag, selected []phase.Snapshot, kind spectrum.Kind) (pk spectrum.Peak3D, ok bool),
+) ([]EstimatorTag, Solution3D, error) {
+	present, selected, err := l.selectAll(registered, obs)
 	if err != nil {
-		return nil, Solution2D{}, err
+		return nil, Solution3D{}, err
+	}
+	kind := l.bootstrapKind(present)
+	var against *geom.Vec3 // nil on the bootstrap pass
+	pass := func() ([]EstimatorTag, Solution3D, error) {
+		if err := ctxErr(ctx); err != nil {
+			return nil, Solution3D{}, err
+		}
+		etags, err := estimateAll(len(present), func(i int) (EstimatorTag, error) {
+			tag, sel := present[i], selected[i]
+			if against == nil && first != nil {
+				if pk, ok := first(tag, sel, kind); ok {
+					return estimatorTag(tag, sel, len(sel), pk), nil
+				}
+			}
+			return l.estimate(tag, sel, kind, threeD, against)
+		})
+		if err != nil {
+			return nil, Solution3D{}, err
+		}
+		sol, err := l.solve(etags, threeD)
+		return etags, sol, err
+	}
+	etags, sol, err := pass()
+	if err != nil || !l.wantsOrientation(present) {
+		return etags, sol, err
+	}
+	kind = l.cfg.kind()
+	for range 3 {
+		coarse := sol.Position
+		against = &coarse
+		if etags, sol, err = pass(); err != nil {
+			return nil, Solution3D{}, err
+		}
+		moved := sol.Position.DistanceTo(coarse)
+		if !threeD {
+			// math.Hypot in the plane: a z = 0 Sqrt(Dot) can differ in the
+			// last bit, and so move a 2D locate's pass count.
+			moved = sol.Position.XY().DistanceTo(coarse.XY())
+		}
+		if moved < 0.01 {
+			break
+		}
 	}
 	return etags, sol, nil
 }
@@ -345,7 +383,7 @@ func (l *Locator) solvePass2D(present []SpinningTag, selected map[string][]phase
 // per-snapshot orientations are computed against, then up to three
 // correction passes solve the corrected snapshots again, each against the
 // previous position (§III-B's Step 2 needs a direction, which only exists
-// after a first estimate; finish2D has the loop).
+// after a first estimate; run has the loop).
 func (l *Locator) Locate2D(registered []SpinningTag, obs Observations) (Result2D, error) {
 	return l.Locate2DContext(context.Background(), registered, obs)
 }
@@ -364,18 +402,11 @@ func ctxErr(ctx context.Context) error {
 // tag), so an abandoned request stops burning cores at the next pass
 // boundary instead of running the full multi-pass solve to completion.
 func (l *Locator) Locate2DContext(ctx context.Context, registered []SpinningTag, obs Observations) (Result2D, error) {
-	present, selected, err := l.selectAll(registered, obs)
+	etags, sol, err := l.run(ctx, registered, obs, false, nil)
 	if err != nil {
 		return Result2D{}, err
 	}
-	if err := ctxErr(ctx); err != nil {
-		return Result2D{}, err
-	}
-	etags, sol, err := l.solvePass2D(present, selected, l.bootstrapKind(present), nil)
-	if err != nil {
-		return Result2D{}, err
-	}
-	return l.finish2D(ctx, present, selected, etags, sol)
+	return l.result2D(etags, sol), nil
 }
 
 // bootstrapKind returns the profile kind of the first solve pass. The
@@ -390,51 +421,43 @@ func (l *Locator) bootstrapKind(present []SpinningTag) spectrum.Kind {
 	return l.cfg.kind()
 }
 
-// finish2D completes a 2D locate from the bootstrap pass's estimates:
-// when orientation calibrations apply, it iterates correction passes — a
-// better position estimate gives more accurate per-snapshot orientations,
-// which gives a better position; convergence is fast since 1 cm of position
-// movement changes ρ by well under a degree at operating distances. Both
-// the batch Locate2DContext and the streaming Finalize2D end here, so the
-// two paths share everything after the bootstrap estimates.
-func (l *Locator) finish2D(ctx context.Context, present []SpinningTag, selected map[string][]phase.Snapshot, etags []EstimatorTag, sol Solution2D) (Result2D, error) {
-	if l.wantsOrientation(present) {
-		for pass := 0; pass < 3; pass++ {
-			if err := ctxErr(ctx); err != nil {
-				return Result2D{}, err
-			}
-			coarse := sol.Position
-			var err error
-			etags, sol, err = l.solvePass2D(present, selected, l.cfg.kind(), &coarse)
-			if err != nil {
-				return Result2D{}, err
-			}
-			if sol.Position.DistanceTo(coarse) < 0.01 {
-				break
-			}
-		}
-	}
+// result2D shapes run's output as a 2D result.
+func (l *Locator) result2D(etags []EstimatorTag, sol Solution3D) Result2D {
 	return Result2D{
-		Position:   sol.Position,
+		Position:   sol.Position.XY(),
 		Bearings:   tagEstimates(etags),
 		Backend:    l.est.Name(),
 		Confidence: sol.Confidence,
-	}, nil
+	}
 }
 
-// selectAll validates and channel-filters every present tag's snapshots.
-func (l *Locator) selectAll(registered []SpinningTag, obs Observations) ([]SpinningTag, map[string][]phase.Snapshot, error) {
+// result3D shapes run's output as a 3D result. Mirror selection itself
+// belongs to the estimator backend.
+func (l *Locator) result3D(etags []EstimatorTag, sol Solution3D) Result3D {
+	return Result3D{
+		Position:   sol.Position,
+		Mirror:     sol.Mirror,
+		ZSpread:    sol.ZSpread,
+		Bearings:   tagEstimates(etags),
+		Backend:    l.est.Name(),
+		Confidence: sol.Confidence,
+	}
+}
+
+// selectAll validates and channel-filters every present tag's snapshots;
+// selected[i] is present[i]'s selection.
+func (l *Locator) selectAll(registered []SpinningTag, obs Observations) ([]SpinningTag, [][]phase.Snapshot, error) {
 	present := orderTags(registered, obs)
 	if len(present) < 2 {
 		return nil, nil, ErrTooFewTags
 	}
-	selected := make(map[string][]phase.Snapshot, len(present))
-	for _, tag := range present {
+	selected := make([][]phase.Snapshot, len(present))
+	for i, tag := range present {
 		snaps, err := l.selectSnapshots(obs[tag.EPC])
 		if err != nil {
 			return nil, nil, fmt.Errorf("tag %s: %w", tag.EPC, err)
 		}
-		selected[tag.EPC.String()] = snaps
+		selected[i] = snaps
 	}
 	return present, selected, nil
 }
@@ -452,22 +475,6 @@ func (l *Locator) wantsOrientation(present []SpinningTag) bool {
 	return false
 }
 
-// solvePass3D runs one estimate-and-solve pass through the configured
-// estimator backend.
-func (l *Locator) solvePass3D(present []SpinningTag, selected map[string][]phase.Snapshot, kind spectrum.Kind, correctAgainst *geom.Vec3) ([]EstimatorTag, Solution3D, error) {
-	etags, err := estimateAll(present, func(tag SpinningTag) (EstimatorTag, error) {
-		return l.estimate3D(tag, selected[tag.EPC.String()], kind, correctAgainst)
-	})
-	if err != nil {
-		return nil, Solution3D{}, err
-	}
-	sol, err := l.est.Solve3D(etags)
-	if err != nil {
-		return nil, Solution3D{}, err
-	}
-	return etags, sol, nil
-}
-
 // Locate3D estimates the reader position in space from the observations of
 // two or more registered spinning tags, with the same orientation passes
 // as Locate2D.
@@ -478,52 +485,11 @@ func (l *Locator) Locate3D(registered []SpinningTag, obs Observations) (Result3D
 // Locate3DContext is Locate3D with cancellation, checked between spectrum
 // passes exactly as in Locate2DContext.
 func (l *Locator) Locate3DContext(ctx context.Context, registered []SpinningTag, obs Observations) (Result3D, error) {
-	present, selected, err := l.selectAll(registered, obs)
+	etags, sol, err := l.run(ctx, registered, obs, true, nil)
 	if err != nil {
 		return Result3D{}, err
 	}
-	if err := ctxErr(ctx); err != nil {
-		return Result3D{}, err
-	}
-	etags, sol, err := l.solvePass3D(present, selected, l.bootstrapKind(present), nil)
-	if err != nil {
-		return Result3D{}, err
-	}
-	return l.finish3D(ctx, present, selected, etags, sol)
-}
-
-// finish3D completes a 3D locate from the bootstrap pass's estimates and
-// solution: orientation-correction passes iterate against the selected
-// candidate (the orientation ρ is, to first order, insensitive to the sign
-// of z, so correcting against it is safe even when the backend resolved the
-// mirror by policy rather than evidence). Mirror selection itself belongs to
-// the estimator backend. Shared by the batch and streaming paths like
-// finish2D.
-func (l *Locator) finish3D(ctx context.Context, present []SpinningTag, selected map[string][]phase.Snapshot, etags []EstimatorTag, sol Solution3D) (Result3D, error) {
-	if l.wantsOrientation(present) {
-		for pass := 0; pass < 3; pass++ {
-			if err := ctxErr(ctx); err != nil {
-				return Result3D{}, err
-			}
-			coarse := sol.Position
-			var err error
-			etags, sol, err = l.solvePass3D(present, selected, l.cfg.kind(), &coarse)
-			if err != nil {
-				return Result3D{}, err
-			}
-			if sol.Position.DistanceTo(coarse) < 0.01 {
-				break
-			}
-		}
-	}
-	return Result3D{
-		Position:   sol.Position,
-		Mirror:     sol.Mirror,
-		ZSpread:    sol.ZSpread,
-		Bearings:   tagEstimates(etags),
-		Backend:    l.est.Name(),
-		Confidence: sol.Confidence,
-	}, nil
+	return l.result3D(etags, sol), nil
 }
 
 // Diagnosis reports how well a tag's snapshots fit its registered disk

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/tagspin/tagspin/internal/phase"
+	"github.com/tagspin/tagspin/internal/tags"
 )
 
 // TestSelectSnapshotsCarrier pins the dominant-carrier rule on multi-carrier
@@ -98,5 +100,41 @@ func TestSelectSnapshotsCarrier(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: got %v, want %v", tc.name, got, want)
 		}
+	}
+}
+
+// TestOrderTagsByEPC pins the present-tag order: tags with observations
+// only, sorted by EPC bytes, which is also the order of their lowercase hex
+// strings. The EPCs straddle the 9/a nibble boundary, where the hex digits
+// jump from '9' to 'a' in ASCII.
+func TestOrderTagsByEPC(t *testing.T) {
+	epc := func(b ...byte) tags.EPC {
+		var e tags.EPC
+		copy(e[:], b)
+		return e
+	}
+	registered := []SpinningTag{
+		{EPC: epc(0xa0)},
+		{EPC: epc(0x0a)},
+		{EPC: epc(0x9f, 0xff)},
+		{EPC: epc(0x09, 0xa0)},
+		{EPC: epc(0x09, 0x9f)},
+		{EPC: epc(0xa0, 0x01)},
+		{EPC: epc(0x55)}, // registered, never observed
+	}
+	obs := Observations{}
+	for _, tag := range registered[:6] {
+		obs[tag.EPC] = []phase.Snapshot{{}}
+	}
+	var got []string
+	for _, tag := range orderTags(registered, obs) {
+		got = append(got, tag.EPC.String()[:4])
+	}
+	want := []string{"099f", "09a0", "0a00", "9fff", "a000", "a001"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+	if !sort.StringsAreSorted(got) {
+		t.Errorf("order %v is not the hex string order", got)
 	}
 }

@@ -263,111 +263,64 @@ func (s *Stream) newAccumulator(tag SpinningTag) (*spectrum.Accumulator, error) 
 	return spectrum.NewAccumulator2D(params, s.kind, cfg.Search)
 }
 
-// usableAcc returns the accumulator that matches the batch selection for
-// this tag — same dominant channel, same snapshot count, clean in-order
-// history — or nil when the tag must fall back to batch.
-func (s *Stream) usableAcc(tag SpinningTag, selected []phase.Snapshot) *freqAcc {
+// peak runs the batch peak search on a tag's streamed terms. ok is false —
+// the tag must fall back to batch — unless the stream was built for this
+// finalize's dimension and bootstrap kind and the tag's accumulator matches
+// the batch selection: same dominant channel, same snapshot count, clean
+// in-order history.
+func (s *Stream) peak(tag SpinningTag, selected []phase.Snapshot, kind spectrum.Kind, threeD bool) (pk spectrum.Peak3D, ok bool) {
 	ts := s.byEPC[tag.EPC]
-	if ts == nil || len(selected) == 0 {
-		return nil
+	if ts == nil || len(selected) == 0 || kind != s.kind || threeD != s.threeD {
+		return pk, false
 	}
 	fa := ts.find(selected[0].FrequencyHz)
 	if fa == nil || fa.failed || fa.acc == nil || fa.acc.Snapshots() != len(selected) {
-		return nil
+		return pk, false
 	}
-	return fa
+	var err error
+	if threeD {
+		pk, err = fa.acc.FindPeak3D()
+	} else {
+		pk.Azimuth, pk.Power, err = fa.acc.FindPeak2D()
+	}
+	return pk, err == nil
 }
 
-// Finalize2D completes the streamed session against the full observations
-// the collection returned: batch-identical selection and validation, per-tag
-// peaks from the streamed terms (or the collected snapshots on a fallback),
-// both through the batch peak search, then the shared solve
-// and orientation passes. The result is bit-identical to
-// Locate2DContext(ctx, registered, obs).
-func (s *Stream) Finalize2D(ctx context.Context, obs Observations) (Result2D, error) {
+// finalize completes the streamed session against the full observations
+// the collection returned: the batch pass loop, with each tag's bootstrap
+// peak taken from its streamed terms (or the collected snapshots on a
+// fallback), both through the batch peak search.
+func (s *Stream) finalize(ctx context.Context, obs Observations, threeD bool) ([]EstimatorTag, Solution3D, error) {
 	s.stop()
-	l := s.loc
-	present, selected, err := l.selectAll(s.registered, obs)
-	if err != nil {
-		return Result2D{}, err
-	}
-	if err := ctxErr(ctx); err != nil {
-		return Result2D{}, err
-	}
-	kind := l.bootstrapKind(present)
-	streamable := kind == s.kind && !s.threeD
-	etags, err := estimateAll(present, func(tag SpinningTag) (EstimatorTag, error) {
-		sel := selected[tag.EPC.String()]
-		if streamable {
-			if fa := s.usableAcc(tag, sel); fa != nil {
-				if az, pow, err := fa.acc.FindPeak2D(); err == nil {
-					s.streamed.Add(1)
-					return EstimatorTag{
-						Tag:   tag,
-						Snaps: sel,
-						Est:   TagEstimate{EPC: tag.EPC, Azimuth: az, Power: pow, Snapshots: len(sel)},
-					}, nil
-				}
-			}
+	return s.loc.run(ctx, s.registered, obs, threeD, func(tag SpinningTag, selected []phase.Snapshot, kind spectrum.Kind) (spectrum.Peak3D, bool) {
+		pk, ok := s.peak(tag, selected, kind, threeD)
+		if ok {
+			s.streamed.Add(1)
+		} else {
+			s.fallbacks.Add(1)
 		}
-		s.fallbacks.Add(1)
-		return l.estimate2D(tag, sel, kind, nil)
+		return pk, ok
 	})
+}
+
+// Finalize2D completes the streamed session as a 2D locate. The result is
+// bit-identical to Locate2DContext(ctx, registered, obs).
+func (s *Stream) Finalize2D(ctx context.Context, obs Observations) (Result2D, error) {
+	etags, sol, err := s.finalize(ctx, obs, false)
 	if err != nil {
 		return Result2D{}, err
 	}
-	sol, err := l.est.Solve2D(etags)
-	if err != nil {
-		return Result2D{}, err
-	}
-	return l.finish2D(ctx, present, selected, etags, sol)
+	return s.loc.result2D(etags, sol), nil
 }
 
 // Finalize3D is Finalize2D for a 3D locate; bit-identical to
 // Locate3DContext(ctx, registered, obs).
 func (s *Stream) Finalize3D(ctx context.Context, obs Observations) (Result3D, error) {
-	s.stop()
-	l := s.loc
-	present, selected, err := l.selectAll(s.registered, obs)
+	etags, sol, err := s.finalize(ctx, obs, true)
 	if err != nil {
 		return Result3D{}, err
 	}
-	if err := ctxErr(ctx); err != nil {
-		return Result3D{}, err
-	}
-	kind := l.bootstrapKind(present)
-	streamable := kind == s.kind && s.threeD
-	etags, err := estimateAll(present, func(tag SpinningTag) (EstimatorTag, error) {
-		sel := selected[tag.EPC.String()]
-		if streamable {
-			if fa := s.usableAcc(tag, sel); fa != nil {
-				if pk, err := fa.acc.FindPeak3D(); err == nil {
-					s.streamed.Add(1)
-					return EstimatorTag{
-						Tag:   tag,
-						Snaps: sel,
-						Est: TagEstimate{
-							EPC:       tag.EPC,
-							Azimuth:   pk.Azimuth,
-							Polar:     pk.Polar,
-							Power:     pk.Power,
-							Snapshots: len(sel),
-						},
-					}, nil
-				}
-			}
-		}
-		s.fallbacks.Add(1)
-		return l.estimate3D(tag, sel, kind, nil)
-	})
-	if err != nil {
-		return Result3D{}, err
-	}
-	sol, err := l.est.Solve3D(etags)
-	if err != nil {
-		return Result3D{}, err
-	}
-	return l.finish3D(ctx, present, selected, etags, sol)
+	return s.loc.result3D(etags, sol), nil
 }
 
 // Locate2DStream runs a 2D locate with collection and accumulation

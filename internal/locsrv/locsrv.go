@@ -669,11 +669,13 @@ func deadlineStatus(err error, fallback int) int {
 }
 
 // locateOne validates one request, collects snapshots from the reader, and
-// runs the localization pipeline, streaming when stream is set. Both the
-// single-locate handler and every batch item share this path, so
-// validation, error mapping, and response construction cannot drift between
-// the two. The context bounds the whole item: collect and solve are both
-// canceled when it expires.
+// runs the localization pipeline. When stream is set, spectrum terms
+// accumulate while the session is still reporting, so only the peak search
+// and solve remain after collection; the answer is bit-identical to the
+// batch pipeline's. The single-locate handler and every batch item share
+// this path, so validation, error mapping, and response construction cannot
+// drift between the two. The context bounds the whole item: collect and
+// solve are both canceled when it expires.
 func (s *Server) locateOne(ctx context.Context, req LocateRequest, spinning []core.SpinningTag, stream bool) (*LocateResponse, *statusError) {
 	if req.ReaderAddr == "" {
 		return nil, &statusError{http.StatusBadRequest, errors.New("readerAddr required")}
@@ -710,80 +712,61 @@ func (s *Server) locateOne(ctx context.Context, req LocateRequest, spinning []co
 			callerHook(err)
 		}
 	}
-	if stream {
-		return s.locateStreaming(ctx, loc, req.ReaderAddr, ccfg, mode, spinning)
-	}
+	// One collect: through a Stream's sink when stream is set, else through
+	// the streaming collector with no sink (retries, deadlines and caller
+	// wrapping behave as for a streamed locate), else the plain collector.
+	var st *core.Stream
 	var obs core.Observations
 	var err error
-	if s.streaming {
-		// The streaming collector with no sink: retries, deadlines and any
-		// wrapping the caller installed behave as for a streamed locate.
+	switch {
+	case stream:
+		if mode == "3d" {
+			st = loc.NewStream3D(spinning)
+		} else {
+			st = loc.NewStream2D(spinning)
+		}
+		defer st.Close()
+		// Each collection attempt resets the stream: a failed attempt has
+		// already added a partial prefix that must not leak into the retry.
+		obs, err = s.collectStream(ctx, req.ReaderAddr, ccfg, func() client.ReportFunc {
+			st.Reset()
+			return st.Report
+		})
+	case s.streaming:
 		obs, err = s.collectStream(ctx, req.ReaderAddr, ccfg, func() client.ReportFunc { return nil })
-	} else {
+	default:
 		obs, err = s.collect(ctx, req.ReaderAddr, ccfg)
 	}
 	if err != nil {
 		return nil, &statusError{deadlineStatus(err, http.StatusBadGateway), fmt.Errorf("collect from %s: %w", req.ReaderAddr, err)}
 	}
+	if st != nil {
+		defer func() { s.noteStream(st.Stats()) }()
+	}
 	start := time.Now()
 	var resp *LocateResponse
 	switch mode {
 	case "3d":
-		res, err := loc.Locate3DContext(ctx, spinning, obs)
-		if err != nil {
-			return nil, &statusError{deadlineStatus(err, http.StatusUnprocessableEntity), err}
+		var res core.Result3D
+		if st != nil {
+			res, err = st.Finalize3D(ctx, obs)
+		} else {
+			res, err = loc.Locate3DContext(ctx, spinning, obs)
 		}
 		resp = respond3D(res)
 	default:
-		res, err := loc.Locate2DContext(ctx, spinning, obs)
-		if err != nil {
-			return nil, &statusError{deadlineStatus(err, http.StatusUnprocessableEntity), err}
+		var res core.Result2D
+		if st != nil {
+			res, err = st.Finalize2D(ctx, obs)
+		} else {
+			res, err = loc.Locate2DContext(ctx, spinning, obs)
 		}
 		resp = respond2D(res)
+	}
+	if err != nil {
+		return nil, &statusError{deadlineStatus(err, http.StatusUnprocessableEntity), err}
 	}
 	s.noteFinalize(time.Since(start))
-	return resp, nil
-}
-
-// locateStreaming is locateOne's streaming pipeline: the spectrum grid
-// accumulates while the reader session is still streaming reports, so after
-// collection only the peak search, refinement, and bearing solve remain.
-// Results are bit-identical to the batch pipeline on the same observations.
-func (s *Server) locateStreaming(ctx context.Context, loc *core.Locator, addr string, ccfg client.Config, mode string, spinning []core.SpinningTag) (*LocateResponse, *statusError) {
-	var st *core.Stream
-	if mode == "3d" {
-		st = loc.NewStream3D(spinning)
-	} else {
-		st = loc.NewStream2D(spinning)
-	}
-	defer st.Close()
-	// Each collection attempt resets the stream: a failed attempt has
-	// already added a partial prefix that must not leak into the retry.
-	obs, err := s.collectStream(ctx, addr, ccfg, func() client.ReportFunc {
-		st.Reset()
-		return st.Report
-	})
-	if err != nil {
-		return nil, &statusError{deadlineStatus(err, http.StatusBadGateway), fmt.Errorf("collect from %s: %w", addr, err)}
-	}
-	defer func() { s.noteStream(st.Stats()) }()
-	finalize := time.Now()
-	var resp *LocateResponse
-	switch mode {
-	case "3d":
-		res, ferr := st.Finalize3D(ctx, obs)
-		if ferr != nil {
-			return nil, &statusError{deadlineStatus(ferr, http.StatusUnprocessableEntity), ferr}
-		}
-		resp = respond3D(res)
-	default:
-		res, ferr := st.Finalize2D(ctx, obs)
-		if ferr != nil {
-			return nil, &statusError{deadlineStatus(ferr, http.StatusUnprocessableEntity), ferr}
-		}
-		resp = respond2D(res)
-	}
-	s.noteFinalize(time.Since(finalize))
 	return resp, nil
 }
 
