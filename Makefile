@@ -74,7 +74,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/spectrum/
 
 # bench-json regenerates the machine-readable perf snapshot consumed by
-# trajectory tooling (see cmd/tagspin-bench): schema tagspin-bench/13 —
+# trajectory tooling (see cmd/tagspin-bench) and writes it to
+# BENCH_<n>.json, n read from the benchSchema constant, so a schema bump
+# names a new file instead of overwriting a recorded one: schema
+# tagspin-bench/14 —
 # micro rows on the exact kernel, concurrent-load rows (K simultaneous
 # Locate2D pipelines in one process, grid and ml solve backends) with
 # plan-cache hit rates, the streaming rows (StreamLocate2D tail-latency
@@ -85,10 +88,15 @@ bench:
 # SubLinLocate2D (≥5x floor), SubLinLocate3D, SubLinLocateR (≥4x floor,
 # the median of alternating dense/sub-linear rep pairs) and SubLinLocateR3D
 # (≥4x floor, checked by bench-compare), and the MLSolve2D/3D rows timing
-# the joint-ML solve alone. The run fails when SubLinLocate2D or
-# SubLinLocateR falls below its floor.
+# the joint-ML solve alone, and the RefineR2D/3D rows timing R refinement
+# alone (the median of alternating full/coarse-only rep pairs at
+# GOMAXPROCS 1, with the polish's EvalAt calls per refine and its
+# fallbacks). The run fails when SubLinLocate2D or SubLinLocateR falls
+# below its floor.
+BENCH_SCHEMA := $(shell sed -n 's|^const benchSchema = "tagspin-bench/\([0-9]*\)"$$|\1|p' cmd/tagspin-bench/benchjson.go)
 bench-json:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_13.json
+	@test -n "$(BENCH_SCHEMA)" || { echo "bench-json: no benchSchema in cmd/tagspin-bench/benchjson.go" >&2; exit 1; }
+	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_$(BENCH_SCHEMA).json
 
 # bench-compare diffs the two newest BENCH_<n>.json snapshots and fails on
 # any >30% ns/op regression — the pre-merge perf gate for the spectrum

@@ -18,7 +18,12 @@ import (
 	"github.com/tagspin/tagspin/internal/testbed"
 )
 
-// benchSchema is the current report schema. Version 13 times the
+// benchSchema is the current report schema. Version 14 adds the RefineR2D
+// and RefineR3D rows (R refinement alone: the full peak search minus the
+// coarse-only one over 16 orientation-corrected sessions, the median of
+// alternating rep pairs at GOMAXPROCS 1) with their evalsPerRefine and
+// polishFallbacks fields; every other row keeps its name, input and
+// meaning. Version 13 times the
 // MLLocate2D/{grid,ml} and MLLocate3D/{grid,ml} rows at GOMAXPROCS 1 as
 // mlPairs alternating (grid, ml) rep pairs per dimension and records each
 // dimension's median pair, instead of timing the four rows once each, one
@@ -93,7 +98,7 @@ import (
 // both sides of the ratio — run at GOMAXPROCS 1 with one compute pool
 // worker, so a floor compares algorithms rather than how many cores the
 // dense baseline could spread over.
-const benchSchema = "tagspin-bench/13"
+const benchSchema = "tagspin-bench/14"
 
 // benchSmoke turns writeBenchJSON into a smoke run of the report's shape:
 // the load rows run for smokeLoadDuration instead of loadBenchDuration, and
@@ -158,6 +163,13 @@ type benchResult struct {
 	// MeanErrM is the mean localization error in meters over the row's
 	// accuracy sweep (schema 5+, MLLocate rows only).
 	MeanErrM float64 `json:"meanErrM,omitempty"`
+	// EvalsPerRefine is the EvalAt calls the continuous R polish makes
+	// per refine (schema 14+, RefineR rows only).
+	EvalsPerRefine float64 `json:"evalsPerRefine,omitempty"`
+	// PolishFallbacks is how many of the row's refines fell back from the
+	// polish to the grid rounds, over one pass of its sessions (schema
+	// 14+, RefineR rows only).
+	PolishFallbacks *uint64 `json:"polishFallbacks,omitempty"`
 }
 
 // benchReport is the BENCH_N.json envelope. The schema string is versioned
@@ -361,11 +373,12 @@ func writeBenchJSON(path string, rebaselined bool) error {
 		return err
 	}
 	report.Benchmarks = append(report.Benchmarks, streamRows...)
-	// The speedup-gated pairs, the ML locate A/B and the ML solve rows run
-	// serial (see benchSchema); the deferred restore puts the width back.
+	// The speedup-gated pairs, the ML locate A/B, the ML solve and the R
+	// refine rows run serial (see benchSchema); the deferred restore puts
+	// the width back.
 	runtime.GOMAXPROCS(1)
 	sched.SetWorkers(1)
-	for _, gated := range []func() ([]benchResult, error){subLinBenchRows, allCellsBenchRows, mlBenchRows, mlSolveBenchRows} {
+	for _, gated := range []func() ([]benchResult, error){subLinBenchRows, allCellsBenchRows, mlBenchRows, mlSolveBenchRows, refineRBenchRows} {
 		rows, err := gated()
 		if err != nil {
 			return err

@@ -89,10 +89,16 @@ func TestBenchJSON(t *testing.T) {
 		"Profile3DCoarseSerial", "Profile3DCoarseParallel",
 		"FindPeak2DR",
 		"MLSolve2D", "MLSolve3D",
+		"RefineR2D", "RefineR3D",
 		"MLLocate2D/grid", "MLLocate2D/ml", "MLLocate3D/grid", "MLLocate3D/ml",
 	} {
 		if _, ok := rows[name]; !ok {
 			t.Errorf("missing benchmark %q at GOMAXPROCS=1", name)
+		}
+	}
+	for _, name := range []string{"RefineR2D", "RefineR3D"} {
+		if b, ok := rows[name]; ok && (b.EvalsPerRefine <= 0 || b.PolishFallbacks == nil) {
+			t.Errorf("%s lacks its polish counts: %+v", name, b)
 		}
 	}
 	// The acceptance property of the evaluation engine: steady-state

@@ -43,6 +43,39 @@ func (c *countingEstimator) record(p geom.Vec3) {
 	}
 }
 
+// shiftingEstimator wraps a solve backend and moves the k-th solve of a
+// locate (k = 0 for the bootstrap) k·passShift along x, so consecutive
+// passes land at least passShift minus the inner solves' own movement apart
+// and the 1 cm stop never fires: only the pass cap ends the loop.
+type shiftingEstimator struct {
+	inner  core.Estimator
+	solves int
+}
+
+// passShift is the per-solve shift of shiftingEstimator, far above the few
+// millimetres a correction pass moves the inner solve.
+const passShift = 0.05
+
+func (s *shiftingEstimator) Name() string { return s.inner.Name() }
+
+func (s *shiftingEstimator) Solve2D(tags []core.EstimatorTag) (core.Solution2D, error) {
+	sol, err := s.inner.Solve2D(tags)
+	sol.Position.X += s.shift()
+	return sol, err
+}
+
+func (s *shiftingEstimator) Solve3D(tags []core.EstimatorTag) (core.Solution3D, error) {
+	sol, err := s.inner.Solve3D(tags)
+	sol.Position.X += s.shift()
+	return sol, err
+}
+
+func (s *shiftingEstimator) shift() float64 {
+	d := float64(s.solves) * passShift
+	s.solves++
+	return d
+}
+
 // passLoopFixture is a calibrated session, so every locate runs correction
 // passes after its bootstrap.
 type passLoopFixture struct {
@@ -152,6 +185,30 @@ func TestPassLoopSolves(t *testing.T) {
 					t.Errorf("streamed solves %v differ from batch %v", ce.positions, batch)
 				}
 			})
+		}
+	}
+}
+
+// TestPassLoopCap pins the pass cap through all four entry points: with
+// every solve shifted (shiftingEstimator) so each correction moves the
+// position by at least 2 cm, the 1 cm stop never fires and a locate runs
+// exactly one bootstrap and three correction solves — a raised or lowered
+// cap fails here.
+func TestPassLoopCap(t *testing.T) {
+	for _, fx := range passLoopFixtures(t) {
+		for _, streamed := range []bool{false, true} {
+			ce := &countingEstimator{inner: &shiftingEstimator{inner: core.GridEstimator{}}}
+			if _, err := locateVia(t, t.Context(), core.NewLocator(core.Config{Estimator: ce}), fx, streamed); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(ce.positions); n != 1+3 {
+				t.Errorf("%s streamed=%v: %d solves, want 1 bootstrap + 3 corrections", fx.name, streamed, n)
+			}
+			for k := 1; k < len(ce.positions); k++ {
+				if moved := ce.positions[k].DistanceTo(ce.positions[k-1]); moved < 0.02 {
+					t.Errorf("%s streamed=%v: correction %d moved %.3g m, want ≥ 2 cm", fx.name, streamed, k, moved)
+				}
+			}
 		}
 	}
 }

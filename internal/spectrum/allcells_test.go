@@ -175,7 +175,7 @@ func TestProfile3DOptSlack(t *testing.T) {
 // refineSlack of the same Evaluator's EvalAt — qExactSlack for Q, the
 // wNorm-relative budget for R — across σ from 0.02 to 0.3 rad, since the R
 // slack scales with the kernel's wNorm and 1/σ_w. Cells fold through foldRow
-// as refine3D does for both searches (2D cells at cos γ = 1), on
+// as synthRounds does for both searches (2D cells at cos γ = 1), on
 // single-wavelength sessions and on sessions hopping between two carriers.
 // The guard case adds a session whose residual phasors cancel at one cell,
 // so that cell's μ̂ falls under muGuardFrac and is evaluated densely.
@@ -259,7 +259,7 @@ func TestRefineSynthSlack(t *testing.T) {
 // checkRefineSynth synthesizes ev's profile at the cells (phis[k], gamma)
 // through refinement's row kernels, fails if any value strays from EvalAt
 // by more than ev.refineSlack(), and returns the synthesized values. The
-// cells fold as refine3D folds them (foldRow, scaling unit sums on
+// cells fold as synthRounds folds them (foldRow, scaling unit sums on
 // single-scale sets), in 2D and 3D alike.
 func checkRefineSynth(t *testing.T, ev *Evaluator, phis []float64, gamma float64) []float64 {
 	t.Helper()
@@ -314,9 +314,19 @@ func TestWrappedSincos(t *testing.T) {
 	}
 }
 
-// TestSearchStatsCounters smoke-tests the routing telemetry: each route
-// increments its counter, and the snapshot surfaces through the exported
-// struct that locsrv and the server expvar publish.
+// routeStats is SearchStatsSnapshot with PolishEvals cleared: the routing
+// tests pin which routes ran and how many R polishes, not how many EvalAt
+// calls a polish spends on their session.
+func routeStats() SearchStats {
+	st := SearchStatsSnapshot()
+	st.PolishEvals = 0
+	return st
+}
+
+// TestSearchStatsCounters smoke-tests the search telemetry: each route
+// increments its counter, every R search at the default depth (Eval and
+// Dense alike) runs one polish, and the snapshot surfaces through the
+// exported struct that locsrv and the server expvar publish.
 func TestSearchStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	p := testParams()
@@ -337,8 +347,8 @@ func TestSearchStatsCounters(t *testing.T) {
 	FindPeak3DEval(evQ, coarse3D)
 	FindPeak3DEval(evR, coarse3D)
 	FindPeak3DDense(evR, coarse3D)
-	want := SearchStats{HarmonicQ2D: 1, HarmonicR2D: 1, HarmonicQ3D: 1, HarmonicR3D: 1, Dense2D: 1, Dense3D: 1}
-	if st := SearchStatsSnapshot(); st != want {
+	want := SearchStats{HarmonicQ2D: 1, HarmonicR2D: 1, HarmonicQ3D: 1, HarmonicR3D: 1, Dense2D: 1, Dense3D: 1, Polishes: 4}
+	if st := routeStats(); st != want {
 		t.Fatalf("route counts %+v, want %+v", st, want)
 	}
 }

@@ -138,7 +138,7 @@ func TestAnglesRoutingCounters(t *testing.T) {
 		want SearchStats
 	}{
 		{"Q-auto", KindQ, SearchStats{HarmonicQ2D: 1}},
-		{"R-auto", KindR, SearchStats{HarmonicR2D: 1}},
+		{"R-auto", KindR, SearchStats{HarmonicR2D: 1, Polishes: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,7 +148,7 @@ func TestAnglesRoutingCounters(t *testing.T) {
 			}
 			ResetSearchStats()
 			FindPeak2DEval(ev, SearchOptions{CoarseStep: 2 * math.Pi / 127})
-			if st := SearchStatsSnapshot(); st != tc.want {
+			if st := routeStats(); st != tc.want {
 				t.Fatalf("route counts %+v, want %+v", st, tc.want)
 			}
 		})

@@ -39,3 +39,13 @@ func CoarsePrune3D(ev *Evaluator, opts SearchOptions) (share, incumbent, peak fl
 	peak = ev.evalCell(ev.coarse, sc, sinPhi[idx%nAz], cosPhi[idx%nAz], math.Cos(polarAngle(idx/nAz, -math.Pi/2, polStep)))
 	return float64(pruned) / float64(cells), incumbent, peak
 }
+
+// PolishR runs the continuous R polish from start, as refine3D runs it
+// after refinement round 1: start's Power is rescored with EvalAt first,
+// cellAz and cellPol are the round-1 cell (cellPol 0 for a 2D search), and
+// rounds is the number of grid rounds the polish replaces.
+func PolishR(ev *Evaluator, start Peak3D, cellAz, cellPol float64, rounds int) (Peak3D, bool) {
+	sc := ev.NewScratch()
+	start.Power = ev.EvalAt(sc, start.Azimuth, start.Polar)
+	return ev.polishR(sc, start, cellAz, cellPol, rounds)
+}

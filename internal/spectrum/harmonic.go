@@ -235,7 +235,7 @@ type harmonicScratch struct {
 	vals      []float64
 	shortlist []maxEntry     // the coarse argmax's (cell, synthesized value) list
 	rowMax    []float64      // rIncumbent3D's per-row max |Ŝ|²/n²
-	unit      harmonicCoeffs // foldUnitSums' γ-free sums (refine3D)
+	unit      harmonicCoeffs // foldUnitSums' γ-free sums (synthRounds)
 }
 
 var harmPool = sync.Pool{New: func() any { return new(harmonicScratch) }}

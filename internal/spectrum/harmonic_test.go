@@ -115,9 +115,9 @@ func TestHarmonicDefaultOn(t *testing.T) {
 		}
 		want := SearchStats{HarmonicQ2D: 1}
 		if kind == KindR {
-			want = SearchStats{HarmonicR2D: 1}
+			want = SearchStats{HarmonicR2D: 1, Polishes: 1}
 		}
-		if st := SearchStatsSnapshot(); st != want {
+		if st := routeStats(); st != want {
 			t.Fatalf("%v: route counts %+v, want %+v", kind, st, want)
 		}
 	}
@@ -181,7 +181,7 @@ func TestFoldTermsHarmonicBesselMemo(t *testing.T) {
 	}
 }
 
-// TestScaleUnitSums pins the single-scale fold refine3D uses: the unit sums
+// TestScaleUnitSums pins the single-scale fold synthRounds uses: the unit sums
 // scaled by one Bessel table must touch the same harmonics as the per-term
 // fold and agree with it to summation rounding, at every cos γ a polar
 // sweep can ask for.

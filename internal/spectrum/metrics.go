@@ -14,7 +14,8 @@ import (
 // irregular grids, so the checked variants refuse instead.
 var ErrNonUniformAngles = errors.New("spectrum: profile angles are not uniformly spaced")
 
-// searchCountersT tallies which coarse-search route each scan actually took.
+// searchCountersT tallies which coarse-search route each scan actually took
+// and what the R polish after refinement round 1 did.
 // Bench and soak runs read the snapshot to confirm the intended path ran; a
 // soak where Dense2D climbs while HarmonicR2D stays flat means a dense
 // reference function leaked into production, not that a kernel regressed.
@@ -28,12 +29,17 @@ type searchCountersT struct {
 	harmonicR3D atomic.Uint64
 	dense2D     atomic.Uint64
 	dense3D     atomic.Uint64
+
+	polishes        atomic.Uint64
+	polishEvals     atomic.Uint64
+	polishFallbacks atomic.Uint64
 }
 
 var searchCounters searchCountersT
 
-// SearchStats is a point-in-time snapshot of the coarse-search routing
-// counters. They sum to the number of coarse scans.
+// SearchStats is a point-in-time snapshot of the search counters. The six
+// route counters sum to the number of coarse scans; the Polish counters
+// cover the continuous R refinement that follows refinement round 1.
 type SearchStats struct {
 	HarmonicQ2D uint64 // 2D KindQ argmax via harmonic synthesis
 	HarmonicR2D uint64 // 2D KindR argmax via the two-pass R synthesis
@@ -41,6 +47,10 @@ type SearchStats struct {
 	HarmonicR3D uint64 // 3D KindR argmax via per-row two-pass R synthesis
 	Dense2D     uint64 // 2D argmax via the dense reference function (FindPeak2DDense)
 	Dense3D     uint64 // 3D argmax via the dense reference function (FindPeak3DDense)
+
+	Polishes        uint64 // R refinements that ran the continuous polish (polishR)
+	PolishEvals     uint64 // EvalAt calls those polishes made
+	PolishFallbacks uint64 // polishes that gave up and fell back to the grid rounds
 }
 
 // SearchStatsSnapshot returns the current routing counters.
@@ -52,10 +62,14 @@ func SearchStatsSnapshot() SearchStats {
 		HarmonicR3D: searchCounters.harmonicR3D.Load(),
 		Dense2D:     searchCounters.dense2D.Load(),
 		Dense3D:     searchCounters.dense3D.Load(),
+
+		Polishes:        searchCounters.polishes.Load(),
+		PolishEvals:     searchCounters.polishEvals.Load(),
+		PolishFallbacks: searchCounters.polishFallbacks.Load(),
 	}
 }
 
-// ResetSearchStats zeroes the routing counters (tests and bench preambles).
+// ResetSearchStats zeroes the search counters (tests and bench preambles).
 func ResetSearchStats() {
 	searchCounters.harmonicQ2D.Store(0)
 	searchCounters.harmonicR2D.Store(0)
@@ -63,6 +77,9 @@ func ResetSearchStats() {
 	searchCounters.harmonicR3D.Store(0)
 	searchCounters.dense2D.Store(0)
 	searchCounters.dense3D.Store(0)
+	searchCounters.polishes.Store(0)
+	searchCounters.polishEvals.Store(0)
+	searchCounters.polishFallbacks.Store(0)
 }
 
 // Normalized returns a copy of the profile scaled so its maximum is 1.

@@ -26,12 +26,13 @@ type SearchOptions struct {
 	// CoarsePolarStep is the initial polar grid spacing (3D only). Zero
 	// means 2°.
 	CoarsePolarStep float64
-	// Refinements is the number of local-grid refinement rounds; each
-	// searches 11 candidates per axis around the current best (11×11 in
-	// 3D) and shrinks the step by 5×. A round synthesizes its candidates
-	// and exact-rescores only those that can win, so the refined peak is
-	// the per-candidate search's bit for bit. Zero means 4 (≈0.0008° final
-	// resolution from a 0.5° start); NoRefine (or any negative value)
+	// Refinements is the refinement depth N: the search resolves the peak
+	// to the coarse step over 5^N (≈0.0008° in 2D and ≈0.003° in 3D at
+	// the default). Each grid round searches 11 candidates per axis
+	// around the current best (11×11 in 3D) and shrinks the step 5×; Q
+	// runs N such rounds. R runs round 1, then polishes continuously to
+	// the same final spacing, and runs the remaining rounds only when the
+	// polish falls back. Zero means 4; NoRefine (or any negative value)
 	// disables refinement entirely, returning the raw coarse-grid argmax.
 	Refinements int
 }
@@ -89,7 +90,7 @@ func FindPeak2D(snaps []phase.Snapshot, p Params, kind Kind, opts SearchOptions)
 // FindPeak2DEval is FindPeak2D on a prebuilt Evaluator: the 3D search on
 // the single polar row γ = 0, where Eqn. 11/12 reduce to Eqn. 7/8. The
 // coarse pass scores the strided snapshot subset (≤64) over the uniform
-// azimuth grid, and the refinement rounds use the full set, moving in
+// azimuth grid, and refinement (refine3D) uses the full set, moving in
 // azimuth only (polar step 0). Steady-state calls allocate nothing —
 // scratch and argmax state come from the Evaluator's pools.
 func FindPeak2DEval(ev *Evaluator, opts SearchOptions) (float64, float64) {
@@ -100,7 +101,7 @@ func FindPeak2DEval(ev *Evaluator, opts SearchOptions) (float64, float64) {
 		searchCounters.harmonicQ2D.Add(1)
 	}
 	idx := ev.harmonicArgmax3D(ev.coarse, gridSteps(2*math.Pi, step), 1, step, 0, 0)
-	best := ev.refine3D(Peak3D{Azimuth: float64(idx) * step}, step, 0, opts)
+	best := ev.refine3D(Peak3D{Azimuth: float64(idx) * step}, step, 0, opts, false)
 	return best.Azimuth, best.Power
 }
 
@@ -111,7 +112,8 @@ func FindPeak2DDense(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	step := opts.coarseStep()
 	searchCounters.dense2D.Add(1)
 	idx := ev.denseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step)
-	return ev.refine2DDense(float64(idx)*step, step, opts)
+	best := ev.refine3D(Peak3D{Azimuth: float64(idx) * step}, step, 0, opts, true)
+	return best.Azimuth, best.Power
 }
 
 // denseArgmax2D is the full parallel scan over the uniform azimuth grid.
@@ -129,26 +131,6 @@ func (e *Evaluator) denseArgmax2D(terms termSlices, n int, step float64) int {
 // refineCells is the candidate count per axis of a refinement round: the
 // winner's ±step neighborhood at step/5 spacing.
 const refineCells = 11
-
-// refine2DDense is the 2D refinement (refine3D at polar step 0) scoring
-// every candidate with EvalAt — the oracle behind FindPeak2DDense.
-func (e *Evaluator) refine2DDense(best, step float64, opts SearchOptions) (float64, float64) {
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	bestPow := e.EvalAt(sc, best, 0)
-	for r := 0; r < opts.refinements(); r++ {
-		fine := step / 5
-		lo := best - step
-		for k := 0; k <= 10; k++ {
-			phi := lo + float64(k)*fine
-			if v := e.EvalAt(sc, phi, 0); v > bestPow {
-				best, bestPow = phi, v
-			}
-		}
-		step = fine
-	}
-	return geom.NormalizeAngle(best), bestPow
-}
 
 // refineSlack bounds |synthesized − EvalAt| for one refinement candidate;
 // a round's shortlist window is twice it. Refinement synthesizes with the
@@ -252,7 +234,7 @@ func (o SearchOptions) grid3D() (azStep, polStep float64, nAz, nPol int) {
 
 // FindPeak3DEval is FindPeak3D on a prebuilt Evaluator. The coarse pass
 // scores the strided snapshot subset (≤64) over the az × polar grid, and
-// the refinement rounds use the full set.
+// refinement (refine3D) uses the full set.
 func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
 	azStep, polStep, nAz, nPol := opts.grid3D()
 	if ev.kind == KindR {
@@ -265,7 +247,7 @@ func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
 		Azimuth: float64(idx%nAz) * azStep,
 		Polar:   -math.Pi/2 + float64(idx/nAz)*polStep,
 	}
-	return ev.refine3D(best, azStep, polStep, opts)
+	return ev.refine3D(best, azStep, polStep, opts, false)
 }
 
 // FindPeak3DDense is FindPeak3DEval with the coarse pass on the dense
@@ -278,7 +260,7 @@ func FindPeak3DDense(ev *Evaluator, opts SearchOptions) Peak3D {
 		Azimuth: float64(idx%nAz) * azStep,
 		Polar:   -math.Pi/2 + float64(idx/nAz)*polStep,
 	}
-	return ev.refine3DDense(best, azStep, polStep, opts)
+	return ev.refine3D(best, azStep, polStep, opts, true)
 }
 
 // denseArgmax3D is the full parallel scan over the az × polar grid, chunked
@@ -297,21 +279,61 @@ func (e *Evaluator) denseArgmax3D(terms termSlices, nAz, nPol int, azStep, polSt
 	return idx
 }
 
-// refine3D runs the local refinement rounds of both peak searches from a
+// refine3D runs the local refinement of both peak searches from a
 // coarse-grid winner, re-scoring it with the full snapshot set first so the
-// comparisons are apples-to-apples. Each round covers the refineCells ×
-// refineCells candidates best ± step at step/5 per axis, polar rows outer,
-// then shrinks both steps 5×. Every row folds the coefficients at its own
-// cos γ and synthesizes its azimuths; the round then exact-rescores, in
-// candidate order, the candidates within 2·refineSlack of its synthesized
-// maximum. A single-wavelength session folds its terms once per refine
-// (foldUnitSums) and each row only scales those sums by its Bessel table
-// (scaleUnitSums). A row whose cos γ repeats an earlier row's — rows
-// clamped at ±π/2, a ±γ pair, or every row after the first of a 2D search,
-// which passes polar step 0 — is skipped outright: EvalAt sees γ only
+// comparisons are apples-to-apples. A grid round covers the refineCells ×
+// refineCells candidates best ± step at step/5 per axis and shrinks both
+// steps 5×; a 2D search passes polar step 0, so it moves in azimuth only.
+// Q runs every round on the grid. R runs round 1 on the grid, which picks
+// the basin, then polishR climbs to the resolution the remaining rounds
+// would reach; a polish that cannot finish falls back to those rounds from
+// its best point, and searchCounters counts it. dense selects the grid
+// loop: false the synthesized one (synthRounds, production), true the
+// per-candidate one (denseRounds, the FindPeak*Dense oracle). The two pick
+// the same candidate bit for bit, and the polish and fallback run the same
+// code on it, so FindPeak*Eval returns FindPeak*Dense's peak bit for bit.
+func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOptions, dense bool) Peak3D {
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	best.Power = e.EvalAt(sc, best.Azimuth, best.Polar)
+	rounds := opts.refinements()
+	if e.kind == KindR && rounds > 1 {
+		best = e.gridRounds(sc, best, azStep, polStep, 1, dense)
+		azStep, polStep, rounds = azStep/5, polStep/5, rounds-1
+		var ok bool
+		if best, ok = e.polishR(sc, best, azStep, polStep, rounds); ok {
+			rounds = 0
+		} else {
+			searchCounters.polishFallbacks.Add(1)
+		}
+	}
+	best = e.gridRounds(sc, best, azStep, polStep, rounds, dense)
+	best.Azimuth = geom.NormalizeAngle(best.Azimuth)
+	return best
+}
+
+// gridRounds runs rounds grid refinement rounds from best, whose Power must
+// be EvalAt's: synthRounds, or denseRounds when dense is set.
+func (e *Evaluator) gridRounds(sc *Scratch, best Peak3D, azStep, polStep float64, rounds int, dense bool) Peak3D {
+	if rounds <= 0 {
+		return best
+	}
+	if dense {
+		return e.denseRounds(sc, best, azStep, polStep, rounds)
+	}
+	return e.synthRounds(sc, best, azStep, polStep, rounds)
+}
+
+// synthRounds is the synthesized grid loop. Every row folds the
+// coefficients at its own cos γ and synthesizes its azimuths; the round
+// then exact-rescores, in candidate order, the candidates within
+// 2·refineSlack of its synthesized maximum. A single-wavelength session
+// folds its terms once per call (foldUnitSums) and each row only scales
+// those sums by its Bessel table (scaleUnitSums). A row whose cos γ repeats
+// an earlier row's — rows clamped at ±π/2, a ±γ pair, or every row after
+// the first of a 2D search — is skipped outright: EvalAt sees γ only
 // through cos γ, so it would score exactly the earlier row's values and,
-// under the strict >, never win. The answer is refine3DDense's (at polar
-// step 0, refine2DDense's) bit for bit.
+// under the strict >, never win. The answer is denseRounds' bit for bit.
 //
 // Why the shortlist cannot change the answer: the dense loop returns the
 // incoming best unless some candidate beats it, and otherwise the first
@@ -322,14 +344,7 @@ func (e *Evaluator) denseArgmax3D(terms termSlices, nAz, nPol int, azStep, polSt
 // scores at most V*. Rescoring the kept candidates in order under the
 // same strict > therefore picks the same winner — or keeps the incoming
 // best exactly when the dense loop does.
-func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOptions) Peak3D {
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	best.Power = e.EvalAt(sc, best.Azimuth, best.Polar)
-	if opts.refinements() == 0 {
-		best.Azimuth = geom.NormalizeAngle(best.Azimuth)
-		return best
-	}
+func (e *Evaluator) synthRounds(sc *Scratch, best Peak3D, azStep, polStep float64, rounds int) Peak3D {
 	hs := harmPool.Get().(*harmonicScratch)
 	vals := hs.values(refineCells * refineCells)
 	window := 2 * e.refineSlack()
@@ -338,7 +353,7 @@ func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOp
 		foldUnitSums(hs, e.terms)
 	}
 	var phis, gammas, cgs [refineCells]float64
-	for r := 0; r < opts.refinements(); r++ {
+	for r := 0; r < rounds; r++ {
 		fineAz, finePol := azStep/5, polStep/5
 		polLo := best.Polar - polStep
 		sinPhi, cosPhi := refineTrig(sc, &phis, best.Azimuth-azStep, fineAz)
@@ -371,7 +386,6 @@ func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOp
 		azStep, polStep = fineAz, finePol
 	}
 	harmPool.Put(hs)
-	best.Azimuth = geom.NormalizeAngle(best.Azimuth)
 	return best
 }
 
@@ -387,20 +401,20 @@ func foldRow(hs *harmonicScratch, terms termSlices, z, cg float64) {
 	foldTermsHarmonic(hs, terms, cg)
 }
 
-// refine3DDense is refine3D scoring every candidate with EvalAt — the
-// oracle behind FindPeak3DDense.
-func (e *Evaluator) refine3DDense(best Peak3D, azStep, polStep float64, opts SearchOptions) Peak3D {
-	// Re-score the coarse winner with the full snapshot set so the
-	// refinement comparisons are apples-to-apples.
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	best.Power = e.EvalAt(sc, best.Azimuth, best.Polar)
-	for r := 0; r < opts.refinements(); r++ {
+// denseRounds is the grid loop scoring every candidate with EvalAt — the
+// oracle's. A 2D search (polar step 0) scores its one row only: the other
+// ten repeat it and, under the strict >, never win.
+func (e *Evaluator) denseRounds(sc *Scratch, best Peak3D, azStep, polStep float64, rounds int) Peak3D {
+	rows := refineCells
+	if polStep == 0 {
+		rows = 1
+	}
+	for r := 0; r < rounds; r++ {
 		fineAz, finePol := azStep/5, polStep/5
 		azLo, polLo := best.Azimuth-azStep, best.Polar-polStep
-		for i := 0; i <= 10; i++ {
+		for i := 0; i < rows; i++ {
 			gamma := clampPolar(polLo + float64(i)*finePol)
-			for k := 0; k <= 10; k++ {
+			for k := 0; k < refineCells; k++ {
 				phi := azLo + float64(k)*fineAz
 				if v := e.EvalAt(sc, phi, gamma); v > best.Power {
 					best = Peak3D{Azimuth: phi, Polar: gamma, Power: v}
@@ -409,8 +423,113 @@ func (e *Evaluator) refine3DDense(best Peak3D, azStep, polStep float64, opts Sea
 		}
 		azStep, polStep = fineAz, finePol
 	}
-	best.Azimuth = geom.NormalizeAngle(best.Azimuth)
 	return best
+}
+
+// polishMaxSteps caps one polish's steps. From a round-1 winner the polish
+// converges in two or three; one that has not converged by the cap falls
+// back to the grid.
+const polishMaxSteps = 12
+
+// polishR climbs R from the round-1 winner best, in place of the rounds
+// grid rounds that would follow it, and reports whether it converged. It
+// works in round-1 cells, u = Δφ/cellAz and v = Δγ/cellPol; cellPol = 0 (a
+// 2D search) drops the polar axis. Its box is one cell around best, inside
+// [−π/2, π/2] and on best's side of γ = 0 (EvalAt sees γ only through
+// cos γ, so ±γ tie). The grid would stop at spacing res = 5^−rounds cells,
+// which is both the finite-difference step and the stopping size. Each step
+// takes the gradient and Hessian of R by central differences (five EvalAt
+// with the cross term, two in 2D), moves by the Newton step when the
+// Hessian is negative definite and otherwise along the gradient, at most
+// one cell either way, and then backtracks, halving the step until EvalAt
+// rises. A step shorter than res on both axes is the last: it is taken if
+// it raises EvalAt, and the polish has converged.
+//
+// The polish gives up, at its highest point so far, when a step would
+// leave the box (the peak lies beyond it, where grid rounds reach), when a
+// step halves below res without raising EvalAt, when the last step is no
+// Newton step (a saddle or a flat axis), or after polishMaxSteps steps.
+// Every point it returns is scored by EvalAt at exactly that point, so
+// Power stays exact.
+func (e *Evaluator) polishR(sc *Scratch, best Peak3D, cellAz, cellPol float64, rounds int) (Peak3D, bool) {
+	res := math.Pow(5, -float64(rounds))
+	threeD := cellPol > 0
+	a0, g0 := best.Azimuth, best.Polar
+	polLo, polHi := g0, g0
+	vLo, vHi := 0.0, 0.0
+	if threeD {
+		polLo, polHi = max(g0-cellPol, -math.Pi/2), min(g0+cellPol, math.Pi/2)
+		if g0 > 0 {
+			polLo = max(polLo, 0)
+		} else if g0 < 0 {
+			polHi = min(polHi, 0)
+		}
+		vLo, vHi = (polLo-g0)/cellPol, (polHi-g0)/cellPol
+	}
+	evals := 0
+	probe := func(u, v float64) float64 {
+		evals++
+		return e.EvalAt(sc, a0+u*cellAz, g0+v*cellPol)
+	}
+	point := func(u, v float64) (phi, gamma float64) {
+		return a0 + u*cellAz, min(max(g0+v*cellPol, polLo), polHi)
+	}
+	u, v, f, h := 0.0, 0.0, best.Power, res
+	ok := false
+steps:
+	for range polishMaxSteps {
+		fu, fum := probe(u+h, v), probe(u-h, v)
+		gu, huu := (fu-fum)/(2*h), (fu-2*f+fum)/(h*h)
+		var gv, hvv, huv float64
+		if threeD {
+			fv, fvm := probe(u, v+h), probe(u, v-h)
+			gv, hvv = (fv-fvm)/(2*h), (fv-2*f+fvm)/(h*h)
+			huv = (probe(u+h, v+h) - fu - fv + f) / (h * h)
+		}
+		du, dv := gu, gv
+		det := huu*hvv - huv*huv
+		newton := huu < 0 && (!threeD || det > 0)
+		switch {
+		case newton && threeD:
+			du, dv = (huv*gv-hvv*gu)/det, (huv*gu-huu*gv)/det
+		case newton:
+			du = -gu / huu
+		}
+		if s := max(math.Abs(du), math.Abs(dv)); s > 1 || (!newton && s > 0) {
+			du, dv = du/s, dv/s
+		}
+		if math.Abs(u+du) > 1 || v+dv < vLo || v+dv > vHi {
+			break // the peak lies beyond the box
+		}
+		last := max(math.Abs(du), math.Abs(dv)) < res
+		if last && !newton {
+			break
+		}
+		for {
+			phi, gamma := point(u+du, v+dv)
+			evals++
+			if fn := e.EvalAt(sc, phi, gamma); fn > f {
+				u, v, f = u+du, v+dv, fn
+				break
+			}
+			if last {
+				break
+			}
+			du, dv = du/2, dv/2
+			if max(math.Abs(du), math.Abs(dv)) < res {
+				break steps
+			}
+		}
+		if last {
+			ok = true
+			break
+		}
+	}
+	searchCounters.polishes.Add(1)
+	searchCounters.polishEvals.Add(uint64(evals))
+	best.Azimuth, best.Polar = point(u, v)
+	best.Power = f
+	return best, ok
 }
 
 // clampPolar keeps a polar candidate inside [-π/2, π/2].

@@ -271,9 +271,9 @@ func TestHarmonicDefaultOn3D(t *testing.T) {
 		}
 		wantStats := SearchStats{HarmonicQ3D: 1}
 		if kind == KindR {
-			wantStats = SearchStats{HarmonicR3D: 1}
+			wantStats = SearchStats{HarmonicR3D: 1, Polishes: 1}
 		}
-		if st := SearchStatsSnapshot(); st != wantStats {
+		if st := routeStats(); st != wantStats {
 			t.Fatalf("%v: route counts %+v, want %+v", kind, st, wantStats)
 		}
 	}
