@@ -12,9 +12,8 @@ const initStep = 0.05
 
 // convergeDiam is the simplex diameter at which refinement stops: well
 // below the millimeter scale anything downstream can resolve, and a tenth
-// of the 1 µm the golden traces allow an ML answer to move, so a change of
-// one likelihood value in its last bit cannot move an answer past that
-// bound.
+// of the 1 µm the golden traces allow an ML answer to move, so a last-bit
+// change in one likelihood value moves an answer well inside that bound.
 const convergeDiam = 1e-7
 
 // maxDim is the largest search dimension the backend refines (x, y, z).

@@ -39,7 +39,9 @@ func polishCases(t *testing.T, threeD bool, visit func(label string, ev *spectru
 // default depth must
 //
 //   - return at least the winner's exact power;
-//   - stay within one round-1 cell of it on each axis;
+//   - stay within one round-1 cell of it on each axis, or within the
+//     2.24 cells grid rounds 2–4 reach from the polish's box when the
+//     polish fell back;
 //   - keep its polar sign;
 //   - reach, to 1e-9 relative, the best EvalAt of an exhaustive scan of
 //     the polish's box (one round-1 cell around the winner, on its side of
@@ -57,7 +59,7 @@ func TestPolishR(t *testing.T) {
 	}{
 		{"2D", false, spectrum.SearchOptions{CoarseStep: geom.Radians(0.5)}},
 		{"3D", true, spectrum.SearchOptions{CoarseStep: geom.Radians(0.5), CoarsePolarStep: geom.Radians(2)}},
-		{"3D/polar10", true, spectrum.SearchOptions{CoarseStep: geom.Radians(0.5), CoarsePolarStep: geom.Radians(10)}},
+		{"3D-polar10", true, spectrum.SearchOptions{CoarseStep: geom.Radians(0.5), CoarsePolarStep: geom.Radians(10)}},
 	}
 	for _, g := range grids {
 		t.Run(g.name, func(t *testing.T) {
@@ -145,10 +147,14 @@ func TestPolishR(t *testing.T) {
 // moved by 0 or ±0.9 cell on each axis. Whether or not it converges, the
 // polish must return the exact power at the point it returns and never
 // less than the power it started from: the backtracking line search is
-// what guarantees it.
+// what guarantees it. In 2D, whose R peak is wide enough to hold these
+// boxes, it must also converge from at least 90% of the starts (96% now):
+// halving an overshooting step is what keeps it going, and a polish that
+// gives up at the first step that fails to rise converges from ~80%.
 func TestPolishRNeverDescends(t *testing.T) {
 	offsets := []float64{-0.9, 0, 0.9}
 	for _, threeD := range []bool{false, true} {
+		starts, converged := 0, 0
 		polishCases(t, threeD, func(label string, ev *spectrum.Evaluator) {
 			var win spectrum.Peak3D
 			if threeD {
@@ -170,7 +176,11 @@ func TestPolishRNeverDescends(t *testing.T) {
 						pol := min(max(win.Polar+dv*cellPol, -math.Pi/2), math.Pi/2)
 						start := spectrum.Peak3D{Azimuth: win.Azimuth + du*cell, Polar: pol}
 						start.Power = ev.EvalAt(sc, start.Azimuth, start.Polar)
-						got, _ := spectrum.PolishR(ev, start, cell, cellPol, 3)
+						got, ok := spectrum.PolishR(ev, start, cell, cellPol, 3)
+						starts++
+						if ok {
+							converged++
+						}
 						if got.Power < start.Power {
 							t.Errorf("%s cell %.0f°: polish from %+v descended to %+v", label, geom.Degrees(cell), start, got)
 						}
@@ -181,5 +191,9 @@ func TestPolishRNeverDescends(t *testing.T) {
 				}
 			}
 		})
+		t.Logf("threeD=%v: converged from %d of %d starts", threeD, converged, starts)
+		if !threeD && 10*converged < 9*starts {
+			t.Errorf("2D polish converged from %d of %d starts, want ≥ 90%%", converged, starts)
+		}
 	}
 }
