@@ -8,9 +8,11 @@
 // to three correction passes each compute the orientation ρ of every
 // snapshot against the previous pass's position, subtract the fitted
 // phase-orientation function, and recompute the spectrum, stopping early
-// once the position moves less than 1 cm. (§III-B specifies *that* the
-// offset must be erased per sampled orientation; the orientation is only
-// computable once a direction estimate exists, hence the bootstrap pass.)
+// once the position moves less than 1 cm or, from the second correction
+// on, once the predicted next move is less than 1 cm. (§III-B specifies
+// *that* the offset must be erased per sampled orientation; the orientation
+// is only computable once a direction estimate exists, hence the bootstrap
+// pass.)
 package core
 
 import (
@@ -322,7 +324,10 @@ func (l *Locator) solve(etags []EstimatorTag, threeD bool) (Solution3D, error) {
 // ρ is, to first order, insensitive to the sign of z). A better position
 // gives more accurate per-snapshot orientations; 1 cm of movement changes ρ
 // by well under a degree at operating distances, so the loop stops at the
-// first pass that moves the position less than that. first, when non-nil,
+// first pass that moves the position less than that. Successive moves
+// contract by ~0.05–0.16, so from the second correction on it also stops
+// when the predicted next move, d₂²/d₁ over the last two moves, is less
+// than 1 cm: the pass it skips would only confirm. first, when non-nil,
 // supplies a tag's bootstrap peak (a Stream's accumulators); ok false sends
 // the tag to the batch estimate. The context is checked before every pass.
 func (l *Locator) run(ctx context.Context, registered []SpinningTag, obs Observations, threeD bool,
@@ -358,6 +363,7 @@ func (l *Locator) run(ctx context.Context, registered []SpinningTag, obs Observa
 		return etags, sol, err
 	}
 	kind = l.cfg.kind()
+	var prevMoved float64 // the previous correction's move; 0 before the second
 	for range 3 {
 		coarse := sol.Position
 		against = &coarse
@@ -370,9 +376,13 @@ func (l *Locator) run(ctx context.Context, registered []SpinningTag, obs Observa
 			// last bit, and so move a 2D locate's pass count.
 			moved = sol.Position.XY().DistanceTo(coarse.XY())
 		}
-		if moved < 0.01 {
+		// From the second correction on, moves contract geometrically, so
+		// moved²/prevMoved predicts the next one. prevMoved ≥ 1 cm here (the
+		// loop went on past it), and a diverging loop predicts ≥ moved.
+		if moved < 0.01 || (prevMoved > 0 && moved*moved/prevMoved < 0.01) {
 			break
 		}
+		prevMoved = moved
 	}
 	return etags, sol, nil
 }
@@ -382,8 +392,9 @@ func (l *Locator) run(ctx context.Context, registered []SpinningTag, obs Observa
 // available, an uncorrected solve provides the coarse position the
 // per-snapshot orientations are computed against, then up to three
 // correction passes solve the corrected snapshots again, each against the
-// previous position (§III-B's Step 2 needs a direction, which only exists
-// after a first estimate; run has the loop).
+// previous position, until a pass moves the position less than 1 cm or
+// predicts that the next one would (§III-B's Step 2 needs a direction,
+// which only exists after a first estimate; run has the loop).
 func (l *Locator) Locate2D(registered []SpinningTag, obs Observations) (Result2D, error) {
 	return l.Locate2DContext(context.Background(), registered, obs)
 }
