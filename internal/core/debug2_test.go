@@ -9,20 +9,28 @@ import (
 	"github.com/tagspin/tagspin/internal/testbed"
 )
 
-// TestDebugBiasSources isolates systematic bearing-error sources. Diagnostic
-// only; run with -v.
+// TestDebugBiasSources isolates systematic bearing-error sources: each case
+// switches the orientation effect, the phase noise and the orientation
+// calibration on or off, prints per-tag bearing errors and the position
+// error (run with -v to inspect), and bounds them. Each bound is 1.5× the
+// largest error measured when it was set (in the comment beside it),
+// rounded up. The uncalibrated orientation effect must also show: its
+// largest bearing error stays above half the one measured.
 func TestDebugBiasSources(t *testing.T) {
 	cases := []struct {
-		name        string
-		orientation float64 // channel injection scale
-		noise       float64
-		calibrate   bool
+		name          string
+		orientation   float64 // channel injection scale
+		noise         float64
+		calibrate     bool
+		maxBearingDeg float64
+		minBearingDeg float64 // floor on the largest bearing error
+		maxPosCm      float64
 	}{
-		{"clean-no-orient-no-noise", 0, 0, false},
-		{"noise-only", 0, 0.1, false},
-		{"orient-only-uncal", 1, 0, false},
-		{"orient-only-cal", 1, 0, true},
-		{"full-cal", 1, 0.1, true},
+		{"clean-no-orient-no-noise", 0, 0, false, 0.03, 0, 1}, // 0.017°, 0.64 cm
+		{"noise-only", 0, 0.1, false, 0.25, 0, 12},            // 0.166°, 7.69 cm
+		{"orient-only-uncal", 1, 0, false, 4, 1.3, 44},        // 2.655°, 28.90 cm
+		{"orient-only-cal", 1, 0, true, 0.04, 0, 1.5},         // 0.025°, 0.95 cm
+		{"full-cal", 1, 0.1, true, 0.2, 0, 12},                // 0.132°, 7.39 cm
 	}
 	target := geom.V3(-1.8, 1.4, 0)
 	for _, tc := range cases {
@@ -50,6 +58,7 @@ func TestDebugBiasSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var worst float64
 		for i, b := range res.Bearings {
 			var diskCenter geom.Vec3
 			for _, r := range registered {
@@ -58,9 +67,17 @@ func TestDebugBiasSources(t *testing.T) {
 				}
 			}
 			want := target.Sub(diskCenter).Azimuth()
-			t.Logf("%-26s tag%d err=%.3f°", tc.name, i,
-				geom.Degrees(geom.AngleDistance(b.Azimuth, want)))
+			errDeg := geom.Degrees(geom.AngleDistance(b.Azimuth, want))
+			t.Logf("%-26s tag%d err=%.3f°", tc.name, i, errDeg)
+			worst = max(worst, errDeg)
 		}
-		t.Logf("%-26s pos err=%.1fcm", tc.name, res.Position.DistanceTo(target.XY())*100)
+		posErr := res.Position.DistanceTo(target.XY()) * 100
+		t.Logf("%-26s pos err=%.2fcm", tc.name, posErr)
+		if worst > tc.maxBearingDeg || worst < tc.minBearingDeg {
+			t.Errorf("%s: largest bearing error %.3f°, want in [%.3g°, %.3g°]", tc.name, worst, tc.minBearingDeg, tc.maxBearingDeg)
+		}
+		if posErr > tc.maxPosCm {
+			t.Errorf("%s: position error %.1f cm > %.3g cm", tc.name, posErr, tc.maxPosCm)
+		}
 	}
 }
