@@ -22,7 +22,7 @@ GOFMT ?= gofmt
 # out to helpers even on a 1-CPU machine. The last pass runs on one CPU the
 # batch tests, where a GOMAXPROCS-sized default would run batch items one at
 # a time, and the core pass-loop tests: estimateAll's per-tag fan-out is a
-# locate's only parallelism, so the solve count, the 1 cm stop and
+# locate's only parallelism, so the solve count, both stops and
 # mid-locate cancellation must hold when every tag's search shares one CPU.
 check: build fmt-check vet-strict doc-idents
 	cd bench && $(GO) test ./...
@@ -77,13 +77,14 @@ bench:
 # trajectory tooling (see cmd/tagspin-bench) and writes it to
 # BENCH_<n>.json, n read from the benchSchema constant, so a schema bump
 # names a new file instead of overwriting a recorded one: schema
-# tagspin-bench/14 —
+# tagspin-bench/15 —
 # micro rows on the exact kernel, concurrent-load rows (K simultaneous
 # Locate2D pipelines in one process, grid and ml solve backends) with
 # plan-cache hit rates, the streaming rows (StreamLocate2D tail-latency
 # pairs over the full-length session, LoadLocate2DStream throughput), the
-# MLLocate2D/3D grid-vs-ml solve-backend A/B rows with meanErrM (the
-# median of alternating grid/ml rep pairs at GOMAXPROCS 1), and the
+# MLLocate2D/3D grid-vs-ml solve-backend A/B rows with meanErrM and
+# solvesPerLocate (timed as the median of alternating grid/ml rep pairs at
+# GOMAXPROCS 1), and the
 # sub-linear coarse-scan pairs against their dense baselines:
 # SubLinLocate2D (≥5x floor), SubLinLocate3D, SubLinLocateR (≥4x floor,
 # the median of alternating dense/sub-linear rep pairs) and SubLinLocateR3D

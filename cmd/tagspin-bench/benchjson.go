@@ -18,7 +18,14 @@ import (
 	"github.com/tagspin/tagspin/internal/testbed"
 )
 
-// benchSchema is the current report schema. Version 14 adds the RefineR2D
+// benchSchema is the current report schema. Version 15 adds the
+// solvesPerLocate field to the MLLocate2D/{grid,ml} and MLLocate3D/{grid,ml}
+// rows (the estimator solves of the timed locate: the bootstrap pass plus
+// the orientation-correction passes). Every row keeps its name, input and
+// meaning, but calibrated locates stop their correction passes on the
+// predicted move from this version on, so a locate that ran a third
+// correction under version 14 may run one pass fewer.
+// Version 14 adds the RefineR2D
 // and RefineR3D rows (R refinement alone: the full peak search minus the
 // coarse-only one over 16 orientation-corrected sessions, the median of
 // alternating rep pairs at GOMAXPROCS 1) with their evalsPerRefine and
@@ -98,7 +105,7 @@ import (
 // both sides of the ratio — run at GOMAXPROCS 1 with one compute pool
 // worker, so a floor compares algorithms rather than how many cores the
 // dense baseline could spread over.
-const benchSchema = "tagspin-bench/14"
+const benchSchema = "tagspin-bench/15"
 
 // benchSmoke turns writeBenchJSON into a smoke run of the report's shape:
 // the load rows run for smokeLoadDuration instead of loadBenchDuration, and
@@ -163,6 +170,10 @@ type benchResult struct {
 	// MeanErrM is the mean localization error in meters over the row's
 	// accuracy sweep (schema 5+, MLLocate rows only).
 	MeanErrM float64 `json:"meanErrM,omitempty"`
+	// SolvesPerLocate is the estimator solves of the row's timed locate:
+	// 1 bootstrap plus its correction passes (schema 15+, MLLocate rows
+	// only).
+	SolvesPerLocate int `json:"solvesPerLocate,omitempty"`
 	// EvalsPerRefine is the EvalAt calls the continuous R polish makes
 	// per refine (schema 14+, RefineR rows only).
 	EvalsPerRefine float64 `json:"evalsPerRefine,omitempty"`

@@ -101,6 +101,13 @@ func TestBenchJSON(t *testing.T) {
 			t.Errorf("%s lacks its polish counts: %+v", name, b)
 		}
 	}
+	// The MLLocate fixtures are calibrated: a bootstrap plus one to three
+	// correction passes, each one solve.
+	for _, name := range []string{"MLLocate2D/grid", "MLLocate2D/ml", "MLLocate3D/grid", "MLLocate3D/ml"} {
+		if b, ok := rows[name]; ok && (b.SolvesPerLocate < 2 || b.SolvesPerLocate > 4) {
+			t.Errorf("%s solvesPerLocate = %d, want 2..4", name, b.SolvesPerLocate)
+		}
+	}
 	// The acceptance property of the evaluation engine: steady-state
 	// candidate evaluations, whole profile scans, and whole peak searches
 	// allocate nothing.

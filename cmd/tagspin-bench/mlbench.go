@@ -33,8 +33,9 @@ const mlPairs = 5
 // (schema 5): MLLocate2D/{grid,ml} and MLLocate3D/{grid,ml} rows time a full
 // Locate call — shared spectrum peak search plus backend solve — over the
 // same observations, and carry the mean localization error of a small
-// multi-placement sweep so the A/B covers accuracy as well as cost. The
-// caller runs it at GOMAXPROCS 1.
+// multi-placement sweep so the A/B covers accuracy as well as cost, and
+// (schema 15) the estimator solves of the timed locate. The caller runs it
+// at GOMAXPROCS 1.
 func mlBenchRows() ([]benchResult, error) {
 	rng := rand.New(rand.NewSource(11))
 	sc := testbed.DefaultScenario(0, rng)
@@ -49,11 +50,12 @@ func mlBenchRows() ([]benchResult, error) {
 	}
 
 	grid := core.NewLocator(core.Config{})
-	ml := grid.WithEstimator(estimate.NewML(estimate.Config{}))
+	mlEst := estimate.NewML(estimate.Config{})
 	backends := []struct {
 		name string
 		loc  *core.Locator
-	}{{"grid", grid}, {"ml", ml}}
+		est  core.Estimator
+	}{{"grid", grid, core.GridEstimator{}}, {"ml", grid.WithEstimator(mlEst), mlEst}}
 
 	// Accuracy sweep: the same placements and observations for both
 	// backends, 2D targets in the survey plane and 3D targets above it
@@ -112,6 +114,16 @@ func mlBenchRows() ([]benchResult, error) {
 	}
 	var rows []benchResult
 	for _, d := range dims {
+		// One untimed locate per backend through a solveCounter: the
+		// solves (passes) behind each timed locate.
+		var solves [2]int
+		for i, be := range backends {
+			c := &solveCounter{Estimator: be.est}
+			if err := d.locate(grid.WithEstimator(c)); err != nil {
+				return nil, err
+			}
+			solves[i] = c.solves
+		}
 		ps := make([]pair, pairs)
 		for rep := range ps {
 			for i, be := range backends {
@@ -124,14 +136,15 @@ func mlBenchRows() ([]benchResult, error) {
 					}
 				})
 				ps[rep].rows[i] = benchResult{
-					Name:        d.name + "/" + be.name,
-					Iterations:  res.N,
-					NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-					AllocsPerOp: res.AllocsPerOp(),
-					BytesPerOp:  res.AllocedBytesPerOp(),
-					GoMaxProcs:  procs,
-					Variant:     be.name,
-					MeanErrM:    mean(d.errs[be.name]),
+					Name:            d.name + "/" + be.name,
+					Iterations:      res.N,
+					NsPerOp:         float64(res.T.Nanoseconds()) / float64(res.N),
+					AllocsPerOp:     res.AllocsPerOp(),
+					BytesPerOp:      res.AllocedBytesPerOp(),
+					GoMaxProcs:      procs,
+					Variant:         be.name,
+					MeanErrM:        mean(d.errs[be.name]),
+					SolvesPerLocate: solves[i],
 				}
 			}
 			ps[rep].ratio = ps[rep].rows[1].NsPerOp / ps[rep].rows[0].NsPerOp
@@ -140,10 +153,28 @@ func mlBenchRows() ([]benchResult, error) {
 		rows = append(rows, ps[len(ps)/2].rows[:]...)
 	}
 	for _, r := range rows {
-		fmt.Fprintf(os.Stderr, "tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op  meanErr %.1f cm\n",
-			r.Name, r.Variant, r.GoMaxProcs, r.NsPerOp, r.MeanErrM*100)
+		fmt.Fprintf(os.Stderr, "tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op  meanErr %.1f cm  %d solves/locate\n",
+			r.Name, r.Variant, r.GoMaxProcs, r.NsPerOp, r.MeanErrM*100, r.SolvesPerLocate)
 	}
 	return rows, nil
+}
+
+// solveCounter wraps a solve backend and counts its solves: one per pass
+// of the locate pipeline, the bootstrap included. A locate's passes solve
+// one after another, so the count needs no lock.
+type solveCounter struct {
+	core.Estimator
+	solves int
+}
+
+func (c *solveCounter) Solve2D(tags []core.EstimatorTag) (core.Solution2D, error) {
+	c.solves++
+	return c.Estimator.Solve2D(tags)
+}
+
+func (c *solveCounter) Solve3D(tags []core.EstimatorTag) (core.Solution3D, error) {
+	c.solves++
+	return c.Estimator.Solve3D(tags)
 }
 
 // mlSolveReads is the read count of each synthesized disk behind the
