@@ -376,9 +376,8 @@ func (l *Locator) run(ctx context.Context, registered []SpinningTag, obs Observa
 			// last bit, and so move a 2D locate's pass count.
 			moved = sol.Position.XY().DistanceTo(coarse.XY())
 		}
-		// From the second correction on, moves contract geometrically, so
-		// moved²/prevMoved predicts the next one. prevMoved ≥ 1 cm here (the
-		// loop went on past it), and a diverging loop predicts ≥ moved.
+		// prevMoved, once set, is ≥ 1 cm (the loop went on past it), so the
+		// division is safe; a diverging loop predicts ≥ moved and goes on.
 		if moved < 0.01 || (prevMoved > 0 && moved*moved/prevMoved < 0.01) {
 			break
 		}

@@ -294,11 +294,11 @@ func TestPassLoopPredictedStop(t *testing.T) {
 			origin.Z = 0.8
 		}
 		for _, tc := range cases {
+			moves := make([]float64, len(tc.moves))
+			for i, m := range tc.moves {
+				moves[i] = m / 100
+			}
 			for _, streamed := range []bool{false, true} {
-				moves := make([]float64, len(tc.moves))
-				for i, m := range tc.moves {
-					moves[i] = m / 100
-				}
 				se := &scriptedEstimator{origin: origin, moves: moves}
 				pos, err := locateVia(t, t.Context(), core.NewLocator(core.Config{Estimator: se}), fx, streamed)
 				if err != nil {
@@ -310,9 +310,6 @@ func TestPassLoopPredictedStop(t *testing.T) {
 				want := origin
 				for _, m := range moves[:tc.corrections] {
 					want.X += m
-				}
-				if !fx.threeD {
-					want.Z = 0
 				}
 				if pos != want {
 					t.Errorf("%s %s streamed=%v: answer %v, want the last solve %v", fx.name, tc.name, streamed, pos, want)
