@@ -77,7 +77,7 @@ bench:
 # trajectory tooling (see cmd/tagspin-bench) and writes it to
 # BENCH_<n>.json, n read from the benchSchema constant, so a schema bump
 # names a new file instead of overwriting a recorded one: schema
-# tagspin-bench/15 —
+# tagspin-bench/16 —
 # micro rows on the exact kernel, concurrent-load rows (K simultaneous
 # Locate2D pipelines in one process, grid and ml solve backends) with
 # plan-cache hit rates, the streaming rows (StreamLocate2D tail-latency
@@ -92,7 +92,8 @@ bench:
 # the joint-ML solve alone, and the RefineR2D/3D rows timing R refinement
 # alone (the median of alternating full/coarse-only rep pairs at
 # GOMAXPROCS 1, with the polish's EvalAt calls per refine and its
-# fallbacks). The run fails when SubLinLocate2D or SubLinLocateR falls
+# fallbacks) beside the CoarseR2D/3D rows timing the R coarse scan alone
+# (the median coarse-only half of the same pairs). The run fails when SubLinLocate2D or SubLinLocateR falls
 # below its floor.
 BENCH_SCHEMA := $(shell sed -n 's|^const benchSchema = "tagspin-bench/\([0-9]*\)"$$|\1|p' cmd/tagspin-bench/benchjson.go)
 bench-json:

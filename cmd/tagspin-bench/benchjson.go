@@ -18,7 +18,11 @@ import (
 	"github.com/tagspin/tagspin/internal/testbed"
 )
 
-// benchSchema is the current report schema. Version 15 adds the
+// benchSchema is the current report schema. Version 16 adds the CoarseR2D
+// and CoarseR3D rows (the R coarse scan alone: the median per-scan time of
+// the coarse-only halves of the RefineR rows' alternating rep pairs, over
+// the same 16 orientation-corrected sessions at GOMAXPROCS 1); every other
+// row keeps its name, input and meaning. Version 15 adds the
 // solvesPerLocate field to the MLLocate2D/{grid,ml} and MLLocate3D/{grid,ml}
 // rows (the estimator solves of the timed locate: the bootstrap pass plus
 // the orientation-correction passes). Every row keeps its name, input and
@@ -105,7 +109,7 @@ import (
 // both sides of the ratio — run at GOMAXPROCS 1 with one compute pool
 // worker, so a floor compares algorithms rather than how many cores the
 // dense baseline could spread over.
-const benchSchema = "tagspin-bench/15"
+const benchSchema = "tagspin-bench/16"
 
 // benchSmoke turns writeBenchJSON into a smoke run of the report's shape:
 // the load rows run for smokeLoadDuration instead of loadBenchDuration, and

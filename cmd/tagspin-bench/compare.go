@@ -45,7 +45,7 @@ type benchKey struct {
 }
 
 // readBenchReport parses a BENCH_*.json of any schema version (1 through
-// 15). Schema-1 rows carry no per-row GOMAXPROCS; they inherit the
+// 16). Schema-1 rows carry no per-row GOMAXPROCS; they inherit the
 // report-level value so cross-schema keys align. Schema-3 load rows
 // (concurrency, locates/sec, percentiles, plan-cache hit rate), schema-4
 // streaming rows, schema-5 backend rows, schema-6 sub-linear rows,
@@ -54,7 +54,8 @@ type benchKey struct {
 // files. Schemas 9 and 10 changed row inputs and kernels, not fields, and
 // schema 11 only drops rows; schema 12 adds the MLSolve rows, and schema
 // 13 re-times the MLLocate rows at GOMAXPROCS 1; schema 14 adds the RefineR
-// rows and schema 15 the MLLocate rows' solvesPerLocate.
+// rows, schema 15 the MLLocate rows' solvesPerLocate and schema 16 the
+// CoarseR rows.
 func readBenchReport(path string) (benchReport, error) {
 	var report benchReport
 	data, err := os.ReadFile(path)

@@ -89,7 +89,7 @@ func TestBenchJSON(t *testing.T) {
 		"Profile3DCoarseSerial", "Profile3DCoarseParallel",
 		"FindPeak2DR",
 		"MLSolve2D", "MLSolve3D",
-		"RefineR2D", "RefineR3D",
+		"RefineR2D", "RefineR3D", "CoarseR2D", "CoarseR3D",
 		"MLLocate2D/grid", "MLLocate2D/ml", "MLLocate3D/grid", "MLLocate3D/ml",
 	} {
 		if _, ok := rows[name]; !ok {

@@ -17,10 +17,10 @@ import (
 )
 
 // refinePairs is the number of alternating (full, coarse-only) rep pairs
-// behind each RefineR row; odd, so the median is one pair.
+// behind each RefineR and CoarseR row; odd, so the median is one pair.
 const refinePairs = 5
 
-// refineSessions builds the RefineR rows' inputs: for seeds 50–53, one
+// refineSessions builds the RefineR and CoarseR rows' inputs: for seeds 50–53, one
 // calibrated testbed.DefaultScenario session per placement, each tag's
 // snapshots orientation-corrected against the truth and against a point
 // 15 cm off it, as a converged and an early correction pass scan them —
@@ -66,12 +66,14 @@ func refineSessions(threeD bool) ([]*spectrum.Evaluator, error) {
 	return evs, nil
 }
 
-// refineRBenchRows times R refinement alone (schema 14): RefineR2D and
-// RefineR3D run the full peak search and the coarse-only one (NoRefine)
-// over refineSessions as alternating rep pairs and report the median
-// pair's difference per scan. Each row carries the polish's EvalAt calls
-// per refine and its fallbacks to the grid rounds over one pass of the
-// sessions (spectrum.SearchStats). The caller runs it at GOMAXPROCS 1.
+// refineRBenchRows times R refinement alone (schema 14) and the R coarse
+// scan alone (schema 16): RefineR2D and RefineR3D run the full peak search
+// and the coarse-only one (NoRefine) over refineSessions as alternating rep
+// pairs and report the median pair's difference per scan. Each carries the
+// polish's EvalAt calls per refine and its fallbacks to the grid rounds
+// over one pass of the sessions (spectrum.SearchStats). CoarseR2D and
+// CoarseR3D are the median per-scan time of the same pairs' coarse-only
+// halves. The caller runs it at GOMAXPROCS 1.
 func refineRBenchRows() ([]benchResult, error) {
 	pairs := refinePairs
 	if raceEnabled {
@@ -115,13 +117,13 @@ func refineRBenchRows() ([]benchResult, error) {
 		refine := func(p pair) float64 { return perScan(p.full) - perScan(p.coarse) }
 		slices.SortFunc(ps, func(a, b pair) int { return cmp.Compare(refine(a), refine(b)) })
 		med := ps[len(ps)/2]
-		name := "RefineR2D"
+		dim := "2D"
 		if threeD {
-			name = "RefineR3D"
+			dim = "3D"
 		}
 		fallbacks := st.PolishFallbacks
 		rows = append(rows, benchResult{
-			Name:            name,
+			Name:            "RefineR" + dim,
 			Iterations:      med.full.N,
 			NsPerOp:         refine(med),
 			AllocsPerOp:     med.full.AllocsPerOp(),
@@ -131,10 +133,24 @@ func refineRBenchRows() ([]benchResult, error) {
 			EvalsPerRefine:  float64(st.PolishEvals) / float64(len(evs)),
 			PolishFallbacks: &fallbacks,
 		})
+		slices.SortFunc(ps, func(a, b pair) int { return cmp.Compare(perScan(a.coarse), perScan(b.coarse)) })
+		coarse := ps[len(ps)/2].coarse
+		rows = append(rows, benchResult{
+			Name:        "CoarseR" + dim,
+			Iterations:  coarse.N,
+			NsPerOp:     perScan(coarse),
+			AllocsPerOp: coarse.AllocsPerOp(),
+			BytesPerOp:  coarse.AllocedBytesPerOp(),
+			GoMaxProcs:  procs,
+			Variant:     "serial/exact",
+		})
 	}
 	for _, r := range rows {
-		fmt.Fprintf(os.Stderr, "tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op  %.1f EvalAt/refine, %d fallbacks\n",
-			r.Name, r.Variant, r.GoMaxProcs, r.NsPerOp, r.EvalsPerRefine, *r.PolishFallbacks)
+		line := fmt.Sprintf("tagspin-bench: %-28s %14s procs=%-2d %12.0f ns/op", r.Name, r.Variant, r.GoMaxProcs, r.NsPerOp)
+		if r.PolishFallbacks != nil {
+			line += fmt.Sprintf("  %.1f EvalAt/refine, %d fallbacks", r.EvalsPerRefine, *r.PolishFallbacks)
+		}
+		fmt.Fprintln(os.Stderr, line)
 	}
 	return rows, nil
 }

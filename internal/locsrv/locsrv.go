@@ -10,7 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -364,7 +364,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("locsrv: encode response: %v", err)
+		slog.Warn("locsrv: encode response", "err", err)
 	}
 }
 

@@ -12,7 +12,7 @@ package readersim
 import (
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"math/rand"
 	"net"
 	"sort"
@@ -445,6 +445,6 @@ func (r *Reader) stream(conn *llrp.Conn, reads []read, duration time.Duration, c
 		Event:           llrp.EventROSpecDone,
 		TimestampMicros: uint64(duration / time.Microsecond),
 	}); err != nil {
-		log.Printf("readersim: send done: %v", err)
+		slog.Warn("readersim: send done", "err", err)
 	}
 }

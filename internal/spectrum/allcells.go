@@ -1,7 +1,9 @@
 package spectrum
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"github.com/tagspin/tagspin/internal/mathx"
 )
@@ -432,18 +434,17 @@ func (e *Evaluator) rPruneCut(lo, slack float64) float64 {
 }
 
 // maxPhasorCell returns the largest |Ŝ|²/n² of a row of normalized
-// pass-one sums qRe/qIm and that cell's trig entries — always a real cell
-// of the row, the first one when every sum vanishes (−1 for an empty row).
-func maxPhasorCell(qRe, qIm, sinPhi, cosPhi []float64) (m2, s, c float64) {
-	n := len(qRe)
-	qIm, sinPhi, cosPhi = qIm[:n], sinPhi[:n], cosPhi[:n]
-	m2, c = -1, 1
-	for k, re := range qRe {
-		if m := re*re + qIm[k]*qIm[k]; m > m2 {
-			m2, s, c = m, sinPhi[k], cosPhi[k]
+// pass-one sums qRe/qIm and that cell's index in the row — always a real
+// cell, the first one when every sum vanishes (m2 = −1 for an empty row).
+func maxPhasorCell(qRe, qIm []float64) (m2 float64, k int) {
+	qIm = qIm[:len(qRe)]
+	m2 = -1
+	for i, re := range qRe {
+		if m := re*re + qIm[i]*qIm[i]; m > m2 {
+			m2, k = m, i
 		}
 	}
-	return m2, s, c
+	return m2, k
 }
 
 // polarMirrorTol is how far from zero γ_r + γ_{nPol−1−r} may sit for
@@ -462,70 +463,65 @@ const polarMirrorTol = 1e-14
 // synthesize the row (Q magnitudes, or the two-pass R kernel with the
 // coarse kernels), and shortlist every cell within the kind's window of the
 // running synthesized maximum — 2·harmonicSlack for Q, 2·(rSlack +
-// rCoarseRel·wNorm) for R. R first takes its prune incumbent over the whole
-// grid (rIncumbent3D); rows whose every cell sits under the cut are skipped
-// whole, and every other row's weighting pass skips the cells the cut rules
-// out. On a one-row grid the incumbent sweep already synthesized the row's
-// Ŝ, so the weighting pass runs on it without a second fold and synthesis.
-// When the lattice is symmetric (γ_r + γ_m within polarMirrorTol,
-// m = nPol−1−r) row m reuses row r's synthesis: both rows score the same
-// cos γ up to a few ulp, which moves every aperture phase — and |Ŝ|, so
-// the prune cut holds for both — by ≲ z·1e-14 rad, far inside either
-// slack. The exception is an unpruned R cell under the μ̂ guard, whose
-// robust mean is ill-conditioned; row m re-evaluates those cells densely
-// at its own γ. The shortlist is then exact-rescored through evalCell from
-// the row trig table's math.Sincos entries — the bits the dense scan's row
-// kernel computes — under the lowest-index tie rule, so the returned cell
-// is the dense scan's bit for bit. Rows run serially on one Scratch: the
-// per-tag callers supply the parallelism, and no buffer spans the grid.
+// rCoarseRel·wNorm) for R. R first sweeps the grid for its prune incumbent
+// and cut (rIncumbent3D), synthesizing each row's Ŝ at most once and
+// skipping the rows whose bound already rules them out; the main pass
+// weights the swept rows straight from the Ŝ the sweep kept, skips the rows
+// whose every cell sits under the cut, and within the rest skips the cells
+// the cut rules out. When the lattice is symmetric (γ_r + γ_m within
+// polarMirrorTol, m = nPol−1−r) row m reuses row r's synthesis: both rows
+// score the same cos γ up to a few ulp, which moves every aperture phase —
+// and |Ŝ|, so the prune cut holds for both — by ≲ z·1e-14 rad, far inside
+// either slack. The exception is an unpruned R cell under the μ̂ guard,
+// whose robust mean is ill-conditioned; row m re-evaluates those cells
+// densely at its own γ. The shortlist is then exact-rescored through
+// evalCell from the row trig table's math.Sincos entries — the bits the
+// dense scan's row kernel computes — under the lowest-index tie rule, so
+// the returned cell is the dense scan's bit for bit; the order rows are
+// visited in moves neither the shortlist nor the rescore. Rows run serially
+// on one Scratch: the per-tag callers supply the parallelism.
 func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, polBase, polStep float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
 	vals := hs.values(nAz)
 	sc := e.getScratch()
-	e.fillUniformTrig(sc, 0, nAz, azStep)
-	sinPhi, cosPhi := sc.sinPhi[:nAz], sc.cosPhi[:nAz]
+	sinPhi, cosPhi := hs.azimuthTrig(nAz, azStep)
+	sinPhi, cosPhi = sinPhi[:nAz], cosPhi[:nAz] // the length fact the loops' proofs read
 	z := terms.singleScale()
 	if z > 0 {
 		foldUnitSums(hs, terms)
 	}
-	if cap(hs.rowMax) < nPol {
-		hs.rowMax = make([]float64, nPol)
-	}
-	rowMax := hs.rowMax[:nPol]
+	rows := hs.polarRows(nPol, polBase, polStep)
 	window := 2 * harmonicSlack
-	cut2 := math.Inf(-1) // Q prunes nothing, whatever rowMax holds
+	cut2 := math.Inf(-1) // Q prunes nothing, whatever max2 holds
 	if e.kind == KindR {
 		window = 2 * (rSlack + rCoarseRel*e.wNorm)
-		cut2 = e.rPruneCut(e.rIncumbent3D(hs, terms, z, sc, rowMax, polBase, polStep), harmonicSlack)
+		var swept int
+		swept, _, cut2 = e.rIncumbent3D(hs, rows, terms, z, sc, polBase, polStep)
+		rows = rows[:swept]
 	}
 	list, maxV := hs.shortlist[:0], math.Inf(-1)
-	for r := range rowMax {
-		m, mirror := polarMirror(r, nPol, polBase, polStep)
-		if mirror && m < r {
-			continue // served with row m
-		}
-		if rowMax[r] < cut2 {
+	for i, row := range rows {
+		if row.max2 < cut2 {
 			continue // every cell of the row (and its mirror) is pruned
 		}
+		r := row.r
 		cg := math.Cos(polarAngle(r, polBase, polStep))
-		switch {
-		case e.kind != KindR:
+		var qRe, qIm []float64
+		if e.kind == KindR {
+			qRe, qIm = hs.rowSums(i, nAz)
+			e.weightRowR(terms, sc, cg, sinPhi, cosPhi, qRe, qIm, vals, true, cut2)
+		} else {
 			foldRow(hs, terms, z, cg)
 			hs.coeffs.synthesize(vals, sinPhi, cosPhi)
-		case nPol == 1: // rIncumbent3D left the only row's Ŝ in sumRe/sumIm
-			e.weightRowR(terms, sc, cg, sinPhi, cosPhi, sc.sumRe[:nAz], sc.sumIm[:nAz], vals, true, cut2)
-		default:
-			foldRow(hs, terms, z, cg)
-			e.synthRowR(terms, &hs.coeffs, sc, cg, sinPhi, cosPhi, vals, true, cut2)
 		}
 		list, maxV = shortlistRow(list, vals, r*nAz, maxV, window)
+		m, mirror := polarMirror(r, nPol, polBase, polStep)
 		if !mirror {
 			continue
 		}
 		if e.kind == KindR && !e.literalRef {
-			// synthRowR leaves the row's normalized Ŝ in sumRe/sumIm.
-			qRe, qIm := sc.sumRe[:nAz], sc.sumIm[:nAz]
 			cgM := math.Cos(polarAngle(m, polBase, polStep))
+			qRe, qIm := qRe[:nAz], qIm[:nAz]
 			for k, re := range qRe {
 				if m2 := re*re + qIm[k]*qIm[k]; m2 < muGuardFrac*muGuardFrac && m2 >= cut2 {
 					vals[k] = e.evalCell(terms, sc, sinPhi[k], cosPhi[k], cgM)
@@ -562,35 +558,107 @@ func polarMirror(r, nPol int, polBase, polStep float64) (m int, mirror bool) {
 	return m, m != r && math.Abs(polarAngle(r, polBase, polStep)+polarAngle(m, polBase, polStep)) <= polarMirrorTol
 }
 
-// rIncumbent3D returns the coarse grid's prune incumbent: one sweep over
-// the rows harmonicArgmax3D synthesizes (fold plus synthesis of Ŝ into sc's
-// row sums, mirror rows skipped) finds the cell with the largest
-// synthesized |Ŝ|, which evalCell then scores exactly on sc's residual
-// buffers, leaving the row sums alone. sc's trig rows hold the grid's
-// azimuths; z and hs.unit are harmonicArgmax3D's foldRow state. The sweep
-// also leaves each swept row r's largest |Ŝ|²/n² in rowMax[r] (len(rowMax)
-// is the polar row count): those are synthesized magnitudes under the same
-// harmonicSlack, so a row whose maximum sits under the cut is pruned whole,
-// fold and synthesis included. Rows that survive refold in the main pass
-// rather than keep a grid-sized Ŝ buffer.
-func (e *Evaluator) rIncumbent3D(hs *harmonicScratch, terms termSlices, z float64, sc *Scratch, rowMax []float64, polBase, polStep float64) float64 {
-	n, nPol := len(sc.sinPhi), len(rowMax)
-	sinPhi, cosPhi := sc.sinPhi[:n], sc.cosPhi[:n]
-	qRe, qIm := sc.sumRe[:n], sc.sumIm[:n]
-	best, bs, bc, bestR := -1.0, 0.0, 1.0, 0
-	for r := range rowMax {
-		if m, mirror := polarMirror(r, nPol, polBase, polStep); mirror && m < r {
-			continue
+// sweptRow is one polar row of harmonicArgmax3D's coarse grid: its index r
+// and, for R, rIncumbent3D's bound on the row's synthesized |Ŝ|/n and,
+// once synthesized, its largest |Ŝ|²/n².
+type sweptRow struct {
+	r     int
+	bound float64
+	max2  float64
+}
+
+// polarRows sets hs.rows to the polar rows harmonicArgmax3D synthesizes —
+// every row but the mirrors served with a lower one — in ascending order.
+func (hs *harmonicScratch) polarRows(nPol int, polBase, polStep float64) []sweptRow {
+	rows := hs.rows[:0]
+	for r := 0; r < nPol; r++ {
+		if m, mirror := polarMirror(r, nPol, polBase, polStep); !mirror || m > r {
+			rows = append(rows, sweptRow{r: r})
 		}
-		foldRow(hs, terms, z, math.Cos(polarAngle(r, polBase, polStep)))
-		hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
-		m2, s, c := maxPhasorCell(qRe, qIm, sinPhi, cosPhi)
-		if m2 > best {
-			best, bs, bc, bestR = m2, s, c, r
-		}
-		rowMax[r] = m2
 	}
-	return e.evalCell(terms, sc, bs, bc, math.Cos(polarAngle(bestR, polBase, polStep)))
+	hs.rows = rows
+	return rows
+}
+
+// rowSums returns the normalized Ŝ rIncumbent3D kept for the i-th row it
+// synthesized: n cells of real parts and n of imaginary parts.
+func (hs *harmonicScratch) rowSums(i, n int) (qRe, qIm []float64) {
+	row := hs.sums[2*i*n:]
+	return row[:n], row[n : 2*n]
+}
+
+// rIncumbent3D sweeps rows — harmonicArgmax3D's polar rows, reordered in
+// place — for the R prune incumbent and cut, synthesizing each row's Ŝ at
+// most once and only where a cell can survive. It folds every row first
+// (O(H) per row for a single-scale term set) and bounds its synthesized
+// |Ŝ|/n by magBound + harmonicSlack, then synthesizes the rows in
+// descending bound order into hs.sums, the i-th synthesized row in slot i
+// (rowSums), recording each one's largest |Ŝ|²/n² in max2. Once the next
+// bound falls below the largest |Ŝ| seen, no later row can reach it: that
+// cell — the grid's largest synthesized |Ŝ|, the lowest row winning a tie,
+// exactly the cell a full sweep picks — is the incumbent, evalCell scores
+// it exactly on sc's residual buffers, and rPruneCut turns that into cut2.
+// From there every row whose bound sits under cut2 — the rest of the order —
+// is skipped unsynthesized: its synthesized maximum would be under the cut
+// too, so a full sweep would have pruned it whole. hs.sinPhi/cosPhi hold
+// the grid's azimuths; z and hs.unit are harmonicArgmax3D's foldRow state. It
+// returns the number of rows synthesized (rows[:swept], slots 0..swept−1),
+// the incumbent's grid index, and cut2.
+func (e *Evaluator) rIncumbent3D(hs *harmonicScratch, rows []sweptRow, terms termSlices, z float64, sc *Scratch, polBase, polStep float64) (swept, inc int, cut2 float64) {
+	n := len(hs.sinPhi)
+	sinPhi, cosPhi := hs.sinPhi, hs.cosPhi[:n]
+	for i := range rows {
+		foldRow(hs, terms, z, math.Cos(polarAngle(rows[i].r, polBase, polStep)))
+		rows[i].bound = hs.coeffs.magBound() + harmonicSlack
+	}
+	folded := -1 // the row hs.coeffs holds
+	if len(rows) > 0 {
+		folded = rows[len(rows)-1].r
+	}
+	slices.SortFunc(rows, func(a, b sweptRow) int {
+		return cmp.Or(cmp.Compare(b.bound, a.bound), cmp.Compare(a.r, b.r))
+	})
+	if need := 2 * n * len(rows); cap(hs.sums) < need {
+		hs.sums = make([]float64, need)
+	}
+	best, bestK, bestR := -1.0, 0, 0
+	inc, cut2 = -1, math.Inf(-1) // until the incumbent is taken
+	for i, row := range rows {
+		b2 := row.bound * row.bound
+		if inc < 0 && b2 < best { // no later row reaches best
+			inc = bestR*n + bestK
+			cut2 = e.incumbentCut(hs, terms, sc, inc, polBase, polStep)
+		}
+		if b2 < cut2 { // and so is every later row's
+			return i, inc, cut2
+		}
+		if row.r != folded {
+			foldRow(hs, terms, z, math.Cos(polarAngle(row.r, polBase, polStep)))
+			folded = row.r
+		}
+		qRe, qIm := hs.rowSums(i, n)
+		hs.coeffs.synthesizeComplex(qRe, qIm, sinPhi, cosPhi)
+		m2, k := maxPhasorCell(qRe, qIm)
+		if m2 > best || m2 == best && row.r < bestR {
+			best, bestK, bestR = m2, k, row.r
+		}
+		rows[i].max2 = m2
+	}
+	if inc < 0 {
+		inc = bestR*n + bestK
+		cut2 = e.incumbentCut(hs, terms, sc, inc, polBase, polStep)
+	}
+	return len(rows), inc, cut2
+}
+
+// incumbentCut returns rPruneCut for the incumbent, grid cell idx of
+// hs's azimuth rows, scored exactly by evalCell on sc's residual buffers.
+func (e *Evaluator) incumbentCut(hs *harmonicScratch, terms termSlices, sc *Scratch, idx int, polBase, polStep float64) float64 {
+	sinPhi := hs.sinPhi
+	cosPhi := hs.cosPhi[:len(sinPhi)]
+	a := uint(idx) % uint(len(sinPhi))
+	lo := e.evalCell(terms, sc, sinPhi[a], cosPhi[a], math.Cos(polarAngle(idx/len(sinPhi), polBase, polStep)))
+	return e.rPruneCut(lo, harmonicSlack)
 }
 
 // shortlistRow appends the cells of one synthesized row (grid indices

@@ -26,43 +26,64 @@ import (
 //	B_m  = Σ_i j^m·J_m(w_i)·e^{jρ_i}·sin(m·a_i).
 //
 // The Bessel factors J_m(w) die super-exponentially past m ≈ w, so H stays
-// ~w + 20 ≈ 25 for the testbed's w = 4πr/λ ≈ 3.9 — far below the snapshot
-// count. Accumulating the coefficients costs O(snapshots × H) (one sincos
-// per snapshot, then multiply-adds), and synthesizing every azimuth cell
-// costs O(cells × H) multiply-adds with no trig at all (Chebyshev-style
-// recurrences supply cos/sin(mφ)). The dense scan is O(cells × snapshots)
-// sincos calls; on the default 720-cell × 64-snapshot coarse grid the
-// harmonic route is an order of magnitude cheaper.
+// small — 22 for the testbed's w = 4πr/λ ≈ 3.9 (harmonicsNeeded), far below
+// the snapshot count. Accumulating the coefficients costs O(snapshots × H)
+// (one sincos per snapshot, then multiply-adds), and synthesizing every
+// azimuth cell costs O(cells × H) multiply-adds with no trig at all
+// (Chebyshev-style recurrences supply cos/sin(mφ)). The dense scan is
+// O(cells × snapshots) sincos calls; on the default 720-cell × 64-snapshot
+// coarse grid the harmonic route is an order of magnitude cheaper.
 //
 // Exactness: the synthesized values differ from evalQExact only by Bessel
-// truncation (≲1e-14) and resummation rounding (≲1e-12) — bounded well
-// under harmonicSlack. The argmax therefore cannot be read directly off the
-// synthesized values without risking a flipped tie, so the coarse argmax
-// (harmonicArgmax3D, allcells.go) collects every cell within
-// 2·harmonicSlack of the synthesized maximum and rescores those few cells
-// with the exact per-cell formula. It is one route for both peak searches,
-// keyed by grid shape: the 3D search hands it the polar rows over
-// [−π/2, π/2], each synthesized at its own cos γ, and the 2D search the
-// single row γ = 0. Any cell the
-// dense scan could have returned is within harmonicSlack of its synthesized
-// value and hence inside the collection threshold, so the returned index is
-// exactly the dense scan's argmax — which is what keeps the default-on
-// harmonic path gated by the existing bit-identity suites.
+// truncation (≤ besselTailMax) and resummation rounding (≲1e-12) — bounded
+// well under harmonicSlack. The argmax therefore cannot be read directly off
+// the synthesized values without risking a flipped tie, so the coarse argmax
+// (harmonicArgmax3D, allcells.go) collects every cell within 2·harmonicSlack
+// of the synthesized maximum and rescores those few cells with the exact
+// per-cell formula. It is one route for both peak searches, keyed by grid
+// shape: the 3D search hands it the polar rows over [−π/2, π/2], each
+// synthesized at its own cos γ, and the 2D search the single row γ = 0. Any
+// cell the dense scan could have returned is within harmonicSlack of its
+// synthesized value and hence inside the collection threshold, so the
+// returned index is exactly the dense scan's argmax — which is what keeps
+// the default-on harmonic path gated by the existing bit-identity suites.
 
 // harmonicSlack is the documented bound on |synthesized − exact| per cell.
-// It covers Bessel truncation (≲1e-20) and synthesis rounding; the measured
-// error is ~1e-12 (TestHarmonicSynthesisMatchesExact pins it), so 1e-6
-// leaves about six orders of margin.
+// It covers Bessel truncation (≤ besselTailMax) and synthesis rounding; the
+// measured error is ~1e-12 (TestHarmonicSynthesisMatchesExact pins it), so
+// 1e-6 leaves about six orders of margin.
 const harmonicSlack = 1e-6
 
-// harmonicsNeeded returns the harmonic count H for aperture scale w:
-// J_m(w) ≈ (w/2)^m/m! for m ≫ w, so H = ⌈w⌉ + 20 puts the truncated tail
-// below 1e-20 — far under harmonicSlack.
+// besselTailMax bounds the truncation error of a normalized phasor sum
+// synthesized from harmonics 0..H = harmonicsNeeded(w) over terms of
+// aperture scale w_i ≤ w: at most 2·Σ_{m>H} max_i |J_m(w_i)|, and
+// |J_m(w_i)| ≤ t_m(w) = (w/2)^m/m!, whose tail harmonicsNeeded sizes H by.
+// It sits three orders under the 1e-12 synthesis error the refinement
+// slacks assume (rExactMuRel).
+const besselTailMax = 1e-15
+
+// harmonicsNeeded returns the harmonic count H for aperture scale w: the
+// least H whose Bessel tail fits besselTailMax, read off the bound
+// |J_m(w)| ≤ t_m = (w/2)^m/m!. Once H+2 ≥ w every later term is at most
+// half the one before (t_{m+1}/t_m = (w/2)/(m+1)), so the tail beyond H is
+// ≤ 2·t_{H+1}, and H is the first such order with 2·2·t_{H+1} ≤
+// besselTailMax: 22 at the testbed's w ≈ 3.85, 11 at w = 0.5, 51 at w = 20,
+// where ⌈w⌉ + 20 left a 7e-10 tail (TestHarmonicCountTail). Raising w
+// raises every t_m and the H+2 ≥ w floor, so H never decreases as w grows,
+// which is what lets a fold at the largest scale serve every smaller one.
+// The count stops at e²·w/2 + 64 regardless, where t_m ≤ (e·w/2m)^m ≤
+// e^−64; only apertures past w ≈ 1400, whose t_m would overflow, reach
+// that cap.
 func harmonicsNeeded(w float64) int {
-	if w < 0 {
-		w = -w
+	x := math.Abs(w) / 2
+	limit := math.E*math.E*x + 64
+	t := 1.0 // t_m, m = H+1
+	for m := 1; ; m++ {
+		t *= x / float64(m)
+		if float64(m+1) >= 2*x && 4*t <= besselTailMax || float64(m) >= limit {
+			return m - 1
+		}
 	}
-	return int(math.Ceil(w)) + 20
 }
 
 // besselSeriesMax is the aperture scale below which besselJArray sums the
@@ -173,7 +194,7 @@ func (h *harmonicCoeffs) foldTerm(relPhase, cosA, sinA float64, bess []float64) 
 	// Reslice the coefficient banks to the harmonic count up front: one
 	// length check here instead of four bounds checks per iteration.
 	nb := len(bess)
-	if nb == 0 { // never true (H ≥ 20); hands prove the bess[0] fact
+	if nb == 0 { // never true (H ≥ 0); hands prove the bess[0] fact
 		return
 	}
 	aRe, aIm := h.aRe[:nb], h.aIm[:nb]
@@ -227,14 +248,35 @@ func (h *harmonicCoeffs) synthesize(out, sinPhi, cosPhi []float64) {
 	}
 }
 
+// magBound returns an upper bound on the normalized magnitude |S(φ)|/n the
+// coefficients synthesize at any φ: |A_m·cos mφ + B_m·sin mφ| ≤
+// √(|A_m|²+|B_m|²) by Cauchy–Schwarz, so |S(φ)| ≤ |A₀| +
+// 2·Σ_m √(|A_m|²+|B_m|²). O(H), no synthesis.
+func (h *harmonicCoeffs) magBound() float64 {
+	nb := h.maxM + 1
+	aRe, aIm := h.aRe[:nb], h.aIm[:nb]
+	bRe, bIm := h.bRe[:nb], h.bIm[:nb]
+	if len(aRe) == 0 { // never true (maxM ≥ 0); hands prove the aRe[0] fact
+		return 0
+	}
+	var sum float64
+	for m := 1; m < len(aRe); m++ {
+		sum += math.Sqrt(aRe[m]*aRe[m] + aIm[m]*aIm[m] + bRe[m]*bRe[m] + bIm[m]*bIm[m])
+	}
+	return (math.Hypot(aRe[0], aIm[0]) + 2*sum) / float64(h.n)
+}
+
 // harmonicScratch bundles the per-search harmonic buffers; Evaluators pool
 // them so steady-state harmonic searches allocate nothing.
 type harmonicScratch struct {
 	coeffs    harmonicCoeffs
 	bess      []float64
 	vals      []float64
-	shortlist []maxEntry     // the coarse argmax's (cell, synthesized value) list
-	rowMax    []float64      // rIncumbent3D's per-row max |Ŝ|²/n²
+	shortlist []maxEntry // the coarse argmax's (cell, synthesized value) list
+	rows      []sweptRow // harmonicArgmax3D's polar rows, in rIncumbent3D's sweep order
+	sums      []float64  // rIncumbent3D's Ŝ per synthesized row (rowSums)
+	sinPhi    []float64  // the coarse grid's azimuth trig, read-only (azimuthTrig)
+	cosPhi    []float64
 	unit      harmonicCoeffs // foldUnitSums' γ-free sums (synthRounds)
 }
 
@@ -247,6 +289,17 @@ func (hs *harmonicScratch) values(n int) []float64 {
 		hs.vals = make([]float64, n)
 	}
 	return hs.vals[:n]
+}
+
+// azimuthTrig sets hs.sinPhi/cosPhi to the plan cache's trig tables for
+// the n azimuths φ_a = a·step and returns them. They are shared and
+// read-only, so the coarse argmax holds no trig buffer of its own: one in an
+// Evaluator's Scratch would be allocated afresh by nearly every scan
+// (Evaluators are built per tag and pass), and one here would stay live in
+// the pool.
+func (hs *harmonicScratch) azimuthTrig(n int, step float64) (sinPhi, cosPhi []float64) {
+	hs.sinPhi, hs.cosPhi = planCache.table(planKey{n: n, step: step})
+	return hs.sinPhi, hs.cosPhi
 }
 
 // maxOf returns the largest of vals (−Inf when empty).

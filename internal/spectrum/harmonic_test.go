@@ -214,3 +214,45 @@ func TestScaleUnitSums(t *testing.T) {
 		}
 	}
 }
+
+// TestHarmonicCountTail pins harmonicsNeeded against the Bessel values it
+// truncates: for aperture scales w from 0 to 40 (a 1 m-diameter disk at
+// the UHF band reaches w ≈ 20), the normalized synthesis error of dropping
+// every harmonic past H(w), 2·Σ_{m>H}|J_m(w)|, must stay within
+// besselTailMax, and H must never decrease as w grows — a fold at a term
+// set's largest scale has to cover every smaller one. The counts the
+// comments quote are pinned too.
+func TestHarmonicCountTail(t *testing.T) {
+	for w, want := range map[float64]int{0: 0, 0.5: 11, 3.85: 22, 20: 51} {
+		if h := harmonicsNeeded(w); h != want {
+			t.Errorf("harmonicsNeeded(%v) = %d, want %d", w, h, want)
+		}
+	}
+	prev := 0
+	var worst float64
+	for i := 0; i <= 40000; i++ {
+		w := float64(i) / 1000
+		h := harmonicsNeeded(w)
+		if h < prev {
+			t.Fatalf("harmonicsNeeded(%v) = %d < %d at a smaller w", w, h, prev)
+		}
+		if h2 := harmonicsNeeded(-w); h2 != h {
+			t.Fatalf("harmonicsNeeded(%v) = %d, harmonicsNeeded(%v) = %d", -w, h2, w, h)
+		}
+		prev = h
+		if i%7 != 0 { // the Bessel tables are the slow part
+			continue
+		}
+		bess := make([]float64, h+40)
+		besselJArray(w, bess)
+		var tail float64
+		for _, j := range bess[h+1:] {
+			tail += 2 * math.Abs(j)
+		}
+		if !(tail <= besselTailMax) {
+			t.Fatalf("w = %v: H = %d leaves a tail of %v > %v", w, h, tail, besselTailMax)
+		}
+		worst = max(worst, tail)
+	}
+	t.Logf("worst truncated tail %.2g (budget %g), H(40) = %d", worst, besselTailMax, prev)
+}

@@ -22,9 +22,10 @@ import (
 // built directly and not stored — grids are operator-configured, so in
 // practice the working set is a few dozen keys). Hits copy the canonical
 // table into the caller's Scratch: a memcpy of ≤ a few KiB against a sincos
-// per point. First-build races are benign — both racers compute identical
-// bytes and the first store wins — which is what keeps the fill path free
-// of per-key once-guards.
+// per point; the coarse argmax, which only reads its table, takes the
+// cached one itself (table). First-build races are benign — both racers
+// compute identical bytes and the first store wins — which is what keeps
+// the fill path free of per-key once-guards.
 
 const (
 	// planShards is the shard count (power of two) of the cache.
@@ -77,26 +78,29 @@ var planCache planCacheT
 // fill writes the table for key into dstSin/dstCos (both length key.n),
 // serving from the cache when possible and inserting on miss.
 func (pc *planCacheT) fill(dstSin, dstCos []float64, key planKey) {
+	sin, cos := pc.table(key)
+	copy(dstSin, sin)
+	copy(dstCos, cos)
+}
+
+// table returns the table for key itself, building and inserting it on a
+// miss. The slices are shared and must not be written; a caller that only
+// reads them (the coarse argmax) needs no buffer of its own.
+func (pc *planCacheT) table(key planKey) (sin, cos []float64) {
 	sh := &pc.shards[key.shard()]
 	sh.mu.RLock()
 	pl := sh.m[key]
 	sh.mu.RUnlock()
 	if pl != nil {
-		copy(dstSin, pl.sin)
-		copy(dstCos, pl.cos)
 		pc.hits.Add(1)
-		return
+		return pl.sin, pl.cos
 	}
 	pc.misses.Add(1)
-	buildUniformTrig(dstSin, dstCos, key.i0, key.step)
-	// Insert a private copy so the cached table cannot alias Scratch
-	// memory. First store wins; a racing builder produced identical bytes
-	// (the builder is deterministic), so dropping the loser changes
-	// nothing.
 	backing := make([]float64, 2*key.n)
 	pl = &trigPlan{sin: backing[:key.n:key.n], cos: backing[key.n:]}
-	copy(pl.sin, dstSin)
-	copy(pl.cos, dstCos)
+	buildUniformTrig(pl.sin, pl.cos, key.i0, key.step)
+	// First store wins; a racing builder produced identical bytes (the
+	// builder is deterministic), so dropping the loser changes nothing.
 	sh.mu.Lock()
 	if sh.m == nil {
 		sh.m = make(map[planKey]*trigPlan)
@@ -105,6 +109,7 @@ func (pc *planCacheT) fill(dstSin, dstCos []float64, key planKey) {
 		sh.m[key] = pl
 	}
 	sh.mu.Unlock()
+	return pl.sin, pl.cos
 }
 
 // PlanCacheStats is a point-in-time snapshot of the process-wide trig plan

@@ -1,6 +1,7 @@
 package spectrum_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -122,7 +123,8 @@ func TestPrunedSearchMatchesDensePipeline(t *testing.T) {
 					if got, want := spectrum.FindPeak3DEval(ev, opts), spectrum.FindPeak3DDense(ev, opts); got != want {
 						t.Fatalf("placement %d %s literal=%v: routed %+v != dense %+v", i, s.name, literal, got, want)
 					}
-					share, incumbent, peak := spectrum.CoarsePrune3D(ev, opts)
+					sw := spectrum.CoarseSweep3D(ev, opts)
+					share, incumbent, peak := sw.Share, sw.Incumbent, sw.Peak
 					t.Logf("placement %d %s literal=%v: %.1f%% of coarse cells pruned (incumbent %.6g, peak %.6g)",
 						i, s.name, literal, 100*share, incumbent, peak)
 					if !literal && s.name != "uncorrected" && share < 0.8 {
@@ -139,4 +141,56 @@ func TestPrunedSearchMatchesDensePipeline(t *testing.T) {
 			t.Error("no session had a weak incumbent: the largest-|Ŝ| cell was always the R argmax")
 		}
 	})
+}
+
+// TestCoarseSweepExact pins the bound-ordered R coarse sweep against a
+// brute-force sweep that synthesizes every polar row, on the sessions the
+// locate pipeline scans, in robust and literal mode: every row the sweep
+// skips unsynthesized must have its synthesized maximum |Ŝ|²/n² under the
+// cut, the incumbent must be the brute-force sweep's cell (largest
+// synthesized |Ŝ|, lowest row on a tie), and the main pass must weight
+// exactly the cells at or above the cut. Each session also runs with its
+// phases replaced by uniform noise, whose flat profile leaves every row's
+// bound far above its maximum. Some session must skip rows, so a change
+// that stops skipping fails here too.
+func TestCoarseSweepExact(t *testing.T) {
+	opts := spectrum.SearchOptions{}
+	rng := rand.New(rand.NewSource(7))
+	skipped, rows := 0, 0
+	for i, truth := range []geom.Vec3{geom.V3(-1.6, 1.9, 0.6), geom.V3(1.2, 2.2, 0.9), geom.V3(2.4, 0.8, 0.4)} {
+		var sessions []pipelineSession
+		for _, s := range pipelineSessions(t, int64(70+i), truth) {
+			noise := append([]phase.Snapshot(nil), s.snaps...)
+			for k := range noise {
+				noise[k].Phase = rng.Float64() * 2 * math.Pi
+			}
+			sessions = append(sessions, s, pipelineSession{s.name + "+noise", s.tag, noise})
+		}
+		for _, s := range sessions {
+			for _, literal := range []bool{false, true} {
+				p := spectrum.Params{Disk: s.tag.Disk, LiteralReference: literal}
+				ev, err := spectrum.NewEvaluator(s.snaps, p, spectrum.KindR)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sw := spectrum.CoarseSweep3D(ev, opts)
+				name := fmt.Sprintf("placement %d %s %s literal=%v", i, s.tag.EPC, s.name, literal)
+				if sw.Skipped > 0 && !(sw.SkippedMax2 < sw.Cut2) {
+					t.Errorf("%s: a skipped row synthesizes |Ŝ|²/n² = %v, not under the cut %v", name, sw.SkippedMax2, sw.Cut2)
+				}
+				if sw.Inc != sw.BruteInc {
+					t.Errorf("%s: incumbent cell %d, brute-force sweep's %d", name, sw.Inc, sw.BruteInc)
+				}
+				if sw.Weighted != sw.BruteWeighted {
+					t.Errorf("%s: %d cells weighted, %d at or above the cut", name, sw.Weighted, sw.BruteWeighted)
+				}
+				skipped += sw.Skipped
+				rows += sw.Rows
+			}
+		}
+	}
+	t.Logf("%d of %d rows skipped unsynthesized (%.0f%%)", skipped, rows, 100*float64(skipped)/float64(rows))
+	if skipped == 0 {
+		t.Error("no session skipped a row: the sweep synthesized every row")
+	}
 }

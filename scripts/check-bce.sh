@@ -5,16 +5,22 @@
 # The all-cells kernels in internal/spectrum/allcells.go (synthesizeComplex,
 # synthRowR/weightRowR, and harmonicArgmax3D — the one coarse-argmax driver
 # of both peak searches, 2D being its single γ = 0 row — with its
-# rIncumbent3D/maxPhasorCell/shortlistRow helpers), the harmonic kernels in
-# internal/spectrum/harmonic.go (besselJArray, foldTerm, foldTermsHarmonic,
-# synthesize, the foldUnitSums/scaleUnitSums pair that refine3D folds with
-# — hot on the full term set once refinement synthesizes) are written with
+# rIncumbent3D bound-ordered R sweep, which bounds every row, synthesizes
+# each surviving row once into the kept Ŝ buffer (rowSums) and scores the
+# incumbent through incumbentCut, and its maxPhasorCell/shortlistRow
+# helpers), the harmonic kernels in internal/spectrum/harmonic.go
+# (harmonicsNeeded, besselJArray, foldTerm, foldTermsHarmonic, synthesize,
+# the per-row magBound, the foldUnitSums/scaleUnitSums pair that the sweep
+# and refine3D fold with — hot on the full term set once refinement
+# synthesizes) are written with
 # explicit reslicing so the compiler can prove every per-element index in
 # range and drop the bounds checks; a refactor that breaks that proof
 # silently re-inserts a check per element per iteration in the hottest
 # loops of the package. This script rebuilds
 # the package with the compiler's check_bce diagnostic and fails if any
-# per-element IsInBounds check survives in either file.
+# IsInBounds check survives anywhere in either file — in a loop or in a
+# one-off read such as the incumbent's trig entries, which therefore go
+# through the same uint-modulo form the rescore uses.
 #
 # IsSliceInBounds hits are allowed: those are the one-time reslices at
 # function entry (s[:n] on pool-backed buffers whose capacity the compiler
