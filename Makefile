@@ -17,8 +17,9 @@ GOFMT ?= gofmt
 # scheduling extremes (single-threaded runtime vs 4-way) to catch
 # regressions that only show under a particular helper/CPU ratio; the
 # golden traces pin that answers stay bit-identical at both.
-# TestFindPeakEvalZeroAllocs skips under the race detector, so a non-race
-# GOMAXPROCS=4 pass runs it and TestSchedRunZeroAllocs with chunks fanned
+# The allocation tests (TestFindPeakEvalZeroAllocs, TestFreshEvaluatorAllocs,
+# TestNewEvaluatorAllocs) skip under the race detector, so a non-race
+# GOMAXPROCS=4 pass runs them and TestSchedRunZeroAllocs with chunks fanned
 # out to helpers even on a 1-CPU machine. The last pass runs on one CPU the
 # batch tests, where a GOMAXPROCS-sized default would run batch items one at
 # a time, and the core pass-loop tests: estimateAll's per-tag fan-out is a
@@ -29,7 +30,7 @@ check: build fmt-check vet-strict doc-idents
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
-	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestFindPeakEvalZeroAllocs|TestSchedRunZeroAllocs' ./internal/spectrum/ ./internal/sched/
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestFindPeakEvalZeroAllocs|TestFreshEvaluatorAllocs|TestNewEvaluatorAllocs|TestSchedRunZeroAllocs' ./internal/spectrum/ ./internal/sched/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestAccumulator|TestStream' ./internal/spectrum/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestReroute|TestKill|TestDrain|TestHealth|TestRing' ./internal/coord/ ./internal/locsrv/
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestLocateBatch|TestRequestTimeoutCancelsStalledBatchItem|TestPassLoop' ./internal/locsrv/ ./internal/core/

@@ -88,10 +88,10 @@ func (f *fleetFixture) newRegistry(t *testing.T) *registry.Registry {
 func (f *fleetFixture) startReplica(t *testing.T, delay time.Duration, cfg locsrv.Config) (string, *locsrv.Server, *httptest.Server) {
 	t.Helper()
 	cfg.Registry = f.newRegistry(t)
-	if cfg.Search == (spectrum.SearchOptions{}) {
+	if cfg.Locator == nil {
 		// Coordinator tests exercise routing, not solver accuracy; a coarse
 		// grid keeps the ~hundreds of locates cheap under -race.
-		cfg.Search = spectrum.SearchOptions{CoarseStep: geom.Radians(5)}
+		cfg.Locator = core.NewLocator(core.Config{Search: spectrum.SearchOptions{CoarseStep: geom.Radians(5)}})
 	}
 	if cfg.Collect == nil {
 		cfg.Collect = func(ctx context.Context, _ string, _ client.Config) (core.Observations, error) {

@@ -41,13 +41,10 @@ type CollectStreamFunc func(ctx context.Context, addr string, cfg client.Config,
 type Config struct {
 	// Registry is the spinning-tag store. Required.
 	Registry *registry.Registry
-	// Locator runs the pipeline; nil means a default core.Locator built
-	// with Search. A caller-supplied locator carries its own config.
+	// Locator runs the pipeline; nil means a default core.Locator. A
+	// caller-supplied locator carries its own config (core.Config.Search
+	// tunes its peak search).
 	Locator *core.Locator
-	// Search tunes the default locator's peak search (core.Config.Search):
-	// coarse grid steps and refinement rounds. The zero value keeps the
-	// defaults. Ignored when Locator is non-nil.
-	Search spectrum.SearchOptions
 	// Collect gathers snapshots; nil means client.CollectRetry (the
 	// network client with transient-failure retries). Supplying Collect
 	// without CollectStream pins the server to the batch pipeline, since a
@@ -143,7 +140,7 @@ func New(cfg Config) (*Server, error) {
 		collect: cfg.Collect,
 	}
 	if s.locator == nil {
-		s.locator = core.NewLocator(core.Config{Search: cfg.Search})
+		s.locator = core.NewLocator(core.Config{})
 	}
 	s.mlLocator = s.locator.WithEstimator(estimate.NewML(estimate.Config{}))
 	if s.collect == nil {

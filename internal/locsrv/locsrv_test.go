@@ -461,11 +461,12 @@ func TestLocateBatchValidation(t *testing.T) {
 	}
 }
 
-// TestSearchOptionsPlumbing pins that Config.Search reaches the default
-// locator: a server built with a non-default search configuration must
-// return exactly what a core.Locator carrying the same core.Config returns
-// over the same canned observations. A dropped Search field would fall back
-// to the default coarse grid and (almost surely) different refined bits.
+// TestSearchOptionsPlumbing pins that a caller-supplied Config.Locator's
+// search options reach the locate: a server built with a locator carrying
+// a non-default search configuration must return exactly what a
+// core.Locator carrying the same core.Config returns over the same canned
+// observations. A server that ignored the locator would fall back to the
+// default coarse grid and (almost surely) different refined bits.
 func TestSearchOptionsPlumbing(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	sc := testbed.DefaultScenario(0, rng)
@@ -488,7 +489,7 @@ func TestSearchOptionsPlumbing(t *testing.T) {
 	search := spectrum.SearchOptions{CoarseStep: geom.Radians(2), Refinements: 2}
 	srv, err := locsrv.New(locsrv.Config{
 		Registry: reg,
-		Search:   search,
+		Locator:  core.NewLocator(core.Config{Search: search}),
 		Collect: func(context.Context, string, client.Config) (core.Observations, error) {
 			return col.Obs, nil
 		},

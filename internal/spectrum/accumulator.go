@@ -9,10 +9,10 @@ import (
 // Accumulator buffers one spin session's snapshots as prepared terms while
 // they arrive, and finalizes through the batch peak search. Add does the
 // per-snapshot work the batch path would do after the session — the
-// makeTerm conversion and its validation — so a bad snapshot is rejected
-// the moment it arrives; FindPeak2D/FindPeak3D then run FindPeak2DEval or
-// FindPeak3DEval on an Evaluator over the buffered terms, built exactly as
-// NewEvaluator builds one. A streamed answer is therefore the batch answer
+// termSlices.add conversion and its validation — so a bad snapshot is
+// rejected the moment it arrives; FindPeak2D/FindPeak3D then run
+// FindPeak2DEval or FindPeak3DEval on an Evaluator over the buffered terms,
+// built exactly as NewEvaluator builds one. A streamed answer is therefore the batch answer
 // by construction, at every session length.
 //
 // The accumulator deliberately folds nothing per cell. The batch coarse
@@ -30,7 +30,7 @@ type Accumulator struct {
 	opts   SearchOptions
 	threeD bool
 
-	terms   []snapshotTerm
+	terms   termSlices
 	ref     phase.Snapshot
 	haveRef bool
 	ev      *Evaluator // lazily built at finalize, invalidated by Add
@@ -60,7 +60,7 @@ func newAccumulator(p Params, kind Kind, opts SearchOptions, threeD bool) (*Accu
 }
 
 // Snapshots returns how many snapshots have been added.
-func (a *Accumulator) Snapshots() int { return len(a.terms) }
+func (a *Accumulator) Snapshots() int { return a.terms.n() }
 
 // Add converts one snapshot into its prepared term. The first snapshot
 // becomes the session's phase reference, exactly like prepare. Snapshots
@@ -72,23 +72,22 @@ func (a *Accumulator) Add(s phase.Snapshot) error {
 		a.ref = s
 		a.haveRef = true
 	}
-	t, err := makeTerm(s, a.ref, a.params)
-	if err != nil {
-		return fmt.Errorf("spectrum: snapshot %d %w", len(a.terms), err)
+	if err := a.terms.add(s, a.ref, a.params.Disk.Angle(s.Time), a.params.Disk.Radius); err != nil {
+		return fmt.Errorf("spectrum: snapshot %d %w", a.terms.n(), err)
 	}
 	a.ev = nil
-	a.terms = append(a.terms, t)
 	return nil
 }
 
 // Evaluator returns the batch engine over the accumulated snapshots. It is
-// (re)built lazily after the last Add.
+// (re)built lazily after the last Add, over the terms clipped to their
+// count, so a later Add never reaches a returned Evaluator.
 func (a *Accumulator) Evaluator() (*Evaluator, error) {
-	if len(a.terms) < 2 {
-		return nil, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(a.terms))
+	if a.terms.n() < 2 {
+		return nil, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", a.terms.n())
 	}
 	if a.ev == nil {
-		a.ev = newEvaluatorFromTerms(a.terms, a.params, a.kind)
+		a.ev = newEvaluatorFromTerms(a.terms.clip(), a.params, a.kind)
 	}
 	return a.ev, nil
 }

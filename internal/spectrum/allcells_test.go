@@ -227,15 +227,10 @@ func TestRefineSynthSlack(t *testing.T) {
 			// phasors are the n-th roots of unity, whose sum vanishes.
 			const n, z = 288, 3.85
 			cg0 := math.Cos(gamma0)
-			terms := make([]snapshotTerm, n)
-			for i := range terms {
+			var terms termSlices
+			for i := 0; i < n; i++ {
 				a := 2 * math.Pi * float64(i) / n
-				terms[i] = snapshotTerm{
-					relPhase: mathx.WrapToPi(2*math.Pi*float64(i)/n + z*cg0*(1-math.Cos(a))),
-					cosA:     math.Cos(a),
-					sinA:     math.Sin(a),
-					scale:    z,
-				}
+				terms.push(mathx.WrapToPi(2*math.Pi*float64(i)/n+z*cg0*(1-math.Cos(a))), a, z)
 			}
 			q := newEvaluatorFromTerms(terms, p, KindQ)
 			if s := q.EvalAt(q.NewScratch(), 0, gamma0); s >= muGuardFrac/2 {

@@ -84,8 +84,7 @@ func (p Params) weightSigma() float64 {
 // newEvaluatorFromTerms builds an Evaluator over already-prepared terms. The
 // streaming Accumulator finalizes through this path, so batch and streaming
 // searches run on the very same engine.
-func newEvaluatorFromTerms(terms []snapshotTerm, p Params, kind Kind) *Evaluator {
-	ts := makeTermSlices(terms)
+func newEvaluatorFromTerms(ts termSlices, p Params, kind Kind) *Evaluator {
 	e := &Evaluator{
 		terms:       ts,
 		coarse:      ts.stride(coarseTermLimit),
@@ -109,7 +108,7 @@ type Scratch struct {
 	// Row-kernel buffers, sized to the widest row seen so far.
 	sinPhi []float64 // per-candidate sin φ table
 	cosPhi []float64 // per-candidate cos φ table
-	sumRe  []float64 // per-candidate phasor accumulators (interchanged Q)
+	sumRe  []float64 // per-candidate synthesized phasor sums Ŝ (synthRowR)
 	sumIm  []float64
 	row    []float64 // per-candidate values during argmax scans
 }

@@ -126,17 +126,22 @@ func TestHarmonicDefaultOn(t *testing.T) {
 // randTerms draws n snapshot terms at random disk angles and phases, term i
 // taking its aperture scale from scaleOf(i).
 func randTerms(rng *rand.Rand, n int, scaleOf func(i int) float64) termSlices {
-	terms := make([]snapshotTerm, n)
-	for i := range terms {
+	var terms termSlices
+	for i := 0; i < n; i++ {
 		a := rng.Float64() * 2 * math.Pi
-		terms[i] = snapshotTerm{
-			relPhase: rng.Float64()*2*math.Pi - math.Pi,
-			cosA:     math.Cos(a),
-			sinA:     math.Sin(a),
-			scale:    scaleOf(i),
-		}
+		terms.push(rng.Float64()*2*math.Pi-math.Pi, a, scaleOf(i))
 	}
-	return makeTermSlices(terms)
+	return terms
+}
+
+// push appends a term given its relative phase, disk angle and aperture
+// scale directly, for tests that place terms rather than synthesize
+// snapshots.
+func (ts *termSlices) push(relPhase, a, scale float64) {
+	ts.relPhase = append(ts.relPhase, relPhase)
+	ts.cosA = append(ts.cosA, math.Cos(a))
+	ts.sinA = append(ts.sinA, math.Sin(a))
+	ts.scale = append(ts.scale, scale)
 }
 
 // TestFoldTermsHarmonicBesselMemo pins the Bessel-table memo: folding a term

@@ -200,7 +200,7 @@ func TestFreshEvaluatorAllocs(t *testing.T) {
 	}
 	p := testParams()
 	snaps := synth(p, geom.V3(-2.0, 0.7, 0.3), 320, 0.5, 0, nil)
-	const ceiling = 13
+	const ceiling = 12
 	for _, kind := range []Kind{KindQ, KindR} {
 		fresh := func() *Evaluator {
 			ev, err := NewEvaluator(snaps, p, kind)
@@ -214,6 +214,29 @@ func TestFreshEvaluatorAllocs(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(3, func() { FindPeak3DEval(fresh(), SearchOptions{}) }); a > ceiling {
 			t.Errorf("%v: NewEvaluator + FindPeak3DEval allocates %v objects, want ≤ %d", kind, a, ceiling)
+		}
+	}
+}
+
+// TestNewEvaluatorAllocs pins the single term allocation: NewEvaluator on
+// a 320-read session allocates the term set (all four slices in one
+// array), its strided coarse subset and the Evaluator itself, and nothing
+// else.
+func TestNewEvaluatorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are pinned in the non-race run")
+	}
+	p := testParams()
+	snaps := synth(p, geom.V3(-2.0, 0.7, 0.3), 320, 0.5, 0, nil)
+	const ceiling = 3
+	for _, kind := range []Kind{KindQ, KindR} {
+		a := testing.AllocsPerRun(20, func() {
+			if _, err := NewEvaluator(snaps, p, kind); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if a > ceiling {
+			t.Errorf("%v: NewEvaluator allocates %v objects, want ≤ %d", kind, a, ceiling)
 		}
 	}
 }

@@ -96,17 +96,12 @@ func uniformGrid(n int, step float64) []float64 {
 // rootsOfUnityTerms builds n terms of aperture scale 3.85 whose residual
 // phasors at φ = 0, cos γ = cg are the n-th roots of unity, so |S| vanishes
 // there and the cell sits under the μ̂ guard.
-func rootsOfUnityTerms(n int, cg float64) []snapshotTerm {
+func rootsOfUnityTerms(n int, cg float64) termSlices {
 	const z = 3.85
-	terms := make([]snapshotTerm, n)
-	for i := range terms {
+	var terms termSlices
+	for i := 0; i < n; i++ {
 		a := 2 * math.Pi * float64(i) / float64(n)
-		terms[i] = snapshotTerm{
-			relPhase: mathx.WrapToPi(2*math.Pi*float64(i)/float64(n) + z*cg*(1-math.Cos(a))),
-			cosA:     math.Cos(a),
-			sinA:     math.Sin(a),
-			scale:    z,
-		}
+		terms.push(mathx.WrapToPi(2*math.Pi*float64(i)/float64(n)+z*cg*(1-math.Cos(a))), a, z)
 	}
 	return terms
 }

@@ -27,7 +27,8 @@ import (
 // be used by one goroutine at a time; Release returns its buffers to a
 // pool, after which it must not be used.
 type QFold struct {
-	terms  []snapshotTerm   // prepare's buffer, kept for reuse
+	buf    []float64        // prepare's backing array, kept for reuse
+	n      int              // snapshots folded
 	scales []float64        // distinct aperture scales (one per carrier channel), first-seen order
 	units  []harmonicCoeffs // units[k]: unit sums of the terms at scales[k]
 	coeffs harmonicCoeffs   // coefficients at cos γ = cg
@@ -41,16 +42,17 @@ var qfoldPool = sync.Pool{New: func() any { return new(QFold) }}
 // terms into unit sums. It fails on the inputs NewEvaluator rejects.
 func NewQFold(snaps []phase.Snapshot, p Params) (*QFold, error) {
 	f := qfoldPool.Get().(*QFold)
-	terms, err := prepare(f.terms[:0], snaps, p)
-	f.terms = terms
+	f.buf = slices.Grow(f.buf[:0], 4*len(snaps))
+	terms, err := prepare(f.buf, snaps, p)
 	if err != nil {
 		f.Release()
 		return nil, err
 	}
+	f.n = terms.n()
 	f.scales = f.scales[:0]
-	for _, t := range terms {
-		if !slices.Contains(f.scales, t.scale) {
-			f.scales = append(f.scales, t.scale)
+	for _, z := range terms.scale {
+		if !slices.Contains(f.scales, z) {
+			f.scales = append(f.scales, z)
 		}
 	}
 	if cap(f.units) < len(f.scales) {
@@ -61,9 +63,9 @@ func NewQFold(snaps []phase.Snapshot, p Params) (*QFold, error) {
 		maxM := harmonicsNeeded(z)
 		f.units[k].reset(maxM)
 		ones := f.ones(maxM + 1)
-		for _, t := range terms {
-			if t.scale == z {
-				f.units[k].foldTerm(t.relPhase, t.cosA, t.sinA, ones)
+		for i, zi := range terms.scale {
+			if zi == z {
+				f.units[k].foldTerm(terms.relPhase[i], terms.cosA[i], terms.sinA[i], ones)
 			}
 		}
 	}
@@ -119,7 +121,7 @@ func (f *QFold) scaleTo(cg float64) {
 		besselJArray(w, bess)
 		f.coeffs.addScaled(&f.units[k], bess)
 	}
-	f.coeffs.n = len(f.terms)
+	f.coeffs.n = f.n
 	f.cg = cg
 }
 

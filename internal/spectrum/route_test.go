@@ -290,13 +290,12 @@ func TestHarmonicArgmax3DGuardCells(t *testing.T) {
 	_, polStep, _, nPol := opts.grid3D()
 	a1 := 2 * math.Pi / 3
 	cg := math.Cos(-math.Pi/2 + float64(r)*polStep)
-	terms := []snapshotTerm{
-		{relPhase: 0, cosA: 1, sinA: 0, scale: z},
-		{relPhase: mathx.WrapToPi(math.Pi + z*cg*(1-math.Cos(a1))), cosA: math.Cos(a1), sinA: math.Sin(a1), scale: z},
-	}
+	var terms termSlices
+	terms.push(0, 0, z)
+	terms.push(mathx.WrapToPi(math.Pi+z*cg*(1-math.Cos(a1))), a1, z)
 	for _, row := range []int{r, nPol - 1 - r} {
 		c := math.Cos(-math.Pi/2 + float64(row)*polStep)
-		res := terms[1].relPhase - z*c*(1-terms[1].cosA)
+		res := terms.relPhase[1] - z*c*(1-terms.cosA[1])
 		if s := math.Hypot(1+math.Cos(res), math.Sin(res)) / 2; s >= muGuardFrac {
 			t.Fatalf("row %d: |S|/n = %v at φ = 0, want < %v", row, s, muGuardFrac)
 		}

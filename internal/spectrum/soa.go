@@ -1,40 +1,68 @@
 package spectrum
 
-// termSlices is the struct-of-arrays layout of prepared snapshot terms: the
-// same four per-snapshot quantities as snapshotTerm, but split into
-// contiguous parallel slices. The hot evaluation loops iterate all terms for
-// one candidate (or all candidates for one term); with the AoS layout every
-// field access strides 32 bytes, while the SoA layout turns each field into
-// a dense sequential stream the hardware prefetches trivially and the
-// compiler can keep in vector registers for the pure-arithmetic passes
-// (aperture products, harmonic synthesis). Values are copied bit-for-bit
-// from the AoS terms, and every loop preserves the original iteration order
-// and expression shapes, so the layout change alone cannot move a result.
+import (
+	"math"
+
+	"github.com/tagspin/tagspin/internal/mathx"
+	"github.com/tagspin/tagspin/internal/phase"
+)
+
+// termSlices holds the prepared snapshot terms — the per-snapshot
+// quantities every candidate angle reuses — as contiguous parallel slices.
+// The hot evaluation loops iterate all terms for one candidate (or all
+// candidates for one term), so each field is a dense sequential stream the
+// hardware prefetches trivially and the compiler can keep in vector
+// registers for the pure-arithmetic passes (aperture products, harmonic
+// synthesis).
 type termSlices struct {
 	relPhase []float64 // θ_i − θ_1, wrapped to (-π, π]
-	cosA     []float64 // cos a_i
+	cosA     []float64 // cos a_i, a_i the disk angle at t_i
 	sinA     []float64 // sin a_i
 	scale    []float64 // 4π r / λ_i (the aperture scale, a.k.a. z_i)
 }
 
-// makeTermSlices converts prepared AoS terms into the SoA layout. All four
-// slices share one backing array so a term set stays a single allocation.
-func makeTermSlices(terms []snapshotTerm) termSlices {
-	n := len(terms)
-	backing := make([]float64, 4*n)
-	ts := termSlices{
-		relPhase: backing[0*n : 1*n : 1*n],
-		cosA:     backing[1*n : 2*n : 2*n],
-		sinA:     backing[2*n : 3*n : 3*n],
-		scale:    backing[3*n : 4*n : 4*n],
+// newTermSlices returns an empty term set with room for n terms, its four
+// slices carved from buf when buf holds 4n floats and from one new array
+// otherwise, so a term set stays a single allocation.
+func newTermSlices(buf []float64, n int) termSlices {
+	if cap(buf) < 4*n {
+		buf = make([]float64, 4*n)
 	}
-	for i, t := range terms {
-		ts.relPhase[i] = t.relPhase
-		ts.cosA[i] = t.cosA
-		ts.sinA[i] = t.sinA
-		ts.scale[i] = t.scale
+	return termSlices{
+		relPhase: buf[0*n : 0*n : 1*n],
+		cosA:     buf[1*n : 1*n : 2*n],
+		sinA:     buf[2*n : 2*n : 3*n],
+		scale:    buf[3*n : 3*n : 4*n],
 	}
-	return ts
+}
+
+// add appends snapshot s's term, relative to the session's phase reference
+// ref, for a disk of the given radius at disk angle angle. Every term
+// source — the batch prepare, the streaming Accumulator and the vertical
+// disk's ResolveMirror — builds its terms here, so their per-snapshot
+// arithmetic cannot drift.
+func (ts *termSlices) add(s, ref phase.Snapshot, angle, radius float64) error {
+	if s.FrequencyHz <= 0 {
+		return errNoFrequency
+	}
+	sinA, cosA := math.Sincos(angle)
+	ts.relPhase = append(ts.relPhase, mathx.WrapToPi(s.Phase-ref.Phase))
+	ts.cosA = append(ts.cosA, cosA)
+	ts.sinA = append(ts.sinA, sinA)
+	ts.scale = append(ts.scale, 4*math.Pi*radius/s.Wavelength())
+	return nil
+}
+
+// clip caps every slice at its length, so appends to ts (a later
+// Accumulator.Add) can never reach a term set already handed out.
+func (ts termSlices) clip() termSlices {
+	n := ts.n()
+	return termSlices{
+		relPhase: ts.relPhase[:n:n],
+		cosA:     ts.cosA[:n:n],
+		sinA:     ts.sinA[:n:n],
+		scale:    ts.scale[:n:n],
+	}
 }
 
 // n returns the term count.
@@ -48,24 +76,12 @@ func (ts termSlices) stride(limit int) termSlices {
 		return ts
 	}
 	stride := (ts.n() + limit - 1) / limit
-	kept := 0
+	out := newTermSlices(nil, (ts.n()+stride-1)/stride)
 	for i := 0; i < ts.n(); i += stride {
-		kept++
-	}
-	backing := make([]float64, 4*kept)
-	out := termSlices{
-		relPhase: backing[0*kept : 1*kept : 1*kept],
-		cosA:     backing[1*kept : 2*kept : 2*kept],
-		sinA:     backing[2*kept : 3*kept : 3*kept],
-		scale:    backing[3*kept : 4*kept : 4*kept],
-	}
-	k := 0
-	for i := 0; i < ts.n(); i += stride {
-		out.relPhase[k] = ts.relPhase[i]
-		out.cosA[k] = ts.cosA[i]
-		out.sinA[k] = ts.sinA[i]
-		out.scale[k] = ts.scale[i]
-		k++
+		out.relPhase = append(out.relPhase, ts.relPhase[i])
+		out.cosA = append(out.cosA, ts.cosA[i])
+		out.sinA = append(out.sinA, ts.sinA[i])
+		out.scale = append(out.scale, ts.scale[i])
 	}
 	return out
 }

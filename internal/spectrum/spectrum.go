@@ -17,9 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
-	"github.com/tagspin/tagspin/internal/mathx"
 	"github.com/tagspin/tagspin/internal/phase"
 	"github.com/tagspin/tagspin/internal/spindisk"
 )
@@ -113,58 +111,28 @@ type Profile3D struct {
 	Power [][]float64
 }
 
-// errNoFrequency reports a snapshot without a carrier frequency; prepare
-// and Accumulator.Add wrap it with their own position context.
+// errNoFrequency reports a snapshot without a carrier frequency; every
+// termSlices.add caller wraps it with the snapshot's position.
 var errNoFrequency = errors.New("has no carrier frequency")
 
-// snapshotTerm caches the per-snapshot quantities every candidate angle
-// reuses: the measured relative phasor, the sin/cos trig table of the disk
-// angle, and the aperture scale 4πr/λ.
-type snapshotTerm struct {
-	relPhase float64 // θ_i − θ_1, wrapped to (-π, π]
-	cosA     float64 // cos a_i, a_i = ω t_i + θ0
-	sinA     float64 // sin a_i
-	scale    float64 // 4π r / λ_i
-}
-
-// makeTerm converts one snapshot into its cached term, relative to the
-// session's phase reference. Both the batch prepare below and the streaming
-// Accumulator build terms through this single function, so the two paths'
-// per-snapshot arithmetic cannot drift.
-func makeTerm(s, ref phase.Snapshot, p Params) (snapshotTerm, error) {
-	if s.FrequencyHz <= 0 {
-		return snapshotTerm{}, errNoFrequency
-	}
-	sinA, cosA := math.Sincos(p.Disk.Angle(s.Time))
-	return snapshotTerm{
-		relPhase: mathx.WrapToPi(s.Phase - ref.Phase),
-		cosA:     cosA,
-		sinA:     sinA,
-		scale:    4 * math.Pi * p.Disk.Radius / s.Wavelength(),
-	}, nil
-}
-
-// prepare converts snapshots into cached terms, appended to dst so a caller
-// that prepares session after session can reuse one buffer. It requires at
-// least two snapshots; the first one is the phase reference that cancels
-// θ_div.
-func prepare(dst []snapshotTerm, snaps []phase.Snapshot, p Params) ([]snapshotTerm, error) {
+// prepare converts snapshots into cached terms, carved from buf when it
+// holds 4·len(snaps) floats so a caller that prepares session after
+// session can reuse one array. It requires at least two snapshots; the
+// first one is the phase reference that cancels θ_div.
+func prepare(buf []float64, snaps []phase.Snapshot, p Params) (termSlices, error) {
 	if err := p.Validate(); err != nil {
-		return dst, err
+		return termSlices{}, err
 	}
 	if len(snaps) < 2 {
-		return dst, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(snaps))
+		return termSlices{}, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(snaps))
 	}
-	ref := snaps[0]
-	dst = slices.Grow(dst, len(snaps))
+	terms := newTermSlices(buf, len(snaps))
 	for i, s := range snaps {
-		t, err := makeTerm(s, ref, p)
-		if err != nil {
-			return dst, fmt.Errorf("spectrum: snapshot %d %w", i, err)
+		if err := terms.add(s, snaps[0], p.Disk.Angle(s.Time), p.Disk.Radius); err != nil {
+			return termSlices{}, fmt.Errorf("spectrum: snapshot %d %w", i, err)
 		}
-		dst = append(dst, t)
 	}
-	return dst, nil
+	return terms, nil
 }
 
 // Compute2D evaluates a 2D profile of the given kind over the angle grid,

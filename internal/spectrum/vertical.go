@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/tagspin/tagspin/internal/mathx"
 	"github.com/tagspin/tagspin/internal/phase"
 	"github.com/tagspin/tagspin/internal/spindisk"
 )
@@ -35,14 +34,6 @@ type VerticalParams struct {
 	LiteralReference bool
 }
 
-// sigma returns the effective noise parameter.
-func (p VerticalParams) sigma() float64 {
-	if p.Sigma <= 0 {
-		return DefaultSigma
-	}
-	return p.Sigma
-}
-
 // Validate checks the parameters.
 func (p VerticalParams) Validate() error {
 	if p.Disk.Radius <= 0 {
@@ -57,102 +48,46 @@ func (p VerticalParams) Validate() error {
 	return nil
 }
 
-// verticalTerm caches per-snapshot quantities for the vertical aperture.
-type verticalTerm struct {
-	relPhase float64 // θ_i − θ_1, wrapped
-	cosA     float64 // cos of the disk angle
-	sinA     float64 // sin of the disk angle
-	scale    float64 // 4π r / λ_i
-}
-
-// prepareVertical converts snapshots into cached terms.
-func prepareVertical(snaps []phase.Snapshot, p VerticalParams) ([]verticalTerm, error) {
+// newVerticalEvaluator prepares snaps for the vertical aperture: the same
+// terms prepare builds, at the vertical disk's angle, on an Evaluator whose
+// exact kernel scores them through verticalAt.
+func newVerticalEvaluator(snaps []phase.Snapshot, p VerticalParams, kind Kind) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if len(snaps) < 2 {
 		return nil, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(snaps))
 	}
-	ref := snaps[0]
-	terms := make([]verticalTerm, len(snaps))
+	terms := newTermSlices(nil, len(snaps))
 	for i, s := range snaps {
-		if s.FrequencyHz <= 0 {
-			return nil, fmt.Errorf("spectrum: snapshot %d has no carrier frequency", i)
-		}
-		a := p.Disk.Angle(s.Time)
-		terms[i] = verticalTerm{
-			relPhase: mathx.WrapToPi(s.Phase - ref.Phase),
-			cosA:     math.Cos(a),
-			sinA:     math.Sin(a),
-			scale:    4 * math.Pi * p.Disk.Radius / s.Wavelength(),
+		if err := terms.add(s, snaps[0], p.Disk.Angle(s.Time), p.Disk.Radius); err != nil {
+			return nil, fmt.Errorf("spectrum: snapshot %d %w", i, err)
 		}
 	}
-	return terms, nil
+	return newEvaluatorFromTerms(terms, Params{Sigma: p.Sigma, LiteralReference: p.LiteralReference}, kind), nil
 }
 
-// evalVertical computes the selected power formula for the vertical
-// aperture at candidate direction (phi, gamma).
-func evalVertical(terms []verticalTerm, kind Kind, sigma float64, literalRef bool, planeAz, phi, gamma float64) float64 {
-	cg, sg := math.Cos(gamma), math.Sin(gamma)
-	inPlane := cg * math.Cos(phi-planeAz)
-	aperture := func(t verticalTerm) float64 {
-		return t.scale * (t.cosA*inPlane + t.sinA*sg)
-	}
-	refAperture := aperture(terms[0])
-	var sum complex128
-	if kind != KindR {
-		for _, t := range terms {
-			sum += complexRect(1, t.relPhase+aperture(t))
-		}
-		return complexAbs(sum) / float64(len(terms))
-	}
-	residuals := make([]float64, len(terms))
-	apertures := make([]float64, len(terms))
-	var rs, rc float64
-	for i, t := range terms {
-		ap := aperture(t)
-		apertures[i] = ap
-		res := mathx.WrapToPi(t.relPhase - (refAperture - ap))
-		residuals[i] = res
-		rs += math.Sin(res)
-		rc += math.Cos(res)
-	}
-	var weightSigma, mu float64
-	if literalRef {
-		weightSigma = sigma * math.Sqrt2
-	} else {
-		weightSigma = math.Hypot(sigma, modelResidualSigma)
-		mu = math.Atan2(rs, rc)
-	}
-	for i, res := range residuals {
-		w := mathx.GaussPDF(mathx.WrapToPi(res-mu), 0, weightSigma)
-		sum += complexRect(w, terms[i].relPhase+apertures[i])
-	}
-	return complexAbs(sum) / float64(len(terms))
+// verticalAt scores the vertical aperture of plane azimuth psi at candidate
+// direction (phi, gamma) with the horizontal disk's exact kernel: its
+// aperture factor cos a·cos φ + sin a·sin φ, at sin φ := sin γ,
+// cos φ := cos γ·cos(φ−ψ) and unit cos γ, is the vertical o·û/r.
+func (e *Evaluator) verticalAt(sc *Scratch, psi, phi, gamma float64) float64 {
+	return e.evalCell(e.terms, sc, math.Sin(gamma), math.Cos(gamma)*math.Cos(phi-psi), 1)
 }
-
-// complexRect and complexAbs are local shims so this file reads like its
-// horizontal sibling without re-importing math/cmplx under an alias.
-func complexRect(r, theta float64) complex128 {
-	return complex(r*math.Cos(theta), r*math.Sin(theta))
-}
-
-func complexAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
 
 // ResolveMirror decides the sign of a horizontal-disk polar estimate using
 // a vertical disk's signed peak: it returns +|polar| when the vertical
 // disk's profile scores the +γ candidate at least as high as the −γ one,
 // and −|polar| otherwise.
 func ResolveMirror(snaps []phase.Snapshot, p VerticalParams, kind Kind, azimuth, polarMagnitude float64) (float64, error) {
-	terms, err := prepareVertical(snaps, p)
+	e, err := newVerticalEvaluator(snaps, p, kind)
 	if err != nil {
 		return 0, err
 	}
-	sigma := p.sigma()
-	up := evalVertical(terms, kind, sigma, p.LiteralReference, p.Disk.PlaneAzimuth, azimuth, math.Abs(polarMagnitude))
-	down := evalVertical(terms, kind, sigma, p.LiteralReference, p.Disk.PlaneAzimuth, azimuth, -math.Abs(polarMagnitude))
-	if up >= down {
-		return math.Abs(polarMagnitude), nil
+	sc := e.NewScratch()
+	gamma := math.Abs(polarMagnitude)
+	if e.verticalAt(sc, p.Disk.PlaneAzimuth, azimuth, gamma) >= e.verticalAt(sc, p.Disk.PlaneAzimuth, azimuth, -gamma) {
+		return gamma, nil
 	}
-	return -math.Abs(polarMagnitude), nil
+	return -gamma, nil
 }

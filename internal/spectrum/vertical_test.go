@@ -53,12 +53,13 @@ func TestFindPeakVerticalSignedPolar(t *testing.T) {
 		reader := geom.V3(-2.0, 0.5, 0.3+zSign*0.9)
 		rel := reader.Sub(p.Disk.Center)
 		snaps := synthVertical(p, reader, 90, 0, nil)
-		terms, err := prepareVertical(snaps, p)
+		ev, err := newVerticalEvaluator(snaps, p, KindR)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sc := ev.NewScratch()
 		eval := func(phi, gamma float64) float64 {
-			return evalVertical(terms, KindR, p.sigma(), p.LiteralReference, p.Disk.PlaneAzimuth, phi, gamma)
+			return ev.verticalAt(sc, p.Disk.PlaneAzimuth, phi, gamma)
 		}
 		// Coarse 2° scan of the signed grid, then a 0.2° scan around the
 		// coarse peak.
@@ -103,6 +104,105 @@ func TestFindPeakVerticalSignedPolar(t *testing.T) {
 		if got*rel.Polar() <= 0 {
 			t.Errorf("zSign %v: resolved polar %.1f°, truth %.1f°",
 				zSign, geom.Degrees(got), geom.Degrees(rel.Polar()))
+		}
+	}
+}
+
+// verticalOracle is the vertical disk's profile in its original complex
+// form: per-snapshot terms built with math.Cos and math.Sin of the disk
+// angle, o·û/r = cos a·cos γ·cos(φ−ψ) + sin a·sin γ written out, and the
+// phasors summed as complex128. verticalAt must reproduce its bits.
+func verticalOracle(snaps []phase.Snapshot, p VerticalParams, kind Kind, phi, gamma float64) float64 {
+	type term struct{ relPhase, cosA, sinA, scale float64 }
+	terms := make([]term, len(snaps))
+	for i, s := range snaps {
+		a := p.Disk.Angle(s.Time)
+		terms[i] = term{
+			relPhase: mathx.WrapToPi(s.Phase - snaps[0].Phase),
+			cosA:     math.Cos(a),
+			sinA:     math.Sin(a),
+			scale:    4 * math.Pi * p.Disk.Radius / s.Wavelength(),
+		}
+	}
+	rect := func(r, theta float64) complex128 {
+		return complex(r*math.Cos(theta), r*math.Sin(theta))
+	}
+	cg, sg := math.Cos(gamma), math.Sin(gamma)
+	inPlane := cg * math.Cos(phi-p.Disk.PlaneAzimuth)
+	aperture := func(t term) float64 {
+		return t.scale * (t.cosA*inPlane + t.sinA*sg)
+	}
+	refAperture := aperture(terms[0])
+	var sum complex128
+	if kind != KindR {
+		for _, t := range terms {
+			sum += rect(1, t.relPhase+aperture(t))
+		}
+		return math.Hypot(real(sum), imag(sum)) / float64(len(terms))
+	}
+	residuals := make([]float64, len(terms))
+	apertures := make([]float64, len(terms))
+	var rs, rc float64
+	for i, t := range terms {
+		ap := aperture(t)
+		apertures[i] = ap
+		res := mathx.WrapToPi(t.relPhase - (refAperture - ap))
+		residuals[i] = res
+		rs += math.Sin(res)
+		rc += math.Cos(res)
+	}
+	sigma := p.Sigma
+	if sigma <= 0 {
+		sigma = DefaultSigma
+	}
+	var weightSigma, mu float64
+	if p.LiteralReference {
+		weightSigma = sigma * math.Sqrt2
+	} else {
+		weightSigma = math.Hypot(sigma, modelResidualSigma)
+		mu = math.Atan2(rs, rc)
+	}
+	for i, res := range residuals {
+		w := mathx.GaussPDF(mathx.WrapToPi(res-mu), 0, weightSigma)
+		sum += rect(w, terms[i].relPhase+apertures[i])
+	}
+	return math.Hypot(real(sum), imag(sum)) / float64(len(terms))
+}
+
+// TestResolveMirrorKernelBits pins the vertical disk on the shared exact
+// kernel: over random sessions (reader, disk phase, plane azimuth, noise,
+// σ, snapshot count), verticalAt returns verticalOracle's bits at ±γ and at
+// random directions, for Q and R, robust and literal reference.
+func TestResolveMirrorKernelBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 40; trial++ {
+		p := verticalParams()
+		p.Disk.PlaneAzimuth = rng.Float64()*2*math.Pi - math.Pi
+		p.Disk.Theta0 = rng.Float64() * 2 * math.Pi
+		p.LiteralReference = trial%2 == 1
+		if trial%4 >= 2 {
+			p.Sigma = 0.05 + 0.2*rng.Float64()
+		}
+		reader := geom.V3(4*rng.Float64()-2, 4*rng.Float64()-2, 0.3+2*rng.Float64()-1)
+		snaps := synthVertical(p, reader, 20+rng.Intn(200), 0.1*rng.Float64(), rng)
+		rel := reader.Sub(p.Disk.Center)
+		for _, kind := range []Kind{KindQ, KindR} {
+			ev, err := newVerticalEvaluator(snaps, p, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := ev.NewScratch()
+			dirs := [][2]float64{{rel.Azimuth(), math.Abs(rel.Polar())}, {rel.Azimuth(), -math.Abs(rel.Polar())}}
+			for k := 0; k < 8; k++ {
+				dirs = append(dirs, [2]float64{2 * math.Pi * rng.Float64(), math.Pi*rng.Float64() - math.Pi/2})
+			}
+			for _, d := range dirs {
+				got := ev.verticalAt(sc, p.Disk.PlaneAzimuth, d[0], d[1])
+				if want := verticalOracle(snaps, p, kind, d[0], d[1]); got != want {
+					t.Fatalf("trial %d %v literal=%v (φ, γ) = (%v, %v): kernel %v != oracle %v",
+						trial, kind, p.LiteralReference, d[0], d[1], got, want)
+				}
+			}
 		}
 	}
 }
