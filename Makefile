@@ -13,7 +13,8 @@ GOFMT ?= gofmt
 # full test suite under the race detector — the
 # collection pipeline's retry/cancellation paths are all concurrent. The
 # two pinned-GOMAXPROCS passes re-run the dense-scan scheduler,
-# pooled-scan equivalence, plan-cache and golden-trace tests at the
+# pooled-scan equivalence, plan-cache, golden-trace, shared-Scratch-list
+# (TestEvaluatorConcurrentUse) and dense exhaustive-peak tests at the
 # scheduling extremes (single-threaded runtime vs 4-way) to catch
 # regressions that only show under a particular helper/CPU ratio; the
 # golden traces pin that answers stay bit-identical at both.
@@ -28,8 +29,8 @@ GOFMT ?= gofmt
 check: build fmt-check vet-strict doc-idents
 	cd bench && $(GO) test ./...
 	$(GO) test -race ./...
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces|TestEvaluatorConcurrentUse|TestExhaustive' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache|TestGoldenTraces|TestEvaluatorConcurrentUse|TestExhaustive' ./internal/sched/ ./internal/spectrum/ ./internal/trace/
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestFindPeakEvalZeroAllocs|TestFreshEvaluatorAllocs|TestNewEvaluatorAllocs|TestSchedRunZeroAllocs' ./internal/spectrum/ ./internal/sched/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestAccumulator|TestStream' ./internal/spectrum/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestReroute|TestKill|TestDrain|TestHealth|TestRing' ./internal/coord/ ./internal/locsrv/

@@ -296,13 +296,12 @@ type Stats struct {
 	FinalizeCount   uint64
 	FinalizeNsTotal int64
 	// SpectrumSearch is the process-wide coarse-search routing tally —
-	// which route (harmonic Q/R synthesis in 2D, on uniform and angle
-	// grids alike, and in 3D; the dense oracle; all-cells profile
-	// synthesis) actually served the scans behind this server's locates;
-	// the tagspin_spectrum_search expvar publishes the same fields under
-	// the same keys. A fleet dashboard that sees Dense2D climbing while
-	// HarmonicR2D stays flat is watching a routing regression, not a load
-	// change.
+	// which route (harmonic Q/R synthesis in 2D and in 3D, or the dense
+	// oracle) actually served the scans behind this server's locates, plus
+	// the R polish counters; the tagspin_spectrum_search expvar publishes
+	// the same fields under the same keys. A fleet dashboard that sees
+	// Dense2D climbing while HarmonicR2D stays flat is watching a routing
+	// regression, not a load change.
 	SpectrumSearch spectrum.SearchStats
 }
 

@@ -9,11 +9,10 @@
 // runs inline on the caller.
 //
 // Every chunk runs exactly once, and each RunChunk call covers exactly one
-// chunk (the 3D coarse scan relies on chunk boundaries). Which goroutine
-// runs a chunk never enters the caller's arithmetic, so results are
-// bit-identical to a serial loop. The steady-state submit path allocates
-// nothing: job descriptors are pooled and completion is a reusable
-// sync.WaitGroup.
+// chunk. Which goroutine runs a chunk never enters the caller's
+// arithmetic, so results are bit-identical to a serial loop. The
+// steady-state submit path allocates nothing: job descriptors are pooled
+// and completion is a reusable sync.WaitGroup.
 package sched
 
 import (

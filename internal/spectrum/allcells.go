@@ -361,7 +361,7 @@ func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi
 		out[k] = math.Sqrt(sumRe*sumRe+sumIm*sumIm) * invN
 	}
 	if fb != nil {
-		e.putScratch(fb)
+		putScratch(fb)
 	}
 }
 
@@ -538,7 +538,7 @@ func (e *Evaluator) harmonicArgmax3D(terms termSlices, nAz, nPol int, azStep, po
 			best, bestV = c.idx, v
 		}
 	}
-	e.putScratch(sc)
+	putScratch(sc)
 	hs.shortlist = list
 	harmPool.Put(hs)
 	return best
@@ -659,6 +659,13 @@ func (e *Evaluator) incumbentCut(hs *harmonicScratch, terms termSlices, sc *Scra
 	a := uint(idx) % uint(len(sinPhi))
 	lo := e.evalCell(terms, sc, sinPhi[a], cosPhi[a], math.Cos(polarAngle(idx/len(sinPhi), polBase, polStep)))
 	return e.rPruneCut(lo, harmonicSlack)
+}
+
+// maxEntry is one shortlisted cell of the coarse argmax: its row-major grid
+// index and synthesized value.
+type maxEntry struct {
+	idx int
+	val float64
 }
 
 // shortlistRow appends the cells of one synthesized row (grid indices

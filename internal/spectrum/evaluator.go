@@ -27,8 +27,8 @@ const chunkTarget = 64
 // the aperture scales 4πr/λ — so that each candidate direction costs a
 // handful of multiply-adds per snapshot instead of a cosine, and no heap
 // allocation at all: the residual/aperture buffers the R profile needs live
-// in a caller-owned Scratch (grid scans draw theirs from an internal
-// free list, so steady-state scans allocate nothing either).
+// in a caller-owned Scratch (grid scans and peak searches draw theirs from
+// a process-wide free list, so steady-state scans allocate nothing either).
 //
 // Every per-candidate value uses math.Sincos and is bit-identical to a
 // naive serial evaluation — equivalence tests pin this. The synthesis
@@ -36,8 +36,8 @@ const chunkTarget = 64
 // within documented slacks and exact-rescore any cell that could win, so
 // their answers carry the same bits.
 //
-// An Evaluator is immutable after construction (the pools are internally
-// synchronized) and safe for concurrent use. All mutable per-evaluation
+// An Evaluator holds only its terms and constants, is immutable after
+// construction and is safe for concurrent use. All mutable per-evaluation
 // state lives in a Scratch, which must be owned by exactly one goroutine at
 // a time.
 type Evaluator struct {
@@ -53,10 +53,6 @@ type Evaluator struct {
 	// results stay bit-identical to the pre-kernel engine.
 	wNorm    float64
 	wInv2Sig float64
-
-	scratches scratchList // reused across grid scans and peak searches
-	bestsPool sync.Pool   // *[]maxEntry, reused across argmax reductions
-	jobPool   sync.Pool   // *scanJob, reused across grid scans
 }
 
 // NewEvaluator prepares the snapshot terms and trig tables for repeated
@@ -110,7 +106,6 @@ type Scratch struct {
 	cosPhi []float64 // per-candidate cos φ table
 	sumRe  []float64 // per-candidate synthesized phasor sums Ŝ (synthRowR)
 	sumIm  []float64
-	row    []float64 // per-candidate values during argmax scans
 }
 
 // NewScratch returns a Scratch sized for this Evaluator's snapshot set.
@@ -128,77 +123,62 @@ func (sc *Scratch) ensureRow(n int) {
 		sc.cosPhi = make([]float64, n)
 		sc.sumRe = make([]float64, n)
 		sc.sumIm = make([]float64, n)
-		sc.row = make([]float64, n)
 	}
 	sc.sinPhi = sc.sinPhi[:n]
 	sc.cosPhi = sc.cosPhi[:n]
 	sc.sumRe = sc.sumRe[:n]
 	sc.sumIm = sc.sumIm[:n]
-	sc.row = sc.row[:n]
 }
 
-// scratchList is an Evaluator's Scratch free list. It is a mutex-guarded
-// stack rather than a sync.Pool: a pool parks items per P and drops them at
-// GC, so whether a pool worker finds a warm Scratch would depend on
-// scheduling. The list never drops a Scratch and keeps every free one as
-// wide as the widest row any Scratch has served, so once a scan shape has
-// run, its chunks draw warm scratches whichever goroutine runs them.
-type scratchList struct {
-	mu    sync.Mutex
-	free  []*Scratch
-	made  int // scratches created so far
-	width int // widest row served; every free Scratch holds rows this wide
+// freeList is a process-wide mutex-guarded stack of reusable values. It is
+// a stack rather than a sync.Pool: a pool parks items per P and drops them
+// at GC, so whether a scheduler helper found a warm item would depend on
+// scheduling. The list never drops an item, so it holds as many as were
+// ever in use at once, and once a scan shape has run, its chunks draw warm
+// values whichever goroutine runs them.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
 }
 
-// getScratch draws a Scratch from the free list (allocating only when every
-// Scratch made so far is in use); putScratch returns it. Grid scans and
-// peak searches route all their transient state through this pair, which
-// is what makes whole Profile2D/FindPeak calls allocation-free in steady
-// state.
-func (e *Evaluator) getScratch() *Scratch {
-	l := &e.scratches
+func (l *freeList[T]) get() *T {
 	l.mu.Lock()
-	if n := len(l.free); n > 0 {
-		sc := l.free[n-1]
-		l.free = l.free[:n-1]
-		l.mu.Unlock()
-		return sc
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
 	}
-	l.made++
-	width := l.width
+	x := l.free[n-1]
+	l.free = l.free[:n-1]
+	return x
+}
+
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
 	l.mu.Unlock()
-	sc := e.NewScratch()
-	sc.ensureRow(width)
+}
+
+var (
+	scratches freeList[Scratch] // every Evaluator's grid scans and peak searches
+	scanJobs  freeList[scanJob] // dense scan descriptors
+)
+
+// getScratch draws a Scratch from the process-wide free list, its per-term
+// buffers grown to hold e's terms; putScratch returns it. Grid scans and
+// peak searches route all their transient state through this pair, which
+// is what makes a whole Profile2DInto or FindPeak call — on a fresh
+// Evaluator too — allocation-free in steady state.
+func (e *Evaluator) getScratch() *Scratch {
+	sc := scratches.get()
+	if n := e.terms.n(); len(sc.residuals) < n {
+		sc.residuals = make([]float64, n)
+		sc.apertures = make([]float64, n)
+	}
 	return sc
 }
 
-func (e *Evaluator) putScratch(sc *Scratch) {
-	l := &e.scratches
-	l.mu.Lock()
-	if w := cap(sc.row); w > l.width {
-		l.width = w
-		for _, f := range l.free {
-			f.ensureRow(w)
-		}
-	} else {
-		sc.ensureRow(l.width)
-	}
-	l.free = append(l.free, sc)
-	l.mu.Unlock()
-}
-
-// reserveScratch makes sure at least n scratches exist, so a scan fanned
-// out over n goroutines never creates one mid-scan.
-func (e *Evaluator) reserveScratch(n int) {
-	l := &e.scratches
-	l.mu.Lock()
-	for ; l.made < n; l.made++ {
-		sc := e.NewScratch()
-		sc.ensureRow(l.width)
-		l.free = append(l.free, sc)
-	}
-	l.mu.Unlock()
-}
+func putScratch(sc *Scratch) { scratches.put(sc) }
 
 // EvalAt computes the configured power formula at candidate direction
 // (phi, gamma) over the full snapshot set; gamma = 0 reduces Eqn. 11/12 to
@@ -291,178 +271,125 @@ func (e *Evaluator) evalRExact(terms termSlices, sc *Scratch, sinPhi, cosPhi, cg
 	return math.Hypot(sumRe, sumIm) / float64(n)
 }
 
-// scanJob describes one grid scan as plain data — which snapshot terms,
-// which candidate geometry, and where results go. Scans dispatch through a
-// pooled *scanJob and the runChunk method instead of closures: a closure
-// passed into the parallel machinery escapes to the worker goroutines and
-// would cost the caller a heap allocation per scan, which is exactly what
+// scanJob is one dense grid scan as plain data: the exact profile of every
+// cell of an azimuth axis (its trig in sinPhi/cosPhi) × a list of polar
+// rows, written row-major into out, so cell k is row k/len(sinPhi),
+// azimuth k%len(sinPhi). 2D is the one-row γ = 0 case. Scans dispatch
+// through a *scanJob from a free list and its RunChunk method instead of
+// closures: a closure passed into the scheduler escapes to the helper
+// goroutines and would cost the caller a heap allocation per scan, which
 // the zero-alloc steady-state contract forbids.
-//
-// Candidate geometry, in precedence order:
-//   - rows != nil: 3D profile — chunks index polar rows; row i evaluates
-//     angles at γ = polars[i] into rows[i].
-//   - angles != nil: 1D profile — chunks index candidates; candidate i
-//     evaluates angles[i] at fixed gamma into out[i].
-//   - azCount > 0: 3D coarse argmax — chunks are exactly one polar row of
-//     azCount uniform candidates (φ_k = k·step, γ = polBase +
-//     (i/azCount)·polStep); winners land in bests.
-//   - otherwise: 1D uniform argmax — candidate i is φ_i = i·step at fixed
-//     gamma; winners land in bests.
 type scanJob struct {
-	ev    *Evaluator // back-reference so RunChunk can reach the kernels
-	terms termSlices
-	n     int // candidate (or row) count
-	chunk int // chunk size handed to one worker grab
+	ev             *Evaluator // back-reference so RunChunk can reach the kernels
+	terms          termSlices
+	sinPhi, cosPhi []float64 // azimuth-axis trig
+	polars         []float64
+	out            []float64
 
-	// Output: profile scans write out/rows; argmax scans reduce into bests.
-	out   []float64
-	rows  [][]float64
-	bests []maxEntry
-
-	// Candidate geometry.
-	angles           []float64
-	polars           []float64
-	step             float64
-	azCount          int
-	polBase, polStep float64
-	gamma            float64
+	// Buffers the job owns, kept across scans: an angle list's trig, a
+	// uniform grid's polar rows, and a dense argmax's cell values.
+	trig, polarBuf, vals []float64
 }
 
-// reset clears slice references so a pooled job cannot retain caller
-// memory across uses.
-func (j *scanJob) reset() {
-	*j = scanJob{}
-}
+// flatRow is the polar row list of a 2D scan.
+var flatRow = []float64{0}
 
-// getJob draws a scan descriptor from the pool; putJob resets and returns
-// it.
-func (e *Evaluator) getJob() *scanJob {
-	j, ok := e.jobPool.Get().(*scanJob)
-	if !ok {
-		j = new(scanJob)
-	}
-	j.ev = e
+// newScan draws a scan descriptor over terms from the free list; release
+// returns it.
+func (e *Evaluator) newScan(terms termSlices) *scanJob {
+	j := scanJobs.get()
+	j.ev, j.terms = e, terms
 	return j
 }
 
-func (e *Evaluator) putJob(j *scanJob) {
-	j.reset()
-	e.jobPool.Put(j)
+// release drops the job's references to caller memory, keeping its own
+// buffers, and returns it to the free list.
+func (j *scanJob) release() {
+	*j = scanJob{trig: j.trig, polarBuf: j.polarBuf, vals: j.vals}
+	scanJobs.put(j)
 }
 
-// runChunk evaluates one contiguous chunk [lo, hi) of a scan job on the
-// given Scratch, per the job's candidate geometry.
-func (e *Evaluator) runChunk(j *scanJob, sc *Scratch, lo, hi int) {
-	switch {
-	case j.rows != nil:
-		for i := lo; i < hi; i++ {
-			fillAngleTrig(sc, j.angles)
-			e.evalRow(j.terms, sc, j.polars[i], len(j.angles), j.rows[i])
-		}
-	case j.angles != nil:
-		fillAngleTrig(sc, j.angles[lo:hi])
-		e.evalRow(j.terms, sc, j.gamma, hi-lo, j.out[lo:hi])
-	case j.azCount > 0:
-		gamma := j.polBase + float64(lo/j.azCount)*j.polStep
-		e.fillUniformTrig(sc, 0, hi-lo, j.step)
-		e.evalRow(j.terms, sc, gamma, hi-lo, sc.row[:hi-lo])
-		j.reduceChunk(sc, lo, hi)
-	default:
-		e.fillUniformTrig(sc, lo, hi-lo, j.step)
-		e.evalRow(j.terms, sc, j.gamma, hi-lo, sc.row[:hi-lo])
-		j.reduceChunk(sc, lo, hi)
+// scanAngles scores the grid of an arbitrary azimuth list × polars over
+// e's full term set into out. The azimuth trig is computed once per scan
+// with math.Sincos, so every cell stays bit-identical to EvalAt; an angle
+// list has no uniform-step plan key, so the build counts as a plan-cache
+// bypass.
+func (e *Evaluator) scanAngles(azimuths, polars, out []float64) {
+	j := e.newScan(e.terms)
+	n := len(azimuths)
+	if n >= planMinN {
+		planCache.nonUniformMiss.Add(1)
 	}
-}
-
-// reduceChunk records the chunk's argmax winner. Strict > keeps the
-// serial lowest-index tie rule.
-func (j *scanJob) reduceChunk(sc *Scratch, lo, hi int) {
-	best := maxEntry{idx: -1, val: math.Inf(-1)}
-	for k, v := range sc.row[:hi-lo] {
-		if v > best.val {
-			best = maxEntry{idx: lo + k, val: v}
-		}
+	j.trig = resize(j.trig, 2*n)
+	j.sinPhi, j.cosPhi = j.trig[:n:n], j.trig[n:]
+	for k, a := range azimuths {
+		j.sinPhi[k], j.cosPhi[k] = math.Sincos(a)
 	}
-	j.bests[lo/j.chunk] = best
+	j.polars = polars
+	j.run(out)
+	j.release()
 }
 
-// RunChunk implements sched.Chunked: execute one chunk of the scan on a
-// pooled Scratch. It runs on scheduler helpers and the submitting goroutine
-// alike; the scratch list is internally synchronized and every chunk writes
-// a disjoint slice of the job's output, so no further locking is needed.
-func (j *scanJob) RunChunk(lo, hi int) {
-	e := j.ev
-	sc := e.getScratch()
-	e.runChunk(j, sc, lo, hi)
-	e.putScratch(sc)
+// run scores every cell into out through sched.Run, chunkTarget cells per
+// chunk.
+func (j *scanJob) run(out []float64) {
+	j.out = out
+	sched.Run(j, len(out), chunkTarget)
 }
 
-// scanChunks runs a job's chunks of [0, n) through sched.Run, which fans
-// them out over up to sched.Workers() goroutines and runs every chunk on the
-// caller at width 1.
+// RunChunk implements sched.Chunked: it scores cells [lo, hi) on a Scratch
+// from the free list, one evalRow call per polar row the chunk touches. It
+// runs on scheduler helpers and the submitting goroutine alike; every chunk
+// writes a disjoint slice of out, so no locking is needed.
 //
-// Every index is processed exactly once, output writes never race, and
-// evaluation order never enters the arithmetic, so results are bit-identical
-// to a serial loop regardless of scheduling. Chunk boundaries are part of
-// the contract: each runChunk call covers exactly one chunk (the 3D coarse
-// scan relies on a chunk being exactly one polar row).
-func (e *Evaluator) scanChunks(j *scanJob) {
-	if j.chunk <= 0 {
-		j.chunk = chunkTarget
+// Every cell is scored exactly once, output writes never race, and
+// evaluation order never enters the arithmetic, so results are
+// bit-identical to a serial loop regardless of scheduling.
+func (j *scanJob) RunChunk(lo, hi int) {
+	e, nAz := j.ev, len(j.sinPhi)
+	sc := e.getScratch()
+	for lo < hi {
+		r, a := lo/nAz, lo%nAz
+		end := min(hi, lo-a+nAz)
+		e.evalRow(j.terms, sc, j.sinPhi[a:a+end-lo], j.cosPhi[a:a+end-lo], j.polars[r], j.out[lo:end])
+		lo = end
 	}
-	e.reserveScratch(min(sched.Workers(), (j.n+j.chunk-1)/j.chunk))
-	sched.Run(j, j.n, j.chunk)
+	putScratch(sc)
 }
 
-// maxEntry records one chunk's best candidate during a parallel argmax.
-type maxEntry struct {
-	idx int
-	val float64
-}
-
-// getBests draws a chunk-winner slice of length n from the pool; putBests
-// returns it. Pooling here removes the per-call allocate-and-zero that
-// peak searches used to pay (BENCH_1 recorded 13 allocs/op on FindPeak2DR).
-func (e *Evaluator) getBests(n int) *[]maxEntry {
-	p, ok := e.bestsPool.Get().(*[]maxEntry)
-	if !ok {
-		p = new([]maxEntry)
+// denseArgmax scores every cell of the uniform grid φ_a = a·azStep,
+// a ∈ [0, nAz), × γ_r = polBase + r·polStep, r ∈ [0, nPol), and returns
+// the row-major index and value of its maximum: one serial pass with a
+// strict >, so a tie goes to the lowest index. It is the dense oracle of
+// harmonicArgmax3D, which takes the same arguments; 2D is nPol = 1 with
+// polBase = polStep = 0.
+func (e *Evaluator) denseArgmax(terms termSlices, nAz, nPol int, azStep, polBase, polStep float64) (int, float64) {
+	j := e.newScan(terms)
+	j.sinPhi, j.cosPhi = planCache.table(planKey{n: nAz, step: azStep})
+	j.polarBuf = resize(j.polarBuf, nPol)
+	for r := range j.polarBuf {
+		j.polarBuf[r] = polBase + float64(r)*polStep
 	}
-	if cap(*p) < n {
-		*p = make([]maxEntry, n)
-	}
-	*p = (*p)[:n]
-	for i := range *p {
-		(*p)[i] = maxEntry{idx: -1, val: math.Inf(-1)}
-	}
-	return p
-}
-
-func (e *Evaluator) putBests(p *[]maxEntry) { e.bestsPool.Put(p) }
-
-// argmaxJob runs an argmax-shaped scan job and returns the index and value
-// of the maximum candidate. Per-chunk winners are reduced in chunk order
-// with a strict > comparison, so ties resolve to the lowest index exactly
-// like a serial left-to-right scan.
-func (e *Evaluator) argmaxJob(j *scanJob) (int, float64) {
-	if j.n <= 0 {
-		return 0, math.Inf(-1)
-	}
-	if j.chunk <= 0 {
-		j.chunk = chunkTarget
-	}
-	nChunks := (j.n + j.chunk - 1) / j.chunk
-	bestsPtr := e.getBests(nChunks)
-	j.bests = *bestsPtr
-	e.scanChunks(j)
-	best := maxEntry{idx: 0, val: math.Inf(-1)}
-	for _, b := range j.bests {
-		if b.idx >= 0 && b.val > best.val {
-			best = b
+	j.polars = j.polarBuf
+	j.vals = resize(j.vals, nAz*nPol)
+	j.run(j.vals)
+	best, bestV := 0, math.Inf(-1)
+	for k, v := range j.vals {
+		if v > bestV {
+			best, bestV = k, v
 		}
 	}
-	e.putBests(bestsPtr)
-	return best.idx, best.val
+	j.release()
+	return best, bestV
+}
+
+// resize returns buf with length n, reallocating only when its capacity is
+// short.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Profile2D evaluates the 2D profile over the angle grid, parallelized
@@ -481,19 +408,8 @@ func (e *Evaluator) Profile2D(angles []float64) Profile {
 // the same-size profile per request) allocates nothing.
 func (e *Evaluator) Profile2DInto(prof *Profile, angles []float64) {
 	prof.Angles = append(prof.Angles[:0], angles...)
-	if cap(prof.Power) >= len(angles) {
-		prof.Power = prof.Power[:len(angles)]
-	} else {
-		prof.Power = make([]float64, len(angles))
-	}
-	j := e.getJob()
-	j.terms = e.terms
-	j.n = len(prof.Angles)
-	j.chunk = chunkTarget
-	j.angles = prof.Angles
-	j.out = prof.Power
-	e.scanChunks(j)
-	e.putJob(j)
+	prof.Power = resize(prof.Power, len(angles))
+	e.scanAngles(prof.Angles, flatRow, prof.Power)
 }
 
 // Profile2DSerial is the single-threaded reference implementation of
@@ -511,9 +427,8 @@ func (e *Evaluator) Profile2DSerial(angles []float64) Profile {
 }
 
 // newProfile3D allocates a 3D profile with all rows carved from one backing
-// array, so parallel row writers share nothing but still fill contiguous
-// memory.
-func newProfile3D(azimuths, polars []float64) Profile3D {
+// array, which it also returns: the row-major cells a dense scan writes.
+func newProfile3D(azimuths, polars []float64) (Profile3D, []float64) {
 	prof := Profile3D{
 		Azimuths: append([]float64(nil), azimuths...),
 		Polars:   append([]float64(nil), polars...),
@@ -525,40 +440,22 @@ func newProfile3D(azimuths, polars []float64) Profile3D {
 	for i := range rows {
 		rows[i] = backing[i*nc : (i+1)*nc : (i+1)*nc]
 	}
-	return prof
+	return prof, backing
 }
 
-// rowChunk sizes a row-granular chunk so each grabbed chunk holds at least
-// chunkTarget evaluations even for narrow azimuth grids.
-func rowChunk(cols int) int {
-	if cols >= chunkTarget || cols <= 0 {
-		return 1
-	}
-	return (chunkTarget + cols - 1) / cols
-}
-
-// Profile3D evaluates the 3D profile over the az × polar grid, parallelized
-// across whole grid rows to keep each worker's writes cache-local; each row
-// goes through the batched row kernel. The result is bit-identical to
+// Profile3D evaluates the 3D profile over the az × polar grid as one dense
+// scan, its azimuth trig computed once. The result is bit-identical to
 // Profile3DSerial.
 func (e *Evaluator) Profile3D(azimuths, polars []float64) Profile3D {
-	prof := newProfile3D(azimuths, polars)
-	j := e.getJob()
-	j.terms = e.terms
-	j.n = len(prof.Polars)
-	j.chunk = rowChunk(len(prof.Azimuths))
-	j.angles = prof.Azimuths
-	j.polars = prof.Polars
-	j.rows = prof.Power
-	e.scanChunks(j)
-	e.putJob(j)
+	prof, cells := newProfile3D(azimuths, polars)
+	e.scanAngles(prof.Azimuths, prof.Polars, cells)
 	return prof
 }
 
 // Profile3DSerial is the single-threaded reference implementation of
 // Profile3D, kept for equivalence tests and speedup baselines.
 func (e *Evaluator) Profile3DSerial(azimuths, polars []float64) Profile3D {
-	prof := newProfile3D(azimuths, polars)
+	prof, _ := newProfile3D(azimuths, polars)
 	sc := e.NewScratch()
 	for i, gamma := range prof.Polars {
 		row := prof.Power[i]

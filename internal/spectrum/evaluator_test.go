@@ -163,7 +163,11 @@ func TestEvalAtZeroAllocs(t *testing.T) {
 
 // TestEvaluatorConcurrentUse hammers one shared Evaluator from many
 // goroutines, each with its own Scratch, alongside whole parallel grid
-// scans. Run under -race this is the data-race test for the engine.
+// scans, while other goroutines run both peak searches on it and on a
+// second Evaluator with a longer session: Evaluators of different term
+// counts draw from the one process-wide Scratch list at once, and every
+// result must equal the serial one. Run under -race (GOMAXPROCS 1 and 4 in
+// `make check`) this is the data-race test for the engine.
 func TestEvaluatorConcurrentUse(t *testing.T) {
 	p := testParams()
 	snaps := synth(p, geom.V3(-2.2, 1.3, 0), 100, 0.2, 0, nil)
@@ -171,16 +175,27 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	long, err := NewEvaluator(synth(p, geom.V3(1.4, -1.9, 0.4), 260, 0.6, 0, nil), p, KindR)
+	if err != nil {
+		t.Fatal(err)
+	}
 	angles := UniformAngles(256)
 	pol := mathx.Linspace(-math.Pi/2, math.Pi/2, 7)
 	want := ev.Profile2DSerial(angles)
+	evs := []*Evaluator{ev, long}
+	var want2D [2][2]float64
+	var want3D [2]Peak3D
+	for i, e := range evs {
+		want2D[i][0], want2D[i][1] = FindPeak2DEval(e, SearchOptions{})
+		want3D[i] = FindPeak3DEval(e, SearchOptions{})
+	}
 	// Per-goroutine sink slots: writing the shared evalSink global from the
 	// workers would itself be the data race this test exists to rule out of
 	// the engine.
 	sinks := make([]float64, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(g int) {
 			defer wg.Done()
 			sc := ev.NewScratch()
@@ -196,6 +211,16 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 			}
 			ev.Profile3D(angles[:32], pol)
 		}(g)
+		go func(i int) {
+			defer wg.Done()
+			e := evs[i]
+			if az, pow := FindPeak2DEval(e, SearchOptions{}); [2]float64{az, pow} != want2D[i] {
+				t.Errorf("evaluator %d: FindPeak2DEval (%v, %v) != serial %v", i, az, pow, want2D[i])
+			}
+			if pk := FindPeak3DEval(e, SearchOptions{}); pk != want3D[i] {
+				t.Errorf("evaluator %d: FindPeak3DEval %+v != serial %+v", i, pk, want3D[i])
+			}
+		}(g % 2)
 	}
 	wg.Wait()
 	evalSink = sinks[0]

@@ -83,7 +83,7 @@ func CoarseSweep3D(ev *Evaluator, opts SearchOptions) CoarseSweep {
 		}
 	}
 	out.Share = float64(pruned) / float64(len(rows)*nAz)
-	idx := ev.denseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep)
+	idx, _ := ev.denseArgmax(ev.coarse, nAz, nPol, azStep, -math.Pi/2, polStep)
 	out.Peak = ev.evalCell(ev.coarse, sc, sinPhi[idx%nAz], cosPhi[idx%nAz], cg(idx/nAz))
 	return out
 }

@@ -266,8 +266,8 @@ func (h *harmonicCoeffs) magBound() float64 {
 	return (math.Hypot(aRe[0], aIm[0]) + 2*sum) / float64(h.n)
 }
 
-// harmonicScratch bundles the per-search harmonic buffers; Evaluators pool
-// them so steady-state harmonic searches allocate nothing.
+// harmonicScratch bundles the per-search harmonic buffers; searches draw
+// them from harmPool so steady-state harmonic searches allocate nothing.
 type harmonicScratch struct {
 	coeffs    harmonicCoeffs
 	bess      []float64

@@ -47,12 +47,11 @@ func TestHarmonicSynthesisMatchesExact(t *testing.T) {
 		hs := &harmonicScratch{}
 		foldTermsHarmonic(hs, ev.coarse, 1)
 		got := make([]float64, n)
-		sc := ev.NewScratch()
-		ev.fillUniformTrig(sc, 0, n, step)
-		hs.coeffs.synthesize(got, sc.sinPhi[:n], sc.cosPhi[:n])
+		sinPhi, cosPhi := planCache.table(planKey{n: n, step: step})
+		hs.coeffs.synthesize(got, sinPhi, cosPhi)
 
 		want := make([]float64, n)
-		ev.evalRow(ev.coarse, sc, 0, n, want)
+		ev.evalRow(ev.coarse, ev.NewScratch(), sinPhi, cosPhi, 0, want)
 
 		var maxD float64
 		for k := range got {

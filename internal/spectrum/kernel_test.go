@@ -12,18 +12,11 @@ import (
 // to math.Sincos of float64(i0+k)*step, which is what the bit-exactness of
 // the whole peak search rests on.
 func TestUniformTrigExactMatchesSincos(t *testing.T) {
-	p := testParams()
-	snaps := synth(p, geom.V3(-2, 1, 0), 20, 0.4, 0, nil)
-	ev, err := NewEvaluator(snaps, p, KindQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := ev.NewScratch()
 	step := geom.Radians(0.5)
-	ev.fillUniformTrig(sc, 5, 200, step)
+	sinPhi, cosPhi := planCache.table(planKey{i0: 5, n: 200, step: step})
 	for k := 0; k < 200; k++ {
 		es, ec := math.Sincos(float64(5+k) * step)
-		if sc.sinPhi[k] != es || sc.cosPhi[k] != ec {
+		if sinPhi[k] != es || cosPhi[k] != ec {
 			t.Fatalf("exact table diverges at k=%d", k)
 		}
 	}
@@ -42,10 +35,13 @@ func TestRowKernelMatchesEvalAt(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := ev.NewScratch()
+		sinPhi, cosPhi := make([]float64, len(angles)), make([]float64, len(angles))
+		for k, phi := range angles {
+			sinPhi[k], cosPhi[k] = math.Sincos(phi)
+		}
 		for _, gamma := range []float64{0, 0.31} {
-			fillAngleTrig(sc, angles)
 			out := make([]float64, len(angles))
-			ev.evalRow(ev.terms, sc, gamma, len(angles), out)
+			ev.evalRow(ev.terms, sc, sinPhi, cosPhi, gamma, out)
 			ref := ev.NewScratch()
 			for k, phi := range angles {
 				if want := ev.EvalAt(ref, phi, gamma); out[k] != want {
@@ -103,7 +99,7 @@ func TestPooledParallelBitExact(t *testing.T) {
 				sc.sumRe[i], sc.sumIm[i] = math.NaN(), math.NaN()
 				sc.sinPhi[i], sc.cosPhi[i] = math.NaN(), math.NaN()
 			}
-			ev.putScratch(sc)
+			putScratch(sc)
 		}
 	}
 }
@@ -189,18 +185,18 @@ func TestFindPeakEvalZeroAllocs(t *testing.T) {
 // TestFreshEvaluatorAllocs pins what one locate pays per fresh Evaluator:
 // building it from a 320-read session and running one whole peak search.
 // TestFindPeakEvalZeroAllocs reuses one Evaluator, so it cannot see a
-// search that draws a second Scratch (~29 KB of grid-wide rows on a fresh
-// Evaluator); this test can. Both dimensions run the same search, so both
-// share one ceiling, and it holds only while the coarse pass and
-// refinement each serve their synthesis, prune incumbent and exact rescore
-// from the one Scratch they draw.
+// search that allocates on a fresh one; this test can. The ceiling is
+// NewEvaluator's own allocations (TestNewEvaluatorAllocs): the search
+// itself allocates nothing, because every Scratch it draws comes warm from
+// the process-wide free list, whichever Evaluator it last served. Both
+// dimensions run the same search, so both share one ceiling.
 func TestFreshEvaluatorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are pinned in the non-race run")
 	}
 	p := testParams()
 	snaps := synth(p, geom.V3(-2.0, 0.7, 0.3), 320, 0.5, 0, nil)
-	const ceiling = 12
+	const ceiling = 3
 	for _, kind := range []Kind{KindQ, KindR} {
 		fresh := func() *Evaluator {
 			ev, err := NewEvaluator(snaps, p, kind)
@@ -252,8 +248,8 @@ func benchRow(b *testing.B, kind Kind) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.fillUniformTrig(sc, 0, rowLen, step)
-		ev.evalRow(ev.terms, sc, 0.1, rowLen, out)
+		sinPhi, cosPhi := planCache.table(planKey{n: rowLen, step: step})
+		ev.evalRow(ev.terms, sc, sinPhi, cosPhi, 0.1, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowLen, "ns/candidate")
 }

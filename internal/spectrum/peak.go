@@ -92,7 +92,7 @@ func FindPeak2D(snaps []phase.Snapshot, p Params, kind Kind, opts SearchOptions)
 // coarse pass scores the strided snapshot subset (≤64) over the uniform
 // azimuth grid, and refinement (refine3D) uses the full set, moving in
 // azimuth only (polar step 0). Steady-state calls allocate nothing —
-// scratch and argmax state come from the Evaluator's pools.
+// scratch and argmax state come from process-wide free lists and pools.
 func FindPeak2DEval(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	step := opts.coarseStep()
 	if ev.kind == KindR {
@@ -111,21 +111,9 @@ func FindPeak2DEval(ev *Evaluator, opts SearchOptions) (float64, float64) {
 func FindPeak2DDense(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	step := opts.coarseStep()
 	searchCounters.dense2D.Add(1)
-	idx := ev.denseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step)
+	idx, _ := ev.denseArgmax(ev.coarse, gridSteps(2*math.Pi, step), 1, step, 0, 0)
 	best := ev.refine3D(Peak3D{Azimuth: float64(idx) * step}, step, 0, opts, true)
 	return best.Azimuth, best.Power
-}
-
-// denseArgmax2D is the full parallel scan over the uniform azimuth grid.
-func (e *Evaluator) denseArgmax2D(terms termSlices, n int, step float64) int {
-	j := e.getJob()
-	j.terms = terms
-	j.n = n
-	j.chunk = chunkTarget
-	j.step = step
-	idx, _ := e.argmaxJob(j)
-	e.putJob(j)
-	return idx
 }
 
 // refineCells is the candidate count per axis of a refinement round: the
@@ -166,8 +154,9 @@ const (
 
 // refineTrig fills phis with a round's azimuth candidates lo + k·fine —
 // the very expression the dense loop evaluates — and sc's row tables with
-// their exact trig, as fillAngleTrig does. Refinement tables are not
-// plan-cache traffic, so unlike fillAngleTrig it counts no bypass.
+// their exact trig, as a dense scan of an angle list does. Refinement
+// tables are not plan-cache traffic, so unlike scanAngles it counts no
+// bypass.
 func refineTrig(sc *Scratch, phis *[refineCells]float64, lo, fine float64) (sinPhi, cosPhi []float64) {
 	sc.ensureRow(refineCells)
 	sinPhi, cosPhi = sc.sinPhi[:refineCells], sc.cosPhi[:refineCells]
@@ -190,13 +179,7 @@ func ExhaustivePeak2D(snaps []phase.Snapshot, p Params, kind Kind, step float64)
 	if err != nil {
 		return 0, 0, err
 	}
-	j := ev.getJob()
-	j.terms = ev.terms
-	j.n = gridSteps(2*math.Pi, step)
-	j.chunk = chunkTarget
-	j.step = step
-	idx, pow := ev.argmaxJob(j)
-	ev.putJob(j)
+	idx, pow := ev.denseArgmax(ev.terms, gridSteps(2*math.Pi, step), 1, step, 0, 0)
 	return float64(idx) * step, pow, nil
 }
 
@@ -255,28 +238,12 @@ func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
 func FindPeak3DDense(ev *Evaluator, opts SearchOptions) Peak3D {
 	azStep, polStep, nAz, nPol := opts.grid3D()
 	searchCounters.dense3D.Add(1)
-	idx := ev.denseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep)
+	idx, _ := ev.denseArgmax(ev.coarse, nAz, nPol, azStep, -math.Pi/2, polStep)
 	best := Peak3D{
 		Azimuth: float64(idx%nAz) * azStep,
 		Polar:   -math.Pi/2 + float64(idx/nAz)*polStep,
 	}
 	return ev.refine3D(best, azStep, polStep, opts, true)
-}
-
-// denseArgmax3D is the full parallel scan over the az × polar grid, chunked
-// by polar row — the oracle behind FindPeak3DDense.
-func (e *Evaluator) denseArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64) int {
-	j := e.getJob()
-	j.terms = terms
-	j.n = nAz * nPol
-	j.chunk = nAz
-	j.step = azStep
-	j.azCount = nAz
-	j.polBase = -math.Pi / 2
-	j.polStep = polStep
-	idx, _ := e.argmaxJob(j)
-	e.putJob(j)
-	return idx
 }
 
 // refine3D runs the local refinement of both peak searches from a
@@ -294,7 +261,7 @@ func (e *Evaluator) denseArgmax3D(terms termSlices, nAz, nPol int, azStep, polSt
 // code on it, so FindPeak*Eval returns FindPeak*Dense's peak bit for bit.
 func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOptions, dense bool) Peak3D {
 	sc := e.getScratch()
-	defer e.putScratch(sc)
+	defer putScratch(sc)
 	best.Power = e.EvalAt(sc, best.Azimuth, best.Polar)
 	rounds := opts.refinements()
 	if e.kind == KindR && rounds > 1 {

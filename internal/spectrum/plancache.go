@@ -10,9 +10,8 @@ import (
 //
 // The uniform coarse grids the peak searches scan are keyed entirely by
 // (first index, point count, step): every locate at the default 0.5° grid
-// asks for exactly the same handful of tables — one per chunk of the
-// coarse sweep — yet before this cache each Evaluator rebuilt them on every
-// scan. The builder (math.Sincos per point) is a deterministic function of
+// asks for exactly the same azimuth table, yet before this cache each
+// Evaluator rebuilt it on every scan. The builder (math.Sincos per point) is a deterministic function of
 // the key, so a cached table is bit-identical to a fresh build and caching
 // cannot perturb results.
 //
@@ -20,12 +19,10 @@ import (
 // concurrent scans on different goroutines don't serialize on one lock,
 // and bounded (planShardCap entries per shard; beyond that new keys are
 // built directly and not stored — grids are operator-configured, so in
-// practice the working set is a few dozen keys). Hits copy the canonical
-// table into the caller's Scratch: a memcpy of ≤ a few KiB against a sincos
-// per point; the coarse argmax, which only reads its table, takes the
-// cached one itself (table). First-build races are benign — both racers
-// compute identical bytes and the first store wins — which is what keeps
-// the fill path free of per-key once-guards.
+// practice the working set is a few dozen keys). Every caller only reads
+// its table, so a hit hands out the cached slices themselves. First-build
+// races are benign — both racers compute identical bytes and the first
+// store wins — which is what keeps the lookup free of per-key once-guards.
 
 const (
 	// planShards is the shard count (power of two) of the cache.
@@ -67,7 +64,7 @@ type planCacheT struct {
 	misses atomic.Uint64
 	// nonUniformMiss counts trig-table builds the cache could not even be
 	// asked about: non-uniform angle grids have no (i0, n, step) key, so
-	// fillAngleTrig builds per-point tables directly. A climbing rate in
+	// a dense scan over an angle list builds its own table (scanAngles). A climbing rate in
 	// production means traffic is on dense angle-list profiles and the
 	// plan cache's hit rate no longer describes most table builds.
 	nonUniformMiss atomic.Uint64
@@ -75,17 +72,9 @@ type planCacheT struct {
 
 var planCache planCacheT
 
-// fill writes the table for key into dstSin/dstCos (both length key.n),
-// serving from the cache when possible and inserting on miss.
-func (pc *planCacheT) fill(dstSin, dstCos []float64, key planKey) {
-	sin, cos := pc.table(key)
-	copy(dstSin, sin)
-	copy(dstCos, cos)
-}
-
-// table returns the table for key itself, building and inserting it on a
-// miss. The slices are shared and must not be written; a caller that only
-// reads them (the coarse argmax) needs no buffer of its own.
+// table returns the table for key, building and inserting it on a miss.
+// The slices are shared and must not be written, so a caller needs no
+// buffer of its own.
 func (pc *planCacheT) table(key planKey) (sin, cos []float64) {
 	sh := &pc.shards[key.shard()]
 	sh.mu.RLock()
@@ -115,7 +104,7 @@ func (pc *planCacheT) table(key planKey) (sin, cos []float64) {
 // PlanCacheStats is a point-in-time snapshot of the process-wide trig plan
 // cache, shaped for expvar publication.
 type PlanCacheStats struct {
-	// Hits and Misses are cumulative fill counts since process start (or
+	// Hits and Misses are cumulative lookup counts since process start (or
 	// the last ResetPlanCache).
 	Hits, Misses uint64
 	// NonUniformMiss counts cache-unservable table builds: non-uniform
@@ -125,7 +114,7 @@ type PlanCacheStats struct {
 	NonUniformMiss uint64
 	// Entries is the current number of cached tables across all shards.
 	Entries int
-	// HitRate is Hits / (Hits + Misses), 0 when no fills have happened.
+	// HitRate is Hits / (Hits + Misses), 0 when no lookups have happened.
 	HitRate float64
 }
 

@@ -24,7 +24,7 @@ func TestPlanCacheBitIdentical(t *testing.T) {
 		// First fill misses and builds; second fill must hit.
 		for round := 0; round < 2; round++ {
 			got := make([]float64, 2*tc.n)
-			planCache.fill(got[:tc.n], got[tc.n:], planKey{i0: tc.i0, n: tc.n, step: step})
+			tableInto(got, planKey{i0: tc.i0, n: tc.n, step: step})
 			for k := 0; k < 2*tc.n; k++ {
 				if got[k] != want[k] {
 					t.Fatalf("i0=%d n=%d round=%d: table differs at %d: %v != %v",
@@ -64,7 +64,7 @@ func TestPlanCacheConcurrentFirstBuild(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got := make([]float64, 2*n)
-			planCache.fill(got[:n], got[n:], planKey{i0: 32, n: n, step: step})
+			tableInto(got, planKey{i0: 32, n: n, step: step})
 			for k := 0; k < 2*n; k++ {
 				if got[k] != want[k] {
 					errs <- "racing fill returned non-canonical table"
@@ -92,7 +92,7 @@ func TestPlanCacheShardCap(t *testing.T) {
 	step := 1e-3
 	for n := planMinN; n < planMinN+planShards*planShardCap+64; n++ {
 		buf := make([]float64, 2*n)
-		planCache.fill(buf[:n], buf[n:], planKey{i0: 0, n: n, step: step})
+		tableInto(buf, planKey{i0: 0, n: n, step: step})
 	}
 	st := PlanCacheSnapshot()
 	if st.Entries > planShards*planShardCap {
@@ -101,7 +101,7 @@ func TestPlanCacheShardCap(t *testing.T) {
 	// A post-cap key must still produce correct values (built directly).
 	const n = 9999
 	got := make([]float64, 2*n)
-	planCache.fill(got[:n], got[n:], planKey{i0: 7, n: n, step: step})
+	tableInto(got, planKey{i0: 7, n: n, step: step})
 	want := make([]float64, 2*n)
 	buildUniformTrig(want[:n], want[n:], 7, step)
 	for k := 0; k < 2*n; k++ {
@@ -134,4 +134,11 @@ func TestPlanCacheHitRateOnRepeatedGrid(t *testing.T) {
 		t.Errorf("hit rate %.3f after 20 repeated searches, want > 0.9 (hits=%d misses=%d)",
 			st.HitRate, st.Hits, st.Misses)
 	}
+}
+
+// tableInto copies the cached table for key into dst: sin first, then cos.
+func tableInto(dst []float64, key planKey) {
+	sin, cos := planCache.table(key)
+	copy(dst, sin)
+	copy(dst[key.n:], cos)
 }

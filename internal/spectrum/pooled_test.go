@@ -21,10 +21,13 @@ func withPoolWidth(t *testing.T, workers int, fn func()) {
 }
 
 // TestPooledScanEquivalence is the pool-path bit-exactness pin required by
-// the shared-pool migration: Profile2DInto, Profile3D, FindPeak2DEval and
-// FindPeak3DEval must produce bit-identical results whether scans run
-// on the caller alone (width 1) or fanned out over helpers, for both
-// kinds. Run under -race at GOMAXPROCS=1 and 4 by `make check`.
+// the shared-pool migration: Profile2DInto, Profile3D, the synthesized
+// FindPeak2DEval/FindPeak3DEval and the dense argmax behind
+// FindPeak2DDense, FindPeak3DDense and ExhaustivePeak2D must produce
+// bit-identical results whether scans run on the caller alone (width 1) or
+// fanned out over helpers, for both kinds. Profile3D's 96-azimuth rows and
+// the dense 3D coarse grid's 180 make 64-cell chunks cross polar-row
+// boundaries. Run under -race at GOMAXPROCS=1 and 4 by `make check`.
 func TestPooledScanEquivalence(t *testing.T) {
 	p := testParams()
 	snaps := synth(p, geom.V3(-2.0, 1.1, 0.5), 120, 0.8, 0, nil)
@@ -37,42 +40,50 @@ func TestPooledScanEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var ser2, pool2 Profile
-		var ser3, pool3 Profile3D
-		var serAz, serPow, poolAz, poolPow float64
-		var ser3D, pool3D Peak3D
-		withPoolWidth(t, 1, func() {
-			ev.Profile2DInto(&ser2, angles)
-			ser3 = ev.Profile3D(angles[:96], pol)
-			serAz, serPow = FindPeak2DEval(ev, SearchOptions{})
-			ser3D = FindPeak3DEval(ev, SearchOptions{})
-		})
-		withPoolWidth(t, 4, func() {
-			ev.Profile2DInto(&pool2, angles)
-			pool3 = ev.Profile3D(angles[:96], pol)
-			poolAz, poolPow = FindPeak2DEval(ev, SearchOptions{})
-			pool3D = FindPeak3DEval(ev, SearchOptions{})
-		})
+		type result struct {
+			prof2 Profile
+			prof3 Profile3D
+			peaks [3][2]float64 // FindPeak2DEval, FindPeak2DDense, ExhaustivePeak2D
+			pks3D [2]Peak3D     // FindPeak3DEval, FindPeak3DDense
+		}
+		run := func(r *result) {
+			ev.Profile2DInto(&r.prof2, angles)
+			r.prof3 = ev.Profile3D(angles[:96], pol)
+			r.peaks[0][0], r.peaks[0][1] = FindPeak2DEval(ev, SearchOptions{})
+			r.peaks[1][0], r.peaks[1][1] = FindPeak2DDense(ev, SearchOptions{})
+			az, pow, err := ExhaustivePeak2D(snaps, p, kind, geom.Radians(0.25))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.peaks[2] = [2]float64{az, pow}
+			r.pks3D = [2]Peak3D{FindPeak3DEval(ev, SearchOptions{}), FindPeak3DDense(ev, SearchOptions{})}
+		}
+		var ser, pool result
+		withPoolWidth(t, 1, func() { run(&ser) })
+		withPoolWidth(t, 4, func() { run(&pool) })
 
-		for i := range ser2.Power {
-			if pool2.Power[i] != ser2.Power[i] {
+		for i := range ser.prof2.Power {
+			if pool.prof2.Power[i] != ser.prof2.Power[i] {
 				t.Fatalf("%v: Profile2DInto diverged at %d: %v != %v",
-					kind, i, pool2.Power[i], ser2.Power[i])
+					kind, i, pool.prof2.Power[i], ser.prof2.Power[i])
 			}
 		}
-		for i := range ser3.Power {
-			for j := range ser3.Power[i] {
-				if pool3.Power[i][j] != ser3.Power[i][j] {
+		for i := range ser.prof3.Power {
+			for j := range ser.prof3.Power[i] {
+				if pool.prof3.Power[i][j] != ser.prof3.Power[i][j] {
 					t.Fatalf("%v: Profile3D diverged at %d,%d", kind, i, j)
 				}
 			}
 		}
-		if poolAz != serAz || poolPow != serPow {
-			t.Fatalf("%v: FindPeak2DEval pooled (%v,%v) != serial (%v,%v)",
-				kind, poolAz, poolPow, serAz, serPow)
+		for i, name := range []string{"FindPeak2DEval", "FindPeak2DDense", "ExhaustivePeak2D"} {
+			if pool.peaks[i] != ser.peaks[i] {
+				t.Fatalf("%v: %s pooled %v != serial %v", kind, name, pool.peaks[i], ser.peaks[i])
+			}
 		}
-		if pool3D != ser3D {
-			t.Fatalf("%v: FindPeak3DEval pooled %+v != serial %+v", kind, pool3D, ser3D)
+		for i, name := range []string{"FindPeak3DEval", "FindPeak3DDense"} {
+			if pool.pks3D[i] != ser.pks3D[i] {
+				t.Fatalf("%v: %s pooled %+v != serial %+v", kind, name, pool.pks3D[i], ser.pks3D[i])
+			}
 		}
 	}
 }
